@@ -40,8 +40,9 @@ class MarkovSource:
         arr = np.asarray(self.transition, dtype=np.float64)
         if arr.shape != (n, n):
             raise DataError(f"transition must be {n}x{n}, got {arr.shape}")
-        if np.any(arr < 0) or np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise DataError("transition rows must be non-negative and sum to 1")
+        finite = np.all(np.isfinite(arr))
+        if not finite or np.any(arr < 0) or np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+            raise DataError("transition rows must be finite, non-negative and sum to 1")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "transition", arr)
@@ -51,7 +52,8 @@ class MarkovSource:
             init = np.asarray(self.initial, dtype=np.float64)
             if init.shape != (n,):
                 raise DataError(f"initial distribution must have length {n}")
-            if np.any(init < 0) or abs(init.sum() - 1.0) > ROW_SUM_TOL:
+            finite = np.all(np.isfinite(init))
+            if not finite or np.any(init < 0) or abs(init.sum() - 1.0) > ROW_SUM_TOL:
                 raise DataError("initial distribution must be a distribution")
             init = init.copy()
         init.flags.writeable = False

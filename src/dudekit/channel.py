@@ -14,6 +14,8 @@ denoising rule s (a map from observed symbol to reconstruction):
 
 estimated_loss lets a denoiser be scored from noisy data alone;
 pseudo_labels turn that score into non-negative training targets.
+apply_rules maps each observed symbol through its position's rule; every
+denoiser reconstructs through it.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import BINARY, Alphabet
+from .core import BINARY, Alphabet, Sequence
 from .errors import (
     CapExceeded,
     DataError,
     DimensionMismatch,
     InvalidChannel,
+    LengthMismatch,
     SingularChannel,
     SingularMatrix,
 )
@@ -57,8 +60,8 @@ class ChannelMatrix:
         n = self.alphabet.size
         if arr.shape != (n, n):
             raise InvalidChannel(f"channel must be {n}x{n}, got {arr.shape}")
-        if np.any(arr < 0):
-            raise InvalidChannel("channel entries must be non-negative")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise InvalidChannel("channel entries must be finite and non-negative")
         if np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
             raise InvalidChannel("channel rows must sum to 1")
         arr = np.ascontiguousarray(arr)
@@ -264,6 +267,15 @@ def build_estimated_loss(
         label_norms=norms,
         max_estimated_loss=l_max,
     )
+
+
+def apply_rules(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossTables) -> Sequence:
+    """Reconstruct by applying each position's single-symbol rule to its center."""
+    rule_indices = np.asarray(rule_indices)
+    if rule_indices.shape != (len(z),):
+        raise LengthMismatch("need one rule index per position")
+    xhat = tables.map_table[rule_indices, z.data.astype(np.int64)]
+    return Sequence(xhat, z.alphabet)
 
 
 def expected_estimated_loss(x: int, s: SingleSymbolDenoiser, tables: EstimatedLossTables) -> float:

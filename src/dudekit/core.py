@@ -5,6 +5,7 @@ context of order k at position i is the k symbols to the left and the k
 symbols to the right of i, center excluded. Positions within k of either
 edge use a padding sentinel (index == alphabet.size) for the missing
 symbols, so the sentinel never collides with a real symbol.
+group_contexts is the one context table both denoisers work from.
 """
 
 from __future__ import annotations
@@ -57,22 +58,24 @@ class Alphabet:
         return all(len(lab) == 1 for lab in self.labels)
 
     def encode(self, text: str) -> np.ndarray:
-        """Map a string of single-character labels to an index array."""
-        if not self.single_char():
-            raise DataError("text encoding requires single-character labels")
+        """Map a string of single-character latin-1 labels to an index array."""
+        if not self.single_char() or max(map(ord, self.labels)) > 255:
+            raise DataError("text encoding requires single-character latin-1 labels")
         lut = np.full(256, -1, dtype=np.int16)
-        for i, lab in enumerate(self.labels):
-            lut[ord(lab)] = i
-        raw = np.frombuffer(text.encode("latin-1", "replace"), dtype=np.uint8)
-        idx = lut[raw]
-        bad = np.nonzero(idx < 0)[0]
-        if bad.size:
+        lut[[ord(lab) for lab in self.labels]] = np.arange(self.size)
+        try:
+            idx = lut[np.frombuffer(text.encode("latin-1"), dtype=np.uint8)]
+            bad = np.flatnonzero(idx < 0)
+        except UnicodeEncodeError as exc:
+            bad = [exc.start]
+        if len(bad):
             pos = int(bad[0])
             raise InvalidSymbol(f"symbol {text[pos]!r} at offset {pos} not in alphabet")
         return idx.astype(np.uint8)
 
     def decode(self, indices: np.ndarray) -> str:
-        return "".join(self.labels[int(i)] for i in indices)
+        labels = np.array(self.labels, dtype=object)
+        return "".join(labels[np.asarray(indices, dtype=np.intp)].tolist())
 
 
 BINARY = Alphabet(("0", "1"))
@@ -217,3 +220,42 @@ def pack_context_keys(ctx: np.ndarray, base: int) -> np.ndarray | None:
     for j in range(width):
         out += ctx[:, j].astype(np.uint64) * np.uint64(base**j)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class ContextGroups:
+    """Positions of seq grouped by their padded order-k context.
+
+    inverse[i] is the group of position i. Contexts that reach past an edge
+    hold the pad digit, so they never share a group with pad-free ones.
+    """
+
+    seq: Sequence
+    contexts: np.ndarray  # (n, 2k) context_matrix of seq
+    inverse: np.ndarray  # (n,)
+    n_groups: int
+
+    def rows(self) -> np.ndarray:
+        """(n_groups, 2k) context digits, row g being group g's context."""
+        member = np.empty(self.n_groups, dtype=np.intp)
+        # Every member of a group has the same row, so any one will do.
+        member[self.inverse] = np.arange(self.inverse.size)
+        return self.contexts[member]
+
+    def center_counts(self) -> np.ndarray:
+        """counts[g, a]: how often symbol a sits at the center of group g."""
+        size = self.seq.alphabet.size
+        flat = self.inverse * size + self.seq.data
+        return np.bincount(flat, minlength=self.n_groups * size).reshape(self.n_groups, size)
+
+
+def group_contexts(seq: Sequence, k: int) -> ContextGroups:
+    """Group every position of seq, edges included, by its order-k context."""
+    size = seq.alphabet.size
+    ctx = context_matrix(seq.data, k, pad=size)
+    keys = pack_context_keys(ctx, size + 1)  # pad digit == size needs base size+1
+    if keys is not None:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+    else:
+        uniq, inverse = np.unique(ctx, axis=0, return_inverse=True)
+    return ContextGroups(seq, ctx, inverse.reshape(-1), len(uniq))

@@ -24,10 +24,11 @@ from .channel import (
     EstimatedLossTables,
     LossMatrix,
     SingleSymbolDenoiser,
+    apply_rules,
     build_estimated_loss,
     denoiser_from_index,
 )
-from .core import Alphabet, Context, Sequence, context_key, interior_slice, pack_context_keys
+from .core import Alphabet, Context, Sequence, context_key, group_contexts, interior_slice
 from .errors import DataError, DimensionMismatch
 
 # Cap on score-matrix chunk size, in float64 entries.
@@ -52,53 +53,17 @@ class CountTable:
         return row
 
 
-def _interior_contexts(data: np.ndarray, k: int) -> np.ndarray:
-    """(n-2k, 2k) context digits for the pad-free interior positions."""
-    n = data.shape[0]
-    m = n - 2 * k
-    out = np.empty((m, 2 * k), dtype=np.uint8)
-    for j in range(k):
-        out[:, j] = data[j : j + m]
-        out[:, k + j] = data[k + 1 + j : k + 1 + j + m]
-    return out
-
-
-def _group_interior(z: Sequence, k: int):
-    """Group interior positions by context.
-
-    Returns (inverse, counts) where inverse maps each interior position
-    to its context group and counts[g, a] is how often symbol a sits at
-    the center of group g's context.
-    """
-    size = z.alphabet.size
-    inner = interior_slice(len(z), k)
-    ctx = _interior_contexts(z.data, k)
-    keys = pack_context_keys(ctx, size)
-    if keys is not None:
-        uniq_keys, inverse = np.unique(keys, return_inverse=True)
-        key_list = [int(v) for v in uniq_keys]
-    else:
-        uniq_rows, inverse = np.unique(ctx, axis=0, return_inverse=True)
-        key_list = []
-        for row in uniq_rows:
-            acc = 0
-            for j, d in enumerate(row):
-                acc += int(d) * size**j
-            key_list.append(acc)
-    centers = z.data[inner].astype(np.int64)
-    n_groups = len(key_list)
-    flat = inverse.astype(np.int64) * size + centers
-    counts = np.bincount(flat, minlength=n_groups * size).reshape(n_groups, size)
-    return inverse, counts, key_list
-
-
 def collect_counts(z: Sequence, k: int) -> CountTable:
     """First pass: tally center symbols for every interior context."""
-    _, counts, keys = _group_interior(z, k)
-    table = {key: counts[g] for g, key in enumerate(keys)}
-    for row in table.values():
-        row.flags.writeable = False
-    return CountTable(alphabet=z.alphabet, k=k, counts=table, n_interior=int(counts.sum()))
+    interior_slice(len(z), k)  # raises SequenceTooShort
+    groups = group_contexts(z, k)
+    counts = groups.center_counts()
+    counts.flags.writeable = False
+    table = {}
+    for row, m in zip(groups.rows().tolist(), counts):
+        if max(row, default=0) < z.alphabet.size:  # edge contexts hold the pad digit
+            table[context_key(Context(tuple(row[:k]), tuple(row[k:])), z.alphabet)] = m
+    return CountTable(alphabet=z.alphabet, k=k, counts=table, n_interior=len(z) - 2 * k)
 
 
 def dude_rule_original(
@@ -147,18 +112,19 @@ def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables) -> np.nda
 
     Interior positions get the rule chosen from their context's counts;
     edge positions get the identity rule, which reproduces the
-    pass-through behavior of the denoiser there.
+    pass-through behavior of the denoiser there. Edge contexts hold the
+    pad digit, so counting them changes no interior group's counts.
     """
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
     if tables.loss.n_reconstructions != z.alphabet.size:
         raise DimensionMismatch("sliding-window denoising requires a square loss")
-    n = len(z)
-    inner = interior_slice(n, k)
-    inverse, counts, _ = _group_interior(z, k)
-    per_group = _argmin_chunked(counts, tables.estimated_loss)
-    s_idx = np.full(n, tables.identity, dtype=np.int64)
-    s_idx[inner] = per_group[inverse]
+    inner = interior_slice(len(z), k)
+    groups = group_contexts(z, k)
+    per_group = _argmin_chunked(groups.center_counts(), tables.estimated_loss)
+    s_idx = per_group[groups.inverse]
+    s_idx[: inner.start] = tables.identity
+    s_idx[inner.stop :] = tables.identity
     return s_idx
 
 
@@ -178,6 +144,4 @@ def dude_denoise(
         if channel is None or loss is None:
             raise DataError("dude_denoise needs tables or (channel, loss)")
         tables = build_estimated_loss(channel, loss)
-    s_idx = select_denoisers(z, k, tables)
-    xhat = tables.map_table[s_idx, z.data.astype(np.int64)]
-    return Sequence(xhat, z.alphabet)
+    return apply_rules(z, select_denoisers(z, k, tables), tables)

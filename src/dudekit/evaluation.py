@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dude, neural
-from .channel import EstimatedLossTables
+from .channel import EstimatedLossTables, apply_rules
 from .core import Alphabet, Sequence
 from .errors import DataError, LengthMismatch, MalformedHeader
 from .neural import TrainConfig
@@ -52,15 +52,6 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
     if rule_indices.shape != (len(z),):
         raise LengthMismatch("need one rule index per position")
     return float(tables.estimated_loss[z.data.astype(np.int64), rule_indices].mean())
-
-
-def apply_rules(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossTables) -> Sequence:
-    """Reconstruct by applying each position's single-symbol rule to its center."""
-    rule_indices = np.asarray(rule_indices)
-    if rule_indices.shape != (len(z),):
-        raise LengthMismatch("need one rule index per position")
-    xhat = tables.map_table[rule_indices, z.data.astype(np.int64)]
-    return Sequence(xhat, z.alphabet)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EstimatedLossTables
-from .core import Alphabet, Context, Sequence, context_matrix, pack_context_keys
+from .channel import EstimatedLossTables, apply_rules
+from .core import Alphabet, Context, Sequence, context_matrix, group_contexts
 from .errors import (
     CheckpointMismatch,
     DataError,
@@ -301,18 +301,6 @@ def train(
     return net
 
 
-def _unique_contexts(data: np.ndarray, k: int, size: int):
-    """Unique context rows and the per-position inverse map."""
-    ctx = context_matrix(data, k, pad=size)
-    keys = pack_context_keys(ctx, size + 1)  # pad digit == size needs base size+1
-    if keys is not None:
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        rows = ctx[first]
-    else:
-        rows, inverse = np.unique(ctx, axis=0, return_inverse=True)
-    return rows, inverse
-
-
 def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:
     """Per-position rule indices: the network's argmax for each context."""
     size = z.alphabet.size
@@ -327,7 +315,8 @@ def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables)
         )
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
-    rows, inverse = _unique_contexts(z.data, net.k, size)
+    groups = group_contexts(z, net.k)
+    rows = groups.rows()
     per_row = np.empty(rows.shape[0], dtype=np.int64)
     buf = np.zeros((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
     for start in range(0, rows.shape[0], _FORWARD_CHUNK):
@@ -335,14 +324,12 @@ def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables)
         x = _encode_rows(chunk, size, buf[: chunk.shape[0]])
         probs = net.forward(x)
         per_row[start : start + chunk.shape[0]] = np.argmax(probs, axis=1)
-    return per_row[inverse]
+    return per_row[groups.inverse]
 
 
 def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> Sequence:
     """Apply the trained network to every position of the sequence."""
-    s_idx = select_denoisers(z, net, tables)
-    xhat = tables.map_table[s_idx, z.data.astype(np.int64)]
-    return Sequence(xhat, z.alphabet)
+    return apply_rules(z, select_denoisers(z, net, tables), tables)
 
 
 def context_probabilities(

@@ -12,12 +12,14 @@ line with capture suspended, so the verdicts stay visible in any pytest run.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
+import dudekit
 from conftest import ALPHABETS, random_invertible_channel, random_loss
 from dudekit.baselines import (
     HMMSpec,
@@ -342,11 +344,17 @@ def test_criterion_09_image_denoising(capsys):
 
 
 def _run_cli(args, cwd):
+    # The subprocess runs in cwd, where a relative PYTHONPATH no longer
+    # resolves; put the package under test first on an absolute one.
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(dudekit.__file__)))
+    path = [pkg_parent, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "dudekit.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"cli {args[0]} failed: {proc.stderr.strip()[:200]}")

@@ -32,6 +32,10 @@ def test_source_validation():
     with pytest.raises(DataError):
         MarkovSource(np.eye(2) * 0.5 + 0.25, BINARY, initial=np.array([0.7, 0.7]))
     with pytest.raises(DataError):
+        MarkovSource(np.array([[np.nan, 0.5], [0.5, 0.5]]), BINARY)
+    with pytest.raises(DataError):
+        MarkovSource(np.eye(2) * 0.5 + 0.25, BINARY, initial=np.array([np.nan, 1.0]))
+    with pytest.raises(DataError):
         bsmc(1.5)
 
 

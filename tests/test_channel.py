@@ -40,6 +40,8 @@ def test_channel_validation():
         ChannelMatrix(np.array([[0.7, 0.4], [0.5, 0.5]]), BINARY)
     with pytest.raises(InvalidChannel):
         ChannelMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]), BINARY)
+    with pytest.raises(InvalidChannel):
+        ChannelMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]), BINARY)
 
 
 def test_bsc_entries_and_inverse():

@@ -12,6 +12,7 @@ from dudekit.core import (
     context_key,
     context_matrix,
     extract_context,
+    group_contexts,
     interior_slice,
     pack_context_keys,
 )
@@ -44,10 +45,24 @@ def test_encode_decode_roundtrip():
     assert list(seq.data) == [0, 1, 2, 3, 3, 2, 1, 0]
 
 
+def test_decode_multichar_labels():
+    words = Alphabet(("ab", "c", "def"))
+    idx = np.random.default_rng(3).integers(0, 3, 200).astype(np.uint8)
+    text = words.decode(idx)
+    assert text == "".join(words.labels[i] for i in idx)
+    assert Sequence(idx, words).to_text() == text
+
+
 def test_encode_rejects_unknown_symbol():
     with pytest.raises(InvalidSymbol) as err:
         BINARY.encode("0102")
     assert "offset 3" in str(err.value)
+    # a character beyond latin-1 is not replaced by a label such as '?'
+    with pytest.raises(InvalidSymbol) as err:
+        Alphabet(("0", "1", "?")).encode("0\u20ac1")
+    assert "offset 1" in str(err.value)
+    with pytest.raises(DataError):
+        Alphabet(("0", "\u20ac")).encode("0")
 
 
 def test_sequence_validation_and_immutability():
@@ -155,6 +170,31 @@ def test_pack_context_keys_matches_context_key():
 def test_pack_context_keys_overflow_returns_none():
     mat = np.zeros((3, 80), dtype=np.uint8)
     assert pack_context_keys(mat, 2) is None
+
+
+def _check_groups(seq, k):
+    groups = group_contexts(seq, k)
+    rows = groups.rows()
+    digits = [extract_context(seq, i, k).digits() for i in range(len(seq))]
+    assert groups.n_groups == rows.shape[0] == len(set(digits))
+    for i, d in enumerate(digits):
+        assert tuple(rows[groups.inverse[i]]) == d
+
+
+def test_group_contexts_matches_extract():
+    rng = np.random.default_rng(11)
+    for alphabet in (BINARY, DNA):
+        seq = Sequence(rng.integers(0, alphabet.size, 60).astype(np.uint8), alphabet)
+        for k in range(4):
+            _check_groups(seq, k)
+
+
+def test_group_contexts_row_fallback():
+    # 3**82 overflows uint64, so grouping falls back to row-wise uniquing.
+    seq = Sequence(np.random.default_rng(12).integers(0, 2, 120).astype(np.uint8), BINARY)
+    k = 41
+    assert pack_context_keys(context_matrix(seq.data, k, pad=2), 3) is None
+    _check_groups(seq, k)
 
 
 def test_interior_slice():

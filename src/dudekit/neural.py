@@ -36,7 +36,7 @@ from .errors import (
 # Floor for log arguments inside the cost; keeps zero probabilities finite.
 COST_FLOOR = 1e-30
 
-# Rows per chunk when encoding and classifying unique contexts.
+# Rows per chunk when encoding training rows and classifying unique contexts.
 _FORWARD_CHUNK = 4096
 
 DEFAULT_HIDDEN = (40, 40, 40)
@@ -105,15 +105,14 @@ def encode_context(c: Context, alphabet: Alphabet) -> np.ndarray:
 
 
 def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
-    """Scatter one-hot encode (B, 2k) digit rows into a zeroed (B, 2k*size) array."""
-    out[:] = 0.0
+    """One-hot encode (B, 2k) digit rows into a C-contiguous (B, 2k*size) array.
+
+    Each digit gathers its row of a one-hot table whose pad row is zero.
+    Digits come from context_matrix, so they lie in [0, size].
+    """
     b, width = rows.shape
-    if width == 0:
-        return out
-    cols = rows.astype(np.int64) + np.arange(width, dtype=np.int64) * size
-    keep = rows != size  # pad digits stay all-zero
-    flat = np.arange(b, dtype=np.int64)[:, None] * out.shape[1] + cols
-    out.reshape(-1)[flat[keep]] = 1.0
+    table = np.eye(size + 1, size, dtype=out.dtype)
+    np.take(table, rows, axis=0, out=out.reshape(b, width, size), mode="clip")
     return out
 
 
@@ -148,17 +147,7 @@ class MLPDenoiser:
             for i in range(len(layer_dims) - 1)
         )
         self.params = np.zeros(total, dtype=self.dtype)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        offset = 0
-        for i in range(len(layer_dims) - 1):
-            fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
-            w = self.params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            b = self.params[offset : offset + fan_out]
-            offset += fan_out
-            self.weights.append(w)
-            self.biases.append(b)
+        self.weights, self.biases = self._layer_views(self.params)
         if rng is None:
             rng = np.random.default_rng(0)
         for w in self.weights:
@@ -178,6 +167,17 @@ class MLPDenoiser:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
+    def _layer_views(self, flat: np.ndarray):
+        """Per-layer (weights, biases) views into a flat parameter-shaped vector."""
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
+        return weights, biases
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of encoded contexts."""
         a = np.asarray(x, dtype=self.dtype)
@@ -188,7 +188,7 @@ class MLPDenoiser:
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = np.maximum(a @ w + b, 0.0)
         logits = a @ self.weights[-1] + self.biases[-1]
-        return _softmax(logits)
+        return _softmax(logits, out=logits)
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
         """Mean cost over the batch and its gradient in flat-parameter form."""
@@ -196,65 +196,110 @@ class MLPDenoiser:
         norms = g.sum(axis=1)
         return self._loss_grad(np.asarray(x, dtype=self.dtype), g, norms)
 
-    def _loss_grad(self, x: np.ndarray, g: np.ndarray, norms: np.ndarray):
+    def _loss_grad(self, x: np.ndarray, g: np.ndarray, norms: np.ndarray, ws=None):
+        """Loss and gradient, computed in ws's buffers; the gradient is ws.grad.
+
+        Without ws a fresh _Workspace is made, so the gradient is a new array.
+        """
         batch = x.shape[0]
         if g.shape != (batch, self.output_dim):
             raise DimensionMismatch(
                 f"targets must be (batch, {self.output_dim}), got {g.shape}"
             )
+        if ws is None:
+            ws = _Workspace(self, batch)
         acts = [x]
         a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
+        for w, b, out in zip(self.weights[:-1], self.biases[:-1], ws.hidden):
+            a = np.matmul(a, w, out=out[:batch])
+            a += b
+            np.maximum(a, 0.0, out=a)
             acts.append(a)
-        probs = _softmax(a @ self.weights[-1] + self.biases[-1])
-        loss = float(
-            -(g.astype(np.float64) * np.log(np.maximum(probs, COST_FLOOR))).sum() / batch
-        )
-        grad = np.empty_like(self.params)
-        g_weights, g_biases = [], []
-        offset = 0
-        for w in self.weights:
-            fan_in, fan_out = w.shape
-            g_weights.append(grad[offset : offset + fan_in * fan_out].reshape(w.shape))
-            offset += fan_in * fan_out
-            g_biases.append(grad[offset : offset + fan_out])
-            offset += fan_out
-        delta = (norms[:, None] * probs - g) / self.dtype.type(batch)
+        probs = np.matmul(a, self.weights[-1], out=ws.probs[:batch])
+        probs += self.biases[-1]
+        _softmax(probs, out=probs)
+        log_p = np.maximum(probs, COST_FLOOR, out=ws.log_p[:batch])
+        np.log(log_p, out=log_p)
+        terms = ws.terms[:batch]
+        terms[...] = g
+        loss = float(-np.multiply(terms, log_p, out=terms).sum() / batch)
+        delta = np.multiply(norms[:, None], probs, out=ws.deltas[-1][:batch])
+        delta -= g
+        delta /= self.dtype.type(batch)
         for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[layer].T, delta, out=g_weights[layer])
-            g_biases[layer][:] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=ws.g_weights[layer])
+            np.add.reduce(delta, axis=0, out=ws.g_biases[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (acts[layer] > 0)
-        return loss, grad
+                prev = np.matmul(delta, self.weights[layer].T, out=ws.deltas[layer - 1][:batch])
+                prev *= np.greater(acts[layer], 0, out=ws.active[layer - 1][:batch])
+                delta = prev
+        return loss, ws.grad
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+class _Workspace:
+    """_loss_grad's buffers for batches of up to `rows` rows, made once per train call."""
+
+    def __init__(self, net: MLPDenoiser, rows: int):
+        hidden, out = net.layer_dims[1:-1], net.output_dim
+        self.hidden = [np.empty((rows, d), dtype=net.dtype) for d in hidden]
+        self.active = [np.empty((rows, d), dtype=bool) for d in hidden]
+        self.deltas = [np.empty((rows, d), dtype=net.dtype) for d in net.layer_dims[1:]]
+        self.probs = np.empty((rows, out), dtype=net.dtype)
+        self.log_p = np.empty((rows, out), dtype=net.dtype)
+        self.terms = np.empty((rows, out), dtype=np.float64)  # the loss sums in float64
+        self.grad = np.empty_like(net.params)
+        self.g_weights, self.g_biases = net._layer_views(self.grad)
+
+
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=1, keepdims=True)
     return shifted
 
 
 class _Adam:
-    """Adam over one flat parameter vector, stock bias correction."""
+    """Adam over one flat parameter vector, stock bias correction, in place."""
 
     def __init__(self, n: int, cfg: TrainConfig, dtype):
         self.cfg = cfg
         self.m = np.zeros(n, dtype=dtype)
         self.v = np.zeros(n, dtype=dtype)
+        self._step = np.empty(n, dtype=dtype)
+        self._scale = np.empty(n, dtype=dtype)
+        self._wide = np.empty(n, dtype=np.float64)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray):
-        cfg = self.cfg
+        cfg, cast = self.cfg, self.m.dtype.type
         self.t += 1
-        self.m *= cfg.beta1
-        self.m += (1.0 - cfg.beta1) * grad
+        step, scale = self._step, self._scale
+        _rounded(np.multiply, self.m, cast(cfg.beta1), self.m, self._wide)
+        self.m += np.multiply(grad, 1.0 - cfg.beta1, out=step)
         self.v *= cfg.beta2
-        self.v += (1.0 - cfg.beta2) * np.square(grad)
-        m_hat = self.m / (1.0 - cfg.beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.beta2**self.t)
-        params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        self.v += np.multiply(np.square(grad, out=step), 1.0 - cfg.beta2, out=step)
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same operation order.
+        _rounded(np.divide, self.m, cast(1.0 - cfg.beta1**self.t), step, self._wide)
+        _rounded(np.multiply, step, cast(cfg.learning_rate), step, self._wide)
+        np.divide(self.v, 1.0 - cfg.beta2**self.t, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += cfg.epsilon
+        step /= scale
+        params -= step
+
+
+def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> None:
+    """out = op(a, scalar) rounded to a's dtype, computed in float64 `wide`.
+
+    Where a gradient stays zero, m decays into float32 subnormals, and
+    float32 multiplies and divides that take or yield subnormals are many
+    times slower. The float64 product of two float32 values is exact, and a
+    float64 quotient rounds to the same float32 (53 >= 2*24 + 2 bits), so
+    rounding once back to float32 gives the float32 result bit for bit.
+    """
+    np.copyto(wide, a)
+    op(wide, scalar, out=wide)
+    np.copyto(out, wide, casting="same_kind")
 
 
 def train(
@@ -269,7 +314,9 @@ def train(
 
     Every position contributes a (context, pseudo-label) pair, edge
     positions included. Shuffling is reseeded from config.rng_seed, so
-    identical inputs give an identical network.
+    identical inputs give an identical network. Rows are encoded and
+    their targets gathered a chunk of whole minibatches at a time; the
+    steps see the same minibatches as one encoding per step would.
     """
     cfg = config if config is not None else TrainConfig()
     if tables.channel.alphabet != z.alphabet:
@@ -285,18 +332,24 @@ def train(
     labels = tables.pseudo_labels.astype(net.dtype)
     norms = tables.label_norms.astype(net.dtype)
     adam = _Adam(net.n_params, cfg, net.dtype)
-    batch_buf = np.zeros((cfg.minibatch_size, dims[0]), dtype=net.dtype)
+    mb = cfg.minibatch_size
+    ws = _Workspace(net, mb)
+    chunk = mb * max(1, _FORWARD_CHUNK // mb)
+    x_buf = np.empty((min(chunk, n), dims[0]), dtype=net.dtype)
     centers = z.data.astype(np.int64)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, cfg.minibatch_size):
-            idx = order[start : start + cfg.minibatch_size]
-            x = _encode_rows(ctx[idx], size, batch_buf[: idx.size])
+        for c0 in range(0, n, chunk):
+            idx = order[c0 : c0 + chunk]
+            x = _encode_rows(ctx[idx], size, x_buf[: idx.size])
             zc = centers[idx]
-            loss, grad = net._loss_grad(x, labels[zc], norms[zc])
-            adam.step(net.params, grad)
-            total += loss * idx.size
+            g, g_norms = labels[zc], norms[zc]
+            for s in range(0, idx.size, mb):
+                xb = x[s : s + mb]
+                loss, grad = net._loss_grad(xb, g[s : s + mb], g_norms[s : s + mb], ws)
+                adam.step(net.params, grad)
+                total += loss * xb.shape[0]
         net.epoch_losses.append(total / n)
     return net
 
@@ -318,7 +371,7 @@ def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables)
     groups = group_contexts(z, net.k)
     rows = groups.rows()
     per_row = np.empty(rows.shape[0], dtype=np.int64)
-    buf = np.zeros((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
+    buf = np.empty((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
     for start in range(0, rows.shape[0], _FORWARD_CHUNK):
         chunk = rows[start : start + _FORWARD_CHUNK]
         x = _encode_rows(chunk, size, buf[: chunk.shape[0]])

@@ -25,6 +25,7 @@ from dudekit.neural import (
     save_checkpoint,
     select_denoisers,
     train,
+    _Adam,
     _encode_rows,
 )
 
@@ -202,6 +203,69 @@ def test_train_k0_runs():
     assert net.input_dim == 0
     out = denoise(z, net, t)
     assert len(out) == len(z)
+
+
+def _stock_adam(params, m, v, grad, t, cfg):
+    """Adam as written in Kingma & Ba, one float32 array operation at a time."""
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * np.square(grad)
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def test_adam_step_matches_stock_update_through_subnormals():
+    rng = np.random.default_rng(4)
+    n = 4000
+    cfg = TrainConfig()
+    m = (rng.standard_normal(n) * 10.0 ** rng.uniform(-44, -2, n)).astype(np.float32)
+    v = (rng.random(n) * 10.0 ** rng.uniform(-12, -4, n)).astype(np.float32)
+    params = (rng.standard_normal(n) * 10.0 ** rng.uniform(-40, 0, n)).astype(np.float32)
+    assert np.any((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny))
+    adam = _Adam(n, cfg, np.float32)
+    adam.m[:], adam.v[:], adam.t = m, v, 5
+    got = params.copy()
+    for t in range(6, 12):
+        grad = (rng.standard_normal(n) * 1e-3).astype(np.float32)
+        grad[rng.random(n) < 0.5] = 0.0
+        adam.step(got, grad)
+        _stock_adam(params, m, v, grad, t, cfg)
+        assert got.tobytes() == params.tobytes()
+        assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
+
+
+def test_train_matches_per_step_reference():
+    # The plain loop: encode each minibatch into fresh arrays, fresh
+    # gradient buffers, stock Adam. train() must give the same bits.
+    _, z = _toy_instance(n=9000, seed=5)
+    t = bsc01_tables()
+    cfg = TrainConfig(epochs=2, minibatch_size=7, rng_seed=3)
+    k, size = 3, z.alphabet.size
+    rng = np.random.default_rng(cfg.rng_seed)
+    ref = MLPDenoiser((2 * k * size, 16, t.n_denoisers), k=k, rng=rng)
+    ctx = context_matrix(z.data, k, pad=size)
+    labels = t.pseudo_labels.astype(np.float32)
+    norms = t.label_norms.astype(np.float32)
+    m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
+    steps = 0
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(z))
+        total = 0.0
+        for start in range(0, len(z), cfg.minibatch_size):
+            idx = order[start : start + cfg.minibatch_size]
+            x = _encode_rows(ctx[idx], size, np.zeros((idx.size, ref.input_dim), np.float32))
+            zc = z.data[idx]
+            loss, grad = ref._loss_grad(x, labels[zc], norms[zc])
+            steps += 1
+            _stock_adam(ref.params, m, v, grad, steps, cfg)
+            total += loss * idx.size
+        losses.append(total / len(z))
+    net = train(z, k, t, hidden=(16,), config=cfg)
+    assert net.params.tobytes() == ref.params.tobytes()
+    assert net.epoch_losses == losses
 
 
 def test_train_alphabet_mismatch():

@@ -9,6 +9,7 @@ measured against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,29 @@ def bsmc(alpha: float, rng_seed: int = 0) -> MarkovSource:
     return MarkovSource(trans, BINARY, rng_seed=rng_seed)
 
 
+def _blocked_scan(first, identity, steps, advance, carry) -> np.ndarray:
+    """States from first through steps shaped (blocks, length, ...).
+
+    advance(x, steps[:, j]) applies step j of every block to x: one state,
+    or one map from identity, per block. One pass builds the maps,
+    carry(state, map) takes first to each block's start, and a second pass
+    fills all blocks: 2 * length + blocks Python steps, not blocks * length.
+    """
+    blocks, length = steps.shape[:2]
+    out = np.empty((1 + blocks * length,) + first.shape, dtype=first.dtype)
+    out[0] = first
+    maps = np.broadcast_to(identity, (blocks,) + identity.shape)
+    for j in range(length):
+        maps = advance(maps, steps[:, j])
+    starts = np.empty((blocks,) + first.shape, dtype=first.dtype)
+    for b in range(blocks):
+        starts[b], first = first, carry(first, maps[b])
+    body = out[1:].reshape((blocks, length) + out.shape[1:])
+    for j in range(length):
+        body[:, j] = starts = advance(starts, steps[:, j])
+    return out
+
+
 def generate_source(source: MarkovSource, n: int) -> Sequence:
     """Sample a length-n path from the chain, deterministic in rng_seed.
 
@@ -102,7 +126,8 @@ def generate_source(source: MarkovSource, n: int) -> Sequence:
     uniform falls below the current row's switch probability; larger
     alphabets walk the row's cumulative distribution. Symmetric binary
     chains reduce to an accumulated-parity fast path with identical
-    output to the stepwise rule.
+    output to the stepwise rule; the other chains compose per-step tables
+    of next states by a blocked scan, which is exact for integer maps.
     """
     if n < 1:
         raise SequenceTooShort("cannot generate an empty sequence")
@@ -111,31 +136,27 @@ def generate_source(source: MarkovSource, n: int) -> Sequence:
     first = int(np.searchsorted(np.cumsum(source.initial), rng.random(), side="right"))
     first = min(first, size - 1)
     u = rng.random(n - 1)
-    if size == 2:
-        switch = np.array([source.transition[0, 1], source.transition[1, 0]])
-        if switch[0] == switch[1]:
-            flips = (u < switch[0]).astype(np.uint8)
-            out = np.empty(n, dtype=np.uint8)
-            out[0] = first
-            np.bitwise_xor.accumulate(flips, out=out[1:])
-            out[1:] ^= np.uint8(first)
-            return Sequence(out, source.alphabet)
+    if size == 2 and source.transition[0, 1] == source.transition[1, 0]:
+        flips = (u < source.transition[0, 1]).astype(np.uint8)
         out = np.empty(n, dtype=np.uint8)
         out[0] = first
-        cur = first
-        for i in range(1, n):
-            if u[i - 1] < switch[cur]:
-                cur = 1 - cur
-            out[i] = cur
+        np.bitwise_xor.accumulate(flips, out=out[1:])
+        out[1:] ^= np.uint8(first)
         return Sequence(out, source.alphabet)
-    cum = np.cumsum(source.transition, axis=1)
-    out = np.empty(n, dtype=np.uint8)
-    out[0] = first
-    cur = first
-    for i in range(1, n):
-        cur = min(int(np.searchsorted(cum[cur], u[i - 1], side="right")), size - 1)
-        out[i] = cur
-    return Sequence(out, source.alphabet)
+    side = math.isqrt(max(n - 2, 0)) + 1  # n - 1 steps fit in side blocks of side steps
+    step = np.zeros((side * side, size), dtype=np.uint8)  # step[i, s]: state after s
+    if size == 2:
+        step[: n - 1, 0] = u < source.transition[0, 1]
+        step[: n - 1, 1] = u >= source.transition[1, 0]
+    else:
+        cum = np.cumsum(source.transition, axis=1)
+        for s in range(size):
+            step[: n - 1, s] = np.minimum(np.searchsorted(cum[s], u, side="right"), size - 1)
+    out = _blocked_scan(np.array([first], dtype=np.uint8), np.arange(size, dtype=np.uint8),
+                        step.reshape(side, side, size),
+                        lambda x, table: np.take_along_axis(table, x, axis=1),
+                        lambda state, table: table[state])
+    return Sequence(out[:n, 0], source.alphabet)
 
 
 def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
@@ -196,41 +217,48 @@ class HMMSpec:
             raise DimensionMismatch("source and channel alphabets differ")
 
 
-def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
-    """P(x_i | z) for every position, by scaled forward-backward passes.
+def _normalized(msg: np.ndarray) -> np.ndarray:
+    """msg scaled to sum to one over its last two axes; a sum that is not
+    positive and finite means some symbol has zero likelihood."""
+    total = msg.sum(axis=(-2, -1), keepdims=True)
+    if not np.all(np.isfinite(total) & (total > 0.0)):
+        raise DataError("observation has zero likelihood under the model")
+    return msg / total
 
-    Each forward step is normalized to sum to one, which keeps the
-    recursion stable for arbitrarily long sequences; the backward pass
-    reuses the same scale factors.
+
+def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
+    """P(x_i | z) for every position, by forward and backward blocked scans.
+
+    Forward, alpha_i ∝ (alpha_{i-1} @ T) * like_i; backward, the same with
+    T transposed over the reversed likelihoods gives u_i = like_i * beta_i,
+    and beta_i ∝ T @ u_{i+1}. Messages and block maps (products of
+    T @ diag(like_i)) are scaled to sum to one, which keeps them stable.
     """
     if z.alphabet != spec.channel.alphabet:
         raise DataError("sequence alphabet does not match the model")
     n = len(z)
     if n < 1:
         raise SequenceTooShort("cannot smooth an empty sequence")
+    size = spec.source.alphabet.size
+    side = math.isqrt(max(n - 2, 0)) + 1  # n - 1 steps fit in side blocks of side steps
+    pad = side * side - (n - 1)
+    # state likelihoods per position, between pad rows of ones to fill the blocks
+    like = np.ones((n + 2 * pad, size))
+    like[pad : pad + n] = spec.channel.entries.T[z.data]
+
+    def scan(first, steps, trans):  # messages through steps of trans @ diag(like)
+        def advance(x, like_j):  # one matrix product for all blocks
+            return _normalized((x.reshape(-1, size) @ trans).reshape(x.shape) * like_j)
+
+        return _blocked_scan(_normalized(first[None]), np.eye(size),
+                             steps.reshape(side, side, 1, size), advance,
+                             lambda msg, block: _normalized(msg @ block))[:, 0]
+
     trans = spec.source.transition
-    emit = spec.channel.entries  # emit[x, z]
-    obs = z.data.astype(np.int64)
-    like = emit[:, obs].T.copy()  # (n, |X|) likelihood of each state per position
-    alpha = np.empty((n, trans.shape[0]))
-    scale = np.empty(n)
-    cur = spec.source.initial * like[0]
-    scale[0] = cur.sum()
-    if scale[0] <= 0.0:
-        raise DataError("observation has zero likelihood under the model")
-    alpha[0] = cur / scale[0]
-    for i in range(1, n):
-        cur = (alpha[i - 1] @ trans) * like[i]
-        s = cur.sum()
-        if s <= 0.0:
-            raise DataError("observation has zero likelihood under the model")
-        scale[i] = s
-        alpha[i] = cur / s
-    beta = np.empty_like(alpha)
-    beta[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        beta[i] = (trans @ (like[i + 1] * beta[i + 1])) / scale[i + 1]
-    post = alpha * beta
+    post = scan(spec.source.initial * like[pad], like[pad + 1 :], trans)[:n]
+    u = scan(like[pad + n - 1], like[: pad + n - 1][::-1], trans.T)
+    del like
+    post[:-1] *= u[: n - 1][::-1] @ trans.T
     post /= post.sum(axis=1, keepdims=True)
     return post
 

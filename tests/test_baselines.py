@@ -102,6 +102,47 @@ def test_generate_generic_alphabet_rates():
             assert abs(float(np.mean(rows == b)) - trans[a, b]) < 0.03
 
 
+def _sequential_source(source, n):
+    """The per-step sampling loop that generate_source must reproduce."""
+    rng = np.random.default_rng(source.rng_seed)
+    size = source.alphabet.size
+    first = int(np.searchsorted(np.cumsum(source.initial), rng.random(), side="right"))
+    out = [min(first, size - 1)]
+    u = rng.random(n - 1)
+    cum = np.cumsum(source.transition, axis=1)
+    switch = (source.transition[0, 1], source.transition[1, 0])
+    for i in range(1, n):
+        cur = out[-1]
+        if size == 2:
+            out.append(1 - cur if u[i - 1] < switch[cur] else cur)
+        else:
+            out.append(min(int(np.searchsorted(cum[cur], u[i - 1], side="right")), size - 1))
+    return np.array(out, dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "trans",
+    [
+        [[0.95, 0.05], [0.3, 0.7]],
+        [[0.6, 0.3, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]],
+        [
+            [0.7, 0.1, 0.1, 0.1],
+            [0.05, 0.85, 0.05, 0.05],
+            [0.2, 0.3, 0.4, 0.1],
+            [0.0, 0.5, 0.0, 0.5],
+        ],
+    ],
+)
+def test_generate_matches_per_step_loop(trans):
+    size = len(trans)
+    initial = np.arange(1, size + 1) / (size * (size + 1) / 2)
+    for seed in (0, 1, 2):
+        src = MarkovSource(np.array(trans), ALPHABETS[size], initial=initial, rng_seed=seed)
+        for n in (1, 2, 3, 7, 1000, 2501, 100_000):
+            out = generate_source(src, n).data
+            assert np.array_equal(out, _sequential_source(src, n)), (seed, n)
+
+
 def test_corrupt_extremes_and_lln():
     x = generate_source(bsmc(0.1, rng_seed=1), 50_000)
     z = corrupt(x, bsc(0.0), rng_seed=2)
@@ -178,6 +219,80 @@ def test_posteriors_match_bruteforce_ternary():
         z = Sequence(rng.integers(0, 3, n).astype(np.uint8), ALPHABETS[3])
         post = smoothing_posteriors(z, spec)
         assert np.max(np.abs(post - _brute_posteriors(z, spec))) < 1e-9
+
+
+def _sequential_posteriors(z, spec):
+    """The per-position forward-backward loop, scaled at every step."""
+    trans = spec.source.transition
+    like = spec.channel.entries[:, z.data.astype(np.int64)].T
+    n = len(z)
+    alpha = np.empty((n, trans.shape[0]))
+    scale = np.empty(n)
+    cur = spec.source.initial * like[0]
+    scale[0] = cur.sum()
+    alpha[0] = cur / scale[0]
+    for i in range(1, n):
+        cur = (alpha[i - 1] @ trans) * like[i]
+        scale[i] = cur.sum()
+        alpha[i] = cur / scale[i]
+    beta = np.empty_like(alpha)
+    beta[n - 1] = 1.0
+    for i in range(n - 2, -1, -1):
+        beta[i] = (trans @ (like[i + 1] * beta[i + 1])) / scale[i + 1]
+    post = alpha * beta
+    return post / post.sum(axis=1, keepdims=True)
+
+
+def _asymmetric_spec(size):
+    """A chain with unequal rows and a non-uniform initial law, through a
+    symmetric channel."""
+    trans = np.random.default_rng(size).random((size, size)) + np.eye(size)
+    trans /= trans.sum(axis=1, keepdims=True)
+    initial = np.arange(1, size + 1) / (size * (size + 1) / 2)
+    src = MarkovSource(trans, ALPHABETS[size], initial=initial)
+    return HMMSpec(src, symmetric_channel(0.2, ALPHABETS[size]))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_posteriors_match_sequential(size):
+    # 2499..2502 positions are 2498..2501 steps: 50 blocks of 50 padded by 2, 1
+    # and 0 steps, then 51 blocks of 51 padded by 100
+    spec = _asymmetric_spec(size)
+    rng = np.random.default_rng(25 + size)
+    for n in (1, 2, 3, 2499, 2500, 2501, 2502, 99_999, 100_000):
+        x = generate_source(MarkovSource(spec.source.transition, ALPHABETS[size], rng_seed=n), n)
+        z = corrupt(x, spec.channel, rng_seed=int(rng.integers(1 << 30)))
+        with np.errstate(all="raise"):
+            post = smoothing_posteriors(z, spec)
+            ref = _sequential_posteriors(z, spec)
+        assert post.shape == (n, size)
+        assert np.max(np.abs(post - ref)) < 1e-12, n
+
+
+def test_posteriors_match_sequential_near_certain():
+    # rare switches through a nearly clean channel: posteriors lie within
+    # about 1e-9 of 0 and 1, and the entries of a block's map span about
+    # nine orders of magnitude, so rounding in the small entries would show
+    src = bsmc(0.001, rng_seed=26)
+    spec = HMMSpec(src, bsc(1e-3))
+    z = corrupt(generate_source(src, 100_000), spec.channel, rng_seed=27)
+    with np.errstate(all="raise"):
+        post = smoothing_posteriors(z, spec)
+        ref = _sequential_posteriors(z, spec)
+    assert np.max(np.abs(post - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("where", [0, 10, 11, 15, 100])
+def test_posteriors_reject_impossible_observation(where):
+    # a chain that never moves, seen without noise, cannot show a second
+    # symbol; 101 positions are 100 steps in 10 blocks of 10, so position 15
+    # sits inside a block, 10 and 11 on either side of a boundary, and 100 last
+    spec = HMMSpec(MarkovSource(np.eye(2), BINARY, initial=np.array([0.5, 0.5])), bsc(0.0))
+    data = np.zeros(101, dtype=np.uint8)
+    assert np.all(smoothing_posteriors(Sequence(data.copy(), BINARY), spec)[:, 0] == 1.0)
+    data[where] = 1
+    with np.errstate(all="raise"), pytest.raises(DataError, match="zero likelihood"):
+        smoothing_posteriors(Sequence(data, BINARY), spec)
 
 
 def test_posteriors_normalized_long():

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from dudekit.cli import main
+from dudekit.core import BINARY, Sequence
 from dudekit.evaluation import report_from_csv, report_from_json
-from dudekit.io import load_pbm, load_sequence, save_pbm, ImageGrid
+from dudekit.io import load_pbm, load_sequence, save_pbm, ImageGrid, save_sequence
 from dudekit.neural import load_checkpoint
 
 
@@ -255,6 +257,22 @@ def test_exit_codes(sim_files, tmp_path):
     )
     assert res.returncode == 3
     assert "singular" in res.stderr.lower()
+
+
+def test_fb_impossible_observation_exits_2(tmp_path, capsys):
+    # a chain that never moves, seen without noise, cannot show a second symbol
+    source = tmp_path / "still.json"
+    source.write_text(
+        '{"alphabet": ["0", "1"], "transition": [[1, 0], [0, 1]], "initial": [0.5, 0.5]}'
+    )
+    noisy = str(tmp_path / "noisy.txt")
+    save_sequence(Sequence(np.array([0, 0, 0, 1, 0], dtype=np.uint8), BINARY), noisy)
+    argv = [
+        "denoise", "--input", noisy, "--channel", "bsc:0", "--method", "fb",
+        "--source", str(source), "--output", str(tmp_path / "fb.txt"),
+    ]
+    assert main(argv) == 2
+    assert "zero likelihood" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

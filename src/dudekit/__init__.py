@@ -3,87 +3,8 @@
 Counting-based sliding-window denoising, a trained neural variant that
 shares context statistics through one network, an informed
 forward-backward baseline, and the simulation and evaluation plumbing
-around them.
+around them. Import the submodules: channel, core, dude, neural,
+baselines, evaluation, io, cli, errors.
 """
 
-from .channel import (
-    ChannelMatrix,
-    EstimatedLossTables,
-    LossMatrix,
-    SingleSymbolDenoiser,
-    bsc,
-    build_estimated_loss,
-    build_expected_loss,
-    enumerate_denoisers,
-    expected_estimated_loss,
-    hamming_loss,
-    symmetric_channel,
-)
-from .core import BINARY, DNA, Alphabet, Context, Sequence, context_key, extract_context
-from .dude import CountTable, collect_counts, dude_denoise, dude_rule_estimated, dude_rule_original
-from .baselines import (
-    HMMSpec,
-    MarkovSource,
-    bsmc,
-    corrupt,
-    forward_backward_denoise,
-    generate_source,
-    smoothing_posteriors,
-)
-from .evaluation import (
-    ExperimentReport,
-    KRecord,
-    estimated_loss,
-    select_k,
-    sweep_k,
-    symbol_error_rate,
-    true_loss,
-)
-from .neural import MLPDenoiser, TrainConfig, cost, encode_context, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Alphabet",
-    "BINARY",
-    "ChannelMatrix",
-    "Context",
-    "CountTable",
-    "DNA",
-    "EstimatedLossTables",
-    "ExperimentReport",
-    "HMMSpec",
-    "KRecord",
-    "LossMatrix",
-    "MLPDenoiser",
-    "MarkovSource",
-    "Sequence",
-    "SingleSymbolDenoiser",
-    "TrainConfig",
-    "bsc",
-    "bsmc",
-    "build_estimated_loss",
-    "build_expected_loss",
-    "collect_counts",
-    "context_key",
-    "corrupt",
-    "cost",
-    "dude_denoise",
-    "dude_rule_estimated",
-    "dude_rule_original",
-    "encode_context",
-    "enumerate_denoisers",
-    "estimated_loss",
-    "expected_estimated_loss",
-    "extract_context",
-    "forward_backward_denoise",
-    "generate_source",
-    "hamming_loss",
-    "select_k",
-    "smoothing_posteriors",
-    "sweep_k",
-    "symbol_error_rate",
-    "symmetric_channel",
-    "train",
-    "true_loss",
-]

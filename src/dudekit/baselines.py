@@ -8,16 +8,14 @@ measured against.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .channel import ChannelMatrix, LossMatrix
+from .channel import ChannelMatrix, LossMatrix, is_singular, read_spec_json
 from .core import BINARY, Alphabet, Sequence
-from .errors import DataError, DimensionMismatch, SequenceTooShort, SingularMatrix
+from .errors import DataError, DimensionMismatch, SequenceTooShort
 
 ROW_SUM_TOL = 1e-9
 
@@ -72,19 +70,17 @@ def _stationary(transition: np.ndarray) -> np.ndarray:
     n = transition.shape[0]
     a = transition.T - np.eye(n)
     a[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = linalg.solve(a, rhs)
-    except SingularMatrix:
+    if is_singular(a):
         uniform = np.full(n, 1.0 / n)
         if np.max(np.abs(uniform @ transition - uniform)) < 1e-12:
             return uniform
         raise DataError(
             "transition matrix has no unique stationary distribution; "
             "provide an initial distribution explicitly"
-        ) from None
-    pi = np.clip(pi, 0.0, None)
+        )
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.clip(np.linalg.solve(a, rhs), 0.0, None)
     return pi / pi.sum()
 
 
@@ -175,23 +171,10 @@ def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
 
 def load_source_json(path: str, rng_seed: int = 0) -> MarkovSource:
     """Read a Markov source from JSON: alphabet, transition, optional initial."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read source file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "alphabet" not in doc or "transition" not in doc:
-        raise DataError("source file needs 'alphabet' and 'transition' keys")
-    alphabet = Alphabet(tuple(str(lab) for lab in doc["alphabet"]))
-    initial = None
-    if doc.get("initial") is not None:
-        initial = np.asarray(doc["initial"], dtype=np.float64)
-    return MarkovSource(
-        transition=np.asarray(doc["transition"], dtype=np.float64),
-        alphabet=alphabet,
-        initial=initial,
-        rng_seed=rng_seed,
+    alphabet, transition, initial = read_spec_json(
+        path, "source file", "transition", "initial", DataError
     )
+    return MarkovSource(transition, alphabet, initial=initial, rng_seed=rng_seed)
 
 
 def parse_source_spec(spec: str, rng_seed: int = 0) -> MarkovSource:

@@ -1,8 +1,9 @@
 """Memoryless channels, per-symbol losses, and estimated-loss tables.
 
 A discrete memoryless channel is a row-stochastic matrix over the
-alphabet. From a channel and a loss we derive, for every single-symbol
-denoising rule s (a map from observed symbol to reconstruction):
+alphabet. A single-symbol denoising rule s maps each observed symbol to
+a reconstruction; it is a row index into map_table. From a channel and
+a loss we derive, for every rule s:
 
   expected_loss[x, s]   mean true loss of rule s when the clean symbol
                         is x, averaged over the channel output
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .core import BINARY, Alphabet, Sequence
 from .errors import (
     CapExceeded,
@@ -35,11 +35,20 @@ from .errors import (
     InvalidChannel,
     LengthMismatch,
     SingularChannel,
-    SingularMatrix,
 )
 
 ROW_SUM_TOL = 1e-9
-DEFAULT_DENOISER_CAP = 65536
+# Largest rule table built; |reconstructions|**|alphabet| rows past it raise.
+DENOISER_CAP = 65536
+# A matrix whose reciprocal condition number (in the 1-norm) is at most
+# this is singular to working precision: the channel inverse and the
+# chain's stationary law both stop there.
+SINGULAR_RCOND = 1e-12
+
+
+def is_singular(a: np.ndarray) -> bool:
+    """True when a square matrix is singular to working precision."""
+    return not np.linalg.cond(a, 1) * SINGULAR_RCOND < 1.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,6 @@ class ChannelMatrix:
 
     entries: np.ndarray
     alphabet: Alphabet
-    pivot_eps: float = linalg.PIVOT_EPS
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -77,12 +85,9 @@ class ChannelMatrix:
         """Matrix inverse of the channel; raises SingularChannel."""
         cached = getattr(self, "_inverse_cache", None)
         if cached is None:
-            try:
-                cached = linalg.invert(self.entries, self.pivot_eps)
-            except SingularMatrix as exc:
-                raise SingularChannel(
-                    f"channel matrix is singular to working precision: {exc}"
-                ) from exc
+            if is_singular(self.entries):
+                raise SingularChannel("channel matrix is singular to working precision")
+            cached = np.linalg.inv(self.entries)
             cached.flags.writeable = False
             object.__setattr__(self, "_inverse_cache", cached)
         return cached
@@ -139,54 +144,15 @@ def hamming_loss(alphabet: Alphabet) -> LossMatrix:
     return LossMatrix(np.ones((n, n)) - np.eye(n), alphabet)
 
 
-@dataclass(frozen=True)
-class SingleSymbolDenoiser:
-    """A map from observed symbol to reconstruction, with its enumeration index.
+def mapping_table(n_in: int, n_out: int) -> np.ndarray:
+    """(n_denoisers, n_in) uint8 table: row s gives mapping of denoiser s.
 
-    The index is the little-endian base-|reconstructions| integer of the
-    mapping: index = sum_j mapping[j] * n_out**j. Index 0 is the constant
-    map to symbol 0; for a square alphabet the identity map has index
-    sum_j j * n**j.
+    Row s is the little-endian base-n_out expansion of s, so s equals
+    sum_j table[s, j] * n_out**j: row 0 is the constant map to symbol 0.
     """
-
-    mapping: tuple[int, ...]
-    index: int
-
-    def __call__(self, z: int) -> int:
-        return self.mapping[z]
-
-
-def denoiser_index(mapping: tuple[int, ...], n_out: int) -> int:
-    return sum(m * n_out**j for j, m in enumerate(mapping))
-
-
-def denoiser_from_index(index: int, n_in: int, n_out: int) -> SingleSymbolDenoiser:
-    if not 0 <= index < n_out**n_in:
-        raise DataError(f"denoiser index {index} out of range")
-    mapping = tuple((index // n_out**j) % n_out for j in range(n_in))
-    return SingleSymbolDenoiser(mapping, index)
-
-
-def identity_index(n: int) -> int:
-    return sum(j * n**j for j in range(n))
-
-
-def enumerate_denoisers(
-    n_in: int, n_out: int | None = None, cap: int = DEFAULT_DENOISER_CAP
-) -> tuple[SingleSymbolDenoiser, ...]:
-    """All n_out**n_in single-symbol maps, ordered by index."""
-    n_out = n_in if n_out is None else n_out
     total = n_out**n_in
-    if total > cap:
-        raise CapExceeded(f"{total} denoisers exceed cap {cap}")
-    return tuple(denoiser_from_index(i, n_in, n_out) for i in range(total))
-
-
-def mapping_table(n_in: int, n_out: int, cap: int = DEFAULT_DENOISER_CAP) -> np.ndarray:
-    """(n_denoisers, n_in) uint8 table: row s gives mapping of denoiser s."""
-    total = n_out**n_in
-    if total > cap:
-        raise CapExceeded(f"{total} denoisers exceed cap {cap}")
+    if total > DENOISER_CAP:
+        raise CapExceeded(f"{total} denoisers exceed cap {DENOISER_CAP}")
     idx = np.arange(total, dtype=np.int64)
     table = np.empty((total, n_in), dtype=np.uint8)
     for j in range(n_in):
@@ -217,7 +183,7 @@ class EstimatedLossTables:
         n = self.channel.size
         if self.loss.n_reconstructions != n:
             raise DataError("identity denoiser undefined for rectangular loss")
-        return identity_index(n)
+        return sum(j * n**j for j in range(n))
 
     def fingerprint(self) -> str:
         """Stable digest of the (channel, loss) pair, for checkpoint checks."""
@@ -228,27 +194,13 @@ class EstimatedLossTables:
         return h.hexdigest()[:16]
 
 
-def _mapping_and_expected(channel: ChannelMatrix, loss: LossMatrix, cap: int):
-    table = mapping_table(channel.size, loss.n_reconstructions, cap)
+def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedLossTables:
+    """Derive all tables; raises SingularChannel if the channel has no inverse."""
+    table = mapping_table(channel.size, loss.n_reconstructions)
     rho = np.empty((channel.size, table.shape[0]))
     for x in range(channel.size):
         # loss of denoiser s at observation z, averaged over z ~ channel row x
         rho[x] = loss.entries[x][table] @ channel.entries[x]
-    return table, rho
-
-
-def build_expected_loss(
-    channel: ChannelMatrix, loss: LossMatrix, cap: int = DEFAULT_DENOISER_CAP
-) -> np.ndarray:
-    """Mean true loss of every denoiser for every clean symbol."""
-    return _mapping_and_expected(channel, loss, cap)[1]
-
-
-def build_estimated_loss(
-    channel: ChannelMatrix, loss: LossMatrix, cap: int = DEFAULT_DENOISER_CAP
-) -> EstimatedLossTables:
-    """Derive all tables; raises SingularChannel if the channel has no inverse."""
-    table, rho = _mapping_and_expected(channel, loss, cap)
     est = channel.inverse @ rho
     l_max = float(est.max())
     # Non-negative by construction: the shift is the max over the same array.
@@ -278,13 +230,27 @@ def apply_rules(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossTabl
     return Sequence(xhat, z.alphabet)
 
 
-def expected_estimated_loss(x: int, s: SingleSymbolDenoiser, tables: EstimatedLossTables) -> float:
-    """Channel average of the estimated loss of s given clean symbol x.
+def read_spec_json(path: str, what: str, required: str, optional: str, error: type[DataError]):
+    """(alphabet, required array, optional array or None) from a JSON spec file.
 
-    Equals expected_loss[x, s.index] exactly up to floating point; the
-    identity is what makes single-letter scoring from noisy data work.
+    The file holds an object with "alphabet" (a list of labels) and the
+    nested lists `required` and, if present and not null, `optional`.
+    Unreadable, non-UTF-8, non-JSON, ragged or non-numeric input raises error.
     """
-    return float(tables.channel.entries[x] @ tables.estimated_loss[:, s.index])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict) or "alphabet" not in doc or required not in doc:
+        raise error(f"{what} needs 'alphabet' and '{required}' keys")
+    try:
+        alphabet = Alphabet(tuple(str(lab) for lab in doc["alphabet"]))
+        first = np.asarray(doc[required], dtype=np.float64)
+        second = None if doc.get(optional) is None else np.asarray(doc[optional], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"bad entries in {what} {path}: {exc}") from exc
+    return alphabet, first, second
 
 
 def load_channel_json(path: str) -> tuple[ChannelMatrix, LossMatrix]:
@@ -294,23 +260,11 @@ def load_channel_json(path: str) -> tuple[ChannelMatrix, LossMatrix]:
     row-stochastic, square), optional "loss" (nested list, defaults to
     Hamming on the same alphabet).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidChannel(f"cannot read channel file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "alphabet" not in doc or "channel" not in doc:
-        raise InvalidChannel("channel file needs 'alphabet' and 'channel' keys")
-    alphabet = Alphabet(tuple(str(lab) for lab in doc["alphabet"]))
-    raw = np.asarray(doc["channel"], dtype=np.float64)
+    alphabet, raw, loss = read_spec_json(path, "channel file", "channel", "loss", InvalidChannel)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise InvalidChannel(f"channel matrix must be square, got shape {raw.shape}")
     chan = ChannelMatrix(raw, alphabet)
-    if "loss" in doc:
-        loss = LossMatrix(np.asarray(doc["loss"], dtype=np.float64), alphabet)
-    else:
-        loss = hamming_loss(alphabet)
-    return chan, loss
+    return chan, hamming_loss(alphabet) if loss is None else LossMatrix(loss, alphabet)
 
 
 def parse_channel_spec(spec: str) -> tuple[ChannelMatrix, LossMatrix]:

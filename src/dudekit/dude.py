@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelMatrix,
-    EstimatedLossTables,
-    LossMatrix,
-    SingleSymbolDenoiser,
-    apply_rules,
-    build_estimated_loss,
-    denoiser_from_index,
-)
+from .channel import ChannelMatrix, EstimatedLossTables, LossMatrix, apply_rules
 from .core import Alphabet, Context, Sequence, context_key, group_contexts, interior_slice
 from .errors import DataError, DimensionMismatch
 
@@ -84,14 +76,12 @@ def dude_rule_original(
     return int(np.argmin(v @ weighted))
 
 
-def dude_rule_estimated(m: np.ndarray, tables: EstimatedLossTables) -> SingleSymbolDenoiser:
-    """Single-symbol rule minimizing the count-weighted estimated loss."""
+def dude_rule_estimated(m: np.ndarray, tables: EstimatedLossTables) -> int:
+    """Index of the single-symbol rule minimizing the count-weighted estimated loss."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (tables.channel.size,):
         raise DimensionMismatch(f"count vector must have length {tables.channel.size}")
-    scores = m @ tables.estimated_loss
-    idx = int(np.argmin(scores))
-    return denoiser_from_index(idx, tables.channel.size, tables.loss.n_reconstructions)
+    return int(np.argmin(m @ tables.estimated_loss))
 
 
 def _argmin_chunked(counts: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -128,20 +118,6 @@ def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables) -> np.nda
     return s_idx
 
 
-def dude_denoise(
-    z: Sequence,
-    k: int,
-    channel: ChannelMatrix | None = None,
-    loss: LossMatrix | None = None,
-    tables: EstimatedLossTables | None = None,
-) -> Sequence:
-    """Denoise a sequence with context order k.
-
-    Pass either prebuilt tables or (channel, loss). Edge positions are
-    emitted unchanged.
-    """
-    if tables is None:
-        if channel is None or loss is None:
-            raise DataError("dude_denoise needs tables or (channel, loss)")
-        tables = build_estimated_loss(channel, loss)
+def dude_denoise(z: Sequence, k: int, tables: EstimatedLossTables) -> Sequence:
+    """Denoise a sequence with context order k; edge positions are emitted unchanged."""
     return apply_rules(z, select_denoisers(z, k, tables), tables)

@@ -32,7 +32,7 @@ class DimensionMismatch(DataError):
 
 
 class CapExceeded(DataError):
-    """An enumeration would exceed its configured size cap."""
+    """A rule table would exceed its size cap."""
 
 
 class InvalidChannel(DataError):

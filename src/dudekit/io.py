@@ -211,17 +211,22 @@ def split_reads(seq: Sequence, boundaries: tuple[int, ...], ids: tuple[str, ...]
     return ReadSet(ids=tuple(ids), seqs=tuple(seqs))
 
 
+def _read_lines(path: str) -> list[str]:
+    """Lines of a UTF-8 text file; unreadable or undecodable files raise DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def load_fasta(path: str, alphabet: Alphabet = DNA) -> ReadSet:
     """Read sequence records; every base must belong to the alphabet.
 
     Errors cite the record id and the offset within the record, since
     that is what one greps for in a large file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = _read_lines(path)
     if not alphabet.single_char():
         raise DataError("record parsing requires single-character labels")
     lut = {lab: i for i, lab in enumerate(alphabet.labels)}
@@ -283,11 +288,7 @@ def save_sequence(seq: Sequence, path: str, meta: dict[str, str] | None = None) 
 
 def load_sequence(path: str, alphabet: Alphabet | None = None) -> tuple[Sequence, dict[str, str]]:
     """Read a text sequence; alphabet comes from the header unless given."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = _read_lines(path)
     meta: dict[str, str] = {}
     body: list[str] = []
     for line in lines:

@@ -19,6 +19,7 @@ all-zero blocks.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.minibatch_size < 1:
             raise DataError("epochs and minibatch_size must be positive")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise DataError("learning_rate and epsilon must be positive")
+        rates = np.array([self.learning_rate, self.epsilon], dtype=np.float64)
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise DataError("learning_rate and epsilon must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise DataError("beta1 and beta2 must lie in [0, 1)")
 
@@ -429,7 +431,8 @@ def load_checkpoint(path: str) -> tuple[MLPDenoiser, dict]:
             return net, meta
     except OSError as exc:
         raise MalformedHeader(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # empty, truncated or foreign files, and archives missing a field
         raise MalformedHeader(f"bad checkpoint {path}: {exc}") from exc
 
 

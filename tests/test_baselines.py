@@ -362,5 +362,16 @@ def test_source_spec_parsing(tmp_path):
     path.write_text('{"alphabet": ["0", "1"]}')
     with pytest.raises(DataError):
         load_source_json(str(path))
+    # ragged, non-numeric, a non-list alphabet, a bad initial law, bad UTF-8
+    for text in (
+        b'{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [1]]}',
+        b'{"alphabet": ["0", "1"], "transition": [[0.9, "x"], [0.1, 0.9]]}',
+        b'{"alphabet": 5, "transition": [[0.9, 0.1], [0.1, 0.9]]}',
+        b'{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [0.1, 0.9]], "initial": [[1], 0]}',
+        b'{"alphabet": ["\xff", "1"], "transition": [[1, 0], [0, 1]]}',
+    ):
+        path.write_bytes(text)
+        with pytest.raises(DataError):
+            load_source_json(str(path))
     with pytest.raises(DataError):
         parse_source_spec("bsmc:zzz")

@@ -1,4 +1,4 @@
-"""Channels, losses, denoiser enumeration, and the derived loss tables."""
+"""Channels, losses, the rule mapping table, and the derived loss tables."""
 
 import itertools
 
@@ -11,19 +11,13 @@ from dudekit.channel import (
     LossMatrix,
     bsc,
     build_estimated_loss,
-    build_expected_loss,
-    denoiser_from_index,
-    denoiser_index,
-    enumerate_denoisers,
-    expected_estimated_loss,
     hamming_loss,
-    identity_index,
     load_channel_json,
     mapping_table,
     parse_channel_spec,
     symmetric_channel,
 )
-from dudekit.core import BINARY, DNA
+from dudekit.core import BINARY, DNA, Alphabet
 from dudekit.errors import (
     CapExceeded,
     DataError,
@@ -76,12 +70,10 @@ def test_loss_validation():
 
 
 def test_denoiser_enumeration_binary_order():
-    rules = enumerate_denoisers(2)
-    assert [r.mapping for r in rules] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert [r.index for r in rules] == [0, 1, 2, 3]
-    # index 2 is the identity, index 1 the flip
-    assert rules[2](0) == 0 and rules[2](1) == 1
-    assert rules[1](0) == 1 and rules[1](1) == 0
+    table = mapping_table(2, 2)
+    assert table.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+    # row 2 is the identity, row 1 the flip
+    assert table[2].tolist() == [0, 1] and table[1].tolist() == [1, 0]
 
 
 def test_denoiser_index_roundtrip():
@@ -90,29 +82,32 @@ def test_denoiser_index_roundtrip():
         n_in = int(rng.integers(1, 5))
         n_out = int(rng.integers(1, 5))
         mapping = tuple(int(v) for v in rng.integers(0, n_out, n_in))
-        idx = denoiser_index(mapping, n_out)
-        back = denoiser_from_index(idx, n_in, n_out)
-        assert back.mapping == mapping and back.index == idx
+        idx = sum(m * n_out**j for j, m in enumerate(mapping))
+        table = mapping_table(n_in, n_out)
+        assert table.shape == (n_out**n_in, n_in)
+        assert tuple(table[idx]) == mapping
 
 
 def test_identity_index_values():
-    assert identity_index(2) == 2
-    assert identity_index(4) == 228
+    for size, want in ((2, 2), (4, 228)):
+        t = build_estimated_loss(symmetric_channel(0.1, ALPHABETS[size]),
+                                 hamming_loss(ALPHABETS[size]))
+        assert t.identity == want
+        assert t.map_table[t.identity].tolist() == list(range(size))
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        enumerate_denoisers(16, 4)
+        mapping_table(16, 4)
+    seven = Alphabet(tuple("0123456"))  # 7**7 rules, past the cap
     with pytest.raises(CapExceeded):
-        mapping_table(4, 4, cap=255)
+        build_estimated_loss(symmetric_channel(0.1, seven), hamming_loss(seven))
 
 
 def test_mapping_table_matches_enumeration():
-    table = mapping_table(4, 4)
-    rules = enumerate_denoisers(4)
-    assert table.shape == (256, 4)
-    for s in (0, 1, 17, 228, 255):
-        assert tuple(table[s]) == rules[s].mapping
+    # itertools varies the last position fastest; rows are little-endian
+    want = [tuple(reversed(p)) for p in itertools.product(range(3), repeat=4)]
+    assert [tuple(row) for row in mapping_table(4, 3)] == want
 
 
 # Frozen reference tables for the binary symmetric channel at 0.1 with
@@ -139,7 +134,7 @@ def test_expected_loss_against_bruteforce_oracle():
         size = int(rng.integers(2, 5))
         chan = random_invertible_channel(rng, size)
         loss = random_loss(rng, size)
-        rho = build_expected_loss(chan, loss)
+        rho = build_estimated_loss(chan, loss).expected_loss
         # independent enumeration: every map z -> mapping[z], indexed by the
         # little-endian formula, averaged with explicit python loops
         for mapping in itertools.product(range(size), repeat=size):
@@ -169,19 +164,6 @@ def test_pseudo_labels_nonnegative_touch_zero():
         t = build_estimated_loss(random_invertible_channel(rng, size), random_loss(rng, size))
         assert t.pseudo_labels.min() >= 0.0
         assert t.pseudo_labels.min() == pytest.approx(0.0, abs=1e-15)
-
-
-def test_expected_estimated_loss_matches_expected_loss():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        size = int(rng.integers(2, 5))
-        t = build_estimated_loss(random_invertible_channel(rng, size), random_loss(rng, size))
-        for s_idx in rng.integers(0, t.n_denoisers, 5):
-            s = denoiser_from_index(int(s_idx), size, size)
-            for x in range(size):
-                assert expected_estimated_loss(x, s, t) == pytest.approx(
-                    t.expected_loss[x, s.index], abs=1e-10
-                )
 
 
 def test_fingerprint_stability():
@@ -217,6 +199,18 @@ def test_load_channel_json_defaults_and_errors(tmp_path):
     path.write_text("not json")
     with pytest.raises(InvalidChannel):
         load_channel_json(str(path))
+    # ragged, non-numeric, a non-list alphabet, a non-numeric loss, bad UTF-8
+    for text in (
+        b'{"alphabet": ["0", "1"], "channel": [[0.9, 0.1], [1]]}',
+        b'{"alphabet": ["0", "1"], "channel": [["a", "b"], [0.1, 0.9]]}',
+        b'{"alphabet": 5, "channel": [[0.9, 0.1], [0.1, 0.9]]}',
+        b'{"alphabet": ["0", "1"], "channel": [[0.9, 0.1], [0.1, 0.9]], "loss": {"a": 1}}',
+        b'{"alphabet": ["0", "1"], "channel": [[1' + b"0" * 400 + b', 0], [0, 1]]}',
+        b'{"alphabet": ["\xff", "1"], "channel": [[1, 0], [0, 1]]}',
+    ):
+        path.write_bytes(text)
+        with pytest.raises(InvalidChannel):
+            load_channel_json(str(path))
 
 
 def test_parse_channel_spec():

@@ -250,6 +250,39 @@ def test_exit_codes(sim_files, tmp_path):
         ).returncode
         == 2
     )
+    # data: ragged or non-numeric channel and source files, non-UTF-8 input
+    source = tmp_path / "src.json"
+    for channel_text, source_text in (
+        ('{"alphabet": ["0","1"], "channel": [[0.9, 0.1], [1]]}',
+         '{"alphabet": ["0","1"], "transition": [[0.9, 0.1], [1]]}'),
+        ('{"alphabet": 5, "channel": [[0.9, 0.1], [0.1, 0.9]]}',
+         '{"alphabet": 5, "transition": [[0.9, 0.1], [0.1, 0.9]]}'),
+    ):
+        bad.write_text(channel_text)
+        source.write_text(source_text)
+        res = run_cli(
+            "denoise", "--input", noisy, "--channel", str(bad),
+            "--method", "dude", "--k", "2", "--output", out,
+        )
+        assert res.returncode == 2, res.stderr
+        res = run_cli(
+            "simulate", "--source", str(source), "--channel", "bsc:0.1", "--n", "50",
+            "--out-clean", str(tmp_path / "c.txt"), "--out-noisy", str(tmp_path / "n.txt"),
+        )
+        assert res.returncode == 2, res.stderr
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"# alphabet=01\n0101\xff0\n")
+    res = run_cli(
+        "denoise", "--input", str(latin), "--channel", "bsc:0.1",
+        "--method", "dude", "--k", "1", "--output", out,
+    )
+    assert res.returncode == 2, res.stderr
+    # data: a learning rate that is not a finite number
+    res = run_cli(
+        "denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+        "--k", "1", "--hidden", "4", "--epochs", "1", "--lr", "nan", "--output", out,
+    )
+    assert res.returncode == 2, res.stderr
     # numerical: the half-flip channel is singular
     res = run_cli(
         "denoise", "--input", noisy, "--channel", "bsc:0.5",

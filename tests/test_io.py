@@ -241,6 +241,16 @@ def test_sequence_file_errors(tmp_path):
         save_sequence(seq, str(path), meta={"bad=key": "v"})
 
 
+def test_text_readers_reject_bad_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# alphabet=01\n01\xe901\n")
+    with pytest.raises(DataError):
+        load_sequence(str(path))
+    path.write_bytes(b">r\xe9\nACGT\n")
+    with pytest.raises(DataError):
+        load_fasta(str(path))
+
+
 def test_save_sequence_requires_single_char_labels(tmp_path):
     alpha = Alphabet(("aa", "bb"))
     seq = Sequence(np.array([0, 1], dtype=np.uint8), alpha)

@@ -53,6 +53,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(DataError):
         TrainConfig(beta1=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError):
+            TrainConfig(learning_rate=bad)
+        with pytest.raises(DataError):
+            TrainConfig(epsilon=bad)
 
 
 def test_cost_values():
@@ -352,3 +357,22 @@ def test_checkpoint_bad_file(tmp_path):
     np.savez(other, stuff=np.arange(3))
     with pytest.raises(MalformedHeader):
         load_checkpoint(str(other))
+
+
+def test_checkpoint_missing_field_or_truncated(tmp_path):
+    _, z = _toy_instance(n=500)
+    t = bsc01_tables()
+    net = train(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
+    path = tmp_path / "model.npz"
+    save_checkpoint(net, str(path), t)
+    with np.load(path) as data:
+        fields = {key: data[key] for key in data.files if key != "layer_dims"}
+    partial = tmp_path / "partial.npz"
+    np.savez(partial, **fields)
+    with pytest.raises(MalformedHeader):
+        load_checkpoint(str(partial))
+    blob = path.read_bytes()
+    for cut in (0, 10, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(MalformedHeader):
+            load_checkpoint(str(path))

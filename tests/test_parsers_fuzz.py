@@ -1,0 +1,79 @@
+"""Every file parser fails with a DenoiserError on random or damaged bytes."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dudekit.baselines import load_source_json
+from dudekit.channel import bsc, build_estimated_loss, hamming_loss, load_channel_json
+from dudekit.core import BINARY, Sequence
+from dudekit.errors import DenoiserError
+from dudekit.io import ImageGrid, load_fasta, load_pbm, load_sequence, save_pbm, save_sequence
+from dudekit.neural import MLPDenoiser, load_checkpoint, save_checkpoint
+
+
+def _valid_files(root):
+    """One well-formed file per parser, as bytes, for truncation and damage."""
+    seq_path = root / "seq.txt"
+    save_sequence(Sequence.from_text("0110100111", BINARY), str(seq_path), meta={"kind": "x"})
+    model_path = root / "model.npz"
+    save_checkpoint(MLPDenoiser((2, 3, 4), k=1), str(model_path),
+                    build_estimated_loss(bsc(0.1), hamming_loss(BINARY)))
+    pbm_path = root / "img.pbm"
+    save_pbm(ImageGrid(5, 3, np.arange(15) % 2), str(pbm_path))
+    return {
+        "sequence": seq_path.read_bytes(),
+        "channel": b'{"alphabet": ["0", "1"], "channel": [[0.9, 0.1], [0.1, 0.9]],'
+                   b' "loss": [[0, 1], [1, 0]]}',
+        "source": b'{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [0.2, 0.8]],'
+                  b' "initial": [0.5, 0.5]}',
+        "checkpoint": model_path.read_bytes(),
+        "pbm": pbm_path.read_bytes(),
+        "fasta": b">r1 first\nACGTAC\nGT\n>r2\nGGA\n",
+    }
+
+
+LOADERS = {
+    "sequence": load_sequence,
+    "channel": load_channel_json,
+    "source": load_source_json,
+    "checkpoint": load_checkpoint,
+    "pbm": load_pbm,
+    "fasta": load_fasta,
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, _valid_files(root)
+
+
+def _damaged(valid):
+    """Random bytes, truncations of the valid file, and single-byte edits of it."""
+    cut = st.integers(0, len(valid) - 1).map(lambda i: valid[:i])
+    edit = st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+        lambda e: valid[: e[0]] + bytes([e[1]]) + valid[e[0] + 1 :]
+    )
+    return st.one_of(st.binary(max_size=200), cut, edit)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_parsers_raise_only_denoiser_errors(workdir, name):
+    root, valid = workdir
+    path = root / f"fuzz-{name}"
+    path.write_bytes(valid[name])
+    LOADERS[name](str(path))  # the file the damaged inputs start from loads
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(blob=_damaged(valid[name]))
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            LOADERS[name](str(path))
+        except DenoiserError:
+            pass
+
+    check()

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, LossMatrix, is_singular, read_spec_json
+from .channel import ChannelMatrix, LossMatrix, is_singular, read_spec_json, stochastic
 from .core import BINARY, Alphabet, Sequence
 from .errors import DataError, DimensionMismatch, SequenceTooShort
-
-ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,26 +34,13 @@ class MarkovSource:
 
     def __post_init__(self):
         n = self.alphabet.size
-        arr = np.asarray(self.transition, dtype=np.float64)
-        if arr.shape != (n, n):
-            raise DataError(f"transition must be {n}x{n}, got {arr.shape}")
-        finite = np.all(np.isfinite(arr))
-        if not finite or np.any(arr < 0) or np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise DataError("transition rows must be finite, non-negative and sum to 1")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
+        arr = stochastic(self.transition, (n, n), "transition", DataError)
         object.__setattr__(self, "transition", arr)
         if self.initial is None:
             init = _stationary(arr)
+            init.flags.writeable = False
         else:
-            init = np.asarray(self.initial, dtype=np.float64)
-            if init.shape != (n,):
-                raise DataError(f"initial distribution must have length {n}")
-            finite = np.all(np.isfinite(init))
-            if not finite or np.any(init < 0) or abs(init.sum() - 1.0) > ROW_SUM_TOL:
-                raise DataError("initial distribution must be a distribution")
-            init = init.copy()
-        init.flags.writeable = False
+            init = stochastic(self.initial, (n,), "initial distribution", DataError)
         object.__setattr__(self, "initial", init)
 
 

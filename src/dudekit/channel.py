@@ -46,6 +46,20 @@ DENOISER_CAP = 65536
 SINGULAR_RCOND = 1e-12
 
 
+def stochastic(arr, shape: tuple[int, ...], what: str, error: type[DataError]) -> np.ndarray:
+    """Read-only float64 copy of arr, checked to have the given shape, finite
+    non-negative entries, and rows (along the last axis) summing to 1."""
+    out = np.array(arr, dtype=np.float64, order="C")
+    if out.shape != shape:
+        raise error(f"{what} must have shape {shape}, got {out.shape}")
+    if not np.all(np.isfinite(out)) or np.any(out < 0):
+        raise error(f"{what} entries must be finite and non-negative")
+    if np.max(np.abs(out.sum(axis=-1) - 1.0)) > ROW_SUM_TOL:
+        raise error(f"{what} rows must sum to 1")
+    out.flags.writeable = False
+    return out
+
+
 def is_singular(a: np.ndarray) -> bool:
     """True when a square matrix is singular to working precision."""
     return not np.linalg.cond(a, 1) * SINGULAR_RCOND < 1.0
@@ -64,16 +78,8 @@ class ChannelMatrix:
     alphabet: Alphabet
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
         n = self.alphabet.size
-        if arr.shape != (n, n):
-            raise InvalidChannel(f"channel must be {n}x{n}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise InvalidChannel("channel entries must be finite and non-negative")
-        if np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise InvalidChannel("channel rows must sum to 1")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
+        arr = stochastic(self.entries, (n, n), "channel", InvalidChannel)
         object.__setattr__(self, "entries", arr)
 
     @property

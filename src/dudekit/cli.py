@@ -114,10 +114,10 @@ def _cmd_denoise(args) -> int:
             "channel": args.channel,
             "k": args.k,
             "seed": args.seed,
-            "hidden": getattr(args, "hidden", None),
-            "epochs": getattr(args, "epochs", None),
-            "minibatch": getattr(args, "minibatch", None),
-            "lr": getattr(args, "lr", None),
+            "hidden": args.hidden,
+            "epochs": args.epochs,
+            "minibatch": args.minibatch,
+            "lr": args.lr,
             "source": args.source,
         }
     )
@@ -138,13 +138,11 @@ def _cmd_denoise(args) -> int:
         if args.save_model:
             neural.save_checkpoint(net, args.save_model, tables)
         xhat = neural.denoise(z, net, tables)
-    elif args.method == "fb":
+    else:  # fb
         if not args.source:
             raise _UsageError("--source is required for method fb")
         spec = baselines.HMMSpec(baselines.parse_source_spec(args.source), chan)
         xhat = baselines.forward_backward_denoise(z, spec, loss)
-    else:
-        raise DataError(f"unknown method {args.method!r}")
     io.save_sequence(xhat, args.output, meta)
     line = f"method={args.method} n={len(z)}"
     if args.clean:

@@ -48,12 +48,6 @@ class Alphabet:
         """Sentinel index used for out-of-range context positions."""
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidSymbol(f"symbol {label!r} not in alphabet") from None
-
     def single_char(self) -> bool:
         return all(len(lab) == 1 for lab in self.labels)
 

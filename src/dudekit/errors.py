@@ -51,10 +51,6 @@ class InvalidSymbol(DataError):
     """A symbol outside the declared alphabet was encountered."""
 
 
-class InvalidBase(InvalidSymbol):
-    """A sequence record contains a character outside the alphabet."""
-
-
 class EmptyFile(DataError):
     """A file contains no usable records."""
 
@@ -63,9 +59,5 @@ class CheckpointMismatch(DataError):
     """A saved model does not match the requested configuration."""
 
 
-class SingularMatrix(NumericalError):
-    """Matrix is singular to working precision."""
-
-
-class SingularChannel(SingularMatrix):
+class SingularChannel(NumericalError):
     """Channel transition matrix is not invertible."""

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import dude, neural
+from . import dude, io, neural
 from .channel import EstimatedLossTables, apply_rules
 from .core import Alphabet, Sequence
 from .errors import DataError, LengthMismatch, MalformedHeader
@@ -56,12 +56,27 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
 
 @dataclass(frozen=True)
 class KRecord:
-    """One sweep row: context order, losses, wall time."""
+    """One sweep row: context order, losses, wall time.
+
+    Both report formats write the fields in this order, and parse reads
+    them back.
+    """
 
     k: int
     estimated_loss: float
     true_ber: float | None
     wall_time_s: float
+
+    @classmethod
+    def parse(cls, row) -> "KRecord":
+        """Record from a mapping of field name to number or text; '' or None is no true_ber."""
+        ber = row["true_ber"]
+        return cls(
+            k=int(row["k"]),
+            estimated_loss=float(row["estimated_loss"]),
+            true_ber=None if ber in ("", None) else float(ber),
+            wall_time_s=float(row["wall_time_s"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -78,9 +93,6 @@ class ExperimentReport:
     def __post_init__(self):
         # Canonical meta order makes the serialization roundtrips exact.
         object.__setattr__(self, "meta", tuple(sorted(self.meta)))
-
-    def meta_dict(self) -> dict[str, str]:
-        return dict(self.meta)
 
 
 def select_k(records) -> int:
@@ -144,7 +156,24 @@ def sweep_k(
     return report, recons[k_star]
 
 
-CSV_COLUMNS = ("k", "estimated_loss", "true_ber", "wall_time_s")
+CSV_COLUMNS = tuple(f.name for f in fields(KRecord))
+# Report fields other than records and meta: the CSV's required headers.
+_HEAD = ("method", "n", "alphabet", "k_star")
+
+
+def _report(path: str, doc) -> ExperimentReport:
+    """Report from its JSON layout; a missing or malformed field raises MalformedHeader."""
+    try:
+        return ExperimentReport(
+            method=doc["method"],
+            n=int(doc["n"]),
+            alphabet=tuple(doc["alphabet"]),
+            k_star=int(doc["k_star"]),
+            records=tuple(KRecord.parse(row) for row in doc["records"]),
+            meta=tuple((str(key), str(value)) for key, value in dict(doc["meta"]).items()),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedHeader(f"bad report {path}: {exc!r}") from exc
 
 
 def report_to_csv(report: ExperimentReport, path: str) -> None:
@@ -152,86 +181,34 @@ def report_to_csv(report: ExperimentReport, path: str) -> None:
 
     Floats are written with repr so a read-back report compares equal.
     """
-    lines = [
-        f"# method={report.method}",
-        f"# n={report.n}",
-        f"# alphabet={','.join(report.alphabet)}",
-        f"# k_star={report.k_star}",
+    head = [
+        ("method", report.method),
+        ("n", report.n),
+        ("alphabet", ",".join(report.alphabet)),
+        ("k_star", report.k_star),
+        *report.meta,
     ]
-    lines += [f"# {key}={value}" for key, value in report.meta]
-    lines.append(",".join(CSV_COLUMNS))
-    for r in report.records:
-        ber = "" if r.true_ber is None else repr(r.true_ber)
-        lines.append(f"{r.k},{r.estimated_loss!r},{ber},{r.wall_time_s!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (",".join("" if v is None else repr(v) for v in astuple(r)) for r in report.records)
+    io.write_headed(path, head, [",".join(CSV_COLUMNS), *rows])
 
 
 def report_from_csv(path: str) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.rstrip("\n") for line in fh]
-    meta: dict[str, str] = {}
-    rows = []
-    header_seen = False
-    for line in raw:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if tuple(line.split(",")) != CSV_COLUMNS:
-                raise MalformedHeader(f"unexpected CSV columns in {path}: {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise MalformedHeader(f"bad CSV row in {path}: {line!r}")
-        rows.append(
-            KRecord(
-                k=int(parts[0]),
-                estimated_loss=float(parts[1]),
-                true_ber=None if parts[2] == "" else float(parts[2]),
-                wall_time_s=float(parts[3]),
-            )
-        )
-    for key in ("method", "n", "alphabet", "k_star"):
-        if key not in meta:
+    head, body = io.read_headed(path)
+    for key in _HEAD:
+        if key not in head:
             raise MalformedHeader(f"missing '# {key}=' header in {path}")
-    core_keys = {"method", "n", "alphabet", "k_star"}
-    extras = tuple((key, value) for key, value in meta.items() if key not in core_keys)
-    return ExperimentReport(
-        method=meta["method"],
-        n=int(meta["n"]),
-        alphabet=tuple(meta["alphabet"].split(",")),
-        k_star=int(meta["k_star"]),
-        records=tuple(rows),
-        meta=extras,
-    )
+    if not body or tuple(body[0].split(",")) != CSV_COLUMNS:
+        raise MalformedHeader(f"unexpected CSV columns in {path}")
+    doc = {key: head.pop(key) for key in _HEAD}
+    doc["alphabet"] = doc["alphabet"].split(",")
+    # A generator, so _report's error mapping covers ragged rows too.
+    rows = (dict(zip(CSV_COLUMNS, line.split(","), strict=True)) for line in body[1:])
+    return _report(path, {**doc, "meta": head, "records": rows})
 
 
 def report_to_json(report: ExperimentReport, path: str) -> None:
-    doc = {
-        "method": report.method,
-        "n": report.n,
-        "alphabet": list(report.alphabet),
-        "k_star": report.k_star,
-        "meta": {key: value for key, value in report.meta},
-        "records": [
-            {
-                "k": r.k,
-                "estimated_loss": r.estimated_loss,
-                "true_ber": r.true_ber,
-                "wall_time_s": r.wall_time_s,
-            }
-            for r in report.records
-        ],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({**asdict(report), "meta": dict(report.meta)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -239,25 +216,6 @@ def report_from_json(path: str) -> ExperimentReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise MalformedHeader(f"cannot read report {path}: {exc}") from exc
-    try:
-        records = tuple(
-            KRecord(
-                k=int(r["k"]),
-                estimated_loss=float(r["estimated_loss"]),
-                true_ber=None if r["true_ber"] is None else float(r["true_ber"]),
-                wall_time_s=float(r["wall_time_s"]),
-            )
-            for r in doc["records"]
-        )
-        return ExperimentReport(
-            method=doc["method"],
-            n=int(doc["n"]),
-            alphabet=tuple(doc["alphabet"]),
-            k_star=int(doc["k_star"]),
-            records=records,
-            meta=tuple((str(k), str(v)) for k, v in sorted(doc["meta"].items())),
-        )
-    except KeyError as exc:
-        raise MalformedHeader(f"report {path} is missing field {exc}") from exc
+    return _report(path, doc)

@@ -1,9 +1,10 @@
-"""File formats: portable bitmaps, sequence records, and plain text sequences.
+"""File formats: portable bitmaps and headed text files.
 
 Images are flattened row-major so a denoiser sees one long line; the
 grid shape travels separately and restores the image afterwards.
-Multi-record sequence files are merged the same way, with the record
-boundaries kept for exact re-splitting.
+Sequence files and sweep reports share one text layout: '# key=value'
+header lines, then body lines, read and written by read_headed and
+write_headed.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BINARY, DNA, Alphabet, Sequence
+from .core import BINARY, Alphabet, Sequence
 from .errors import (
     DataError,
     EmptyFile,
-    InvalidBase,
     LengthMismatch,
     MalformedHeader,
     TruncatedPayload,
@@ -161,146 +161,61 @@ def save_pbm(grid: ImageGrid, path: str, binary: bool = True) -> None:
                 fh.write(b"\n")
 
 
-@dataclass(frozen=True)
-class ReadSet:
-    """Named sequence records over one alphabet."""
+def read_headed(path: str) -> tuple[dict[str, str], list[str]]:
+    """('# key=value' headers, stripped non-blank body lines) of a UTF-8 text file.
 
-    ids: tuple[str, ...]
-    seqs: tuple[Sequence, ...]
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.seqs):
-            raise LengthMismatch("one id per sequence required")
-        if len(self.seqs) == 0:
-            raise EmptyFile("a read set needs at least one record")
-        first = self.seqs[0].alphabet
-        if any(s.alphabet != first for s in self.seqs):
-            raise DataError("all records must share one alphabet")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.seqs[0].alphabet
-
-    def boundaries(self) -> tuple[int, ...]:
-        """Cumulative end offsets of each record in the merged sequence."""
-        ends = []
-        total = 0
-        for s in self.seqs:
-            total += len(s)
-            ends.append(total)
-        return tuple(ends)
-
-
-def merge_reads(reads: ReadSet) -> tuple[Sequence, tuple[int, ...]]:
-    """Concatenate records into one sequence plus re-split boundaries."""
-    data = np.concatenate([s.data for s in reads.seqs])
-    return Sequence(data, reads.alphabet), reads.boundaries()
-
-
-def split_reads(seq: Sequence, boundaries: tuple[int, ...], ids: tuple[str, ...]) -> ReadSet:
-    """Inverse of merge_reads given the boundaries and record ids."""
-    if len(boundaries) != len(ids):
-        raise LengthMismatch("one boundary per id required")
-    if list(boundaries) != sorted(boundaries) or (boundaries and boundaries[-1] != len(seq)):
-        raise LengthMismatch("boundaries must be increasing and end at the sequence length")
-    seqs = []
-    start = 0
-    for end in boundaries:
-        seqs.append(Sequence(seq.data[start:end], seq.alphabet))
-        start = end
-    return ReadSet(ids=tuple(ids), seqs=tuple(seqs))
-
-
-def _read_lines(path: str) -> list[str]:
-    """Lines of a UTF-8 text file; unreadable or undecodable files raise DataError."""
+    Unreadable or undecodable files raise DataError; '#' lines without
+    '=' are comments.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def load_fasta(path: str, alphabet: Alphabet = DNA) -> ReadSet:
-    """Read sequence records; every base must belong to the alphabet.
-
-    Errors cite the record id and the offset within the record, since
-    that is what one greps for in a large file.
-    """
-    lines = _read_lines(path)
-    if not alphabet.single_char():
-        raise DataError("record parsing requires single-character labels")
-    lut = {lab: i for i, lab in enumerate(alphabet.labels)}
-    ids: list[str] = []
-    parts: list[list[int]] = []
-    lengths: list[int] = []
+    meta: dict[str, str] = {}
+    body: list[str] = []
     for line in lines:
-        if line.startswith(">"):
-            ids.append(line[1:].strip())
-            parts.append([])
-            lengths.append(0)
-            continue
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not ids:
-            raise MalformedHeader(f"{path}: sequence data before the first '>' header")
-        for ch in stripped:
-            code = lut.get(ch)
-            if code is None:
-                raise InvalidBase(
-                    f"{path}: record {ids[-1]!r} offset {lengths[-1]}: "
-                    f"base {ch!r} not in alphabet"
-                )
-            parts[-1].append(code)
-            lengths[-1] += 1
-    if not ids:
-        raise EmptyFile(f"{path} contains no records")
-    seqs = tuple(Sequence(np.asarray(p, dtype=np.uint8), alphabet) for p in parts)
-    return ReadSet(ids=tuple(ids), seqs=seqs)
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif line.strip():
+            body.append(line.strip())
+    return meta, body
 
 
-def save_fasta(reads: ReadSet, path: str, line_width: int = 70) -> None:
-    if line_width < 1:
-        raise DataError("line width must be positive")
+def write_headed(path: str, pairs, body_lines) -> None:
+    """Write '# key=value' lines for (key, value) pairs, then the body lines."""
+    lines = []
+    for key, value in pairs:
+        line = f"# {key}={value}"
+        if "=" in key or line.splitlines() != [line]:
+            raise DataError(f"bad metadata key/value: {key!r}")
+        lines.append(line)
     with open(path, "w", encoding="utf-8") as fh:
-        for rid, seq in zip(reads.ids, reads.seqs):
-            fh.write(f">{rid}\n")
-            text = seq.to_text()
-            for start in range(0, len(text), line_width):
-                fh.write(text[start : start + line_width] + "\n")
+        fh.write("\n".join(lines + list(body_lines)) + "\n")
 
 
 def save_sequence(seq: Sequence, path: str, meta: dict[str, str] | None = None) -> None:
     """Write a sequence as commented headers plus wrapped symbol text."""
     if not seq.alphabet.single_char():
         raise DataError("text sequence files require single-character labels")
-    lines = [f"# alphabet={''.join(seq.alphabet.labels)}", f"# n={len(seq)}"]
-    for key, value in (meta or {}).items():
-        if "=" in key or "\n" in key or "\n" in str(value):
-            raise DataError(f"bad metadata key/value: {key!r}")
-        lines.append(f"# {key}={value}")
+    pairs = [("alphabet", "".join(seq.alphabet.labels)), ("n", len(seq)), *(meta or {}).items()]
     text = seq.to_text()
-    width = 100
-    body = [text[i : i + width] for i in range(0, len(text), width)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines + body) + "\n")
+    write_headed(path, pairs, (text[i : i + 100] for i in range(0, len(text), 100)))
 
 
 def load_sequence(path: str, alphabet: Alphabet | None = None) -> tuple[Sequence, dict[str, str]]:
-    """Read a text sequence; alphabet comes from the header unless given."""
-    lines = _read_lines(path)
-    meta: dict[str, str] = {}
-    body: list[str] = []
-    for line in lines:
-        if line.startswith("#"):
-            stripped = line[1:].strip()
-            if "=" in stripped:
-                key, value = stripped.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        body.append(line.strip())
+    """Read a text sequence; alphabet comes from the header unless given.
+
+    A '# n=' header, when present, must match the number of symbols read.
+    """
+    meta, body = read_headed(path)
     if alphabet is None:
         if "alphabet" not in meta:
             raise MalformedHeader(f"{path} has no '# alphabet=' header and none was given")
         alphabet = Alphabet(tuple(meta["alphabet"]))
-    return Sequence.from_text("".join(body), alphabet), meta
+    seq = Sequence.from_text("".join(body), alphabet)
+    if meta.get("n", str(len(seq))) != str(len(seq)):
+        raise LengthMismatch(f"{path}: header says n={meta['n']}, body has {len(seq)} symbols")
+    return seq, meta

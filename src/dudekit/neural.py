@@ -42,6 +42,11 @@ _FORWARD_CHUNK = 4096
 
 DEFAULT_HIDDEN = (40, 40, 40)
 
+# Adam's moment decays and denominator floor, the values of Kingma & Ba.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -50,19 +55,13 @@ class TrainConfig:
     epochs: int = 10
     minibatch_size: int = 100
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.minibatch_size < 1:
             raise DataError("epochs and minibatch_size must be positive")
-        rates = np.array([self.learning_rate, self.epsilon], dtype=np.float64)
-        if not np.all(np.isfinite(rates) & (rates > 0)):
-            raise DataError("learning_rate and epsilon must be positive and finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise DataError("beta1 and beta2 must lie in [0, 1)")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError("learning_rate must be positive and finite")
 
 
 def cost(g: np.ndarray, p: np.ndarray) -> float:
@@ -276,16 +275,16 @@ class _Adam:
         cfg, cast = self.cfg, self.m.dtype.type
         self.t += 1
         step, scale = self._step, self._scale
-        _rounded(np.multiply, self.m, cast(cfg.beta1), self.m, self._wide)
-        self.m += np.multiply(grad, 1.0 - cfg.beta1, out=step)
-        self.v *= cfg.beta2
-        self.v += np.multiply(np.square(grad, out=step), 1.0 - cfg.beta2, out=step)
+        _rounded(np.multiply, self.m, cast(BETA1), self.m, self._wide)
+        self.m += np.multiply(grad, 1.0 - BETA1, out=step)
+        self.v *= BETA2
+        self.v += np.multiply(np.square(grad, out=step), 1.0 - BETA2, out=step)
         # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same operation order.
-        _rounded(np.divide, self.m, cast(1.0 - cfg.beta1**self.t), step, self._wide)
+        _rounded(np.divide, self.m, cast(1.0 - BETA1**self.t), step, self._wide)
         _rounded(np.multiply, step, cast(cfg.learning_rate), step, self._wide)
-        np.divide(self.v, 1.0 - cfg.beta2**self.t, out=scale)
+        np.divide(self.v, 1.0 - BETA2**self.t, out=scale)
         np.sqrt(scale, out=scale)
-        scale += cfg.epsilon
+        scale += EPSILON
         step /= scale
         params -= step
 
@@ -310,7 +309,6 @@ def train(
     tables: EstimatedLossTables,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
     config: TrainConfig | None = None,
-    dtype=np.float32,
 ) -> MLPDenoiser:
     """Train a context denoiser on one noisy sequence.
 
@@ -329,7 +327,7 @@ def train(
     size = z.alphabet.size
     dims = (2 * k * size, *hidden, tables.n_denoisers)
     rng = np.random.default_rng(cfg.rng_seed)
-    net = MLPDenoiser(dims, k=k, rng=rng, dtype=dtype)
+    net = MLPDenoiser(dims, k=k, rng=rng)
     ctx = context_matrix(z.data, k, pad=size)
     labels = tables.pseudo_labels.astype(net.dtype)
     norms = tables.label_norms.astype(net.dtype)

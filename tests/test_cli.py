@@ -153,7 +153,7 @@ def test_sweep_and_eval(sim_files, tmp_path):
     report = report_from_csv(report_csv)
     assert [r.k for r in report.records] == [1, 2, 3, 4]
     assert report_from_json(report_json).k_star == report.k_star
-    assert "cli_fingerprint" in report.meta_dict()
+    assert "cli_fingerprint" in dict(report.meta)
     res = run_cli("eval", "--clean", clean, "--recon", recon, "--json", str(tmp_path / "e.json"))
     assert res.returncode == 0
     assert "symbol_error_rate=" in res.stdout
@@ -277,6 +277,15 @@ def test_exit_codes(sim_files, tmp_path):
         "--method", "dude", "--k", "1", "--output", out,
     )
     assert res.returncode == 2, res.stderr
+    # data: an input cut to 200 of the 240 symbols its '# n=' header states
+    cut = tmp_path / "cut.txt"
+    save_sequence(Sequence(np.arange(240, dtype=np.uint8) % 2, BINARY), str(cut))
+    cut.write_text("\n".join(cut.read_text().splitlines()[:-1]) + "\n")
+    res = run_cli(
+        "denoise", "--input", str(cut), "--channel", "bsc:0.1",
+        "--method", "dude", "--k", "1", "--output", out,
+    )
+    assert res.returncode == 2 and "n=240" in res.stderr, res.stderr
     # data: a learning rate that is not a finite number
     res = run_cli(
         "denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",

@@ -23,7 +23,6 @@ def test_alphabet_basics():
     assert BINARY.size == 2
     assert BINARY.pad_index == 2
     assert DNA.size == 4
-    assert DNA.index_of("G") == 2
     assert BINARY.labels == ("0", "1")
 
 
@@ -34,8 +33,6 @@ def test_alphabet_validation():
         Alphabet(("a", "a"))
     with pytest.raises(DataError):
         Alphabet(("a", ""))
-    with pytest.raises(InvalidSymbol):
-        BINARY.index_of("x")
 
 
 def test_encode_decode_roundtrip():

@@ -141,7 +141,7 @@ def test_sweep_ndude_deterministic():
     stripped1 = [dataclasses.replace(r, wall_time_s=0.0) for r in rep1.records]
     stripped2 = [dataclasses.replace(r, wall_time_s=0.0) for r in rep2.records]
     assert stripped1 == stripped2
-    assert rep1.meta_dict()["hidden"] == "10"
+    assert dict(rep1.meta)["hidden"] == "10"
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -180,6 +180,18 @@ def test_report_csv_malformed(tmp_path):
     path.write_text("# method=dude\nk,estimated_loss,true_ber,wall_time_s\n1,0.5,,0.1\n")
     with pytest.raises(MalformedHeader):
         report_from_csv(str(path))  # missing n and alphabet headers
+    head = "# method=dude\n# n=10\n# alphabet=0,1\n# k_star=1\n"
+    cols = "k,estimated_loss,true_ber,wall_time_s\n"
+    for text in (head.replace("n=10", "n=x") + cols, head + cols + "1,abc,,0.2\n",
+                 head + cols + "1,0.1,,0.2,9\n", head + cols + "1,0.1\n"):
+        path.write_text(text)
+        with pytest.raises(MalformedHeader):
+            report_from_csv(str(path))
+    path.write_bytes(head.encode() + b"# note=\xe9\n" + cols.encode())
+    with pytest.raises(DataError):
+        report_from_csv(str(path))
+    with pytest.raises(DataError):
+        report_from_csv(str(tmp_path / "missing.csv"))
 
 
 def test_report_meta_is_sorted():
@@ -192,3 +204,13 @@ def test_report_meta_is_sorted():
         meta=(("zeta", "1"), ("alpha", "2")),
     )
     assert rep.meta == (("alpha", "2"), ("zeta", "1"))
+
+
+
+def test_report_json_malformed(tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ("[1, 2]", '{"method": "dude", "n": "x", "alphabet": ["0", "1"], "k_star": 1, '
+                 '"meta": {}, "records": []}', '{"method": "dude", "n": 1e999}', "{"):
+        path.write_text(text)
+        with pytest.raises(MalformedHeader):
+            report_from_json(str(path))

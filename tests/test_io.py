@@ -1,4 +1,4 @@
-"""Bitmap, record, and text sequence formats."""
+"""Bitmap and headed text formats."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.errors import (
     DataError,
     EmptyFile,
-    InvalidBase,
     InvalidSymbol,
     LengthMismatch,
     MalformedHeader,
@@ -15,17 +14,14 @@ from dudekit.errors import (
 )
 from dudekit.io import (
     ImageGrid,
-    ReadSet,
     derasterize,
-    load_fasta,
     load_pbm,
     load_sequence,
-    merge_reads,
     rasterize,
-    save_fasta,
+    read_headed,
     save_pbm,
     save_sequence,
-    split_reads,
+    write_headed,
 )
 
 
@@ -133,78 +129,6 @@ def test_pbm_errors(tmp_path):
         load_pbm(str(path))
 
 
-def _readset():
-    return ReadSet(
-        ids=("read1", "read2 extra tokens"),
-        seqs=(Sequence.from_text("ACGTAC", DNA), Sequence.from_text("GGT", DNA)),
-    )
-
-
-def test_fasta_roundtrip(tmp_path):
-    rs = _readset()
-    path = str(tmp_path / "reads.fa")
-    save_fasta(rs, path, line_width=4)
-    back = load_fasta(path)
-    assert back.ids == rs.ids
-    assert back.seqs == rs.seqs
-
-
-def test_fasta_wrapping_exact_multiple(tmp_path):
-    rs = ReadSet(ids=("r",), seqs=(Sequence.from_text("ACGTACGT", DNA),))
-    path = str(tmp_path / "reads.fa")
-    save_fasta(rs, path, line_width=4)
-    assert load_fasta(path).seqs[0] == rs.seqs[0]
-
-
-def test_fasta_errors(tmp_path):
-    path = tmp_path / "reads.fa"
-    path.write_text(">r1\nACGX\n")
-    with pytest.raises(InvalidBase) as err:
-        load_fasta(str(path))
-    assert "r1" in str(err.value) and "offset 3" in str(err.value)
-    path.write_text("ACGT\n>r1\nACGT\n")
-    with pytest.raises(MalformedHeader):
-        load_fasta(str(path))
-    path.write_text("\n\n")
-    with pytest.raises(EmptyFile):
-        load_fasta(str(path))
-
-
-def test_fasta_blank_lines_and_empty_record(tmp_path):
-    path = tmp_path / "reads.fa"
-    path.write_text(">a\nAC\n\nGT\n>empty\n>b\nTT\n")
-    rs = load_fasta(str(path))
-    assert rs.ids == ("a", "empty", "b")
-    assert rs.seqs[0].to_text() == "ACGT"
-    assert len(rs.seqs[1]) == 0
-    assert rs.seqs[2].to_text() == "TT"
-
-
-def test_merge_split_roundtrip():
-    rs = _readset()
-    merged, boundaries = merge_reads(rs)
-    assert merged.to_text() == "ACGTACGGT"
-    assert boundaries == (6, 9)
-    back = split_reads(merged, boundaries, rs.ids)
-    assert back == rs
-    with pytest.raises(LengthMismatch):
-        split_reads(merged, (6, 8), rs.ids)
-    with pytest.raises(LengthMismatch):
-        split_reads(merged, (6,), rs.ids)
-
-
-def test_readset_validation():
-    with pytest.raises(LengthMismatch):
-        ReadSet(ids=("a",), seqs=(Sequence.from_text("AC", DNA), Sequence.from_text("G", DNA)))
-    with pytest.raises(EmptyFile):
-        ReadSet(ids=(), seqs=())
-    with pytest.raises(DataError):
-        ReadSet(
-            ids=("a", "b"),
-            seqs=(Sequence.from_text("AC", DNA), Sequence.from_text("01", BINARY)),
-        )
-
-
 def test_sequence_file_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     seq = Sequence(rng.integers(0, 2, 333).astype(np.uint8), BINARY)
@@ -239,6 +163,18 @@ def test_sequence_file_errors(tmp_path):
     seq = Sequence.from_text("01", BINARY)
     with pytest.raises(DataError):
         save_sequence(seq, str(path), meta={"bad=key": "v"})
+    # the '# n=' header must match the body: a file cut to 200 of 240 symbols
+    save_sequence(Sequence.from_text("01" * 120, BINARY), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "# n=240" and len(lines[-1]) == 40
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(LengthMismatch):
+        load_sequence(str(path))
+    path.write_text("# alphabet=01\n# n=x\n0101\n")
+    with pytest.raises(LengthMismatch):
+        load_sequence(str(path))
+    path.write_text("# alphabet=01\n# n=4\n01\n\n01\n")
+    assert load_sequence(str(path))[0].to_text() == "0101"
 
 
 def test_text_readers_reject_bad_utf8(tmp_path):
@@ -246,9 +182,6 @@ def test_text_readers_reject_bad_utf8(tmp_path):
     path.write_bytes(b"# alphabet=01\n01\xe901\n")
     with pytest.raises(DataError):
         load_sequence(str(path))
-    path.write_bytes(b">r\xe9\nACGT\n")
-    with pytest.raises(DataError):
-        load_fasta(str(path))
 
 
 def test_save_sequence_requires_single_char_labels(tmp_path):
@@ -256,3 +189,14 @@ def test_save_sequence_requires_single_char_labels(tmp_path):
     seq = Sequence(np.array([0, 1], dtype=np.uint8), alpha)
     with pytest.raises(DataError):
         save_sequence(seq, str(tmp_path / "x.txt"))
+
+
+def test_headed_roundtrip_and_key_check(tmp_path):
+    path = str(tmp_path / "headed.txt")
+    write_headed(path, [("a", 1), ("note", "x=y"), ("blank", "")], ["row 1", "", "  row 2 "])
+    assert read_headed(path) == ({"a": "1", "note": "x=y", "blank": ""}, ["row 1", "row 2"])
+    for pair in (("a=b", "v"), ("a\nb", "v"), ("a", "v\nw"), ("a", "v\rw")):
+        with pytest.raises(DataError):
+            write_headed(path, [pair], [])
+    with pytest.raises(DataError):
+        read_headed(str(tmp_path / "missing.txt"))

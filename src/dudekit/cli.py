@@ -46,6 +46,15 @@ def _fingerprint(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _source_id(spec: str) -> str:
+    """--source as outputs record it: a JSON file by a digest of its bytes,
+    so outputs do not depend on the directory; a built-in spec as written."""
+    if spec.startswith("bsmc:"):
+        return spec
+    with open(spec, "rb") as fh:
+        return "json-sha256:" + hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(tok) for tok in text.split(",") if tok != "")
@@ -77,10 +86,11 @@ def _cmd_simulate(args) -> int:
     chan, _ = parse_channel_spec(args.channel)
     if source.alphabet != chan.alphabet:
         raise DataError("source and channel alphabets differ")
+    source_id = _source_id(args.source)
     fp = _fingerprint(
         {
             "cmd": "simulate",
-            "source": args.source,
+            "source": source_id,
             "channel": args.channel,
             "n": args.n,
             "seed": args.seed,
@@ -90,7 +100,7 @@ def _cmd_simulate(args) -> int:
     # Corruption draws from its own stream so source and noise decouple.
     z = baselines.corrupt(x, chan, rng_seed=args.seed + 1)
     common = {
-        "source": args.source,
+        "source": source_id,
         "channel": args.channel,
         "seed": str(args.seed),
         "fingerprint": fp,
@@ -118,7 +128,7 @@ def _cmd_denoise(args) -> int:
             "epochs": args.epochs,
             "minibatch": args.minibatch,
             "lr": args.lr,
-            "source": args.source,
+            "source": _source_id(args.source) if args.source else None,
         }
     )
     meta = {"method": args.method, "channel": args.channel, "fingerprint": fp}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -58,8 +58,10 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
 class KRecord:
     """One sweep row: context order, losses, wall time.
 
-    Both report formats write the fields in this order, and parse reads
-    them back.
+    wall_time_s is this k's own selection and scoring time. In an N-DUDE
+    sweep, whose orders train together as one stack, it also holds an
+    equal share of the joint training time. Both report formats write
+    the fields in this order, and parse reads them back.
     """
 
     k: int
@@ -115,26 +117,29 @@ def sweep_k(
     reconstruction at the selected order.
 
     For the trained denoiser each k reseeds its run as rng_seed + k, so
-    every sweep row is independently reproducible.
+    every sweep row is independently reproducible. All orders train in
+    one neural.train call, as one stack of networks.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
-    k_values = [int(k) for k in k_values]
+    k_values = sorted(int(k) for k in k_values)
     if not k_values or any(k < 0 for k in k_values) or len(set(k_values)) != len(k_values):
         raise DataError("k values must be distinct and non-negative")
     cfg = config if config is not None else TrainConfig()
+    t0 = time.perf_counter()
+    nets = neural.train(z, k_values, tables, hidden, cfg) if method == "ndude" else []
+    share = (time.perf_counter() - t0) / len(k_values) if nets else 0.0  # of the joint training
     records = []
     recons = {}
-    for k in sorted(k_values):
+    for j, k in enumerate(k_values):
         t0 = time.perf_counter()
         if method == "dude":
             s_idx = dude.select_denoisers(z, k, tables)
         else:
-            net = neural.train(z, k, tables, hidden, replace(cfg, rng_seed=cfg.rng_seed + k))
-            s_idx = neural.select_denoisers(z, net, tables)
+            s_idx = neural.select_denoisers(z, nets[j], tables)
         est = estimated_loss(z, s_idx, tables)
         xhat = apply_rules(z, s_idx, tables)
-        wall = time.perf_counter() - t0
+        wall = time.perf_counter() - t0 + share
         ber = symbol_error_rate(clean, xhat) if clean is not None else None
         records.append(KRecord(k=k, estimated_loss=est, true_ber=ber, wall_time_s=wall))
         recons[k] = xhat

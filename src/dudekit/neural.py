@@ -15,6 +15,12 @@ the whole sequence, which is what lets one network replace the count
 table at large context orders. Training uses every position; contexts
 that run past the sequence edge one-hot encode their missing symbols as
 all-zero blocks.
+
+One trainer serves one order and a whole sweep: it steps the networks
+of all orders together, the layers after the first as (K, in, out)
+stacks, all parameters in one flat vector. Each network keeps its seed
+and ends bit for bit as if trained alone; stacking only saves numpy
+calls, which is where the time of these small steps goes.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import Alphabet, Context, Sequence, context_matrix, group_contexts
+from .core import Alphabet, Context, Sequence, group_contexts
 from .errors import (
     CheckpointMismatch,
     DataError,
@@ -192,70 +199,97 @@ class MLPDenoiser:
         return _softmax(logits, out=logits)
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
-        """Mean cost over the batch and its gradient in flat-parameter form."""
-        g = np.asarray(g, dtype=self.dtype)
-        norms = g.sum(axis=1)
-        return self._loss_grad(np.asarray(x, dtype=self.dtype), g, norms)
+        """Mean cost over the batch and its gradient in flat-parameter form,
+        computed by the training step on a stack of this one network."""
+        x, g = np.asarray(x, dtype=self.dtype), np.asarray(g, dtype=self.dtype)
+        if g.shape != (x.shape[0], self.output_dim):
+            raise DimensionMismatch(f"targets must be (batch, {self.output_dim}), got {g.shape}")
+        losses, grad = _Stack([self]).loss_grad([x], g[None], g.sum(axis=1)[None])
+        return float(losses[0]), grad
 
-    def _loss_grad(self, x: np.ndarray, g: np.ndarray, norms: np.ndarray, ws=None):
-        """Loss and gradient, computed in ws's buffers; the gradient is ws.grad.
 
-        Without ws a fresh _Workspace is made, so the gradient is a new array.
-        """
-        batch = x.shape[0]
-        if g.shape != (batch, self.output_dim):
-            raise DimensionMismatch(
-                f"targets must be (batch, {self.output_dim}), got {g.shape}"
-            )
-        if ws is None:
-            ws = _Workspace(self, batch)
-        acts = [x]
-        a = x
-        for w, b, out in zip(self.weights[:-1], self.biases[:-1], ws.hidden):
-            a = np.matmul(a, w, out=out[:batch])
+class _Stack:
+    """K networks with the same hidden and output widths, stepped together.
+
+    Parameters, and gradients, are one flat vector: each network's first
+    weight block (input widths differ with k), then the (K, 1, out) biases
+    and (K, in, out) weights of the stacked layers, in the network's own
+    order, which for K = 1 is its own layout. numpy runs a stacked matmul
+    as one gemm per network on the operands that network would use alone,
+    so each ends bit for bit as if trained alone. Zero-padding the first
+    layer to one input width would change its gemm, so it runs per network.
+    """
+
+    def __init__(self, nets: list[MLPDenoiser]):
+        self.nets, self.dtype = nets, nets[0].dtype
+        stack, own = len(nets), [a for pair in zip(nets[0].weights, nets[0].biases) for a in pair]
+        self._shapes = [net.weights[0].shape for net in nets]
+        self._shapes += [(stack, *a.shape) if a.ndim == 2 else (stack, 1, a.size) for a in own[1:]]
+        self.params = np.empty(sum(net.n_params for net in nets), dtype=self.dtype)
+        self.grad = np.empty_like(self.params)
+        self.first, self.rest = self._views(self.params)
+        self.biases, self.weights = self.rest[0::2], self.rest[1::2]
+        self.g_first, g_rest = self._views(self.grad)
+        self.g_biases, self.g_weights = g_rest[0::2], g_rest[1::2]
+        self.weights_t = [w.transpose(0, 2, 1) for w in self.weights]
+        for stacked, mine in self.pairs():
+            stacked[...] = mine
+        self._buffers = {}
+
+    def _views(self, flat: np.ndarray):
+        """Views into flat: the first-layer weights per network, then the stacked rest."""
+        ends = np.cumsum([np.prod(shape) for shape in self._shapes])
+        parts = [p.reshape(shape) for p, shape in zip(np.split(flat, ends[:-1]), self._shapes)]
+        return parts[: len(self.nets)], parts[len(self.nets) :]
+
+    def pairs(self):
+        """(stacked view, network's own array) for every weight and bias."""
+        for j, net in enumerate(self.nets):
+            own = [a for pair in zip(net.weights, net.biases) for a in pair]
+            yield from zip([self.first[j]] + [a[j] for a in self.rest], own)
+
+    def loss_grad(self, xs, g: np.ndarray, norms: np.ndarray):
+        """Each network's mean cost on its minibatch, and the stacked gradient
+        (self.grad, overwritten by the next call). xs[j] holds network j's
+        encoded rows, g the (K, batch, out) targets and norms their row sums."""
+        batch = g.shape[1]
+        if batch not in self._buffers:  # each layer's outputs and deltas, the loss terms
+            outs = [np.empty((len(self.nets), batch, b.shape[2]), self.dtype) for b in self.biases]
+            masks = [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
+            terms = np.empty(outs[-1].shape, dtype=np.float64)  # the loss sums in float64
+            outs_t = [o.transpose(0, 2, 1) for o in outs]
+            self._buffers[batch] = outs, outs_t, [np.empty_like(o) for o in outs], masks, terms
+        outs, outs_t, deltas, masks, terms = self._buffers[batch]
+        for x, w, out in zip(xs, self.first, outs[0]):
+            np.matmul(x, w, out=out)
+        for a, b, w, out in zip(outs, self.biases, self.weights, outs[1:]):
             a += b
             np.maximum(a, 0.0, out=a)
-            acts.append(a)
-        probs = np.matmul(a, self.weights[-1], out=ws.probs[:batch])
+            np.matmul(a, w, out=out)
+        probs = outs[-1]
         probs += self.biases[-1]
         _softmax(probs, out=probs)
-        log_p = np.maximum(probs, COST_FLOOR, out=ws.log_p[:batch])
-        np.log(log_p, out=log_p)
-        terms = ws.terms[:batch]
+        log_p = np.log(np.maximum(probs, COST_FLOOR, out=deltas[-1]), out=deltas[-1])
         terms[...] = g
-        loss = float(-np.multiply(terms, log_p, out=terms).sum() / batch)
-        delta = np.multiply(norms[:, None], probs, out=ws.deltas[-1][:batch])
+        losses = -np.multiply(terms, log_p, out=terms).sum(axis=(1, 2)) / batch
+        delta = np.multiply(norms[..., None], probs, out=deltas[-1])
         delta -= g
         delta /= self.dtype.type(batch)
         for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[layer].T, delta, out=ws.g_weights[layer])
-            np.add.reduce(delta, axis=0, out=ws.g_biases[layer])
-            if layer > 0:
-                prev = np.matmul(delta, self.weights[layer].T, out=ws.deltas[layer - 1][:batch])
-                prev *= np.greater(acts[layer], 0, out=ws.active[layer - 1][:batch])
-                delta = prev
-        return loss, ws.grad
-
-
-class _Workspace:
-    """_loss_grad's buffers for batches of up to `rows` rows, made once per train call."""
-
-    def __init__(self, net: MLPDenoiser, rows: int):
-        hidden, out = net.layer_dims[1:-1], net.output_dim
-        self.hidden = [np.empty((rows, d), dtype=net.dtype) for d in hidden]
-        self.active = [np.empty((rows, d), dtype=bool) for d in hidden]
-        self.deltas = [np.empty((rows, d), dtype=net.dtype) for d in net.layer_dims[1:]]
-        self.probs = np.empty((rows, out), dtype=net.dtype)
-        self.log_p = np.empty((rows, out), dtype=net.dtype)
-        self.terms = np.empty((rows, out), dtype=np.float64)  # the loss sums in float64
-        self.grad = np.empty_like(net.params)
-        self.g_weights, self.g_biases = net._layer_views(self.grad)
+            np.matmul(outs_t[layer], delta, out=self.g_weights[layer])
+            np.add.reduce(delta, axis=1, keepdims=True, out=self.g_biases[layer + 1])
+            delta = np.matmul(delta, self.weights_t[layer], out=deltas[layer])
+            delta *= np.greater(outs[layer], 0, out=masks[layer])
+        for x, d, gw in zip(xs, delta, self.g_first):
+            np.matmul(x.T, d, out=gw)
+        np.add.reduce(delta, axis=1, keepdims=True, out=self.g_biases[0])
+        return losses, self.grad
 
 
 def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
     return shifted
 
 
@@ -305,53 +339,78 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> No
 
 def train(
     z: Sequence,
-    k: int,
+    k,
     tables: EstimatedLossTables,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
     config: TrainConfig | None = None,
-) -> MLPDenoiser:
-    """Train a context denoiser on one noisy sequence.
+):
+    """Train a context denoiser on one noisy sequence, or one per context order.
+
+    k is one order, for one network seeded with config.rng_seed, or a
+    sequence of orders, for a list of networks, network k seeded with
+    config.rng_seed + k as a sweep's rows are. They train as one _Stack.
 
     Every position contributes a (context, pseudo-label) pair, edge
-    positions included. Shuffling is reseeded from config.rng_seed, so
-    identical inputs give an identical network. Rows are encoded and
-    their targets gathered a chunk of whole minibatches at a time; the
-    steps see the same minibatches as one encoding per step would.
+    positions included. Context rows are gathered from a padded copy of z
+    and encoded a chunk of whole minibatches at a time; the steps see the
+    same minibatches as one encoding per step would.
     """
     cfg = config if config is not None else TrainConfig()
+    single = np.ndim(k) == 0
+    orders = [int(k)] if single else [int(v) for v in k]
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
     n = len(z)
     if n < 1:
         raise SequenceTooShort("cannot train on an empty sequence")
+    if not orders:
+        raise DataError("need at least one context order")
     size = z.alphabet.size
-    dims = (2 * k * size, *hidden, tables.n_denoisers)
-    rng = np.random.default_rng(cfg.rng_seed)
-    net = MLPDenoiser(dims, k=k, rng=rng)
-    ctx = context_matrix(z.data, k, pad=size)
-    labels = tables.pseudo_labels.astype(net.dtype)
-    norms = tables.label_norms.astype(net.dtype)
-    adam = _Adam(net.n_params, cfg, net.dtype)
+    rngs = [np.random.default_rng(cfg.rng_seed + (0 if single else v)) for v in orders]
+    nets = [
+        MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
+        for v, rng in zip(orders, rngs)
+    ]
+    stack = _Stack(nets)
+    labels = tables.pseudo_labels.astype(stack.dtype)
+    norms = tables.label_norms.astype(stack.dtype)
+    adam = _Adam(stack.params.size, cfg, stack.dtype)
+    reach = max(orders)
+    padded = np.pad(z.data, reach, constant_values=size)
+    # Row i of windows is padded z[i - reach : i + reach + 1]; an order's
+    # columns pick row i of its context_matrix(z.data, k, pad=size).
+    windows = sliding_window_view(padded, 2 * reach + 1)
+    columns = [reach + np.r_[-v:0, 1 : v + 1] for v in orders]
     mb = cfg.minibatch_size
-    ws = _Workspace(net, mb)
-    chunk = mb * max(1, _FORWARD_CHUNK // mb)
-    x_buf = np.empty((min(chunk, n), dims[0]), dtype=net.dtype)
-    centers = z.data.astype(np.int64)
+    chunk = min(n, mb * max(1, _FORWARD_CHUNK // mb))
+    x_bufs = [np.empty((chunk, net.input_dim), dtype=stack.dtype) for net in nets]
+    g_buf = np.empty((len(nets), mb, tables.n_denoisers), dtype=stack.dtype)
+    # Each network's shuffle of the epoch; int32 halves their memory.
+    perms = np.empty((len(nets), n), dtype=np.int32 if n < 2**31 else np.int64)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
+        for perm, rng in zip(perms, rngs):
+            perm[:] = rng.permutation(n)
+        totals = np.zeros(len(nets))
         for c0 in range(0, n, chunk):
-            idx = order[c0 : c0 + chunk]
-            x = _encode_rows(ctx[idx], size, x_buf[: idx.size])
-            zc = centers[idx]
-            g, g_norms = labels[zc], norms[zc]
-            for s in range(0, idx.size, mb):
-                xb = x[s : s + mb]
-                loss, grad = net._loss_grad(xb, g[s : s + mb], g_norms[s : s + mb], ws)
-                adam.step(net.params, grad)
-                total += loss * xb.shape[0]
-        net.epoch_losses.append(total / n)
-    return net
+            idx = perms[:, c0 : c0 + chunk]
+            xs = [
+                _encode_rows(windows[i][:, cols], size, buf[: i.size])
+                for i, cols, buf in zip(idx, columns, x_bufs)
+            ]
+            zc = z.data[idx]
+            g_norms = norms[zc]
+            for s in range(0, idx.shape[1], mb):
+                zs = zc[:, s : s + mb]
+                g = labels.take(zs, axis=0, out=g_buf[:, : zs.shape[1]], mode="clip")
+                xb = [x[s : s + mb] for x in xs]
+                losses, grad = stack.loss_grad(xb, g, g_norms[:, s : s + mb])
+                adam.step(stack.params, grad)
+                totals += losses * zs.shape[1]
+        for net, total in zip(nets, totals):
+            net.epoch_losses.append(float(total / n))
+    for stacked, mine in stack.pairs():
+        mine[...] = stacked
+    return nets[0] if single else nets
 
 
 def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:

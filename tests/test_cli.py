@@ -301,6 +301,29 @@ def test_exit_codes(sim_files, tmp_path):
     assert "singular" in res.stderr.lower()
 
 
+def test_json_source_outputs_do_not_depend_on_directory(tmp_path):
+    # The same source file in two directories, run with the same seed,
+    # must give byte-identical files.
+    text = '{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [0.2, 0.8]]}'
+    written = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        d.mkdir()
+        source = str(d / "source.json")
+        (d / "source.json").write_text(text)
+        assert main([
+            "simulate", "--source", source, "--channel", "bsc:0.1", "--n", "500",
+            "--seed", "3", "--out-clean", str(d / "clean.txt"),
+            "--out-noisy", str(d / "noisy.txt"),
+        ]) == 0
+        assert main([
+            "denoise", "--input", str(d / "noisy.txt"), "--channel", "bsc:0.1", "--method", "fb",
+            "--source", source, "--output", str(d / "fb.txt"),
+        ]) == 0
+        written.append([(d / f).read_bytes() for f in ("clean.txt", "noisy.txt", "fb.txt")])
+    assert written[0] == written[1]
+
+
 def test_fb_impossible_observation_exits_2(tmp_path, capsys):
     # a chain that never moves, seen without noise, cannot show a second symbol
     source = tmp_path / "still.json"

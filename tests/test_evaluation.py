@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import ALPHABETS, random_invertible_channel
+from dudekit import neural
 from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit.core import BINARY, Sequence
@@ -142,6 +144,49 @@ def test_sweep_ndude_deterministic():
     stripped2 = [dataclasses.replace(r, wall_time_s=0.0) for r in rep2.records]
     assert stripped1 == stripped2
     assert dict(rep1.meta)["hidden"] == "10"
+
+
+@pytest.mark.parametrize(
+    "size, n, minibatch",
+    [(2, 403, 7), (2, 151, 1), (4, 403, 7), (4, 97, 1)],
+)
+def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
+    # One stacked training of the whole sweep gives, bit for bit, the
+    # networks, rows and reconstruction of training each k on its own
+    # with seed rng_seed + k. n is not a multiple of the minibatch, the
+    # orders include 0 and gaps, and size 4 has a 256-rule head.
+    rng = np.random.default_rng(size * 1000 + n)
+    chan = random_invertible_channel(rng, size)
+    t = build_estimated_loss(chan, hamming_loss(ALPHABETS[size]))
+    x = Sequence(rng.integers(0, size, n).astype(np.uint8), ALPHABETS[size])
+    z = corrupt(x, chan, rng_seed=2)
+    cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=9)
+    ks = [0, 2, 5]
+    alone = {
+        k: neural.train(z, k, t, (8, 6), dataclasses.replace(cfg, rng_seed=cfg.rng_seed + k))
+        for k in ks
+    }
+    for k, net in zip(ks, neural.train(z, ks, t, (8, 6), cfg)):
+        assert net.k == k
+        assert net.params.tobytes() == alone[k].params.tobytes()
+        assert net.epoch_losses == alone[k].epoch_losses
+    with pytest.raises(DataError):
+        neural.train(z, [], t, (8, 6), cfg)
+    report, recon = sweep_k(z, t, ks, method="ndude", clean=x, hidden=(8, 6), config=cfg)
+    recons = {}
+    for rec in report.records:
+        s_idx = neural.select_denoisers(z, alone[rec.k], t)
+        recons[rec.k] = apply_rules(z, s_idx, t)
+        want = KRecord(
+            k=rec.k,
+            estimated_loss=estimated_loss(z, s_idx, t),
+            true_ber=symbol_error_rate(x, recons[rec.k]),
+            wall_time_s=rec.wall_time_s,
+        )
+        assert rec == want
+    assert [r.k for r in report.records] == ks
+    assert report.k_star == select_k(report.records)
+    assert recon == recons[report.k_star]
 
 
 def test_report_csv_roundtrip(tmp_path):

@@ -249,7 +249,6 @@ def test_train_matches_per_step_reference():
     ref = MLPDenoiser((2 * k * size, 16, t.n_denoisers), k=k, rng=rng)
     ctx = context_matrix(z.data, k, pad=size)
     labels = t.pseudo_labels.astype(np.float32)
-    norms = t.label_norms.astype(np.float32)
     m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
     steps = 0
     losses = []
@@ -260,7 +259,7 @@ def test_train_matches_per_step_reference():
             idx = order[start : start + cfg.minibatch_size]
             x = _encode_rows(ctx[idx], size, np.zeros((idx.size, ref.input_dim), np.float32))
             zc = z.data[idx]
-            loss, grad = ref._loss_grad(x, labels[zc], norms[zc])
+            loss, grad = ref.loss_and_gradient(x, labels[zc])
             steps += 1
             _stock_adam(ref.params, m, v, grad, steps, cfg)
             total += loss * idx.size

@@ -46,10 +46,11 @@ def _fingerprint(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _source_id(spec: str) -> str:
-    """--source as outputs record it: a JSON file by a digest of its bytes,
-    so outputs do not depend on the directory; a built-in spec as written."""
-    if spec.startswith("bsmc:"):
+def _spec_id(spec: str) -> str:
+    """--source or --channel as outputs record it: a built-in spec as
+    written, a JSON file by a digest of its bytes, so outputs do not
+    depend on the directory."""
+    if spec.startswith(("bsmc:", "bsc:", "dsc:")):
         return spec
     with open(spec, "rb") as fh:
         return "json-sha256:" + hashlib.sha256(fh.read()).hexdigest()[:16]
@@ -86,12 +87,12 @@ def _cmd_simulate(args) -> int:
     chan, _ = parse_channel_spec(args.channel)
     if source.alphabet != chan.alphabet:
         raise DataError("source and channel alphabets differ")
-    source_id = _source_id(args.source)
+    source_id, channel_id = _spec_id(args.source), _spec_id(args.channel)
     fp = _fingerprint(
         {
             "cmd": "simulate",
             "source": source_id,
-            "channel": args.channel,
+            "channel": channel_id,
             "n": args.n,
             "seed": args.seed,
         }
@@ -101,7 +102,7 @@ def _cmd_simulate(args) -> int:
     z = baselines.corrupt(x, chan, rng_seed=args.seed + 1)
     common = {
         "source": source_id,
-        "channel": args.channel,
+        "channel": channel_id,
         "seed": str(args.seed),
         "fingerprint": fp,
     }
@@ -117,21 +118,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_denoise(args) -> int:
     chan, loss = parse_channel_spec(args.channel)
     z, _ = io.load_sequence(args.input, chan.alphabet)
+    channel_id = _spec_id(args.channel)
     fp = _fingerprint(
         {
             "cmd": "denoise",
             "method": args.method,
-            "channel": args.channel,
+            "channel": channel_id,
             "k": args.k,
             "seed": args.seed,
             "hidden": args.hidden,
             "epochs": args.epochs,
             "minibatch": args.minibatch,
             "lr": args.lr,
-            "source": _source_id(args.source) if args.source else None,
+            "source": _spec_id(args.source) if args.source else None,
         }
     )
-    meta = {"method": args.method, "channel": args.channel, "fingerprint": fp}
+    meta = {"method": args.method, "channel": channel_id, "fingerprint": fp}
     if args.method in ("dude", "ndude"):
         if args.k is None:
             raise _UsageError(f"--k is required for method {args.method}")
@@ -171,7 +173,7 @@ def _cmd_sweep(args) -> int:
         {
             "cmd": "sweep",
             "method": args.method,
-            "channel": args.channel,
+            "channel": _spec_id(args.channel),
             "kmin": args.kmin,
             "kmax": args.kmax,
             "seed": args.seed,

@@ -5,7 +5,9 @@ context of order k at position i is the k symbols to the left and the k
 symbols to the right of i, center excluded. Positions within k of either
 edge use a padding sentinel (index == alphabet.size) for the missing
 symbols, so the sentinel never collides with a real symbol.
-group_contexts is the one context table both denoisers work from.
+Every context row is read from one padded window view (context_windows
+and context_columns), and group_contexts is the one context table both
+denoisers work from.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, InvalidSymbol, SequenceTooShort
 
@@ -172,21 +175,20 @@ def context_key(c: Context, alphabet: Alphabet) -> int:
     return size ** (2 * c.k) + key
 
 
-def context_matrix(data: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """Per-position context digits as an (n, 2k) uint8 matrix.
+def context_windows(data: np.ndarray, reach: int, pad: int) -> np.ndarray:
+    """Read-only (n, 2*reach + 1) view over a padded copy of data.
 
-    Row i holds (z[i-k], ..., z[i-1], z[i+1], ..., z[i+k]) with pad
-    substituted for out-of-range positions. Column order matches
-    Context.digits().
+    Row i is (data[i-reach], ..., data[i+reach]) with pad substituted for
+    out-of-range positions; context_columns picks an order's context
+    from it. Each column is a contiguous slice of the padded copy.
     """
-    n = data.shape[0]
-    padded = np.full(n + 2 * k, pad, dtype=np.uint8)
-    padded[k : k + n] = data
-    out = np.empty((n, 2 * k), dtype=np.uint8)
-    for j in range(k):
-        out[:, j] = padded[j : j + n]
-        out[:, k + j] = padded[k + 1 + j : k + 1 + j + n]
-    return out
+    return sliding_window_view(np.pad(data, reach, constant_values=pad), 2 * reach + 1)
+
+
+def context_columns(k: int, reach: int) -> np.ndarray:
+    """Columns of context_windows(data, reach, pad) holding the order-k
+    context (k <= reach), in Context.digits() order."""
+    return reach + np.r_[-k:0, 1 : k + 1]
 
 
 def interior_slice(n: int, k: int) -> slice:
@@ -199,20 +201,20 @@ def interior_slice(n: int, k: int) -> slice:
     return slice(k, n - k)
 
 
-def pack_context_keys(ctx: np.ndarray, base: int) -> np.ndarray | None:
-    """Little-endian base-`base` packing of context rows into uint64.
+def pack_context_keys(windows: np.ndarray, columns: np.ndarray, base: int) -> np.ndarray | None:
+    """Little-endian base-`base` packing of the context digits in
+    windows[:, columns] into uint64, one key per row.
 
     Returns None when base**(2k) exceeds the uint64 range; callers fall
     back to row-wise uniquing. For pad-free rows with base == |Z| the
     packed value equals context_key of the row.
     """
-    width = ctx.shape[1]
-    if base**width > np.iinfo(np.uint64).max:
+    if base ** len(columns) > np.iinfo(np.uint64).max:
         return None
-    out = np.zeros(ctx.shape[0], dtype=np.uint64)
+    out = np.zeros(windows.shape[0], dtype=np.uint64)
     # Column-wise accumulation keeps peak memory at O(n) regardless of k.
-    for j in range(width):
-        out += ctx[:, j].astype(np.uint64) * np.uint64(base**j)
+    for j, col in enumerate(columns):
+        out += windows[:, col].astype(np.uint64) * np.uint64(base**j)
     return out
 
 
@@ -225,7 +227,8 @@ class ContextGroups:
     """
 
     seq: Sequence
-    contexts: np.ndarray  # (n, 2k) context_matrix of seq
+    windows: np.ndarray  # context_windows of seq, reach k
+    columns: np.ndarray  # context_columns(k, k)
     inverse: np.ndarray  # (n,)
     n_groups: int
 
@@ -234,7 +237,7 @@ class ContextGroups:
         member = np.empty(self.n_groups, dtype=np.intp)
         # Every member of a group has the same row, so any one will do.
         member[self.inverse] = np.arange(self.inverse.size)
-        return self.contexts[member]
+        return self.windows[member[:, None], self.columns]
 
     def center_counts(self) -> np.ndarray:
         """counts[g, a]: how often symbol a sits at the center of group g."""
@@ -246,10 +249,10 @@ class ContextGroups:
 def group_contexts(seq: Sequence, k: int) -> ContextGroups:
     """Group every position of seq, edges included, by its order-k context."""
     size = seq.alphabet.size
-    ctx = context_matrix(seq.data, k, pad=size)
-    keys = pack_context_keys(ctx, size + 1)  # pad digit == size needs base size+1
+    windows, columns = context_windows(seq.data, k, pad=size), context_columns(k, k)
+    keys = pack_context_keys(windows, columns, size + 1)  # pad digit == size needs base size+1
     if keys is not None:
         uniq, inverse = np.unique(keys, return_inverse=True)
     else:
-        uniq, inverse = np.unique(ctx, axis=0, return_inverse=True)
-    return ContextGroups(seq, ctx, inverse.reshape(-1), len(uniq))
+        uniq, inverse = np.unique(windows[:, columns], axis=0, return_inverse=True)
+    return ContextGroups(seq, windows, columns, inverse.reshape(-1), len(uniq))

@@ -9,6 +9,7 @@ write_headed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,20 +122,9 @@ def load_pbm(path: str) -> ImageGrid:
         )[:, :width]
         return ImageGrid(width=width, height=height, pixels=bits.reshape(-1))
     if magic == b"P1":
-        body = blob[offset:]
         # Strip comments, then every remaining non-whitespace char must be a bit.
-        cleaned = []
-        i = 0
-        while i < len(body):
-            if body[i] == 0x23:
-                while i < len(body) and body[i] != 0x0A:
-                    i += 1
-            else:
-                cleaned.append(body[i])
-                i += 1
-        digits = bytes(cleaned).split()
-        flat = b"".join(digits)
-        if any(c not in b"01" for c in flat):
+        flat = b"".join(re.sub(rb"#[^\n]*", b"", blob[offset:]).split())
+        if flat.translate(None, b"01"):
             raise MalformedHeader(f"{path}: plain bitmap contains non-bit characters")
         if len(flat) < width * height:
             raise TruncatedPayload(

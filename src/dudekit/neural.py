@@ -29,10 +29,9 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import Alphabet, Context, Sequence, group_contexts
+from .core import Alphabet, Context, Sequence, context_columns, context_windows, group_contexts
 from .errors import (
     CheckpointMismatch,
     DataError,
@@ -71,30 +70,6 @@ class TrainConfig:
             raise DataError("learning_rate must be positive and finite")
 
 
-def cost(g: np.ndarray, p: np.ndarray) -> float:
-    """Generalized cross-entropy -sum(g * log p) for non-negative g.
-
-    g need not be normalized; p is floored before the log so zero
-    probabilities stay finite.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if g.shape != p.shape:
-        raise DimensionMismatch("cost arguments must share a shape")
-    return float(-(g * np.log(np.maximum(p, COST_FLOOR))).sum())
-
-
-def cost_gradient_wrt_logits(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gradient of cost(g, softmax(logits)) with respect to the logits.
-
-    Equals ||g||_1 * p - g, so it vanishes exactly when p is g
-    normalized to a distribution. Accepts a single pair or a batch.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    return g.sum(axis=-1, keepdims=True) * p - g
-
-
 def encode_context(c: Context, alphabet: Alphabet) -> np.ndarray:
     """One-hot encoding of a context: 2k blocks of |alphabet| entries.
 
@@ -116,7 +91,7 @@ def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
     """One-hot encode (B, 2k) digit rows into a C-contiguous (B, 2k*size) array.
 
     Each digit gathers its row of a one-hot table whose pad row is zero.
-    Digits come from context_matrix, so they lie in [0, size].
+    Digits come from a context window view, so they lie in [0, size].
     """
     b, width = rows.shape
     table = np.eye(size + 1, size, dtype=out.dtype)
@@ -199,7 +174,8 @@ class MLPDenoiser:
         return _softmax(logits, out=logits)
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
-        """Mean cost over the batch and its gradient in flat-parameter form,
+        """Mean generalized cross-entropy -sum(g * log p) over the batch, p
+        floored at COST_FLOOR, and its gradient in flat-parameter form,
         computed by the training step on a stack of this one network."""
         x, g = np.asarray(x, dtype=self.dtype), np.asarray(g, dtype=self.dtype)
         if g.shape != (x.shape[0], self.output_dim):
@@ -351,9 +327,9 @@ def train(
     config.rng_seed + k as a sweep's rows are. They train as one _Stack.
 
     Every position contributes a (context, pseudo-label) pair, edge
-    positions included. Context rows are gathered from a padded copy of z
-    and encoded a chunk of whole minibatches at a time; the steps see the
-    same minibatches as one encoding per step would.
+    positions included. Context rows are gathered from one context window
+    view of z and encoded a chunk of whole minibatches at a time; the
+    steps see the same minibatches as one encoding per step would.
     """
     cfg = config if config is not None else TrainConfig()
     single = np.ndim(k) == 0
@@ -376,11 +352,8 @@ def train(
     norms = tables.label_norms.astype(stack.dtype)
     adam = _Adam(stack.params.size, cfg, stack.dtype)
     reach = max(orders)
-    padded = np.pad(z.data, reach, constant_values=size)
-    # Row i of windows is padded z[i - reach : i + reach + 1]; an order's
-    # columns pick row i of its context_matrix(z.data, k, pad=size).
-    windows = sliding_window_view(padded, 2 * reach + 1)
-    columns = [reach + np.r_[-v:0, 1 : v + 1] for v in orders]
+    windows = context_windows(z.data, reach, pad=size)
+    columns = [context_columns(v, reach) for v in orders]
     mb = cfg.minibatch_size
     chunk = min(n, mb * max(1, _FORWARD_CHUNK // mb))
     x_bufs = [np.empty((chunk, net.input_dim), dtype=stack.dtype) for net in nets]
@@ -478,10 +451,15 @@ def load_checkpoint(path: str) -> tuple[MLPDenoiser, dict]:
             if "magic" not in data or str(data["magic"]) != CHECKPOINT_MAGIC:
                 raise MalformedHeader(f"{path} is not a denoiser checkpoint")
             dims = tuple(int(d) for d in data["layer_dims"])
-            net = MLPDenoiser(dims, k=int(data["k"]), dtype=np.dtype(str(data["dtype"])))
+            dtype = np.dtype(str(data["dtype"]))
+            if dtype not in (np.float32, np.float64):
+                raise MalformedHeader(f"checkpoint dtype {dtype} is not float32 or float64")
+            net = MLPDenoiser(dims, k=int(data["k"]), dtype=dtype)
             params = data["params"]
-            if params.shape != net.params.shape:
-                raise MalformedHeader("checkpoint parameter count does not match dims")
+            if params.shape != net.params.shape or params.dtype != dtype:
+                raise MalformedHeader("checkpoint parameters do not match its dims and dtype")
+            if not np.isfinite(params).all():
+                raise MalformedHeader("checkpoint parameters are not all finite")
             net.params[:] = params
             net.epoch_losses = [float(v) for v in data["epoch_losses"]]
             meta = {"fingerprint": str(data["fingerprint"]), "k": net.k}

@@ -302,25 +302,36 @@ def test_exit_codes(sim_files, tmp_path):
 
 
 def test_json_source_outputs_do_not_depend_on_directory(tmp_path):
-    # The same source file in two directories, run with the same seed,
-    # must give byte-identical files.
-    text = '{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [0.2, 0.8]]}'
+    # The same source and channel files in two directories, run with the
+    # same seed, must give byte-identical files.
+    source_text = '{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [0.2, 0.8]]}'
+    channel_text = '{"alphabet": ["0", "1"], "channel": [[0.9, 0.1], [0.1, 0.9]]}'
+    outputs = ("clean.txt", "noisy.txt", "fb.txt", "dude.txt", "sweep.txt")
     written = []
     for name in ("a", "b"):
         d = tmp_path / name
         d.mkdir()
-        source = str(d / "source.json")
-        (d / "source.json").write_text(text)
+        (d / "source.json").write_text(source_text)
+        (d / "channel.json").write_text(channel_text)
+        source, channel = str(d / "source.json"), str(d / "channel.json")
+        noisy = str(d / "noisy.txt")
         assert main([
-            "simulate", "--source", source, "--channel", "bsc:0.1", "--n", "500",
-            "--seed", "3", "--out-clean", str(d / "clean.txt"),
-            "--out-noisy", str(d / "noisy.txt"),
+            "simulate", "--source", source, "--channel", channel, "--n", "500",
+            "--seed", "3", "--out-clean", str(d / "clean.txt"), "--out-noisy", noisy,
         ]) == 0
         assert main([
-            "denoise", "--input", str(d / "noisy.txt"), "--channel", "bsc:0.1", "--method", "fb",
+            "denoise", "--input", noisy, "--channel", channel, "--method", "fb",
             "--source", source, "--output", str(d / "fb.txt"),
         ]) == 0
-        written.append([(d / f).read_bytes() for f in ("clean.txt", "noisy.txt", "fb.txt")])
+        assert main([
+            "denoise", "--input", noisy, "--channel", channel, "--method", "dude",
+            "--k", "2", "--output", str(d / "dude.txt"),
+        ]) == 0
+        assert main([
+            "sweep", "--input", noisy, "--channel", channel, "--method", "dude",
+            "--kmax", "2", "--report", str(d / "sweep.csv"), "--output", str(d / "sweep.txt"),
+        ]) == 0
+        written.append([(d / f).read_bytes() for f in outputs])
     assert written[0] == written[1]
 
 

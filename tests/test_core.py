@@ -9,8 +9,9 @@ from dudekit.core import (
     Alphabet,
     Context,
     Sequence,
+    context_columns,
     context_key,
-    context_matrix,
+    context_windows,
     extract_context,
     group_contexts,
     interior_slice,
@@ -141,12 +142,15 @@ def test_context_key_injective_and_partitioned():
 
 
 def test_context_matrix_matches_extract(rng=None):
+    # The order-k columns of a window view of any reach >= k are the context rows.
     rng = np.random.default_rng(42)
     for size, alphabet in ((2, BINARY), (4, DNA)):
         data = rng.integers(0, size, 50).astype(np.uint8)
         seq = Sequence(data, alphabet)
-        for k in (0, 1, 3):
-            mat = context_matrix(data, k, pad=alphabet.pad_index)
+        for k, reach in ((0, 0), (1, 1), (3, 3), (1, 4), (3, 5)):
+            windows = context_windows(data, reach, pad=alphabet.pad_index)
+            assert windows.shape == (50, 2 * reach + 1) and not windows.flags.writeable
+            mat = windows[:, context_columns(k, reach)]
             assert mat.shape == (50, 2 * k)
             for i in (0, 1, 25, 48, 49):
                 assert tuple(mat[i]) == extract_context(seq, i, k).digits()
@@ -157,16 +161,15 @@ def test_pack_context_keys_matches_context_key():
     data = rng.integers(0, 2, 40).astype(np.uint8)
     seq = Sequence(data, BINARY)
     k = 3
-    mat = context_matrix(data, k, pad=BINARY.pad_index)
-    inner = slice(k, 40 - k)
-    keys = pack_context_keys(mat[inner], BINARY.size)
-    for row_idx, i in enumerate(range(k, 40 - k)):
-        assert int(keys[row_idx]) == context_key(extract_context(seq, i, k), BINARY)
+    windows = context_windows(data, k, pad=BINARY.pad_index)
+    keys = pack_context_keys(windows, context_columns(k, k), BINARY.size)
+    for i in range(k, 40 - k):
+        assert int(keys[i]) == context_key(extract_context(seq, i, k), BINARY)
 
 
 def test_pack_context_keys_overflow_returns_none():
-    mat = np.zeros((3, 80), dtype=np.uint8)
-    assert pack_context_keys(mat, 2) is None
+    windows = context_windows(np.zeros(3, dtype=np.uint8), 40, pad=2)
+    assert pack_context_keys(windows, context_columns(40, 40), 2) is None
 
 
 def _check_groups(seq, k):
@@ -187,11 +190,13 @@ def test_group_contexts_matches_extract():
 
 
 def test_group_contexts_row_fallback():
-    # 3**82 overflows uint64, so grouping falls back to row-wise uniquing.
-    seq = Sequence(np.random.default_rng(12).integers(0, 2, 120).astype(np.uint8), BINARY)
-    k = 41
-    assert pack_context_keys(context_matrix(seq.data, k, pad=2), 3) is None
-    _check_groups(seq, k)
+    # 3**82 and 5**28 overflow uint64, so grouping falls back to row-wise uniquing.
+    rng = np.random.default_rng(12)
+    for alphabet, k, n in ((BINARY, 41, 120), (DNA, 14, 60)):
+        seq = Sequence(rng.integers(0, alphabet.size, n).astype(np.uint8), alphabet)
+        windows = context_windows(seq.data, k, pad=alphabet.pad_index)
+        assert pack_context_keys(windows, context_columns(k, k), alphabet.size + 1) is None
+        _check_groups(seq, k)
 
 
 def test_interior_slice():

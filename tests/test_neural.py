@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
-from dudekit.core import BINARY, Context, Sequence, context_matrix
+from dudekit.core import BINARY, Context, Sequence, extract_context
 from dudekit.errors import (
     CheckpointMismatch,
     DataError,
@@ -20,8 +20,6 @@ from dudekit.neural import (
     TrainConfig,
     check_checkpoint,
     context_probabilities,
-    cost,
-    cost_gradient_wrt_logits,
     denoise,
     encode_context,
     load_checkpoint,
@@ -57,31 +55,6 @@ def test_train_config_validation():
             TrainConfig(learning_rate=bad)
 
 
-def test_cost_values():
-    half = np.array([0.5, 0.5])
-    assert cost(np.array([0.0, 1.0]), half) == pytest.approx(np.log(2.0))
-    assert cost(np.array([2.0, 1.0]), half) == pytest.approx(3 * np.log(2.0))
-    assert cost(np.zeros(2), half) == 0.0
-    # floored log keeps zero probabilities finite
-    val = cost(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert np.isfinite(val) and val > 60
-
-
-def test_cost_shape_check():
-    with pytest.raises(DimensionMismatch):
-        cost(np.zeros(2), np.zeros(3))
-
-
-def test_logit_gradient_stationary_at_normalized_target():
-    rng = np.random.default_rng(5)
-    g = rng.random(6) * 3
-    p = g / g.sum()
-    assert np.max(np.abs(cost_gradient_wrt_logits(g, p))) < 1e-12
-    batch_g = rng.random((4, 6))
-    batch_p = batch_g / batch_g.sum(axis=1, keepdims=True)
-    assert np.max(np.abs(cost_gradient_wrt_logits(batch_g, batch_p))) < 1e-12
-
-
 def test_encode_context_layout():
     x = encode_context(Context((0,), (1,)), BINARY)
     assert np.array_equal(x, [1, 0, 0, 1])
@@ -97,12 +70,10 @@ def test_encode_rows_matches_encode_context():
     alphabet = ALPHABETS[3]
     data = rng.integers(0, 3, 40).astype(np.uint8)
     k = 2
-    ctx = context_matrix(data, k, pad=alphabet.pad_index)
+    seq = Sequence(data, alphabet)
+    ctx = np.array([extract_context(seq, i, k).digits() for i in range(40)], dtype=np.uint8)
     buf = np.zeros((40, 2 * k * 3), dtype=np.float64)
     got = _encode_rows(ctx, 3, buf)
-    seq = Sequence(data, alphabet)
-    from dudekit.core import extract_context
-
     for i in (0, 1, 20, 38, 39):
         want = encode_context(extract_context(seq, i, k), alphabet)
         assert np.array_equal(got[i], want)
@@ -135,6 +106,8 @@ def test_forward_rows_are_distributions():
     assert np.all(p >= 0)
     with pytest.raises(DimensionMismatch):
         net.forward(np.zeros((3, 5)))
+    with pytest.raises(DimensionMismatch):
+        net.loss_and_gradient(x, np.zeros((7, 3)))
 
 
 def test_gradient_finite_difference():
@@ -164,6 +137,21 @@ def test_gradient_zero_for_zero_targets():
     loss, grad = net.loss_and_gradient(x, np.zeros((5, 3)))
     assert loss == 0.0
     assert np.max(np.abs(grad)) == 0.0
+    # A k = 0 network outputs softmax(output bias) for every row. Its loss
+    # is the mean of -g . log p, and its gradient vanishes where p is the
+    # targets summed over the batch, normalized.
+    net = MLPDenoiser((0, 6), k=0, dtype=np.float64)
+    x = np.zeros((4, 0))
+    g = rng.random((4, 6)) * 3
+    net.biases[0][:] = np.log(g.sum(axis=0) / g.sum())
+    loss, grad = net.loss_and_gradient(x, g)
+    p = g.sum(axis=0) / g.sum()
+    assert loss == pytest.approx(-(g @ np.log(p)).mean())
+    assert np.max(np.abs(grad)) < 1e-12
+    # the floored log keeps a zero probability finite
+    net.biases[0][:] = [0.0, -1000.0, 0.0, 0.0, 0.0, 0.0]
+    loss, _ = net.loss_and_gradient(x, np.eye(6)[[1, 1, 1, 1]])
+    assert np.isfinite(loss) and loss > 60
 
 
 def _toy_instance(n=4000, seed=3):
@@ -247,7 +235,7 @@ def test_train_matches_per_step_reference():
     k, size = 3, z.alphabet.size
     rng = np.random.default_rng(cfg.rng_seed)
     ref = MLPDenoiser((2 * k * size, 16, t.n_denoisers), k=k, rng=rng)
-    ctx = context_matrix(z.data, k, pad=size)
+    ctx = np.array([extract_context(z, i, k).digits() for i in range(len(z))], dtype=np.uint8)
     labels = t.pseudo_labels.astype(np.float32)
     m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
     steps = 0
@@ -281,8 +269,6 @@ def test_select_denoisers_matches_per_position_forward():
     t = bsc01_tables()
     net = train(z, 2, t, hidden=(12,), config=TrainConfig(epochs=2, rng_seed=4))
     s_idx = select_denoisers(z, net, t)
-    from dudekit.core import extract_context
-
     for i in list(range(5)) + [300, 597, 598, 599]:
         c = extract_context(z, i, net.k)
         p = context_probabilities(net, [c], BINARY)[0]
@@ -353,6 +339,19 @@ def test_checkpoint_bad_file(tmp_path):
     np.savez(other, stuff=np.arange(3))
     with pytest.raises(MalformedHeader):
         load_checkpoint(str(other))
+    # networks that are not float, or whose parameters are not finite
+    net = MLPDenoiser((4, 3, 4), k=1, rng=np.random.default_rng(0))
+    save_checkpoint(net, str(path), bsc01_tables())
+    with np.load(path) as data:
+        fields = {key: data[key] for key in data.files}
+    bad = [{"dtype": t, "params": net.params.astype(t)} for t in ("int64", "bool", "complex128")]
+    bad += [{"params": net.params.astype(np.int64)}]  # not the dtype it declares
+    bad += [{"params": np.where(np.arange(net.n_params) == 5, v, net.params)}
+            for v in (np.nan, np.inf, -np.inf)]
+    for change in bad:
+        np.savez(other, **{**fields, **change})
+        with pytest.raises(MalformedHeader):
+            load_checkpoint(str(other))
 
 
 def test_checkpoint_missing_field_or_truncated(tmp_path):

@@ -7,7 +7,7 @@ edge use a padding sentinel (index == alphabet.size) for the missing
 symbols, so the sentinel never collides with a real symbol.
 Every context row is read from one padded window view (context_windows
 and context_columns), and group_contexts is the one context table both
-denoisers work from.
+denoisers work from; context_groups refines it order by order.
 """
 
 from __future__ import annotations
@@ -201,21 +201,39 @@ def interior_slice(n: int, k: int) -> slice:
     return slice(k, n - k)
 
 
-def pack_context_keys(windows: np.ndarray, columns: np.ndarray, base: int) -> np.ndarray | None:
-    """Little-endian base-`base` packing of the context digits in
-    windows[:, columns] into uint64, one key per row.
+def pack_context_keys(windows, columns, base: int, head, rows=slice(None)) -> np.ndarray:
+    """uint64 keys head * base**len(columns) + sum_j windows[rows, columns[j]] * base**j.
 
-    Returns None when base**(2k) exceeds the uint64 range; callers fall
-    back to row-wise uniquing. For pad-free rows with base == |Z| the
-    packed value equals context_key of the row.
+    The caller keeps every key below 2**64. With head 0, base == |Z| and
+    pad-free rows the key equals context_key of the row.
     """
-    if base ** len(columns) > np.iinfo(np.uint64).max:
-        return None
-    out = np.zeros(windows.shape[0], dtype=np.uint64)
-    # Column-wise accumulation keeps peak memory at O(n) regardless of k.
-    for j, col in enumerate(columns):
-        out += windows[:, col].astype(np.uint64) * np.uint64(base**j)
-    return out
+    key = head.astype(np.uint64)
+    # Horner's rule from the last column, accumulating in place: O(n) memory for any k.
+    for col in columns[::-1]:
+        key *= np.uint64(base)
+        key += windows[rows, col]
+    return key
+
+
+def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int):
+    """Split the groups of the partition (inverse, n_groups) by windows[:, columns]."""
+    span = n_groups * base ** len(columns)
+    if span <= inverse.size:  # dense keys: mark them and number them in key order, with no sort
+        key = pack_context_keys(windows, columns, base, inverse)
+        seen = np.zeros(span, dtype=bool)
+        seen[key] = True
+        ids = np.cumsum(seen, dtype=inverse.dtype) - 1
+        return ids[key], int(ids[-1]) + 1 if span else 0
+    # Sparse keys: a position alone in its group stays alone, so only shared groups are sorted.
+    alone = np.bincount(inverse, minlength=n_groups) == 1
+    shared = np.flatnonzero(~alone[inverse]) if alone.any() else slice(None)
+    key = pack_context_keys(windows, columns, base, inverse[shared], shared)
+    uniq, sub = np.unique(key, return_inverse=True)
+    rank = np.cumsum(alone, dtype=inverse.dtype) - 1
+    out, n_alone = rank[inverse], int(rank[-1]) + 1
+    sub += n_alone
+    out[shared] = sub
+    return out, n_alone + len(uniq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +245,8 @@ class ContextGroups:
     """
 
     seq: Sequence
-    windows: np.ndarray  # context_windows of seq, reach k
-    columns: np.ndarray  # context_columns(k, k)
+    windows: np.ndarray  # context_windows of seq, reach >= k
+    columns: np.ndarray  # context_columns(k, reach)
     inverse: np.ndarray  # (n,)
     n_groups: int
 
@@ -242,17 +260,37 @@ class ContextGroups:
     def center_counts(self) -> np.ndarray:
         """counts[g, a]: how often symbol a sits at the center of group g."""
         size = self.seq.alphabet.size
-        flat = self.inverse * size + self.seq.data
+        flat = np.multiply(self.inverse, size, dtype=np.intp) + self.seq.data
         return np.bincount(flat, minlength=self.n_groups * size).reshape(self.n_groups, size)
 
 
+def context_groups(seq: Sequence, orders):
+    """Yield seq's ContextGroups for each of the ascending orders.
+
+    Each order's groups refine those of the order before by the digits of
+    the orders it adds, as many per step as keep every key within uint64.
+    All share one window view of reach max(orders).
+    """
+    orders = [int(k) for k in orders]
+    if orders != sorted(orders):
+        raise DataError("context orders must ascend")
+    n, base = len(seq), seq.alphabet.size + 1  # pad digit == size needs base size+1
+    reach = max(orders, default=0)
+    windows = context_windows(seq.data, reach, pad=seq.alphabet.pad_index)
+    inverse = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
+    n_groups, done = min(n, 1), 0
+    for k in orders:
+        while done < k:
+            fits = [d for d in range(2, k - done + 1) if n_groups * base ** (2 * d) <= 2**64]
+            cols = context_columns(done + max(fits, default=1), reach)
+            cols = cols[abs(cols - reach) > done]  # the orders this step adds
+            inverse, n_groups = _refine(inverse, n_groups, windows, cols, base)
+            done += len(cols) // 2
+        yield ContextGroups(seq, windows, context_columns(k, reach), inverse, n_groups)
+
+
 def group_contexts(seq: Sequence, k: int) -> ContextGroups:
-    """Group every position of seq, edges included, by its order-k context."""
-    size = seq.alphabet.size
-    windows, columns = context_windows(seq.data, k, pad=size), context_columns(k, k)
-    keys = pack_context_keys(windows, columns, size + 1)  # pad digit == size needs base size+1
-    if keys is not None:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-    else:
-        uniq, inverse = np.unique(windows[:, columns], axis=0, return_inverse=True)
-    return ContextGroups(seq, windows, columns, inverse.reshape(-1), len(uniq))
+    """Group every position of seq, edges included, by its order-k context.
+
+    Up to k = 20 on binary and 13 on DNA, groups are numbered in key order."""
+    return next(context_groups(seq, (k,)))

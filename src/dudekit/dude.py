@@ -97,20 +97,22 @@ def _argmin_chunked(counts: np.ndarray, est: np.ndarray) -> np.ndarray:
     return out
 
 
-def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables) -> np.ndarray:
+def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables, groups=None) -> np.ndarray:
     """Per-position single-symbol rule indices for the whole sequence.
 
     Interior positions get the rule chosen from their context's counts;
     edge positions get the identity rule, which reproduces the
     pass-through behavior of the denoiser there. Edge contexts hold the
     pad digit, so counting them changes no interior group's counts.
+    groups, if given, are z's order-k ContextGroups in any numbering (a
+    sweep refines them from the order before).
     """
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
     if tables.loss.n_reconstructions != z.alphabet.size:
         raise DimensionMismatch("sliding-window denoising requires a square loss")
     inner = interior_slice(len(z), k)
-    groups = group_contexts(z, k)
+    groups = groups if groups is not None else group_contexts(z, k)
     per_group = _argmin_chunked(groups.center_counts(), tables.estimated_loss)
     s_idx = per_group[groups.inverse]
     s_idx[: inner.start] = tables.identity

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dude, io, neural
 from .channel import EstimatedLossTables, apply_rules
-from .core import Alphabet, Sequence
+from .core import Alphabet, Sequence, context_groups, group_contexts
 from .errors import DataError, LengthMismatch, MalformedHeader
 from .neural import TrainConfig
 
@@ -56,17 +56,19 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
 
 @dataclass(frozen=True)
 class KRecord:
-    """One sweep row: context order, losses, wall time.
+    """One sweep row: context order, losses, distinct contexts, wall time.
 
-    wall_time_s is this k's own selection and scoring time. In an N-DUDE
-    sweep, whose orders train together as one stack, it also holds an
-    equal share of the joint training time. Both report formats write
-    the fields in this order, and parse reads them back.
+    n_contexts counts distinct order-k contexts, edges included.
+    wall_time_s is this k's own grouping, selection and scoring time. In
+    an N-DUDE sweep, whose orders train together as one stack, it also
+    holds an equal share of the joint training time. Both report formats
+    write the fields in this order, and parse reads them back.
     """
 
     k: int
     estimated_loss: float
     true_ber: float | None
+    n_contexts: int
     wall_time_s: float
 
     @classmethod
@@ -77,6 +79,7 @@ class KRecord:
             k=int(row["k"]),
             estimated_loss=float(row["estimated_loss"]),
             true_ber=None if ber in ("", None) else float(ber),
+            n_contexts=int(row["n_contexts"]),
             wall_time_s=float(row["wall_time_s"]),
         )
 
@@ -116,9 +119,13 @@ def sweep_k(
     """Run one denoiser across context orders; returns the report and the
     reconstruction at the selected order.
 
-    For the trained denoiser each k reseeds its run as rng_seed + k, so
-    every sweep row is independently reproducible. All orders train in
-    one neural.train call, as one stack of networks.
+    Orders run in ascending order. DUDE's context groups at each k refine
+    those of the order before, over one window view of reach max(k); its
+    rules do not depend on how groups are numbered. For the trained
+    denoiser each k reseeds its run as rng_seed + k, so every sweep row
+    is independently reproducible. All orders train in one neural.train
+    call, as one stack of networks. Only the reconstruction at the best
+    order so far is kept.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -129,20 +136,24 @@ def sweep_k(
     t0 = time.perf_counter()
     nets = neural.train(z, k_values, tables, hidden, cfg) if method == "ndude" else []
     share = (time.perf_counter() - t0) / len(k_values) if nets else 0.0  # of the joint training
+    chain = context_groups(z, k_values) if method == "dude" else None
     records = []
-    recons = {}
+    best = None  # (estimated loss, reconstruction) at the best order so far
     for j, k in enumerate(k_values):
         t0 = time.perf_counter()
         if method == "dude":
-            s_idx = dude.select_denoisers(z, k, tables)
-        else:
-            s_idx = neural.select_denoisers(z, nets[j], tables)
+            groups = next(chain)
+            s_idx = dude.select_denoisers(z, k, tables, groups)
+        else:  # the network sees its order's own numbering, as neural.denoise does
+            groups = group_contexts(z, k)
+            s_idx = neural.select_denoisers(z, nets[j], tables, groups)
         est = estimated_loss(z, s_idx, tables)
         xhat = apply_rules(z, s_idx, tables)
         wall = time.perf_counter() - t0 + share
         ber = symbol_error_rate(clean, xhat) if clean is not None else None
-        records.append(KRecord(k=k, estimated_loss=est, true_ber=ber, wall_time_s=wall))
-        recons[k] = xhat
+        records.append(KRecord(k, est, ber, groups.n_groups, wall))
+        if best is None or est < best[0]:  # a tie keeps the smaller k, as select_k does
+            best = (est, xhat)
     k_star = select_k(records)
     meta = [("seed", str(cfg.rng_seed))]
     if method == "ndude":
@@ -158,7 +169,7 @@ def sweep_k(
         records=tuple(records),
         meta=tuple(meta),
     )
-    return report, recons[k_star]
+    return report, best[1]
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(KRecord))

@@ -386,8 +386,12 @@ def train(
     return nets[0] if single else nets
 
 
-def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:
-    """Per-position rule indices: the network's argmax for each context."""
+def select_denoisers(
+    z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables, groups=None
+) -> np.ndarray:
+    """Per-position rule indices: the network's argmax for each context.
+
+    groups, if given, must be group_contexts(z, net.k)."""
     size = z.alphabet.size
     if net.input_dim != 2 * net.k * size:
         raise DimensionMismatch(
@@ -400,7 +404,7 @@ def select_denoisers(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables)
         )
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
-    groups = group_contexts(z, net.k)
+    groups = groups if groups is not None else group_contexts(z, net.k)
     rows = groups.rows()
     per_row = np.empty(rows.shape[0], dtype=np.int64)
     buf = np.empty((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)

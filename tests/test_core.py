@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from dudekit import core
 from dudekit.core import (
     BINARY,
     DNA,
     Alphabet,
     Context,
     Sequence,
+    _refine,
     context_columns,
+    context_groups,
     context_key,
     context_windows,
     extract_context,
@@ -162,14 +165,9 @@ def test_pack_context_keys_matches_context_key():
     seq = Sequence(data, BINARY)
     k = 3
     windows = context_windows(data, k, pad=BINARY.pad_index)
-    keys = pack_context_keys(windows, context_columns(k, k), BINARY.size)
+    keys = pack_context_keys(windows, context_columns(k, k), BINARY.size, np.zeros(40, dtype=int))
     for i in range(k, 40 - k):
         assert int(keys[i]) == context_key(extract_context(seq, i, k), BINARY)
-
-
-def test_pack_context_keys_overflow_returns_none():
-    windows = context_windows(np.zeros(3, dtype=np.uint8), 40, pad=2)
-    assert pack_context_keys(windows, context_columns(40, 40), 2) is None
 
 
 def _check_groups(seq, k):
@@ -189,14 +187,84 @@ def test_group_contexts_matches_extract():
             _check_groups(seq, k)
 
 
-def test_group_contexts_row_fallback():
-    # 3**82 and 5**28 overflow uint64, so grouping falls back to row-wise uniquing.
+def test_group_contexts_split_refinement(monkeypatch):
+    # 3**82 and 5**28 overflow uint64, so grouping splits the orders over
+    # several refinement steps, each of whose keys fits. 3**40 and 5**26
+    # still fit: one step, numbered in the order of the packed keys.
+    spans = []
+
+    def spy(inverse, n_groups, windows, columns, base):
+        spans.append(n_groups * base ** len(columns))
+        return refine(inverse, n_groups, windows, columns, base)
+
+    refine = core._refine
+    monkeypatch.setattr(core, "_refine", spy)
     rng = np.random.default_rng(12)
     for alphabet, k, n in ((BINARY, 41, 120), (DNA, 14, 60)):
         seq = Sequence(rng.integers(0, alphabet.size, n).astype(np.uint8), alphabet)
-        windows = context_windows(seq.data, k, pad=alphabet.pad_index)
-        assert pack_context_keys(windows, context_columns(k, k), alphabet.size + 1) is None
+        spans.clear()
         _check_groups(seq, k)
+        assert len(spans) >= 2 and max(spans) <= 2**64
+    for alphabet, k in ((BINARY, 20), (DNA, 13)):
+        seq = Sequence(rng.integers(0, alphabet.size, 300).astype(np.uint8), alphabet)
+        _check_groups(seq, k)
+        windows = context_windows(seq.data, k, pad=alphabet.pad_index)
+        keys = pack_context_keys(windows, context_columns(k, k), alphabet.size + 1, np.zeros(300))
+        assert np.array_equal(group_contexts(seq, k).inverse, np.unique(keys, return_inverse=True)[1])
+
+
+def _direct_partition(seq, k):
+    """Group ids of every position by its extract_context digits, first seen first."""
+    ids = {}
+    return [ids.setdefault(extract_context(seq, i, k).digits(), len(ids)) for i in range(len(seq))]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 700, 3000])
+@pytest.mark.parametrize("ks", [(0, 1, 2, 3), (0, 2, 3, 7), (1, 5, 6, 23)])
+def test_context_groups_refine_like_direct_grouping(size, n, ks):
+    # The chain covers k = 0, orders with gaps, n <= 2k, and sizes whose
+    # steps take the dense relabel (few groups) and the sparse one (many,
+    # some positions already alone). k = 23 over 3 and 4 symbols
+    # overflows one key, so its step is split.
+    alphabet = Alphabet(tuple("abcd"[:size]))
+    rng = np.random.default_rng(size * 10_000 + n)
+    seq = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
+    for k, groups in zip(ks, context_groups(seq, ks)):
+        direct = _direct_partition(seq, k)
+        assert groups.n_groups == len(set(direct))
+        # Same partition: the pairs (direct id, group) are one to one.
+        assert len(set(zip(direct, groups.inverse.tolist()))) == groups.n_groups
+        rows = groups.rows()
+        assert rows.shape == (groups.n_groups, 2 * k)
+        for i in range(0, n, max(1, n // 50)):
+            assert tuple(rows[groups.inverse[i]]) == extract_context(seq, i, k).digits()
+
+
+def test_refine_relabel_branches():
+    # A dense step numbers groups in key order; a sparse step keeps
+    # positions already alone in their group alone. Both give the
+    # direct partition.
+    seq = Sequence(np.array([0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1], dtype=np.uint8), BINARY)
+    windows = context_windows(seq.data, 2, pad=BINARY.pad_index)
+    inverse = np.zeros(len(seq), dtype=np.int32)
+    inner = context_columns(1, 2)
+    dense, n_dense = _refine(inverse, 1, windows, inner, 3)  # span 9 <= n = 11
+    keys = pack_context_keys(windows, inner, 3, inverse)
+    assert np.array_equal(dense, np.unique(keys, return_inverse=True)[1])
+    assert n_dense == len(set(_direct_partition(seq, 1)))
+    outer = np.array([0, 4])  # order 2's two new digits; span 9 * n_dense > n
+    sparse, n_sparse = _refine(dense, n_dense, windows, outer, 3)
+    assert n_sparse == len(set(_direct_partition(seq, 2)))
+    assert len(set(zip(_direct_partition(seq, 2), sparse.tolist()))) == n_sparse
+    alone = (np.bincount(dense, minlength=n_dense) == 1)[dense]
+    assert alone.any() and (np.bincount(sparse)[sparse[alone]] == 1).all()
+
+
+def test_context_groups_reject_descending_orders():
+    seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
+    with pytest.raises(DataError):
+        list(context_groups(seq, (2, 1)))
 
 
 def test_interior_slice():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import ALPHABETS, random_invertible_channel
-from dudekit import neural
+from dudekit import evaluation, neural
 from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
-from dudekit.core import BINARY, Sequence
+from dudekit.core import BINARY, Sequence, group_contexts
 from dudekit.dude import dude_denoise, select_denoisers
 from dudekit.errors import DataError, LengthMismatch, MalformedHeader
 from dudekit.evaluation import (
@@ -84,9 +84,9 @@ def test_apply_rules():
 
 def test_select_k_tie_breaks_low():
     records = [
-        KRecord(k=1, estimated_loss=0.3, true_ber=None, wall_time_s=0.0),
-        KRecord(k=2, estimated_loss=0.2, true_ber=None, wall_time_s=0.0),
-        KRecord(k=3, estimated_loss=0.2, true_ber=None, wall_time_s=0.0),
+        KRecord(k=1, estimated_loss=0.3, true_ber=None, n_contexts=1, wall_time_s=0.0),
+        KRecord(k=2, estimated_loss=0.2, true_ber=None, n_contexts=1, wall_time_s=0.0),
+        KRecord(k=3, estimated_loss=0.2, true_ber=None, n_contexts=1, wall_time_s=0.0),
     ]
     assert select_k(records) == 2
     with pytest.raises(DataError):
@@ -113,6 +113,40 @@ def test_sweep_dude_records():
         assert rec.estimated_loss == pytest.approx(estimated_loss(z, s_idx, t))
         assert rec.true_ber is not None and rec.wall_time_s >= 0.0
     assert recon == dude_denoise(z, report.k_star, tables=t)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_sweep_dude_equals_each_k_alone(size):
+    # A sweep refines each order's groups from the one before; records and
+    # the reconstruction at k* equal those of denoising each k on its own.
+    rng = np.random.default_rng(size)
+    chan = random_invertible_channel(rng, size)
+    t = build_estimated_loss(chan, hamming_loss(ALPHABETS[size]))
+    x = Sequence(rng.integers(0, size, 4000).astype(np.uint8), ALPHABETS[size])
+    z = corrupt(x, chan, rng_seed=3)
+    ks = [0, 1, 3, 4, 8]
+    report, recon = sweep_k(z, t, ks, method="dude", clean=x)
+    alone = {k: dude_denoise(z, k, t) for k in ks}
+    for rec in report.records:
+        s_idx = select_denoisers(z, rec.k, t)
+        assert rec.estimated_loss == estimated_loss(z, s_idx, t)
+        assert rec.true_ber == symbol_error_rate(x, alone[rec.k])
+        assert rec.n_contexts == group_contexts(z, rec.k).n_groups
+    assert recon == alone[report.k_star]
+
+
+def test_sweep_keeps_reconstruction_at_first_best_order(monkeypatch):
+    _, z = _instance(2000)
+    t = bsc01_tables()
+    report, recon = sweep_k(z, t, [1, 2, 3, 4], method="dude")
+    assert report.k_star == select_k(report.records)
+    assert recon == dude_denoise(z, report.k_star, t)
+    # With every order tied, k* is the smallest, and so is the kept
+    # reconstruction, although the last order's differs from it.
+    monkeypatch.setattr(evaluation, "estimated_loss", lambda z, s_idx, tables: 0.25)
+    report, recon = sweep_k(z, t, [2, 4], method="dude")
+    assert report.k_star == 2
+    assert recon == dude_denoise(z, 2, t) and recon != dude_denoise(z, 4, t)
 
 
 def test_sweep_without_clean_has_no_ber():
@@ -181,6 +215,7 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
             k=rec.k,
             estimated_loss=estimated_loss(z, s_idx, t),
             true_ber=symbol_error_rate(x, recons[rec.k]),
+            n_contexts=group_contexts(z, rec.k).n_groups,
             wall_time_s=rec.wall_time_s,
         )
         assert rec == want
@@ -222,13 +257,14 @@ def test_report_csv_malformed(tmp_path):
     path.write_text("k,estimated_loss\n1,0.5\n")
     with pytest.raises(MalformedHeader):
         report_from_csv(str(path))
-    path.write_text("# method=dude\nk,estimated_loss,true_ber,wall_time_s\n1,0.5,,0.1\n")
+    path.write_text("# method=dude\nk,estimated_loss,true_ber,n_contexts,wall_time_s\n1,.5,,4,.1\n")
     with pytest.raises(MalformedHeader):
         report_from_csv(str(path))  # missing n and alphabet headers
     head = "# method=dude\n# n=10\n# alphabet=0,1\n# k_star=1\n"
-    cols = "k,estimated_loss,true_ber,wall_time_s\n"
-    for text in (head.replace("n=10", "n=x") + cols, head + cols + "1,abc,,0.2\n",
-                 head + cols + "1,0.1,,0.2,9\n", head + cols + "1,0.1\n"):
+    cols = "k,estimated_loss,true_ber,n_contexts,wall_time_s\n"
+    for text in (head.replace("n=10", "n=x") + cols, head + cols + "1,abc,,4,0.2\n",
+                 head + cols + "1,0.1,,4.5,0.2\n", head + cols + "1,0.1,,4,0.2,9\n",
+                 head + cols + "1,0.1\n", head + cols.replace("n_contexts,", "") + "1,0.1,,0.2\n"):
         path.write_text(text)
         with pytest.raises(MalformedHeader):
             report_from_csv(str(path))
@@ -245,7 +281,7 @@ def test_report_meta_is_sorted():
         n=10,
         alphabet=("0", "1"),
         k_star=1,
-        records=(KRecord(1, 0.1, None, 0.0),),
+        records=(KRecord(1, 0.1, None, 4, 0.0),),
         meta=(("zeta", "1"), ("alpha", "2")),
     )
     assert rep.meta == (("alpha", "2"), ("zeta", "1"))

@@ -34,7 +34,7 @@ def _valid_files(root):
     save_pbm(ImageGrid(5, 3, np.arange(15) % 2), str(pbm_path))
     report = ExperimentReport(
         method="dude", n=10, alphabet=("0", "1"), k_star=1,
-        records=(KRecord(1, 0.25, 0.1, 0.5), KRecord(2, 0.3, None, 0.25)),
+        records=(KRecord(1, 0.25, 0.1, 4, 0.5), KRecord(2, 0.3, None, 9, 0.25)),
         meta=(("seed", "0"),),
     )
     report_to_csv(report, str(root / "report.csv"))

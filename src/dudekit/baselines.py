@@ -33,6 +33,8 @@ class MarkovSource:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.rng_seed < 0:
+            raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
         n = self.alphabet.size
         arr = stochastic(self.transition, (n, n), "transition", DataError)
         object.__setattr__(self, "transition", arr)
@@ -144,6 +146,8 @@ def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
     """Pass a sequence through the memoryless channel, position by position."""
     if channel.alphabet != x.alphabet:
         raise DataError("channel alphabet does not match the sequence")
+    if rng_seed < 0:
+        raise DataError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     n = len(x)
     u = rng.random(n)

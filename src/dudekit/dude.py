@@ -23,8 +23,8 @@ from .channel import ChannelMatrix, EstimatedLossTables, LossMatrix, apply_rules
 from .core import Alphabet, Context, Sequence, context_key, group_contexts, interior_slice
 from .errors import DataError, DimensionMismatch
 
-# Cap on score-matrix chunk size, in float64 entries.
-_CHUNK_ENTRIES = 1 << 22
+# Cap on score-matrix chunk size, in float64 entries (2 MiB).
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)

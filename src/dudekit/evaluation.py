@@ -124,8 +124,10 @@ def sweep_k(
     rules do not depend on how groups are numbered. For the trained
     denoiser each k reseeds its run as rng_seed + k, so every sweep row
     is independently reproducible. All orders train in one neural.train
-    call, as one stack of networks. Only the reconstruction at the best
-    order so far is kept.
+    call: those with n >= 500 G (G distinct contexts) take 100 full-batch
+    steps per epoch on their context tables, the rest train as one stack
+    of networks on minibatches of positions. Only the reconstruction at
+    the best order so far is kept.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -12,15 +12,18 @@ context to the observed center symbol.
 Because the targets depend only on the observed symbol and the context
 is what the network conditions on, context statistics are shared across
 the whole sequence, which is what lets one network replace the count
-table at large context orders. Training uses every position; contexts
-that run past the sequence edge one-hot encode their missing symbols as
-all-zero blocks.
+table at large context orders. The cost is the mean over every position;
+contexts that run past the sequence edge one-hot encode their missing
+symbols as all-zero blocks.
 
-One trainer serves one order and a whole sweep: it steps the networks
-of all orders together, the layers after the first as (K, in, out)
-stacks, all parameters in one flat vector. Each network keeps its seed
-and ends bit for bit as if trained alone; stacking only saves numpy
-calls, which is where the time of these small steps goes.
+Grouped by context, that mean is one over the G distinct contexts with
+their pseudo-labels summed. An order with at least 500 positions per
+context on average trains on this table, 100 full-batch steps per epoch.
+The other orders step together on minibatches of positions, the layers
+after the first as (K, in, out) stacks, all parameters in one flat
+vector. Each network keeps its seed and ends bit for bit as if trained
+alone; stacking only saves numpy calls, where these small steps spend
+their time.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import Alphabet, Context, Sequence, context_columns, context_windows, group_contexts
+from .core import (Alphabet, Context, Sequence, context_columns, context_groups,
+                   context_windows, group_contexts)
 from .errors import (
     CheckpointMismatch,
     DataError,
@@ -53,6 +57,11 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
+# An order whose contexts hold this many positions each on average trains
+# on its context table, this many full-batch steps per epoch (see train).
+TABLE_MIN_MEAN_GROUP = 500
+TABLE_STEPS_PER_EPOCH = 100
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -68,6 +77,8 @@ class TrainConfig:
             raise DataError("epochs and minibatch_size must be positive")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DataError("learning_rate must be positive and finite")
+        if self.rng_seed < 0:
+            raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def encode_context(c: Context, alphabet: Alphabet) -> np.ndarray:
@@ -324,12 +335,13 @@ def train(
 
     k is one order, for one network seeded with config.rng_seed, or a
     sequence of orders, for a list of networks, network k seeded with
-    config.rng_seed + k as a sweep's rows are. They train as one _Stack.
+    config.rng_seed + k as a sweep's rows are.
 
     Every position contributes a (context, pseudo-label) pair, edge
-    positions included. Context rows are gathered from one context window
-    view of z and encoded a chunk of whole minibatches at a time; the
-    steps see the same minibatches as one encoding per step would.
+    positions included. An order with G distinct contexts and n >=
+    TABLE_MIN_MEAN_GROUP * G takes epochs * TABLE_STEPS_PER_EPOCH full-batch
+    steps on its context table, whose loss is the mean over all n positions.
+    The other orders train as one _Stack on shuffled minibatches of positions.
     """
     cfg = config if config is not None else TrainConfig()
     single = np.ndim(k) == 0
@@ -347,13 +359,59 @@ def train(
         MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
         for v, rng in zip(orders, rngs)
     ]
+    # Refined one order at a time from k = 0, groups, and so table rows, are
+    # numbered alike however the orders were asked for. G grows with k.
+    on_table = {}
+    for v, groups in enumerate(context_groups(z, range(max(orders) + 1))):
+        if n < TABLE_MIN_MEAN_GROUP * groups.n_groups:
+            break
+        on_table[v] = groups
+    for net in nets:
+        if net.k in on_table:
+            _train_table(net, *_context_table(on_table[net.k], tables, net.dtype), cfg)
+    rest = [(net, rng) for net, rng in zip(nets, rngs) if net.k not in on_table]
+    if rest:
+        _train_positions(z, *zip(*rest), tables, cfg)
+    return nets[0] if single else nets
+
+
+def _context_table(groups, tables: EstimatedLossTables, dtype):
+    """Encoded context rows and targets of groups' G contexts. Row g's target
+    is G/n times the pseudo-labels summed over group g, so the mean cost of the
+    G rows, and its gradient, are those of the mean over all n positions."""
+    rows, size = groups.rows(), groups.seq.alphabet.size
+    x = _encode_rows(rows, size, np.empty((len(rows), rows.shape[1] * size), dtype))
+    return x, groups.center_counts() @ tables.pseudo_labels * (len(rows) / len(groups.seq))
+
+
+def _train_table(net: MLPDenoiser, x: np.ndarray, g: np.ndarray, cfg: TrainConfig) -> None:
+    """Full-batch Adam on one network's context table; no shuffles."""
+    stack = _Stack([net])
+    adam = _Adam(stack.params.size, cfg, stack.dtype)
+    targets, norms = g.astype(stack.dtype)[None], g.sum(axis=1).astype(stack.dtype)[None]
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for _ in range(TABLE_STEPS_PER_EPOCH):
+            losses, grad = stack.loss_grad([x], targets, norms)
+            adam.step(stack.params, grad)
+            total += losses[0]
+        net.epoch_losses.append(float(total / TABLE_STEPS_PER_EPOCH))
+    for stacked, mine in stack.pairs():
+        mine[...] = stacked
+
+
+def _train_positions(z: Sequence, nets, rngs, tables: EstimatedLossTables, cfg: TrainConfig):
+    """Minibatch steps over positions, each net shuffling with its rng. Rows
+    are gathered from one context window view of z and encoded a chunk of
+    whole minibatches at a time, the minibatches one encoding per step sees."""
+    n, size = len(z), z.alphabet.size
     stack = _Stack(nets)
     labels = tables.pseudo_labels.astype(stack.dtype)
     norms = tables.label_norms.astype(stack.dtype)
     adam = _Adam(stack.params.size, cfg, stack.dtype)
-    reach = max(orders)
+    reach = max(net.k for net in nets)
     windows = context_windows(z.data, reach, pad=size)
-    columns = [context_columns(v, reach) for v in orders]
+    columns = [context_columns(net.k, reach) for net in nets]
     mb = cfg.minibatch_size
     chunk = min(n, mb * max(1, _FORWARD_CHUNK // mb))
     x_bufs = [np.empty((chunk, net.input_dim), dtype=stack.dtype) for net in nets]
@@ -383,7 +441,6 @@ def train(
             net.epoch_losses.append(float(total / n))
     for stacked, mine in stack.pairs():
         mine[...] = stacked
-    return nets[0] if single else nets
 
 
 def select_denoisers(

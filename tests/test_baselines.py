@@ -37,6 +37,8 @@ def test_source_validation():
         MarkovSource(np.eye(2) * 0.5 + 0.25, BINARY, initial=np.array([np.nan, 1.0]))
     with pytest.raises(DataError):
         bsmc(1.5)
+    with pytest.raises(DataError):
+        bsmc(0.1, rng_seed=-1)
 
 
 def test_stationary_default_initial():
@@ -173,6 +175,8 @@ def test_corrupt_alphabet_mismatch():
     x = generate_source(bsmc(0.1), 100)
     with pytest.raises(DataError):
         corrupt(x, symmetric_channel(0.1, ALPHABETS[4]), rng_seed=0)
+    with pytest.raises(DataError):
+        corrupt(x, bsc(0.1), rng_seed=-1)
 
 
 def test_corrupt_quaternary_rates():

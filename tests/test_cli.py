@@ -301,6 +301,24 @@ def test_exit_codes(sim_files, tmp_path):
     assert "singular" in res.stderr.lower()
 
 
+def test_negative_seed_exits_2(sim_files, tmp_path):
+    # numpy rejects a negative seed with a ValueError; the CLI must not leak it.
+    _, _, noisy = sim_files
+    out = str(tmp_path / "o.txt")
+    train = ("--hidden", "4", "--epochs", "1")
+    for args in (
+        ("simulate", "--source", "bsmc:0.1", "--channel", "bsc:0.1", "--n", "50",
+         "--seed", "-1", "--out-clean", out, "--out-noisy", str(tmp_path / "n.txt")),
+        ("denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+         "--k", "1", *train, "--seed", "-3", "--output", out),
+        ("sweep", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+         "--kmax", "1", *train, "--seed", "-1", "--report", str(tmp_path / "r.csv")),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr and "non-negative" in res.stderr, res.stderr
+
+
 def test_json_source_outputs_do_not_depend_on_directory(tmp_path):
     # The same source and channel files in two directories, run with the
     # same seed, must give byte-identical files.

@@ -1,11 +1,14 @@
 """Network denoiser: cost, gradients, training loop, and inference paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
-from dudekit.core import BINARY, Context, Sequence, extract_context
+from dudekit import neural
+from dudekit.core import BINARY, Context, Sequence, extract_context, group_contexts
 from dudekit.errors import (
     CheckpointMismatch,
     DataError,
@@ -27,6 +30,7 @@ from dudekit.neural import (
     select_denoisers,
     train,
     _Adam,
+    _context_table,
     _encode_rows,
 )
 
@@ -53,6 +57,8 @@ def test_train_config_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DataError):
             TrainConfig(learning_rate=bad)
+    with pytest.raises(DataError):
+        TrainConfig(rng_seed=-1)
 
 
 def test_encode_context_layout():
@@ -255,6 +261,54 @@ def test_train_matches_per_step_reference():
     net = train(z, k, t, hidden=(16,), config=cfg)
     assert net.params.tobytes() == ref.params.tobytes()
     assert net.epoch_losses == losses
+
+
+@pytest.mark.parametrize("size, n, k", [(2, 3000, 3), (4, 2000, 2)])
+def test_context_table_objective_matches_every_position(size, n, k):
+    # The mean cost over the G contexts, targets scaled by G/n, is the mean
+    # over all n positions, edges included, and so is its gradient.
+    rng = np.random.default_rng(size)
+    alphabet = ALPHABETS[size]
+    t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
+    z = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
+    net = MLPDenoiser((2 * k * size, 12, t.n_denoisers), k=k, rng=rng, dtype=np.float64)
+    groups = group_contexts(z, k)
+    assert groups.n_groups < n / 5
+    x, g = _context_table(groups, t, np.float64)
+    rows = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
+    x_all = _encode_rows(rows, size, np.empty((n, net.input_dim)))
+    loss, grad = net.loss_and_gradient(x, g)
+    want_loss, want_grad = net.loss_and_gradient(x_all, t.pseudo_labels[z.data])
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
+    # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) have n >= 500 G
+    # and train on their context tables, order 5 on positions. Each network
+    # ends as if trained alone with seed rng_seed + k.
+    _, z = _toy_instance(n=12000, seed=7)
+    t = bsc01_tables()
+    cfg = TrainConfig(epochs=3, rng_seed=4)
+    ks = [0, 1, 2, 5]
+    on_table = []
+    table_step = neural._train_table
+    monkeypatch.setattr(
+        neural, "_train_table", lambda net, *args: (on_table.append(net.k), table_step(net, *args))
+    )
+    nets = train(z, ks, t, hidden=(8,), config=cfg)
+    assert on_table == [0, 1, 2]
+    assert [group_contexts(z, k).n_groups for k in ks[:3]] == [1, 6, 20]
+    for k, net in zip(ks, nets):
+        alone = train(z, k, t, hidden=(8,), config=dataclasses.replace(cfg, rng_seed=4 + k))
+        assert net.k == k
+        assert net.params.tobytes() == alone.params.tobytes()
+        assert net.epoch_losses == alone.epoch_losses
+        assert len(net.epoch_losses) == cfg.epochs
+    for net, again in zip(nets, train(z, ks[:3], t, hidden=(8,), config=cfg)):
+        assert net.params.tobytes() == again.params.tobytes()
+        assert net.epoch_losses == again.epoch_losses
+        assert net.epoch_losses[-1] < net.epoch_losses[0]
 
 
 def test_train_alphabet_mismatch():

@@ -60,9 +60,10 @@ class KRecord:
 
     n_contexts counts distinct order-k contexts, edges included.
     wall_time_s is this k's own grouping, selection and scoring time. In
-    an N-DUDE sweep, whose orders train together as one stack, it also
-    holds an equal share of the joint training time. Both report formats
-    write the fields in this order, and parse reads them back.
+    an N-DUDE sweep, whose orders train in one joint call (in parallel
+    processes where there are CPUs to spare), it also holds an equal
+    share of that call's wall time. Both report formats write the fields
+    in this order, and parse reads them back.
     """
 
     k: int
@@ -125,9 +126,10 @@ def sweep_k(
     denoiser each k reseeds its run as rng_seed + k, so every sweep row
     is independently reproducible. All orders train in one neural.train
     call: those with n >= 500 G (G distinct contexts) take 100 full-batch
-    steps per epoch on their context tables, the rest train as one stack
-    of networks on minibatches of positions. Only the reconstruction at
-    the best order so far is kept.
+    steps per epoch on their context tables, the rest train on minibatches
+    of positions as up to one stack of networks per usable CPU, each stack
+    in its own process. Only the reconstruction at the best order so far
+    is kept.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")

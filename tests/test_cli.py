@@ -1,12 +1,16 @@
 """Command-line behavior: commands, determinism, exit codes."""
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dudekit
+from dudekit import neural
 from dudekit.cli import main
 from dudekit.core import BINARY, Sequence
 from dudekit.evaluation import report_from_csv, report_from_json
@@ -367,6 +371,42 @@ def test_fb_impossible_observation_exits_2(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert "zero likelihood" in capsys.readouterr().err
+
+
+def test_sweep_exits_3_when_a_training_child_dies(sim_files, tmp_path, monkeypatch, capsys):
+    # Two usable CPUs: this process trains order 6, a forked child order 7,
+    # and that child exits before it sends its result.
+    _, _, noisy = sim_files
+    real = neural._train_positions
+    monkeypatch.setattr(neural, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        neural,
+        "_train_positions",
+        lambda z, nets, *args: os._exit(1) if 7 in [n.k for n in nets] else real(z, nets, *args),
+    )
+    argv = [
+        "sweep", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+        "--kmin", "6", "--kmax", "7", "--epochs", "1", "--hidden", "8",
+        "--report", str(tmp_path / "r.csv"),
+    ]
+    assert main(argv) == 3
+    assert "orders [7] ended without a result (exit code 1)" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # A cold `import dudekit.cli` is what setup time measures; the trainer
+    # imports multiprocessing only when it forks.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dudekit.__file__)))
+    probe = "import sys, dudekit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_help_exits_zero():

@@ -6,8 +6,10 @@ symbols to the right of i, center excluded. Positions within k of either
 edge use a padding sentinel (index == alphabet.size) for the missing
 symbols, so the sentinel never collides with a real symbol.
 Every context row is read from one padded window view (context_windows
-and context_columns), and group_contexts is the one context table both
-denoisers work from; context_groups refines it order by order.
+and context_columns), and positions are grouped by context in one way:
+context_groups refines the groups order by order, and group_contexts is
+its one-order case. Both denoisers, and their sweeps, work from these
+groups.
 """
 
 from __future__ import annotations
@@ -112,69 +114,6 @@ class Sequence:
         return self.alphabet.decode(self.data)
 
 
-@dataclass(frozen=True)
-class Context:
-    """Double-sided context: k symbols left of center, k symbols right.
-
-    left is stored in sequence order (left[0] is the farthest symbol,
-    left[-1] the one immediately before the center); right likewise
-    (right[0] immediately after the center). Entries equal to the
-    alphabet's pad_index mark positions beyond the sequence edge.
-    """
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.left) != len(self.right):
-            raise DataError("context sides must have equal length")
-
-    @property
-    def k(self) -> int:
-        return len(self.left)
-
-    def digits(self) -> tuple[int, ...]:
-        return self.left + self.right
-
-
-def extract_context(seq: Sequence, i: int, k: int) -> Context:
-    """Context of order k around position i, padded at the edges."""
-    n = len(seq)
-    if not 0 <= i < n:
-        raise DataError(f"position {i} out of range for sequence of length {n}")
-    if k < 0:
-        raise DataError("context order k must be non-negative")
-    pad = seq.alphabet.pad_index
-    data = seq.data
-    left = tuple(int(data[j]) if j >= 0 else pad for j in range(i - k, i))
-    right = tuple(int(data[j]) if j < n else pad for j in range(i + 1, i + k + 1))
-    return Context(left, right)
-
-
-def context_key(c: Context, alphabet: Alphabet) -> int:
-    """Injective integer key for a context.
-
-    Pad-free contexts use little-endian base-|Z| over (left, right) and
-    occupy [0, |Z|^(2k)). Contexts containing padding are shifted past
-    that range and keyed in base |Z|+1, so the two families never
-    collide.
-    """
-    size = alphabet.size
-    digits = c.digits()
-    if all(d < size for d in digits):
-        key = 0
-        for j, d in enumerate(digits):
-            key += d * size**j
-        return key
-    if any(d > size for d in digits):
-        raise InvalidSymbol("context digit outside alphabet and pad range")
-    base = size + 1
-    key = 0
-    for j, d in enumerate(digits):
-        key += d * base**j
-    return size ** (2 * c.k) + key
-
-
 def context_windows(data: np.ndarray, reach: int, pad: int) -> np.ndarray:
     """Read-only (n, 2*reach + 1) view over a padded copy of data.
 
@@ -187,7 +126,7 @@ def context_windows(data: np.ndarray, reach: int, pad: int) -> np.ndarray:
 
 def context_columns(k: int, reach: int) -> np.ndarray:
     """Columns of context_windows(data, reach, pad) holding the order-k
-    context (k <= reach), in Context.digits() order."""
+    context (k <= reach): its left digits, then its right."""
     return reach + np.r_[-k:0, 1 : k + 1]
 
 
@@ -204,8 +143,7 @@ def interior_slice(n: int, k: int) -> slice:
 def pack_context_keys(windows, columns, base: int, head, rows=slice(None)) -> np.ndarray:
     """uint64 keys head * base**len(columns) + sum_j windows[rows, columns[j]] * base**j.
 
-    The caller keeps every key below 2**64. With head 0, base == |Z| and
-    pad-free rows the key equals context_key of the row.
+    The caller keeps every key below 2**64.
     """
     key = head.astype(np.uint64)
     # Horner's rule from the last column, accumulating in place: O(n) memory for any k.

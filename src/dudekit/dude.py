@@ -1,87 +1,27 @@
 """Two-pass sliding-window denoiser.
 
-Pass one counts, for every double-sided order-k context, how often each
-symbol appears at the center. Pass two replays the sequence and maps
-each interior position through the single-symbol rule that minimizes
-the count-weighted estimated loss of its context. Positions within k of
-either edge are passed through unchanged.
+Pass one counts, for every double-sided order-k context group of
+core.group_contexts, how often each symbol appears at the center. Pass
+two maps each interior position through the single-symbol rule that
+minimizes the count-weighted estimated loss of its context. Positions
+within k of either edge are passed through unchanged.
 
-The selection rule exists in two equivalent forms: the original one
-scores each reconstruction for the observed center symbol directly; the
-estimated-loss form scores whole single-symbol rules and then applies
-the winner to the center. Both are provided; the sequence-level code
-uses the estimated-loss form.
+This is the estimated-loss form of the selection rule: it scores whole
+single-symbol rules and applies the winner to the center. The original
+form, which scores each reconstruction of the observed center directly,
+picks the same reconstruction; the tests keep it as their reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelMatrix, EstimatedLossTables, LossMatrix, apply_rules
-from .core import Alphabet, Context, Sequence, context_key, group_contexts, interior_slice
+from .channel import EstimatedLossTables, apply_rules
+from .core import Sequence, group_contexts, interior_slice
 from .errors import DataError, DimensionMismatch
 
 # Cap on score-matrix chunk size, in float64 entries (2 MiB).
 _CHUNK_ENTRIES = 1 << 18
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Center-symbol counts per context, keyed by context_key."""
-
-    alphabet: Alphabet
-    k: int
-    counts: dict[int, np.ndarray]
-    n_interior: int
-
-    def vector(self, c: Context) -> np.ndarray:
-        """Count vector for a context; zeros if the context never occurred."""
-        key = context_key(c, self.alphabet)
-        row = self.counts.get(key)
-        if row is None:
-            return np.zeros(self.alphabet.size, dtype=np.int64)
-        return row
-
-
-def collect_counts(z: Sequence, k: int) -> CountTable:
-    """First pass: tally center symbols for every interior context."""
-    interior_slice(len(z), k)  # raises SequenceTooShort
-    groups = group_contexts(z, k)
-    counts = groups.center_counts()
-    counts.flags.writeable = False
-    table = {}
-    for row, m in zip(groups.rows().tolist(), counts):
-        if max(row, default=0) < z.alphabet.size:  # edge contexts hold the pad digit
-            table[context_key(Context(tuple(row[:k]), tuple(row[k:])), z.alphabet)] = m
-    return CountTable(alphabet=z.alphabet, k=k, counts=table, n_interior=len(z) - 2 * k)
-
-
-def dude_rule_original(
-    m: np.ndarray, z_center: int, channel: ChannelMatrix, loss: LossMatrix
-) -> int:
-    """Reconstruction for one context and center symbol, original form.
-
-    Scores each candidate guess by m^T Pi^{-1} (lambda_guess * pi_z)
-    where lambda_guess is that guess's loss column and pi_z the channel
-    likelihood column of the observed center. Lowest score wins; ties go
-    to the smallest symbol index.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (channel.size,):
-        raise DimensionMismatch(f"count vector must have length {channel.size}")
-    v = m @ channel.inverse
-    weighted = loss.entries * channel.entries[:, z_center][:, None]
-    return int(np.argmin(v @ weighted))
-
-
-def dude_rule_estimated(m: np.ndarray, tables: EstimatedLossTables) -> int:
-    """Index of the single-symbol rule minimizing the count-weighted estimated loss."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (tables.channel.size,):
-        raise DimensionMismatch(f"count vector must have length {tables.channel.size}")
-    return int(np.argmin(m @ tables.estimated_loss))
 
 
 def _argmin_chunked(counts: np.ndarray, est: np.ndarray) -> np.ndarray:

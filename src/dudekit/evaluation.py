@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dude, io, neural
 from .channel import EstimatedLossTables, apply_rules
-from .core import Alphabet, Sequence, context_groups, group_contexts
+from .core import Sequence, context_groups
 from .errors import DataError, LengthMismatch, MalformedHeader
 from .neural import TrainConfig
 
@@ -120,16 +120,13 @@ def sweep_k(
     """Run one denoiser across context orders; returns the report and the
     reconstruction at the selected order.
 
-    Orders run in ascending order. DUDE's context groups at each k refine
-    those of the order before, over one window view of reach max(k); its
-    rules do not depend on how groups are numbered. For the trained
-    denoiser each k reseeds its run as rng_seed + k, so every sweep row
-    is independently reproducible. All orders train in one neural.train
-    call: those with n >= 500 G (G distinct contexts) take 100 full-batch
-    steps per epoch on their context tables, the rest train on minibatches
-    of positions as up to one stack of networks per usable CPU, each stack
-    in its own process. Only the reconstruction at the best order so far
-    is kept.
+    Orders run in ascending order. For both methods the context groups at
+    each k refine those of the order before, over one window view of reach
+    max(k); neither method's rules depend on how groups are numbered. For
+    the trained denoiser each k reseeds its run as rng_seed + k, so every
+    sweep row is independently reproducible, and all orders train in one
+    neural.train call (see there for how). Only the reconstruction at the
+    best order so far is kept.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -140,16 +137,15 @@ def sweep_k(
     t0 = time.perf_counter()
     nets = neural.train(z, k_values, tables, hidden, cfg) if method == "ndude" else []
     share = (time.perf_counter() - t0) / len(k_values) if nets else 0.0  # of the joint training
-    chain = context_groups(z, k_values) if method == "dude" else None
+    chain = context_groups(z, k_values)
     records = []
     best = None  # (estimated loss, reconstruction) at the best order so far
     for j, k in enumerate(k_values):
         t0 = time.perf_counter()
+        groups = next(chain)
         if method == "dude":
-            groups = next(chain)
             s_idx = dude.select_denoisers(z, k, tables, groups)
-        else:  # the network sees its order's own numbering, as neural.denoise does
-            groups = group_contexts(z, k)
+        else:
             s_idx = neural.select_denoisers(z, nets[j], tables, groups)
         est = estimated_loss(z, s_idx, tables)
         xhat = apply_rules(z, s_idx, tables)

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import (Alphabet, Context, Sequence, context_columns, context_groups,
-                   context_windows, group_contexts)
+from .core import Sequence, context_columns, context_groups, context_windows, group_contexts
 from .errors import (
     CheckpointMismatch,
     DataError,
@@ -84,23 +83,6 @@ class TrainConfig:
             raise DataError("learning_rate must be positive and finite")
         if self.rng_seed < 0:
             raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
-
-
-def encode_context(c: Context, alphabet: Alphabet) -> np.ndarray:
-    """One-hot encoding of a context: 2k blocks of |alphabet| entries.
-
-    Block j is the one-hot vector of digit j in (left, right) order;
-    padding digits encode as an all-zero block.
-    """
-    size = alphabet.size
-    digits = c.digits()
-    out = np.zeros(len(digits) * size, dtype=np.float64)
-    for j, d in enumerate(digits):
-        if d < size:
-            out[j * size + d] = 1.0
-        elif d != alphabet.pad_index:
-            raise DataError(f"context digit {d} outside alphabet and pad range")
-    return out
 
 
 def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
@@ -551,7 +533,8 @@ def select_denoisers(
 ) -> np.ndarray:
     """Per-position rule indices: the network's argmax for each context.
 
-    groups, if given, must be group_contexts(z, net.k)."""
+    groups, if given, are z's order-net.k ContextGroups in any numbering
+    (a sweep refines them from the order before)."""
     size = z.alphabet.size
     if net.input_dim != 2 * net.k * size:
         raise DimensionMismatch(
@@ -579,14 +562,6 @@ def select_denoisers(
 def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> Sequence:
     """Apply the trained network to every position of the sequence."""
     return apply_rules(z, select_denoisers(z, net, tables), tables)
-
-
-def context_probabilities(
-    net: MLPDenoiser, contexts: list[Context], alphabet: Alphabet
-) -> np.ndarray:
-    """Rule probabilities for explicit Context objects, one row each."""
-    x = np.stack([encode_context(c, alphabet) for c in contexts])
-    return net.forward(x.astype(net.dtype))
 
 
 CHECKPOINT_MAGIC = "mlp-denoiser-v1"

@@ -31,11 +31,18 @@ from dudekit.baselines import (
     smoothing_posteriors,
 )
 from dudekit.channel import ChannelMatrix, bsc, build_estimated_loss, hamming_loss
-from dudekit.core import BINARY, Context, Sequence, extract_context
-from dudekit.dude import collect_counts, dude_denoise, dude_rule_original
+from dudekit.core import BINARY, Sequence
+from dudekit.dude import dude_denoise
 from dudekit.evaluation import sweep_k, symbol_error_rate
 from dudekit.io import ImageGrid, derasterize, load_pbm, rasterize, save_pbm
-from dudekit.neural import MLPDenoiser, TrainConfig, context_probabilities, train
+from dudekit.neural import MLPDenoiser, TrainConfig, train
+from oracles import (
+    Context,
+    collect_counts,
+    context_probabilities,
+    dude_rule_original,
+    extract_context,
+)
 
 ALPHA = 0.1
 DELTA = 0.1

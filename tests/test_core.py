@@ -8,19 +8,17 @@ from dudekit.core import (
     BINARY,
     DNA,
     Alphabet,
-    Context,
     Sequence,
     _refine,
     context_columns,
     context_groups,
-    context_key,
     context_windows,
-    extract_context,
     group_contexts,
     interior_slice,
     pack_context_keys,
 )
 from dudekit.errors import DataError, InvalidSymbol, SequenceTooShort
+from oracles import Context, context_key, extract_context
 
 
 def test_alphabet_basics():

@@ -12,7 +12,7 @@ import pytest
 from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit import neural
-from dudekit.core import BINARY, Context, Sequence, extract_context, group_contexts
+from dudekit.core import BINARY, Sequence, group_contexts
 from dudekit.errors import (
     CheckpointMismatch,
     DataError,
@@ -27,9 +27,7 @@ from dudekit.neural import (
     MLPDenoiser,
     TrainConfig,
     check_checkpoint,
-    context_probabilities,
     denoise,
-    encode_context,
     load_checkpoint,
     save_checkpoint,
     select_denoisers,
@@ -38,6 +36,7 @@ from dudekit.neural import (
     _context_table,
     _encode_rows,
 )
+from oracles import Context, context_probabilities, encode_context, extract_context
 
 
 def bsc01_tables():

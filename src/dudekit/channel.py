@@ -176,7 +176,6 @@ class EstimatedLossTables:
     expected_loss: np.ndarray  # (X, S)
     estimated_loss: np.ndarray  # (Z, S)
     pseudo_labels: np.ndarray  # (Z, S), non-negative
-    label_norms: np.ndarray  # (Z,) row sums of pseudo_labels
     max_estimated_loss: float
 
     @property
@@ -213,8 +212,6 @@ def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedL
     labels = l_max - est
     for arr in (table, rho, est, labels):
         arr.flags.writeable = False
-    norms = labels.sum(axis=1)
-    norms.flags.writeable = False
     return EstimatedLossTables(
         channel=channel,
         loss=loss,
@@ -222,7 +219,6 @@ def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedL
         expected_loss=rho,
         estimated_loss=est,
         pseudo_labels=labels,
-        label_norms=norms,
         max_estimated_loss=l_max,
     )
 

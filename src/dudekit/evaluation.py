@@ -126,7 +126,7 @@ def sweep_k(
     the trained denoiser each k reseeds its run as rng_seed + k, so every
     sweep row is independently reproducible, and all orders train in one
     neural.train call (see there for how). Only the reconstruction at the
-    best order so far is kept.
+    order select_k picks from the rows so far is kept.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -139,7 +139,6 @@ def sweep_k(
     share = (time.perf_counter() - t0) / len(k_values) if nets else 0.0  # of the joint training
     chain = context_groups(z, k_values)
     records = []
-    best = None  # (estimated loss, reconstruction) at the best order so far
     for j, k in enumerate(k_values):
         t0 = time.perf_counter()
         groups = next(chain)
@@ -152,8 +151,8 @@ def sweep_k(
         wall = time.perf_counter() - t0 + share
         ber = symbol_error_rate(clean, xhat) if clean is not None else None
         records.append(KRecord(k, est, ber, groups.n_groups, wall))
-        if best is None or est < best[0]:  # a tie keeps the smaller k, as select_k does
-            best = (est, xhat)
+        if select_k(records) == k:
+            kept = xhat
     k_star = select_k(records)
     meta = [("seed", str(cfg.rng_seed))]
     if method == "ndude":
@@ -169,7 +168,7 @@ def sweep_k(
         records=tuple(records),
         meta=tuple(meta),
     )
-    return report, best[1]
+    return report, kept
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(KRecord))

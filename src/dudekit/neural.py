@@ -26,11 +26,14 @@ process trains the first stack, and one forked child process each other.
 Each network keeps its seed and ends bit for bit as if trained alone;
 stacking only saves numpy calls, where these small steps spend their
 time, and the networks share no data, so the stacks need not share a
-process.
+process. Both kinds of order train through one step loop, and training
+and inference run one forward pass, the stack's; a single network is a
+stack of one, whose layers are views made on demand into its parameters.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import zipfile
 from dataclasses import dataclass
@@ -100,10 +103,10 @@ def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
 class MLPDenoiser:
     """Fully connected ReLU network with a softmax head over denoiser rules.
 
-    Parameters live in one flat vector; per-layer weight matrices and
-    bias vectors are views into it, which keeps the optimizer a single
-    vector update. layer_dims runs from input width to output width, so
-    a network quoted as having L weight layers has L-1 hidden layers.
+    Parameters live in one flat vector, which keeps the optimizer a single
+    vector update; layers() makes per-layer views into it on demand. The
+    forward pass is _Stack's, on a stack of this one network. layer_dims
+    runs from input width to output width (L weight layers, L-1 hidden).
     """
 
     def __init__(
@@ -123,26 +126,13 @@ class MLPDenoiser:
         self.layer_dims = layer_dims
         self.k = int(k)
         self.dtype = np.dtype(dtype)
-        total = sum(
-            layer_dims[i] * layer_dims[i + 1] + layer_dims[i + 1]
-            for i in range(len(layer_dims) - 1)
-        )
-        self.params = np.zeros(total, dtype=self.dtype)
-        self.weights, self.biases = self._layer_views(self.params)
+        self.params = np.zeros(_n_params(layer_dims), dtype=self.dtype)
         if rng is None:
             rng = np.random.default_rng(0)
-        for w in self.weights:
+        for w in self.layers()[0::2]:
             scale = 1.0 / np.sqrt(max(1, w.shape[0]))
             w[:] = rng.uniform(-scale, scale, size=w.shape)
         self.epoch_losses: list[float] = []
-
-    def __getstate__(self):
-        # weights and biases are views into params; a pickle would copy them apart.
-        return {key: v for key, v in self.__dict__.items() if key not in ("weights", "biases")}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.weights, self.biases = self._layer_views(self.params)
 
     @property
     def n_params(self) -> int:
@@ -156,16 +146,10 @@ class MLPDenoiser:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def _layer_views(self, flat: np.ndarray):
-        """Per-layer (weights, biases) views into a flat parameter-shaped vector."""
-        weights, biases = [], []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-            offset += fan_in * fan_out
-            biases.append(flat[offset : offset + fan_out])
-            offset += fan_out
-        return weights, biases
+    def layers(self) -> list[np.ndarray]:
+        """Views into params: W0, b0, W1, b1, ..., each W (fan_in, fan_out)."""
+        dims = self.layer_dims
+        return _views(self.params, [s for a, b in zip(dims, dims[1:]) for s in ((a, b), (b,))])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of encoded contexts."""
@@ -174,10 +158,7 @@ class MLPDenoiser:
             raise DimensionMismatch(
                 f"expected (batch, {self.input_dim}) inputs, got {a.shape}"
             )
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        logits = a @ self.weights[-1] + self.biases[-1]
-        return _softmax(logits, out=logits)
+        return _Stack([self]).forward([a])[0]
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
         """Mean generalized cross-entropy -sum(g * log p) over the batch, p
@@ -190,58 +171,60 @@ class MLPDenoiser:
         return float(losses[0]), grad
 
 
+def _n_params(dims) -> int:
+    """Parameter count of a network with layer widths dims."""
+    return sum(a * b + b for a, b in zip(dims, dims[1:]))
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views into flat, one per shape, laid end to end."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
 class _Stack:
-    """K networks with the same hidden and output widths, stepped together.
+    """K networks with the same hidden and output widths, evaluated together;
+    the one forward pass, which inference and training steps both run.
 
     Parameters, and gradients, are one flat vector: each network's first
     weight block (input widths differ with k), then the (K, 1, out) biases
     and (K, in, out) weights of the stacked layers, in the network's own
     order, which for K = 1 is its own layout. numpy runs a stacked matmul
     as one gemm per network on the operands that network would use alone,
-    so each ends bit for bit as if trained alone. Zero-padding the first
-    layer to one input width would change its gemm, so it runs per network.
+    so each ends bit for bit as if run alone. Zero-padding the first layer
+    to one input width would change its gemm, so it runs per network.
     """
 
     def __init__(self, nets: list[MLPDenoiser]):
         self.nets, self.dtype = nets, nets[0].dtype
-        stack, own = len(nets), [a for pair in zip(nets[0].weights, nets[0].biases) for a in pair]
-        self._shapes = [net.weights[0].shape for net in nets]
-        self._shapes += [(stack, *a.shape) if a.ndim == 2 else (stack, 1, a.size) for a in own[1:]]
+        stack = len(nets)
+        shapes = [net.layers()[0].shape for net in nets]
+        shapes += [(stack, *np.atleast_2d(a).shape) for a in nets[0].layers()[1:]]
         self.params = np.empty(sum(net.n_params for net in nets), dtype=self.dtype)
         self.grad = np.empty_like(self.params)
-        self.first, self.rest = self._views(self.params)
+        parts, grads = _views(self.params, shapes), _views(self.grad, shapes)
+        self.first, self.rest = parts[:stack], parts[stack:]
         self.biases, self.weights = self.rest[0::2], self.rest[1::2]
-        self.g_first, g_rest = self._views(self.grad)
-        self.g_biases, self.g_weights = g_rest[0::2], g_rest[1::2]
+        self.g_first, self.g_biases = grads[:stack], grads[stack::2]
+        self.g_weights = grads[stack + 1 :: 2]
         self.weights_t = [w.transpose(0, 2, 1) for w in self.weights]
         for stacked, mine in self.pairs():
             stacked[...] = mine
-        self._buffers = {}
-
-    def _views(self, flat: np.ndarray):
-        """Views into flat: the first-layer weights per network, then the stacked rest."""
-        ends = np.cumsum([np.prod(shape) for shape in self._shapes])
-        parts = [p.reshape(shape) for p, shape in zip(np.split(flat, ends[:-1]), self._shapes)]
-        return parts[: len(self.nets)], parts[len(self.nets) :]
+        self._outs, self._back = {}, {}
 
     def pairs(self):
         """(stacked view, network's own array) for every weight and bias."""
         for j, net in enumerate(self.nets):
-            own = [a for pair in zip(net.weights, net.biases) for a in pair]
-            yield from zip([self.first[j]] + [a[j] for a in self.rest], own)
+            yield from zip([self.first[j]] + [a[j] for a in self.rest], net.layers())
 
-    def loss_grad(self, xs, g: np.ndarray, norms: np.ndarray):
-        """Each network's mean cost on its minibatch, and the stacked gradient
-        (self.grad, overwritten by the next call). xs[j] holds network j's
-        encoded rows, g the (K, batch, out) targets and norms their row sums."""
-        batch = g.shape[1]
-        if batch not in self._buffers:  # each layer's outputs and deltas, the loss terms
-            outs = [np.empty((len(self.nets), batch, b.shape[2]), self.dtype) for b in self.biases]
-            masks = [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
-            terms = np.empty(outs[-1].shape, dtype=np.float64)  # the loss sums in float64
-            outs_t = [o.transpose(0, 2, 1) for o in outs]
-            self._buffers[batch] = outs, outs_t, [np.empty_like(o) for o in outs], masks, terms
-        outs, outs_t, deltas, masks, terms = self._buffers[batch]
+    def forward(self, xs) -> np.ndarray:
+        """(K, batch, out) probabilities, xs[j] holding network j's encoded
+        rows. Each layer's post-ReLU outputs stay in self._outs[batch]."""
+        batch = len(xs[0])
+        if batch not in self._outs:
+            shapes = [(len(self.nets), batch, b.shape[2]) for b in self.biases]
+            self._outs[batch] = [np.empty(shape, self.dtype) for shape in shapes]
+        outs = self._outs[batch]
         for x, w, out in zip(xs, self.first, outs[0]):
             np.matmul(x, w, out=out)
         for a, b, w, out in zip(outs, self.biases, self.weights, outs[1:]):
@@ -250,7 +233,23 @@ class _Stack:
             np.matmul(a, w, out=out)
         probs = outs[-1]
         probs += self.biases[-1]
-        _softmax(probs, out=probs)
+        probs -= probs.max(axis=-1, keepdims=True)  # softmax, in place
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return probs
+
+    def loss_grad(self, xs, g: np.ndarray, norms: np.ndarray):
+        """Each network's mean cost on its minibatch, and the stacked gradient
+        (self.grad, overwritten by the next call). xs[j] holds network j's
+        encoded rows, g the (K, batch, out) targets and norms their row sums."""
+        probs, batch = self.forward(xs), g.shape[1]
+        outs = self._outs[batch]
+        if batch not in self._back:  # deltas, ReLU masks, outputs transposed, float64 loss terms
+            deltas = [np.empty_like(o) for o in outs]
+            masks = [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
+            outs_t = [o.transpose(0, 2, 1) for o in outs]
+            self._back[batch] = deltas, masks, outs_t, np.empty(probs.shape, dtype=np.float64)
+        deltas, masks, outs_t, terms = self._back[batch]
         log_p = np.log(np.maximum(probs, COST_FLOOR, out=deltas[-1]), out=deltas[-1])
         terms[...] = g
         losses = -np.multiply(terms, log_p, out=terms).sum(axis=(1, 2)) / batch
@@ -266,13 +265,6 @@ class _Stack:
             np.matmul(x.T, d, out=gw)
         np.add.reduce(delta, axis=1, keepdims=True, out=self.g_biases[0])
         return losses, self.grad
-
-
-def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
-    return shifted
 
 
 class _Adam:
@@ -470,43 +462,32 @@ def _context_table(groups, tables: EstimatedLossTables, dtype):
 
 
 def _train_table(net: MLPDenoiser, x: np.ndarray, g: np.ndarray, cfg: TrainConfig) -> None:
-    """Full-batch Adam on one network's context table; no shuffles."""
-    stack = _Stack([net])
-    adam = _Adam(stack.params.size, cfg, stack.dtype)
-    targets, norms = g.astype(stack.dtype)[None], g.sum(axis=1).astype(stack.dtype)[None]
-    for _ in range(cfg.epochs):
-        total = 0.0
-        for _ in range(TABLE_STEPS_PER_EPOCH):
-            losses, grad = stack.loss_grad([x], targets, norms)
-            adam.step(stack.params, grad)
-            total += losses[0]
-        net.epoch_losses.append(float(total / TABLE_STEPS_PER_EPOCH))
-    for stacked, mine in stack.pairs():
-        mine[...] = stacked
+    """Full-batch Adam on one network's context table, no shuffles; its epoch
+    loss is the mean over the epoch's steps."""
+    targets, norms = g.astype(net.dtype)[None], g.sum(axis=1).astype(net.dtype)[None]
+    _fit([net], lambda: [([x], targets, norms, 1)] * TABLE_STEPS_PER_EPOCH, cfg)
 
 
 def _train_positions(z: Sequence, nets, rngs, tables: EstimatedLossTables, cfg: TrainConfig):
     """Minibatch steps over positions, each net shuffling with its rng. Rows
     are gathered from one context window view of z and encoded a chunk of
     whole minibatches at a time, the minibatches one encoding per step sees."""
-    n, size = len(z), z.alphabet.size
-    stack = _Stack(nets)
-    labels = tables.pseudo_labels.astype(stack.dtype)
-    norms = tables.label_norms.astype(stack.dtype)
-    adam = _Adam(stack.params.size, cfg, stack.dtype)
+    n, size, dtype = len(z), z.alphabet.size, nets[0].dtype
+    labels = tables.pseudo_labels.astype(dtype)
+    norms = tables.pseudo_labels.sum(axis=1).astype(dtype)
     reach = max(net.k for net in nets)
     windows = context_windows(z.data, reach, pad=size)
     columns = [context_columns(net.k, reach) for net in nets]
     mb = cfg.minibatch_size
     chunk = min(n, mb * max(1, _FORWARD_CHUNK // mb))
-    x_bufs = [np.empty((chunk, net.input_dim), dtype=stack.dtype) for net in nets]
-    g_buf = np.empty((len(nets), mb, tables.n_denoisers), dtype=stack.dtype)
+    x_bufs = [np.empty((chunk, net.input_dim), dtype=dtype) for net in nets]
+    g_buf = np.empty((len(nets), mb, tables.n_denoisers), dtype=dtype)
     # Each network's shuffle of the epoch; int32 halves their memory.
     perms = np.empty((len(nets), n), dtype=np.int32 if n < 2**31 else np.int64)
-    for _ in range(cfg.epochs):
+
+    def epoch():
         for perm, rng in zip(perms, rngs):
             perm[:] = rng.permutation(n)
-        totals = np.zeros(len(nets))
         for c0 in range(0, n, chunk):
             idx = perms[:, c0 : c0 + chunk]
             xs = [
@@ -518,12 +499,26 @@ def _train_positions(z: Sequence, nets, rngs, tables: EstimatedLossTables, cfg: 
             for s in range(0, idx.shape[1], mb):
                 zs = zc[:, s : s + mb]
                 g = labels.take(zs, axis=0, out=g_buf[:, : zs.shape[1]], mode="clip")
-                xb = [x[s : s + mb] for x in xs]
-                losses, grad = stack.loss_grad(xb, g, g_norms[:, s : s + mb])
-                adam.step(stack.params, grad)
-                totals += losses * zs.shape[1]
+                yield [x[s : s + mb] for x in xs], g, g_norms[:, s : s + mb], zs.shape[1]
+
+    _fit(nets, epoch, cfg)
+
+
+def _fit(nets, epoch, cfg: TrainConfig) -> None:
+    """Adam on a _Stack of nets for cfg.epochs epochs, then copy the stack back.
+    epoch() yields one epoch's steps as _Stack.loss_grad's (xs, g, norms) and
+    a weight; a network's epoch loss is the weighted mean of its step losses."""
+    stack = _Stack(nets)
+    adam = _Adam(stack.params.size, cfg, stack.dtype)
+    for _ in range(cfg.epochs):
+        totals, weights = np.zeros(len(nets)), 0
+        for xs, g, norms, weight in epoch():
+            losses, grad = stack.loss_grad(xs, g, norms)
+            adam.step(stack.params, grad)
+            totals += losses * weight
+            weights += weight
         for net, total in zip(nets, totals):
-            net.epoch_losses.append(float(total / n))
+            net.epoch_losses.append(float(total / weights))
     for stacked, mine in stack.pairs():
         mine[...] = stacked
 
@@ -554,8 +549,8 @@ def select_denoisers(
     for start in range(0, rows.shape[0], _FORWARD_CHUNK):
         chunk = rows[start : start + _FORWARD_CHUNK]
         x = _encode_rows(chunk, size, buf[: chunk.shape[0]])
-        probs = net.forward(x)
-        per_row[start : start + chunk.shape[0]] = np.argmax(probs, axis=1)
+        # A stack per chunk: its layer buffers are gone while the next chunk encodes.
+        per_row[start : start + chunk.shape[0]] = np.argmax(net.forward(x), axis=1)
     return per_row[groups.inverse]
 
 
@@ -593,10 +588,10 @@ def load_checkpoint(path: str) -> tuple[MLPDenoiser, dict]:
             dtype = np.dtype(str(data["dtype"]))
             if dtype not in (np.float32, np.float64):
                 raise MalformedHeader(f"checkpoint dtype {dtype} is not float32 or float64")
-            net = MLPDenoiser(dims, k=int(data["k"]), dtype=dtype)
             params = data["params"]
-            if params.shape != net.params.shape or params.dtype != dtype:
+            if params.shape != (_n_params(dims),) or params.dtype != dtype:
                 raise MalformedHeader("checkpoint parameters do not match its dims and dtype")
+            net = MLPDenoiser(dims, k=int(data["k"]), dtype=dtype)
             if not np.isfinite(params).all():
                 raise MalformedHeader("checkpoint parameters are not all finite")
             net.params[:] = params
@@ -610,9 +605,9 @@ def load_checkpoint(path: str) -> tuple[MLPDenoiser, dict]:
         raise MalformedHeader(f"bad checkpoint {path}: {exc}") from exc
 
 
-def check_checkpoint(meta: dict, tables: EstimatedLossTables, k: int | None = None) -> None:
+def check_checkpoint(meta: dict, tables: EstimatedLossTables, k: int) -> None:
     """Reject a checkpoint trained against a different channel, loss, or k."""
     if meta.get("fingerprint") != tables.fingerprint():
         raise CheckpointMismatch("checkpoint was trained for a different channel or loss")
-    if k is not None and meta.get("k") != k:
+    if meta.get("k") != k:
         raise CheckpointMismatch(f"checkpoint has k={meta.get('k')}, requested k={k}")

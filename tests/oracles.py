@@ -3,9 +3,11 @@
 Each works one context at a time: a context is a Context tuple pair,
 keyed by context_key, counted position by position (collect_counts),
 turned into a reconstruction by the original inverse-channel rule form
-(dude_rule_original) and one-hot encoded digit by digit
-(encode_context). None of them reads a window view or a context group,
-so they stay independent of the code they check.
+(dude_rule_original), one-hot encoded digit by digit (encode_context)
+and classified by a per-layer loop over a network's weights
+(context_probabilities). None of them reads a window view, a context
+group or a stacked forward pass, so they stay independent of the code
+they check.
 """
 
 from __future__ import annotations
@@ -151,6 +153,13 @@ def encode_context(c: Context, alphabet: Alphabet) -> np.ndarray:
 def context_probabilities(
     net: MLPDenoiser, contexts: list[Context], alphabet: Alphabet
 ) -> np.ndarray:
-    """Rule probabilities for explicit Context objects, one row each."""
-    x = np.stack([encode_context(c, alphabet) for c in contexts])
-    return net.forward(x.astype(net.dtype))
+    """Rule probabilities for explicit Context objects, one row each, by a
+    plain loop over the network's layers: ReLU on each hidden layer, then
+    a softmax."""
+    a = np.stack([encode_context(c, alphabet) for c in contexts]).astype(net.dtype)
+    layers = net.layers()
+    for w, b in zip(layers[0:-2:2], layers[1:-2:2]):
+        a = np.maximum(a @ w + b, 0.0)
+    logits = a @ layers[-2] + layers[-1]
+    logits = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return logits / logits.sum(axis=1, keepdims=True)

@@ -123,7 +123,6 @@ def test_tables_frozen_values_bsc01():
     assert t.max_estimated_loss == pytest.approx(1.125, abs=1e-12)
     assert np.allclose(t.pseudo_labels[0], [1.25, 0.225, 1.025, 0.0], atol=1e-12)
     assert np.allclose(t.pseudo_labels[1], [0.0, 0.225, 1.025, 1.25], atol=1e-12)
-    assert np.allclose(t.label_norms, t.pseudo_labels.sum(axis=1))
     assert t.identity == 2
     assert t.n_denoisers == 4
 

@@ -94,7 +94,7 @@ def test_mlp_parameter_layout():
     assert net.n_params == 4 * 8 + 8 + 8 * 3 + 3
     # views share storage with the flat vector
     net.params[:] = 0.0
-    net.weights[0][0, 0] = 5.0
+    net.layers()[0][0, 0] = 5.0
     assert net.params[0] == 5.0
     assert net.input_dim == 4 and net.output_dim == 3
 
@@ -153,13 +153,13 @@ def test_gradient_zero_for_zero_targets():
     net = MLPDenoiser((0, 6), k=0, dtype=np.float64)
     x = np.zeros((4, 0))
     g = rng.random((4, 6)) * 3
-    net.biases[0][:] = np.log(g.sum(axis=0) / g.sum())
+    net.layers()[1][:] = np.log(g.sum(axis=0) / g.sum())
     loss, grad = net.loss_and_gradient(x, g)
     p = g.sum(axis=0) / g.sum()
     assert loss == pytest.approx(-(g @ np.log(p)).mean())
     assert np.max(np.abs(grad)) < 1e-12
     # the floored log keeps a zero probability finite
-    net.biases[0][:] = [0.0, -1000.0, 0.0, 0.0, 0.0, 0.0]
+    net.layers()[1][:] = [0.0, -1000.0, 0.0, 0.0, 0.0, 0.0]
     loss, _ = net.loss_and_gradient(x, np.eye(6)[[1, 1, 1, 1]])
     assert np.isfinite(loss) and loss > 60
 
@@ -456,6 +456,23 @@ def test_select_denoisers_matches_per_position_forward():
     assert np.array_equal(out.data, t.map_table[s_idx, z.data.astype(np.int64)])
 
 
+def test_select_denoisers_ragged_chunks_match_layer_loop():
+    # more distinct contexts than one inference chunk, the last chunk ragged
+    rng = np.random.default_rng(11)
+    z = Sequence((rng.random(20_000) < 0.5).astype(np.uint8), BINARY)
+    t = bsc01_tables()
+    k = 7
+    n_groups = group_contexts(z, k).n_groups
+    assert n_groups > neural._FORWARD_CHUNK and n_groups % neural._FORWARD_CHUNK
+    contexts = [extract_context(z, i, k) for i in range(len(z))]
+    x = np.stack([encode_context(c, BINARY) for c in contexts])
+    for dtype in (np.float32, np.float64):
+        net = MLPDenoiser((4 * k, 40, 40, t.n_denoisers), k=k, rng=rng, dtype=dtype)
+        want = context_probabilities(net, contexts, BINARY)
+        assert net.forward(x).tobytes() == want.tobytes()
+        assert np.array_equal(select_denoisers(z, net, t), np.argmax(want, axis=1))
+
+
 def test_select_denoisers_dim_checks():
     _, z = _toy_instance(n=300)
     t = bsc01_tables()
@@ -504,7 +521,7 @@ def test_checkpoint_mismatch(tmp_path):
     _, meta = load_checkpoint(path)
     other = build_estimated_loss(bsc(0.2), hamming_loss(BINARY))
     with pytest.raises(CheckpointMismatch):
-        check_checkpoint(meta, other)
+        check_checkpoint(meta, other, k=2)
     with pytest.raises(CheckpointMismatch):
         check_checkpoint(meta, t, k=3)
 
@@ -527,6 +544,8 @@ def test_checkpoint_bad_file(tmp_path):
     bad += [{"params": net.params.astype(np.int64)}]  # not the dtype it declares
     bad += [{"params": np.where(np.arange(net.n_params) == 5, v, net.params)}
             for v in (np.nan, np.inf, -np.inf)]
+    # dims implying far more parameters than the file holds; nothing is allocated
+    bad += [{"layer_dims": np.array([2, 10**6, 10**6, 4]), "params": net.params[:10]}]
     for change in bad:
         np.savez(other, **{**fields, **change})
         with pytest.raises(MalformedHeader):

@@ -2,8 +2,9 @@
 
 A discrete memoryless channel is a row-stochastic matrix over the
 alphabet. A single-symbol denoising rule s maps each observed symbol to
-a reconstruction; it is a row index into map_table. From a channel and
-a loss we derive, for every rule s:
+a symbol of the same alphabet; it is a row index into map_table. The
+loss is square: rows index the clean symbol, columns the reconstruction.
+From a channel and a loss we derive, for every rule s:
 
   expected_loss[x, s]   mean true loss of rule s when the clean symbol
                         is x, averaged over the channel output
@@ -38,7 +39,7 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
-# Largest rule table built; |reconstructions|**|alphabet| rows past it raise.
+# Largest rule table built; |alphabet|**|alphabet| rows past it raise.
 DENOISER_CAP = 65536
 # A matrix whose reciprocal condition number (in the 1-norm) is at most
 # this is singular to working precision: the channel inverse and the
@@ -128,21 +129,14 @@ class LossMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != self.alphabet.size:
-            raise DimensionMismatch(
-                f"loss must have {self.alphabet.size} rows, got shape {arr.shape}"
-            )
-        if arr.shape[1] < 1:
-            raise DimensionMismatch("loss needs at least one reconstruction symbol")
+        n = self.alphabet.size
+        if arr.shape != (n, n):
+            raise DimensionMismatch(f"loss must have shape {(n, n)}, got {arr.shape}")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise DataError("loss entries must be finite and non-negative")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def n_reconstructions(self) -> int:
-        return int(self.entries.shape[1])
 
 
 def hamming_loss(alphabet: Alphabet) -> LossMatrix:
@@ -150,19 +144,19 @@ def hamming_loss(alphabet: Alphabet) -> LossMatrix:
     return LossMatrix(np.ones((n, n)) - np.eye(n), alphabet)
 
 
-def mapping_table(n_in: int, n_out: int) -> np.ndarray:
-    """(n_denoisers, n_in) uint8 table: row s gives mapping of denoiser s.
+def mapping_table(n: int) -> np.ndarray:
+    """(n**n, n) uint8 table: row s gives the mapping of denoiser s.
 
-    Row s is the little-endian base-n_out expansion of s, so s equals
-    sum_j table[s, j] * n_out**j: row 0 is the constant map to symbol 0.
+    Row s is the little-endian base-n expansion of s, so s equals
+    sum_j table[s, j] * n**j: row 0 is the constant map to symbol 0.
     """
-    total = n_out**n_in
+    total = n**n
     if total > DENOISER_CAP:
         raise CapExceeded(f"{total} denoisers exceed cap {DENOISER_CAP}")
     idx = np.arange(total, dtype=np.int64)
-    table = np.empty((total, n_in), dtype=np.uint8)
-    for j in range(n_in):
-        table[:, j] = (idx // n_out**j) % n_out
+    table = np.empty((total, n), dtype=np.uint8)
+    for j in range(n):
+        table[:, j] = (idx // n**j) % n
     return table
 
 
@@ -184,10 +178,8 @@ class EstimatedLossTables:
 
     @property
     def identity(self) -> int:
-        """Index of the identity denoiser (square losses only)."""
+        """Index of the identity denoiser."""
         n = self.channel.size
-        if self.loss.n_reconstructions != n:
-            raise DataError("identity denoiser undefined for rectangular loss")
         return sum(j * n**j for j in range(n))
 
     def fingerprint(self) -> str:
@@ -201,7 +193,7 @@ class EstimatedLossTables:
 
 def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedLossTables:
     """Derive all tables; raises SingularChannel if the channel has no inverse."""
-    table = mapping_table(channel.size, loss.n_reconstructions)
+    table = mapping_table(channel.size)
     rho = np.empty((channel.size, table.shape[0]))
     for x in range(channel.size):
         # loss of denoiser s at observation z, averaged over z ~ channel row x
@@ -259,12 +251,10 @@ def load_channel_json(path: str) -> tuple[ChannelMatrix, LossMatrix]:
     """Read a channel (and optional loss) description from a JSON file.
 
     Expected keys: "alphabet" (list of labels), "channel" (nested list,
-    row-stochastic, square), optional "loss" (nested list, defaults to
-    Hamming on the same alphabet).
+    row-stochastic, square), optional "loss" (nested list, square,
+    defaults to Hamming on the same alphabet).
     """
     alphabet, raw, loss = read_spec_json(path, "channel file", "channel", "loss", InvalidChannel)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise InvalidChannel(f"channel matrix must be square, got shape {raw.shape}")
     chan = ChannelMatrix(raw, alphabet)
     return chan, hamming_loss(alphabet) if loss is None else LossMatrix(loss, alphabet)
 

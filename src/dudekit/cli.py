@@ -137,14 +137,15 @@ def _cmd_denoise(args) -> int:
     if args.method in ("dude", "ndude"):
         if args.k is None:
             raise _UsageError(f"--k is required for method {args.method}")
+        if args.k < 0:
+            raise _UsageError(f"context order --k must be non-negative, got {args.k}")
         tables = build_estimated_loss(chan, loss)
         meta["k"] = str(args.k)
     if args.method == "dude":
         xhat = dude.dude_denoise(z, args.k, tables=tables)
     elif args.method == "ndude":
         if args.load_model:
-            net, ckpt_meta = neural.load_checkpoint(args.load_model)
-            neural.check_checkpoint(ckpt_meta, tables, k=args.k)
+            net = neural.load_checkpoint(args.load_model, tables, args.k)
         else:
             net = neural.train(z, args.k, tables, _parse_hidden(args.hidden), _train_config(args))
         if args.save_model:

@@ -27,7 +27,7 @@ MAX_ALPHABET_SIZE = 255
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered set of distinct symbol labels; index = position."""
+    """An ordered set of distinct labels, one latin-1 character each; index = position."""
 
     labels: tuple[str, ...]
 
@@ -41,8 +41,8 @@ class Alphabet:
         if len(set(self.labels)) != len(self.labels):
             raise DataError("alphabet labels must be distinct")
         for lab in self.labels:
-            if not isinstance(lab, str) or lab == "":
-                raise DataError("alphabet labels must be non-empty strings")
+            if not isinstance(lab, str) or len(lab) != 1 or ord(lab) > 255:
+                raise DataError(f"alphabet label {lab!r} is not one latin-1 character")
 
     @property
     def size(self) -> int:
@@ -53,13 +53,8 @@ class Alphabet:
         """Sentinel index used for out-of-range context positions."""
         return len(self.labels)
 
-    def single_char(self) -> bool:
-        return all(len(lab) == 1 for lab in self.labels)
-
     def encode(self, text: str) -> np.ndarray:
-        """Map a string of single-character latin-1 labels to an index array."""
-        if not self.single_char() or max(map(ord, self.labels)) > 255:
-            raise DataError("text encoding requires single-character latin-1 labels")
+        """Map a string of labels to an index array."""
         lut = np.full(256, -1, dtype=np.int16)
         lut[[ord(lab) for lab in self.labels]] = np.arange(self.size)
         try:
@@ -73,8 +68,8 @@ class Alphabet:
         return idx.astype(np.uint8)
 
     def decode(self, indices: np.ndarray) -> str:
-        labels = np.array(self.labels, dtype=object)
-        return "".join(labels[np.asarray(indices, dtype=np.intp)].tolist())
+        lut = np.frombuffer("".join(self.labels).encode("latin-1"), dtype=np.uint8)
+        return lut[indices].tobytes().decode("latin-1")
 
 
 BINARY = Alphabet(("0", "1"))
@@ -212,6 +207,8 @@ def context_groups(seq: Sequence, orders):
     orders = [int(k) for k in orders]
     if orders != sorted(orders):
         raise DataError("context orders must ascend")
+    if orders and orders[0] < 0:
+        raise DataError(f"context order must be non-negative, got {orders[0]}")
     n, base = len(seq), seq.alphabet.size + 1  # pad digit == size needs base size+1
     reach = max(orders, default=0)
     windows = context_windows(seq.data, reach, pad=seq.alphabet.pad_index)
@@ -219,8 +216,10 @@ def context_groups(seq: Sequence, orders):
     n_groups, done = min(n, 1), 0
     for k in orders:
         while done < k:
-            fits = [d for d in range(2, k - done + 1) if n_groups * base ** (2 * d) <= 2**64]
-            cols = context_columns(done + max(fits, default=1), reach)
+            step = 1  # keys grow with the step, so stop at the first that overflows
+            while step < k - done and n_groups * base ** (2 * step + 2) <= 2**64:
+                step += 1
+            cols = context_columns(done + step, reach)
             cols = cols[abs(cols - reach) > done]  # the orders this step adds
             inverse, n_groups = _refine(inverse, n_groups, windows, cols, base)
             done += len(cols) // 2

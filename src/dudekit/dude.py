@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
 from .core import Sequence, group_contexts, interior_slice
-from .errors import DataError, DimensionMismatch
+from .errors import DataError
 
 # Cap on score-matrix chunk size, in float64 entries (2 MiB).
 _CHUNK_ENTRIES = 1 << 18
@@ -49,8 +49,6 @@ def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables, groups=No
     """
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
-    if tables.loss.n_reconstructions != z.alphabet.size:
-        raise DimensionMismatch("sliding-window denoising requires a square loss")
     inner = interior_slice(len(z), k)
     groups = groups if groups is not None else group_contexts(z, k)
     per_group = _argmin_chunked(groups.center_counts(), tables.estimated_loss)

@@ -188,8 +188,6 @@ def write_headed(path: str, pairs, body_lines) -> None:
 
 def save_sequence(seq: Sequence, path: str, meta: dict[str, str] | None = None) -> None:
     """Write a sequence as commented headers plus wrapped symbol text."""
-    if not seq.alphabet.single_char():
-        raise DataError("text sequence files require single-character labels")
     pairs = [("alphabet", "".join(seq.alphabet.labels)), ("n", len(seq)), *(meta or {}).items()]
     text = seq.to_text()
     write_headed(path, pairs, (text[i : i + 100] for i in range(0, len(text), 100)))

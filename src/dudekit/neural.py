@@ -116,13 +116,13 @@ class MLPDenoiser:
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
+        if k < 0:
+            raise DataError(f"context order k must be non-negative, got {k}")
         layer_dims = tuple(int(d) for d in layer_dims)
         if len(layer_dims) < 2:
             raise DimensionMismatch("need at least input and output dimensions")
         if any(d < 0 for d in layer_dims) or any(d < 1 for d in layer_dims[1:]):
             raise DimensionMismatch(f"bad layer dimensions {layer_dims}")
-        if k < 0:
-            raise DataError("context order k must be non-negative")
         self.layer_dims = layer_dims
         self.k = int(k)
         self.dtype = np.dtype(dtype)
@@ -578,8 +578,9 @@ def save_checkpoint(net: MLPDenoiser, path: str, tables: EstimatedLossTables) ->
         )
 
 
-def load_checkpoint(path: str) -> tuple[MLPDenoiser, dict]:
-    """Load a checkpoint; returns the network and its metadata."""
+def load_checkpoint(path: str, tables: EstimatedLossTables, k: int) -> MLPDenoiser:
+    """The checkpoint's network; raises CheckpointMismatch unless it was
+    trained against tables' channel and loss at order k."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "magic" not in data or str(data["magic"]) != CHECKPOINT_MAGIC:
@@ -596,18 +597,14 @@ def load_checkpoint(path: str) -> tuple[MLPDenoiser, dict]:
                 raise MalformedHeader("checkpoint parameters are not all finite")
             net.params[:] = params
             net.epoch_losses = [float(v) for v in data["epoch_losses"]]
-            meta = {"fingerprint": str(data["fingerprint"]), "k": net.k}
-            return net, meta
+            fingerprint = str(data["fingerprint"])
     except OSError as exc:
         raise MalformedHeader(f"cannot read checkpoint {path}: {exc}") from exc
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         # empty, truncated or foreign files, and archives missing a field
         raise MalformedHeader(f"bad checkpoint {path}: {exc}") from exc
-
-
-def check_checkpoint(meta: dict, tables: EstimatedLossTables, k: int) -> None:
-    """Reject a checkpoint trained against a different channel, loss, or k."""
-    if meta.get("fingerprint") != tables.fingerprint():
+    if fingerprint != tables.fingerprint():
         raise CheckpointMismatch("checkpoint was trained for a different channel or loss")
-    if meta.get("k") != k:
-        raise CheckpointMismatch(f"checkpoint has k={meta.get('k')}, requested k={k}")
+    if net.k != k:
+        raise CheckpointMismatch(f"checkpoint has k={net.k}, requested k={k}")
+    return net

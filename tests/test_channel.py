@@ -64,13 +64,15 @@ def test_singular_channel_construction_ok_inverse_raises():
 def test_loss_validation():
     with pytest.raises(DataError):
         LossMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), BINARY)
-    with pytest.raises(DimensionMismatch):
-        LossMatrix(np.zeros((3, 2)), BINARY)
+    # the loss is square: no reconstruction outside the alphabet
+    for shape in ((3, 2), (2, 3), (2,), (1, 1)):
+        with pytest.raises(DimensionMismatch):
+            LossMatrix(np.zeros(shape), BINARY)
     assert np.allclose(hamming_loss(DNA).entries, 1 - np.eye(4))
 
 
 def test_denoiser_enumeration_binary_order():
-    table = mapping_table(2, 2)
+    table = mapping_table(2)
     assert table.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
     # row 2 is the identity, row 1 the flip
     assert table[2].tolist() == [0, 1] and table[1].tolist() == [1, 0]
@@ -79,12 +81,11 @@ def test_denoiser_enumeration_binary_order():
 def test_denoiser_index_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        n_in = int(rng.integers(1, 5))
-        n_out = int(rng.integers(1, 5))
-        mapping = tuple(int(v) for v in rng.integers(0, n_out, n_in))
-        idx = sum(m * n_out**j for j, m in enumerate(mapping))
-        table = mapping_table(n_in, n_out)
-        assert table.shape == (n_out**n_in, n_in)
+        n = int(rng.integers(1, 6))
+        mapping = tuple(int(v) for v in rng.integers(0, n, n))
+        idx = sum(m * n**j for j, m in enumerate(mapping))
+        table = mapping_table(n)
+        assert table.shape == (n**n, n)
         assert tuple(table[idx]) == mapping
 
 
@@ -97,8 +98,9 @@ def test_identity_index_values():
 
 
 def test_enumeration_cap():
+    assert mapping_table(6).shape == (6**6, 6)  # 46,656 rules, within the cap
     with pytest.raises(CapExceeded):
-        mapping_table(16, 4)
+        mapping_table(7)
     seven = Alphabet(tuple("0123456"))  # 7**7 rules, past the cap
     with pytest.raises(CapExceeded):
         build_estimated_loss(symmetric_channel(0.1, seven), hamming_loss(seven))
@@ -106,8 +108,9 @@ def test_enumeration_cap():
 
 def test_mapping_table_matches_enumeration():
     # itertools varies the last position fastest; rows are little-endian
-    want = [tuple(reversed(p)) for p in itertools.product(range(3), repeat=4)]
-    assert [tuple(row) for row in mapping_table(4, 3)] == want
+    for n in (3, 4):
+        want = [tuple(reversed(p)) for p in itertools.product(range(n), repeat=n)]
+        assert [tuple(row) for row in mapping_table(n)] == want
 
 
 # Frozen reference tables for the binary symmetric channel at 0.1 with
@@ -191,6 +194,14 @@ def test_load_channel_json_defaults_and_errors(tmp_path):
     assert np.allclose(loss.entries, 1 - np.eye(2))
     path.write_text('{"alphabet": ["0", "1"], "channel": [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0]]}')
     with pytest.raises(InvalidChannel):
+        load_channel_json(str(path))
+    # a loss with a third, "erase" column
+    path.write_text('{"alphabet": ["0", "1"], "channel": [[0.7, 0.3], [0.3, 0.7]],'
+                    ' "loss": [[0, 1, 0.2], [1, 0, 0.2]]}')
+    with pytest.raises(DimensionMismatch):
+        load_channel_json(str(path))
+    path.write_text('{"alphabet": ["x0", "x1"], "channel": [[0.8, 0.2], [0.2, 0.8]]}')
+    with pytest.raises(DataError, match="x0"):
         load_channel_json(str(path))
     path.write_text('{"channel": [[1.0]]}')
     with pytest.raises(InvalidChannel):

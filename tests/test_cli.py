@@ -12,18 +12,25 @@ import pytest
 import dudekit
 from dudekit import neural
 from dudekit.cli import main
+from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit.core import BINARY, Sequence
 from dudekit.evaluation import report_from_csv, report_from_json
 from dudekit.io import load_pbm, load_sequence, save_pbm, ImageGrid, save_sequence
 from dudekit.neural import load_checkpoint
 
 
+# The package under test, as an absolute path that CLI subprocesses import it from.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dudekit.__file__)))
+
+
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
         [sys.executable, "-m", "dudekit.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -122,7 +129,7 @@ def test_ndude_checkpoint_cli(sim_files, tmp_path):
         "--save-model", model,
     )
     assert res.returncode == 0, res.stderr
-    net, meta = load_checkpoint(model)
+    net = load_checkpoint(model, build_estimated_loss(bsc(0.1), hamming_loss(BINARY)), 2)
     assert net.k == 2
     res = run_cli(
         "denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
@@ -323,6 +330,63 @@ def test_negative_seed_exits_2(sim_files, tmp_path):
         assert "Traceback" not in res.stderr and "non-negative" in res.stderr, res.stderr
 
 
+def test_negative_k_is_a_usage_error(sim_files, tmp_path):
+    _, _, noisy = sim_files
+    out = tmp_path / "o.txt"
+    for method in ("dude", "ndude"):
+        res = run_cli(
+            "denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", method,
+            "--k", "-1", "--hidden", "4", "--epochs", "1", "--output", str(out),
+        )
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr and "--k" in res.stderr, res.stderr
+    assert not out.exists()
+
+
+def test_rectangular_loss_exits_2_before_any_output(sim_files, tmp_path, capsys):
+    # A third, "erase" column has no symbol of the alphabet to reconstruct
+    # into. Every command rejects the channel file before it writes a file.
+    _, _, noisy = sim_files
+    spec, out = tmp_path / "chan.json", tmp_path / "out"
+    out.mkdir()
+    train = ("--hidden", "4", "--epochs", "1")
+    for channel, loss in (
+        ([[0.7, 0.3], [0.3, 0.7]], [[0, 1, 0.2], [1, 0, 0.2]]),
+        ([[0.9, 0.1], [0.1, 0.9]], [[0, 1, 0.4], [1, 0, 0.4]]),
+    ):
+        spec.write_text(json.dumps({"alphabet": ["0", "1"], "channel": channel, "loss": loss}))
+        for args in (
+            ("simulate", "--source", "bsmc:0.4", "--n", "2000", "--seed", "1",
+             "--out-clean", str(out / "c.txt"), "--out-noisy", str(out / "n.txt")),
+            ("denoise", "--input", noisy, "--method", "ndude", "--k", "3", *train,
+             "--output", str(out / "d.txt")),
+            ("sweep", "--input", noisy, "--method", "ndude", "--kmin", "1", "--kmax", "2",
+             *train, "--report", str(out / "r.csv"), "--output", str(out / "s.txt")),
+            ("sweep", "--input", noisy, "--method", "dude", "--kmax", "2",
+             "--report", str(out / "r.csv")),
+        ):
+            assert main([*args, "--channel", str(spec)]) == 2
+            assert "loss must have shape (2, 2)" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_multichar_labels_exit_2_naming_the_label(sim_files, tmp_path, capsys):
+    _, _, noisy = sim_files
+    source, channel, out = tmp_path / "src.json", tmp_path / "chan.json", tmp_path / "out"
+    out.mkdir()
+    source.write_text('{"alphabet": ["x0", "x1"], "transition": [[0.9, 0.1], [0.2, 0.8]]}')
+    channel.write_text('{"alphabet": ["x0", "x1"], "channel": [[0.9, 0.1], [0.1, 0.9]]}')
+    for args in (
+        ("simulate", "--source", str(source), "--channel", str(channel), "--n", "500",
+         "--out-clean", str(out / "c.txt"), "--out-noisy", str(out / "n.txt")),
+        ("denoise", "--input", noisy, "--channel", str(channel), "--method", "dude",
+         "--k", "1", "--output", str(out / "d.txt")),
+    ):
+        assert main(list(args)) == 2
+        assert "'x0'" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_json_source_outputs_do_not_depend_on_directory(tmp_path):
     # The same source and channel files in two directories, run with the
     # same seed, must give byte-identical files.
@@ -397,13 +461,12 @@ def test_sweep_exits_3_when_a_training_child_dies(sim_files, tmp_path, monkeypat
 def test_cli_import_leaves_multiprocessing_unloaded():
     # A cold `import dudekit.cli` is what setup time measures; the trainer
     # imports multiprocessing only when it forks.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dudekit.__file__)))
     probe = "import sys, dudekit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
     res = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

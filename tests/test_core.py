@@ -1,5 +1,7 @@
 """Alphabet, sequence, and context plumbing."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,11 @@ def test_alphabet_validation():
         Alphabet(())
     with pytest.raises(DataError):
         Alphabet(("a", "a"))
-    with pytest.raises(DataError):
-        Alphabet(("a", ""))
+    # each label is one latin-1 character, named when it is not
+    for labels in (("a", ""), ("ab",), ("€",), ("0", "x0"), ("a", 1)):
+        with pytest.raises(DataError, match="latin-1") as err:
+            Alphabet(labels)
+        assert repr(labels[-1]) in str(err.value)
 
 
 def test_encode_decode_roundtrip():
@@ -44,12 +49,15 @@ def test_encode_decode_roundtrip():
     assert list(seq.data) == [0, 1, 2, 3, 3, 2, 1, 0]
 
 
-def test_decode_multichar_labels():
-    words = Alphabet(("ab", "c", "def"))
-    idx = np.random.default_rng(3).integers(0, 3, 200).astype(np.uint8)
-    text = words.decode(idx)
-    assert text == "".join(words.labels[i] for i in idx)
-    assert Sequence(idx, words).to_text() == text
+def test_decode_latin1_labels():
+    # 255 of the 256 latin-1 characters, in a scrambled order
+    codes = np.random.default_rng(3).permutation(256)[:255]
+    alphabet = Alphabet(tuple(chr(c) for c in codes))
+    idx = np.random.default_rng(4).integers(0, 255, 2000).astype(np.uint8)
+    text = alphabet.decode(idx)
+    assert text == "".join(alphabet.labels[i] for i in idx)
+    assert np.array_equal(alphabet.encode(text), idx)
+    assert Sequence(idx, alphabet).to_text() == text
 
 
 def test_encode_rejects_unknown_symbol():
@@ -189,10 +197,11 @@ def test_group_contexts_split_refinement(monkeypatch):
     # 3**82 and 5**28 overflow uint64, so grouping splits the orders over
     # several refinement steps, each of whose keys fits. 3**40 and 5**26
     # still fit: one step, numbered in the order of the packed keys.
-    spans = []
+    spans, grown = [], []
 
     def spy(inverse, n_groups, windows, columns, base):
         spans.append(n_groups * base ** len(columns))
+        grown.append(n_groups * base ** (len(columns) + 2))
         return refine(inverse, n_groups, windows, columns, base)
 
     refine = core._refine
@@ -201,8 +210,11 @@ def test_group_contexts_split_refinement(monkeypatch):
     for alphabet, k, n in ((BINARY, 41, 120), (DNA, 14, 60)):
         seq = Sequence(rng.integers(0, alphabet.size, n).astype(np.uint8), alphabet)
         spans.clear()
+        grown.clear()
         _check_groups(seq, k)
         assert len(spans) >= 2 and max(spans) <= 2**64
+        # each step but the last takes as many orders as fit: one more overflows
+        assert min(grown[:-1]) > 2**64
     for alphabet, k in ((BINARY, 20), (DNA, 13)):
         seq = Sequence(rng.integers(0, alphabet.size, 300).astype(np.uint8), alphabet)
         _check_groups(seq, k)
@@ -263,6 +275,24 @@ def test_context_groups_reject_descending_orders():
     seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
     with pytest.raises(DataError):
         list(context_groups(seq, (2, 1)))
+
+
+def test_context_groups_reject_negative_orders():
+    seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
+    with pytest.raises(DataError, match="-1"):
+        group_contexts(seq, -1)
+    with pytest.raises(DataError):
+        list(context_groups(seq, (-2, 1)))
+
+
+def test_group_contexts_far_past_the_length():
+    # Every context is distinct; the step search stops at the first
+    # step that overflows instead of trying every remaining order.
+    seq = Sequence(np.random.default_rng(13).integers(0, 4, 200).astype(np.uint8), DNA)
+    start = time.perf_counter()
+    groups = group_contexts(seq, 3000)
+    assert time.perf_counter() - start < 1.0
+    assert groups.n_groups == 200
 
 
 def test_interior_slice():

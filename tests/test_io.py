@@ -184,11 +184,14 @@ def test_text_readers_reject_bad_utf8(tmp_path):
         load_sequence(str(path))
 
 
-def test_save_sequence_requires_single_char_labels(tmp_path):
-    alpha = Alphabet(("aa", "bb"))
-    seq = Sequence(np.array([0, 1], dtype=np.uint8), alpha)
-    with pytest.raises(DataError):
-        save_sequence(seq, str(tmp_path / "x.txt"))
+def test_sequence_file_roundtrips_latin1_labels(tmp_path):
+    # labels past ASCII are written as UTF-8 and read back from the header
+    alpha = Alphabet(("é", "ß", "a", "\xff"))
+    seq = Sequence(np.random.default_rng(8).integers(0, 4, 250).astype(np.uint8), alpha)
+    path = str(tmp_path / "x.txt")
+    save_sequence(seq, path)
+    loaded, meta = load_sequence(path)
+    assert loaded == seq and meta["alphabet"] == "éßa\xff"
 
 
 def test_headed_roundtrip_and_key_check(tmp_path):

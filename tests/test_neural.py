@@ -26,7 +26,6 @@ from dudekit.neural import (
     EPSILON,
     MLPDenoiser,
     TrainConfig,
-    check_checkpoint,
     denoise,
     load_checkpoint,
     save_checkpoint,
@@ -104,6 +103,12 @@ def test_mlp_dim_validation():
         MLPDenoiser((4,), k=1)
     with pytest.raises(DimensionMismatch):
         MLPDenoiser((4, 0, 3), k=1)
+
+
+def test_negative_order_is_named_before_the_layer_widths():
+    _, z = _toy_instance(n=200)
+    with pytest.raises(DataError, match="non-negative, got -1"):
+        train(z, -1, bsc01_tables(), hidden=(4,), config=TrainConfig(epochs=1))
 
 
 def test_forward_rows_are_distributions():
@@ -504,12 +509,11 @@ def test_checkpoint_roundtrip(tmp_path):
     net = train(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
     path = str(tmp_path / "model.npz")
     save_checkpoint(net, path, t)
-    loaded, meta = load_checkpoint(path)
+    loaded = load_checkpoint(path, t, 2)
     assert np.array_equal(loaded.params, net.params)
     assert loaded.layer_dims == net.layer_dims
     assert loaded.k == net.k
-    assert meta["fingerprint"] == t.fingerprint()
-    check_checkpoint(meta, t, k=2)
+    assert loaded.epoch_losses == net.epoch_losses
 
 
 def test_checkpoint_mismatch(tmp_path):
@@ -518,29 +522,29 @@ def test_checkpoint_mismatch(tmp_path):
     net = train(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
     path = str(tmp_path / "model.npz")
     save_checkpoint(net, path, t)
-    _, meta = load_checkpoint(path)
     other = build_estimated_loss(bsc(0.2), hamming_loss(BINARY))
     with pytest.raises(CheckpointMismatch):
-        check_checkpoint(meta, other, k=2)
+        load_checkpoint(path, other, 2)
     with pytest.raises(CheckpointMismatch):
-        check_checkpoint(meta, t, k=3)
+        load_checkpoint(path, t, 3)
 
 
 def test_checkpoint_bad_file(tmp_path):
+    t = bsc01_tables()
     path = tmp_path / "junk.npz"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(MalformedHeader):
-        load_checkpoint(str(path))
+        load_checkpoint(str(path), t, 1)
     other = tmp_path / "other.npz"
     np.savez(other, stuff=np.arange(3))
     with pytest.raises(MalformedHeader):
-        load_checkpoint(str(other))
+        load_checkpoint(str(other), t, 1)
     # networks that are not float, or whose parameters are not finite
     net = MLPDenoiser((4, 3, 4), k=1, rng=np.random.default_rng(0))
-    save_checkpoint(net, str(path), bsc01_tables())
+    save_checkpoint(net, str(path), t)
     with np.load(path) as data:
         fields = {key: data[key] for key in data.files}
-    bad = [{"dtype": t, "params": net.params.astype(t)} for t in ("int64", "bool", "complex128")]
+    bad = [{"dtype": d, "params": net.params.astype(d)} for d in ("int64", "bool", "complex128")]
     bad += [{"params": net.params.astype(np.int64)}]  # not the dtype it declares
     bad += [{"params": np.where(np.arange(net.n_params) == 5, v, net.params)}
             for v in (np.nan, np.inf, -np.inf)]
@@ -549,7 +553,7 @@ def test_checkpoint_bad_file(tmp_path):
     for change in bad:
         np.savez(other, **{**fields, **change})
         with pytest.raises(MalformedHeader):
-            load_checkpoint(str(other))
+            load_checkpoint(str(other), t, 1)
 
 
 def test_checkpoint_missing_field_or_truncated(tmp_path):
@@ -563,9 +567,9 @@ def test_checkpoint_missing_field_or_truncated(tmp_path):
     partial = tmp_path / "partial.npz"
     np.savez(partial, **fields)
     with pytest.raises(MalformedHeader):
-        load_checkpoint(str(partial))
+        load_checkpoint(str(partial), t, 2)
     blob = path.read_bytes()
     for cut in (0, 10, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:cut])
         with pytest.raises(MalformedHeader):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), t, 2)

@@ -23,13 +23,16 @@ from dudekit.io import ImageGrid, load_pbm, load_sequence, save_pbm, save_sequen
 from dudekit.neural import MLPDenoiser, load_checkpoint, save_checkpoint
 
 
+# The tables and order the valid checkpoint is saved for, and loaded against.
+CHECKPOINT_TABLES = build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
+
+
 def _valid_files(root):
     """One well-formed file per parser, as bytes, for truncation and damage."""
     seq_path = root / "seq.txt"
     save_sequence(Sequence.from_text("0110100111", BINARY), str(seq_path), meta={"kind": "x"})
     model_path = root / "model.npz"
-    save_checkpoint(MLPDenoiser((4, 3, 4), k=1), str(model_path),
-                    build_estimated_loss(bsc(0.1), hamming_loss(BINARY)))
+    save_checkpoint(MLPDenoiser((4, 3, 4), k=1), str(model_path), CHECKPOINT_TABLES)
     pbm_path = root / "img.pbm"
     save_pbm(ImageGrid(5, 3, np.arange(15) % 2), str(pbm_path))
     report = ExperimentReport(
@@ -56,7 +59,7 @@ LOADERS = {
     "sequence": load_sequence,
     "channel": load_channel_json,
     "source": load_source_json,
-    "checkpoint": load_checkpoint,
+    "checkpoint": lambda path: load_checkpoint(path, CHECKPOINT_TABLES, 1),
     "pbm": load_pbm,
     "report_csv": report_from_csv,
     "report_json": report_from_json,

@@ -27,7 +27,8 @@ MAX_ALPHABET_SIZE = 255
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered set of distinct labels, one latin-1 character each; index = position."""
+    """An ordered set of distinct labels, one latin-1 character each, none of them
+    whitespace or '#', which sequence files strip or read as comments; index = position."""
 
     labels: tuple[str, ...]
 
@@ -43,6 +44,8 @@ class Alphabet:
         for lab in self.labels:
             if not isinstance(lab, str) or len(lab) != 1 or ord(lab) > 255:
                 raise DataError(f"alphabet label {lab!r} is not one latin-1 character")
+            if lab.isspace() or lab == "#":
+                raise DataError(f"alphabet label {lab!r} is whitespace, a line break or '#'")
 
     @property
     def size(self) -> int:
@@ -95,6 +98,9 @@ class Sequence:
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
+
+    def __reduce__(self):  # unpickled through __post_init__, so read-only again
+        return Sequence, (self.data, self.alphabet)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

@@ -5,11 +5,15 @@ estimated loss (computable from noisy data alone) and, when the clean
 sequence is available, the true symbol error rate. The working order
 k_star is the one minimizing the estimated loss, ties to the smaller k;
 that choice needs no access to the clean data, which is the point.
+
+A sweep runs its orders in parts, one process per usable CPU, each part the
+whole pipeline for its orders; outputs do not depend on the number of parts.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -17,8 +21,8 @@ import numpy as np
 
 from . import dude, io, neural
 from .channel import EstimatedLossTables, apply_rules
-from .core import Sequence, context_groups
-from .errors import DataError, LengthMismatch, MalformedHeader
+from .core import Sequence, context_groups, interior_slice
+from .errors import DataError, LengthMismatch, MalformedHeader, NumericalError
 from .neural import TrainConfig
 
 METHODS = ("dude", "ndude")
@@ -60,10 +64,10 @@ class KRecord:
 
     n_contexts counts distinct order-k contexts, edges included.
     wall_time_s is this k's own grouping, selection and scoring time. In
-    an N-DUDE sweep, whose orders train in one joint call (in parallel
-    processes where there are CPUs to spare), it also holds an equal
-    share of that call's wall time. Both report formats write the fields
-    in this order, and parse reads them back.
+    an N-DUDE sweep, where each part of the sweep (see sweep_k) trains its
+    orders in one joint call, it also holds an equal share of that part's
+    training wall time. Both report formats write the fields in this
+    order, and parse reads them back.
     """
 
     k: int
@@ -120,28 +124,57 @@ def sweep_k(
     """Run one denoiser across context orders; returns the report and the
     reconstruction at the selected order.
 
-    Orders run in ascending order. For both methods the context groups at
-    each k refine those of the order before, over one window view of reach
-    max(k); neither method's rules depend on how groups are numbered. For
-    the trained denoiser each k reseeds its run as rng_seed + k, so every
-    sweep row is independently reproducible, and all orders train in one
-    neural.train call (see there for how). Only the reconstruction at the
-    order select_k picks from the rows so far is kept.
+    The ascending orders are dealt round-robin into min(usable CPUs, number
+    of orders) parts, each run by _sweep_part: the first in this process,
+    each other in a forked child (see _run_parts); one order, one CPU or no
+    fork runs all here. The rows are merged by k, and k*'s reconstruction
+    kept. For the trained denoiser each k reseeds its run as rng_seed + k,
+    so every row is reproducible alone and the same however orders split.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
     k_values = sorted(int(k) for k in k_values)
     if not k_values or any(k < 0 for k in k_values) or len(set(k_values)) != len(k_values):
         raise DataError("k values must be distinct and non-negative")
+    if method == "dude":
+        for k in k_values:  # the smallest order too long for z names the error, in any part
+            interior_slice(len(z), k)
     cfg = config if config is not None else TrainConfig()
+    results = _run_parts(
+        lambda part: _sweep_part(z, tables, part, method, clean, hidden, cfg), _split(k_values)
+    )
+    records = sorted((r for rows, _ in results for r in rows), key=lambda r: r.k)
+    k_star = select_k(records)
+    kept = next(xhat for rows, xhat in results if select_k(rows) == k_star)
+    meta = [("seed", str(cfg.rng_seed)), ("channel_fingerprint", tables.fingerprint())]
+    if method == "ndude":
+        meta += [("hidden", ",".join(str(h) for h in hidden)), ("epochs", str(cfg.epochs))]
+        meta.append(("minibatch", str(cfg.minibatch_size)))
+    report = ExperimentReport(
+        method=method,
+        n=len(z),
+        alphabet=z.alphabet.labels,
+        k_star=k_star,
+        records=tuple(records),
+        meta=tuple(meta),
+    )
+    return report, kept
+
+
+def _sweep_part(z, tables, part, method, clean, hidden, cfg):
+    """Rows of the ascending orders in part, and the reconstruction at the
+    order select_k picks among them. N-DUDE orders train in one neural.train
+    call. Each order's context groups refine the order before's, walking
+    every order from part[0] to part[-1]; no rule depends on group numbers."""
     t0 = time.perf_counter()
-    nets = neural.train(z, k_values, tables, hidden, cfg) if method == "ndude" else []
-    share = (time.perf_counter() - t0) / len(k_values) if nets else 0.0  # of the joint training
-    chain = context_groups(z, k_values)
+    nets = neural.train(z, part, tables, hidden, cfg) if method == "ndude" else []
+    share = (time.perf_counter() - t0) / len(part) if nets else 0.0  # of the joint training
+    walk = range(part[0], part[-1] + 1)
+    chain = zip(walk, context_groups(z, walk))
     records = []
-    for j, k in enumerate(k_values):
+    for j, k in enumerate(part):
         t0 = time.perf_counter()
-        groups = next(chain)
+        groups = next(g for v, g in chain if v == k)
         if method == "dude":
             s_idx = dude.select_denoisers(z, k, tables, groups)
         else:
@@ -153,22 +186,73 @@ def sweep_k(
         records.append(KRecord(k, est, ber, groups.n_groups, wall))
         if select_k(records) == k:
             kept = xhat
-    k_star = select_k(records)
-    meta = [("seed", str(cfg.rng_seed))]
-    if method == "ndude":
-        meta.append(("hidden", ",".join(str(h) for h in hidden)))
-        meta.append(("epochs", str(cfg.epochs)))
-        meta.append(("minibatch", str(cfg.minibatch_size)))
-    meta.append(("channel_fingerprint", tables.fingerprint()))
-    report = ExperimentReport(
-        method=method,
-        n=len(z),
-        alphabet=z.alphabet.labels,
-        k_star=k_star,
-        records=tuple(records),
-        meta=tuple(meta),
-    )
-    return report, kept
+        del groups, s_idx  # not held while the walk refines the orders up to the next k
+    return records, kept
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(items: list) -> list[list]:
+    """items dealt round-robin into min(usable CPUs, len(items)) parts, or
+    one part where processes cannot be forked."""
+    parts = min(_usable_cpus() if hasattr(os, "fork") else 1, len(items))
+    return [items[j::parts] for j in range(parts)]
+
+
+def _run_parts(run, parts: list) -> list:
+    """[run(part) for part in parts]: parts[0] in this process, each other
+    part in a forked child. A child's exception is raised here as the same
+    type, a child that ends without a result raises NumericalError, and no
+    child outlives the call."""
+    children = []
+    try:
+        for part in parts[1:]:
+            children.append((part, *_fork_child(run, part)))
+        results = [run(parts[0])]
+        for part, proc, conn in children:
+            try:
+                results.append(conn.recv())
+            except EOFError:  # the child is gone without sending
+                proc.join()
+                msg = f"sweep of orders {part} ended without a result (exit code {proc.exitcode})"
+                raise NumericalError(msg) from None
+            if isinstance(results[-1], BaseException):
+                raise results[-1]
+    finally:
+        for _, proc, conn in children:
+            conn.close()
+            proc.kill()  # a no-op once the child has exited
+            proc.join()
+            proc.close()
+    return results
+
+
+def _fork_child(run, part):
+    """Start a forked child that sends back run(part), or the exception that
+    stopped it. It inherits every input, so only its result is pickled.
+    Returns the process and the receiving end of its pipe."""
+    import multiprocessing
+
+    def child(conn):
+        try:
+            result = run(part)
+        except Exception as exc:  # raised again in the parent, as the same type
+            result = exc
+        conn.send(result)
+
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=child, args=(child_end,), daemon=True)
+    try:
+        proc.start()
+    except BaseException:
+        conn.close()
+        raise
+    finally:
+        child_end.close()  # the child holds its own copy; EOF then means it is gone
+    return proc, conn
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(KRecord))

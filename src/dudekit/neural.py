@@ -19,22 +19,21 @@ symbols as all-zero blocks.
 Grouped by context, that mean is one over the G distinct contexts with
 their pseudo-labels summed. An order with at least 500 positions per
 context on average trains on this table, 100 full-batch steps per epoch.
-The other orders step on minibatches of positions, dealt round-robin
-into up to one stack per usable CPU: the layers after the first as
-(K, in, out) stacks, all parameters in one flat vector. The calling
-process trains the first stack, and one forked child process each other.
-Each network keeps its seed and ends bit for bit as if trained alone;
-stacking only saves numpy calls, where these small steps spend their
-time, and the networks share no data, so the stacks need not share a
-process. Both kinds of order train through one step loop, and training
-and inference run one forward pass, the stack's; a single network is a
-stack of one, whose layers are views made on demand into its parameters.
+The other orders step on minibatches of positions as one stack: the
+layers after the first as (K, in, out) stacks, all parameters in one
+flat vector. Each network keeps its seed and ends bit for bit as if
+trained alone, however its orders are stacked; stacking only saves numpy
+calls, where these small steps spend their time. Training runs in the
+calling process; a sweep that splits its orders over processes does so
+above this module (evaluation.sweep_k). Both kinds of order train through
+one step loop, and training and inference run one forward pass, the
+stack's; a single network is a stack of one, whose layers are views made
+on demand into its parameters.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zipfile
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ from .errors import (
     DataError,
     DimensionMismatch,
     MalformedHeader,
-    NumericalError,
     SequenceTooShort,
 )
 
@@ -328,13 +326,9 @@ def train(
     positions included. An order with G distinct contexts and n >=
     TABLE_MIN_MEAN_GROUP * G takes epochs * TABLE_STEPS_PER_EPOCH full-batch
     steps on its context table, whose loss is the mean over all n positions.
-    The other orders train on shuffled minibatches of positions as up to
-    one _Stack per usable CPU, dealt round-robin in k order. This process
-    trains the first stack and the table orders while one forked child
-    trains each other stack; every network ends bit for bit as with one
-    stack. An exception in a child is raised here as the same type, and a
-    child that ends without a result raises NumericalError. No child
-    outlives the call.
+    The other orders train on shuffled minibatches of positions as one
+    _Stack. Everything runs in this process, and every network ends bit for
+    bit as if its order were trained alone.
     """
     cfg = config if config is not None else TrainConfig()
     single = np.ndim(k) == 0
@@ -359,97 +353,13 @@ def train(
         if n < TABLE_MIN_MEAN_GROUP * groups.n_groups:
             break
         on_table[v] = groups
+    for net in nets:
+        if net.k in on_table:
+            _train_table(net, *_context_table(on_table[net.k], tables, net.dtype), cfg)
     rest = [pair for pair in zip(nets, rngs) if pair[0].k not in on_table]
-    stacks = _split(sorted(rest, key=lambda pair: pair[0].k))
-    children = []
-    try:
-        for stack in stacks[1:]:
-            children.append((stack, *_fork_child(z, stack, tables, cfg)))
-        for net in nets:
-            if net.k in on_table:
-                _train_table(net, *_context_table(on_table[net.k], tables, net.dtype), cfg)
-        if stacks:
-            _train_positions(z, *zip(*stacks[0]), tables, cfg)
-        for stack, proc, conn in children:
-            _collect(stack, proc, conn)
-    finally:
-        for _, proc, conn in children:
-            conn.close()
-            proc.kill()  # a no-op once _collect has joined it
-            proc.join()
-            proc.close()
+    if rest:
+        _train_positions(z, *zip(*rest), tables, cfg)
     return nets[0] if single else nets
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _split(rest: list) -> list[list]:
-    """(net, rng) pairs dealt round-robin into min(usable CPUs, len(rest))
-    stacks, or one stack where processes cannot be forked."""
-    parts = min(_usable_cpus(), len(rest))
-    if parts > 1:
-        # Imported here: a cold `import dudekit.cli` does not pay for it.
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            parts = 1
-    return [rest[j::parts] for j in range(parts)]
-
-
-def _fork_child(z: Sequence, stack: list, tables: EstimatedLossTables, cfg: TrainConfig):
-    """Start a forked child that trains stack; it inherits every input, so
-    nothing is pickled on the way in. Returns the process and the receiving
-    end of its pipe."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child, args=(child_end, z, stack, tables, cfg), daemon=True)
-    try:
-        proc.start()
-    except BaseException:
-        conn.close()
-        raise
-    finally:
-        child_end.close()  # the child holds its own copy; EOF then means it is gone
-    return proc, conn
-
-
-def _child(conn, z: Sequence, stack: list, tables: EstimatedLossTables, cfg: TrainConfig):
-    """Body of a forked child: train the stack, send back each network's
-    (params, epoch_losses) or the exception that stopped it."""
-    nets, rngs = zip(*stack)
-    try:
-        _train_positions(z, nets, rngs, tables, cfg)
-        result = [(net.params, net.epoch_losses) for net in nets]
-    except Exception as exc:  # raised again in the parent, as the same type
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
-def _collect(stack: list, proc, conn) -> None:
-    """Copy a child's results into its stack's networks, or raise its error."""
-    try:
-        result = conn.recv()
-    except EOFError:
-        result = None
-    proc.join()
-    if result is None:
-        orders = [net.k for net, _ in stack]
-        raise NumericalError(
-            f"training of orders {orders} ended without a result (exit code {proc.exitcode})"
-        )
-    if isinstance(result, BaseException):
-        raise result
-    for (net, _), (params, losses) in zip(stack, result):
-        net.params[...] = params
-        net.epoch_losses = losses
 
 
 def _context_table(groups, tables: EstimatedLossTables, dtype):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dudekit
-from dudekit import neural
+from dudekit import evaluation, neural
 from dudekit.cli import main
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit.core import BINARY, Sequence
@@ -387,6 +387,27 @@ def test_multichar_labels_exit_2_naming_the_label(sim_files, tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [("a", " "), ("a", "\xa0"), ("a", "\x85"), ("#", "a")],
+    ids=["space", "nbsp", "nel", "hash"],
+)
+def test_unstorable_labels_exit_2_before_any_output(tmp_path, capsys, labels):
+    # Sequence files strip whitespace, line breaks included, and read '#'
+    # lines as comments, so these labels are refused where the spec is read.
+    source, out = tmp_path / "src.json", tmp_path / "out"
+    out.mkdir()
+    source.write_text(json.dumps({"alphabet": labels, "transition": [[0.9, 0.1], [0.2, 0.8]]}))
+    for channel in ("bsc:0.1", f"dsc:{''.join(labels)}:0.1"):
+        argv = [
+            "simulate", "--source", str(source), "--channel", channel, "--n", "50",
+            "--out-clean", str(out / "c.txt"), "--out-noisy", str(out / "n.txt"),
+        ]
+        assert main(argv) == 2
+        assert repr(next(lab for lab in labels if lab != "a")) in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_json_source_outputs_do_not_depend_on_directory(tmp_path):
     # The same source and channel files in two directories, run with the
     # same seed, must give byte-identical files.
@@ -438,11 +459,11 @@ def test_fb_impossible_observation_exits_2(tmp_path, capsys):
 
 
 def test_sweep_exits_3_when_a_training_child_dies(sim_files, tmp_path, monkeypatch, capsys):
-    # Two usable CPUs: this process trains order 6, a forked child order 7,
-    # and that child exits before it sends its result.
+    # Two usable CPUs: this process sweeps order 6, a forked child order 7,
+    # and that child exits while training, before it sends its result.
     _, _, noisy = sim_files
     real = neural._train_positions
-    monkeypatch.setattr(neural, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(
         neural,
         "_train_positions",

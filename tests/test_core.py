@@ -40,6 +40,12 @@ def test_alphabet_validation():
         with pytest.raises(DataError, match="latin-1") as err:
             Alphabet(labels)
         assert repr(labels[-1]) in str(err.value)
+    # sequence files strip whitespace (every line break is whitespace) and
+    # read lines that start with '#' as comments
+    for label in (" ", "\t", "\xa0", "\n", "\x1c", "\x85", "#"):
+        with pytest.raises(DataError, match="whitespace, a line break or '#'") as err:
+            Alphabet(("a", label))
+        assert repr(label) in str(err.value)
 
 
 def test_encode_decode_roundtrip():
@@ -50,10 +56,11 @@ def test_encode_decode_roundtrip():
 
 
 def test_decode_latin1_labels():
-    # 255 of the 256 latin-1 characters, in a scrambled order
-    codes = np.random.default_rng(3).permutation(256)[:255]
-    alphabet = Alphabet(tuple(chr(c) for c in codes))
-    idx = np.random.default_rng(4).integers(0, 255, 2000).astype(np.uint8)
+    # the 243 latin-1 characters that are neither whitespace nor '#', scrambled
+    codes = [c for c in np.random.default_rng(3).permutation(256) if not chr(c).isspace()]
+    alphabet = Alphabet(tuple(chr(c) for c in codes if c != ord("#")))
+    assert alphabet.size == 243
+    idx = np.random.default_rng(4).integers(0, 243, 2000).astype(np.uint8)
     text = alphabet.decode(idx)
     assert text == "".join(alphabet.labels[i] for i in idx)
     assert np.array_equal(alphabet.encode(text), idx)

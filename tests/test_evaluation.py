@@ -1,6 +1,9 @@
 """Loss accounting, sweeps, order selection, and report serialization."""
 
 import dataclasses
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,8 +14,16 @@ from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit.core import BINARY, Sequence, group_contexts
 from dudekit.dude import dude_denoise, select_denoisers
-from dudekit.errors import DataError, LengthMismatch, MalformedHeader
+from dudekit.errors import (
+    DataError,
+    DimensionMismatch,
+    LengthMismatch,
+    MalformedHeader,
+    NumericalError,
+    SequenceTooShort,
+)
 from dudekit.evaluation import (
+    METHODS,
     ExperimentReport,
     KRecord,
     apply_rules,
@@ -222,6 +233,126 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     assert [r.k for r in report.records] == ks
     assert report.k_star == select_k(report.records)
     assert recon == recons[report.k_star]
+
+
+def _count_forks(monkeypatch, cpus):
+    """Pretend to have `cpus` usable CPUs; returns the list of forked parts."""
+    forked = []
+    fork = evaluation._fork_child
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(
+        evaluation, "_fork_child", lambda run, part: (forked.append(part), fork(run, part))[1]
+    )
+    return forked
+
+
+def _masked(report):
+    """report with every wall_time_s set to 0."""
+    records = tuple(dataclasses.replace(r, wall_time_s=0.0) for r in report.records)
+    return dataclasses.replace(report, records=records)
+
+
+@pytest.mark.parametrize("method, ks", [("dude", [0, 1, 3, 4, 8]), ("ndude", [0, 2, 4, 5, 7])])
+def test_split_sweep_matches_one_process(monkeypatch, method, ks):
+    # k* is the last order: on 2 CPUs this process runs it, on 3 a child.
+    # N-DUDE's orders 0 and 2 train on their tables, 4..7 on positions.
+    x, z = _instance(12000)
+    t = bsc01_tables()
+    mean = neural.TABLE_MIN_MEAN_GROUP
+    assert mean * group_contexts(z, 2).n_groups <= len(z) < mean * group_contexts(z, 4).n_groups
+    cfg = TrainConfig(epochs=2, rng_seed=4)
+    runs = []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            forked = _count_forks(patch, cpus)
+            report, recon = sweep_k(z, t, ks, method, clean=x, hidden=(8,), config=cfg)
+        assert forked == [ks[j::cpus] for j in range(1, cpus)]
+        assert multiprocessing.active_children() == []
+        assert not recon.data.flags.writeable  # also when a child sent it
+        runs.append((_masked(report), recon))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert [ks.index(runs[0][0].k_star) % cpus for cpus in (2, 3)] == [0, 1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_dude_sweep_names_smallest_order_too_long_before_forking(monkeypatch, cpus):
+    # Split over 2 CPUs, this process would reach order 6 before a child
+    # reached 5; the error names 5 either way, and nothing forks.
+    _, z = _instance(10)
+    forked = _count_forks(monkeypatch, cpus)
+    with pytest.raises(SequenceTooShort, match=r"2k = 10, got 10$"):
+        sweep_k(z, bsc01_tables(), [9, 1, 6, 5], method="dude")
+    assert forked == []
+
+
+def test_split_counts_usable_cpus(monkeypatch):
+    orders = list(range(5))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert evaluation._usable_cpus() == 1
+    assert evaluation._split(orders) == [orders]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert evaluation._split(orders) == [[0, 3], [1, 4], [2]]
+    assert evaluation._split(orders[:2]) == [[0], [1]]
+    assert evaluation._split([]) == []
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert evaluation._usable_cpus() == 2
+
+
+def test_single_order_and_one_cpu_fork_nothing(monkeypatch):
+    _, z = _instance(3000)
+    t = bsc01_tables()
+    cfg = TrainConfig(epochs=1)
+    forked = _count_forks(monkeypatch, 2)
+    for method in METHODS:
+        sweep_k(z, t, [5], method, hidden=(8,), config=cfg)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+    for method in METHODS:
+        sweep_k(z, t, [4, 5], method, hidden=(8,), config=cfg)
+    assert forked == []
+
+
+def _failing_positions(monkeypatch, k, fail):
+    """On 2 CPUs, make neural._train_positions call fail() for the part that holds order k."""
+    real = neural._train_positions
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        neural,
+        "_train_positions",
+        lambda z, nets, *args: fail() if k in [net.k for net in nets] else real(z, nets, *args),
+    )
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "fail, error, match",
+    [
+        (lambda: _raise(DimensionMismatch("order 4 failed")), DimensionMismatch, "order 4 failed"),
+        (lambda: os._exit(1), NumericalError, r"orders \[4\] .*exit code 1\)"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), NumericalError, r"exit code -9\)"),
+    ],
+    ids=["raises", "exits", "killed"],
+)
+def test_child_failure_reaches_parent(monkeypatch, fail, error, match):
+    # This process runs order 3, a forked child order 4.
+    _, z = _instance(3000)
+    t = bsc01_tables()
+    _failing_positions(monkeypatch, 4, fail)
+    with pytest.raises(error, match=match):
+        sweep_k(z, t, [3, 4], "ndude", hidden=(8,), config=TrainConfig(epochs=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_failure_stops_children(monkeypatch):
+    _, z = _instance(3000)
+    t = bsc01_tables()
+    _failing_positions(monkeypatch, 3, lambda: _raise(DataError("order 3 failed")))
+    with pytest.raises(DataError, match="order 3 failed"):
+        sweep_k(z, t, [3, 4], "ndude", hidden=(8,), config=TrainConfig(epochs=50))
+    assert multiprocessing.active_children() == []
 
 
 def test_report_csv_roundtrip(tmp_path):

@@ -1,10 +1,7 @@
 """Network denoiser: cost, gradients, training loop, and inference paths."""
 
 import dataclasses
-import multiprocessing
-import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -18,7 +15,6 @@ from dudekit.errors import (
     DataError,
     DimensionMismatch,
     MalformedHeader,
-    NumericalError,
 )
 from dudekit.neural import (
     BETA1,
@@ -320,106 +316,23 @@ def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
         assert net.epoch_losses[-1] < net.epoch_losses[0]
 
 
-def _count_forks(monkeypatch, cpus):
-    """Pretend to have `cpus` usable CPUs; returns the list of forked stacks' orders."""
-    forked = []
-    fork = neural._fork_child
-    monkeypatch.setattr(neural, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(
-        neural,
-        "_fork_child",
-        lambda z, stack, *args: (forked.append([net.k for net, _ in stack]), fork(z, stack, *args))[1],
-    )
-    return forked
-
-
-def test_train_split_over_processes_matches_one_stack(monkeypatch):
-    # Orders 0..2 train on their tables (as in the mixed sweep above), 3..6
-    # on positions: this process trains the stack [3, 5], one child [4, 6].
+def test_train_split_over_processes_matches_one_stack():
+    # A sweep on two CPUs trains orders [0, 2, 4, 6] in one process and
+    # [1, 3, 5] in another. Orders 0..2 train on their tables (as in the
+    # mixed sweep above), 3..6 on positions, in either part.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=2, rng_seed=4)
     ks = [0, 1, 2, 3, 4, 5, 6]
-    forked = _count_forks(monkeypatch, 2)
-    split = train(z, ks, t, hidden=(8,), config=cfg)
-    assert forked == [[4, 6]]
-    assert multiprocessing.active_children() == []
-    monkeypatch.setattr(neural, "_usable_cpus", lambda: 1)
+    split = {net.k: net for j in (0, 1) for net in train(z, ks[j::2], t, hidden=(8,), config=cfg)}
     one = train(z, ks, t, hidden=(8,), config=cfg)
-    assert forked == [[4, 6]]
-    for k, a, b in zip(ks, split, one):
+    for k, b in zip(ks, one):
+        a = split[k]
         alone = train(z, k, t, hidden=(8,), config=dataclasses.replace(cfg, rng_seed=4 + k))
         assert a.k == b.k == k
         assert a.params.tobytes() == b.params.tobytes() == alone.params.tobytes()
         assert a.epoch_losses == b.epoch_losses == alone.epoch_losses
         assert len(a.epoch_losses) == cfg.epochs
-
-
-def test_split_counts_usable_cpus(monkeypatch):
-    nets = list(range(5))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert neural._usable_cpus() == 1
-    assert neural._split(nets) == [nets]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert neural._split(nets) == [[0, 3], [1, 4], [2]]
-    assert neural._split(nets[:2]) == [[0], [1]]
-    assert neural._split([]) == []
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert neural._usable_cpus() == 2
-
-
-def test_single_order_and_one_cpu_fork_nothing(monkeypatch):
-    _, z = _toy_instance(n=3000)
-    t = bsc01_tables()
-    cfg = TrainConfig(epochs=1)
-    forked = _count_forks(monkeypatch, 2)
-    train(z, 5, t, hidden=(8,), config=cfg)
-    monkeypatch.setattr(neural, "_usable_cpus", lambda: 1)
-    train(z, [4, 5], t, hidden=(8,), config=cfg)
-    assert forked == []
-
-
-def _failing_positions(monkeypatch, k, fail):
-    """Make _train_positions call fail() for the stack that holds order k."""
-    real = neural._train_positions
-    monkeypatch.setattr(neural, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(
-        neural,
-        "_train_positions",
-        lambda z, nets, *args: fail() if k in [net.k for net in nets] else real(z, nets, *args),
-    )
-
-
-def _raise(exc):
-    raise exc
-
-
-@pytest.mark.parametrize(
-    "fail, error, match",
-    [
-        (lambda: _raise(DimensionMismatch("order 4 failed")), DimensionMismatch, "order 4 failed"),
-        (lambda: os._exit(1), NumericalError, r"orders \[4\] .*exit code 1\)"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), NumericalError, r"exit code -9\)"),
-    ],
-    ids=["raises", "exits", "killed"],
-)
-def test_child_failure_reaches_parent(monkeypatch, fail, error, match):
-    _, z = _toy_instance(n=3000)
-    t = bsc01_tables()
-    _failing_positions(monkeypatch, 4, fail)
-    with pytest.raises(error, match=match):
-        train(z, [3, 4], t, hidden=(8,), config=TrainConfig(epochs=1))
-    assert multiprocessing.active_children() == []
-
-
-def test_parent_failure_stops_children(monkeypatch):
-    _, z = _toy_instance(n=3000)
-    t = bsc01_tables()
-    _failing_positions(monkeypatch, 3, lambda: _raise(DataError("order 3 failed")))
-    with pytest.raises(DataError, match="order 3 failed"):
-        train(z, [3, 4], t, hidden=(8,), config=TrainConfig(epochs=50))
-    assert multiprocessing.active_children() == []
 
 
 def test_mlp_pickle_keeps_layer_views_tied():

@@ -67,19 +67,12 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        minibatch_size=args.minibatch,
-        learning_rate=args.lr,
-        rng_seed=args.seed,
-    )
+    return TrainConfig(epochs=args.epochs, rng_seed=args.seed)
 
 
 def _add_train_flags(sub):
     sub.add_argument("--hidden", default="40,40,40", help="hidden layer sizes, comma separated")
     sub.add_argument("--epochs", type=int, default=10)
-    sub.add_argument("--minibatch", type=int, default=100)
-    sub.add_argument("--lr", type=float, default=0.001)
 
 
 def _cmd_simulate(args) -> int:
@@ -128,8 +121,6 @@ def _cmd_denoise(args) -> int:
             "seed": args.seed,
             "hidden": args.hidden,
             "epochs": args.epochs,
-            "minibatch": args.minibatch,
-            "lr": args.lr,
             "source": _spec_id(args.source) if args.source else None,
         }
     )
@@ -168,6 +159,8 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.kmin < 0 or args.kmax < args.kmin:
+        raise _UsageError(f"bad context order range [{args.kmin}, {args.kmax}]")
     chan, loss = parse_channel_spec(args.channel)
     tables = build_estimated_loss(chan, loss)
     fp = _fingerprint(
@@ -180,8 +173,6 @@ def _cmd_sweep(args) -> int:
             "seed": args.seed,
             "hidden": args.hidden,
             "epochs": args.epochs,
-            "minibatch": args.minibatch,
-            "lr": args.lr,
             "image": bool(args.image),
         }
     )
@@ -203,8 +194,6 @@ def _cmd_sweep(args) -> int:
         clean = None
         if args.clean:
             clean, _ = io.load_sequence(args.clean, chan.alphabet)
-    if args.kmin < 0 or args.kmax < args.kmin:
-        raise _UsageError(f"bad context order range [{args.kmin}, {args.kmax}]")
     report, recon = sweep_k(
         z,
         tables,

@@ -128,8 +128,9 @@ def sweep_k(
     of orders) parts, each run by _sweep_part: the first in this process,
     each other in a forked child (see _run_parts); one order, one CPU or no
     fork runs all here. The rows are merged by k, and k*'s reconstruction
-    kept. For the trained denoiser each k reseeds its run as rng_seed + k,
-    so every row is reproducible alone and the same however orders split.
+    kept. The trained denoiser seeds order k with rng_seed + k, neural.train's
+    one rule, so every row is reproducible alone (a single-order train or
+    `denoise`) and the same however orders split.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -283,7 +284,7 @@ def report_to_csv(report: ExperimentReport, path: str) -> None:
     head = [
         ("method", report.method),
         ("n", report.n),
-        ("alphabet", ",".join(report.alphabet)),
+        ("alphabet", "".join(report.alphabet)),
         ("k_star", report.k_star),
         *report.meta,
     ]
@@ -299,7 +300,6 @@ def report_from_csv(path: str) -> ExperimentReport:
     if not body or tuple(body[0].split(",")) != CSV_COLUMNS:
         raise MalformedHeader(f"unexpected CSV columns in {path}")
     doc = {key: head.pop(key) for key in _HEAD}
-    doc["alphabet"] = doc["alphabet"].split(",")
     # A generator, so _report's error mapping covers ragged rows too.
     rows = (dict(zip(CSV_COLUMNS, line.split(","), strict=True)) for line in body[1:])
     return _report(path, {**doc, "meta": head, "records": rows})

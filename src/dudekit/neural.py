@@ -21,9 +21,11 @@ their pseudo-labels summed. An order with at least 500 positions per
 context on average trains on this table, 100 full-batch steps per epoch.
 The other orders step on minibatches of positions as one stack: the
 layers after the first as (K, in, out) stacks, all parameters in one
-flat vector. Each network keeps its seed and ends bit for bit as if
-trained alone, however its orders are stacked; stacking only saves numpy
-calls, where these small steps spend their time. Training runs in the
+flat vector. The network of order k is seeded rng_seed + k whether it
+trains alone or in a sweep, and ends bit for bit as if trained alone,
+however its orders are stacked; stacking only saves numpy calls, where
+these small steps spend their time. Adam runs with Kingma & Ba's
+constants, the learning rate among them. Training runs in the
 calling process; a sweep that splits its orders over processes does so
 above this module (evaluation.sweep_k). Both kinds of order train through
 one step loop, and training and inference run one forward pass, the
@@ -57,7 +59,8 @@ _FORWARD_CHUNK = 4096
 
 DEFAULT_HIDDEN = (40, 40, 40)
 
-# Adam's moment decays and denominator floor, the values of Kingma & Ba.
+# Adam's step size, moment decays and denominator floor, the values of Kingma & Ba.
+LEARNING_RATE = 0.001
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
@@ -70,18 +73,16 @@ TABLE_STEPS_PER_EPOCH = 100
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings for pseudo-label training."""
+    """Schedule and seed of pseudo-label training; order k's network is
+    seeded rng_seed + k (see train)."""
 
     epochs: int = 10
     minibatch_size: int = 100
-    learning_rate: float = 0.001
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.minibatch_size < 1:
             raise DataError("epochs and minibatch_size must be positive")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DataError("learning_rate must be positive and finite")
         if self.rng_seed < 0:
             raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -268,8 +269,7 @@ class _Stack:
 class _Adam:
     """Adam over one flat parameter vector, stock bias correction, in place."""
 
-    def __init__(self, n: int, cfg: TrainConfig, dtype):
-        self.cfg = cfg
+    def __init__(self, n: int, dtype):
         self.m = np.zeros(n, dtype=dtype)
         self.v = np.zeros(n, dtype=dtype)
         self._step = np.empty(n, dtype=dtype)
@@ -278,7 +278,7 @@ class _Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray):
-        cfg, cast = self.cfg, self.m.dtype.type
+        cast = self.m.dtype.type
         self.t += 1
         step, scale = self._step, self._scale
         _rounded(np.multiply, self.m, cast(BETA1), self.m, self._wide)
@@ -287,7 +287,7 @@ class _Adam:
         self.v += np.multiply(np.square(grad, out=step), 1.0 - BETA2, out=step)
         # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same operation order.
         _rounded(np.divide, self.m, cast(1.0 - BETA1**self.t), step, self._wide)
-        _rounded(np.multiply, step, cast(cfg.learning_rate), step, self._wide)
+        _rounded(np.multiply, step, cast(LEARNING_RATE), step, self._wide)
         np.divide(self.v, 1.0 - BETA2**self.t, out=scale)
         np.sqrt(scale, out=scale)
         scale += EPSILON
@@ -318,9 +318,9 @@ def train(
 ):
     """Train a context denoiser on one noisy sequence, or one per context order.
 
-    k is one order, for one network seeded with config.rng_seed, or a
-    sequence of orders, for a list of networks, network k seeded with
-    config.rng_seed + k as a sweep's rows are.
+    k is one order, for one network, or a sequence of orders, for a list
+    of networks. Network k is seeded config.rng_seed + k either way, so a
+    network trained alone is a sweep's row k.
 
     Every position contributes a (context, pseudo-label) pair, edge
     positions included. An order with G distinct contexts and n >=
@@ -340,8 +340,10 @@ def train(
         raise SequenceTooShort("cannot train on an empty sequence")
     if not orders:
         raise DataError("need at least one context order")
+    if min(orders) < 0:  # before seeding rng_seed + k
+        raise DataError(f"context order k must be non-negative, got {min(orders)}")
     size = z.alphabet.size
-    rngs = [np.random.default_rng(cfg.rng_seed + (0 if single else v)) for v in orders]
+    rngs = [np.random.default_rng(cfg.rng_seed + v) for v in orders]
     nets = [
         MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
         for v, rng in zip(orders, rngs)
@@ -419,7 +421,7 @@ def _fit(nets, epoch, cfg: TrainConfig) -> None:
     epoch() yields one epoch's steps as _Stack.loss_grad's (xs, g, norms) and
     a weight; a network's epoch loss is the weighted mean of its step losses."""
     stack = _Stack(nets)
-    adam = _Adam(stack.params.size, cfg, stack.dtype)
+    adam = _Adam(stack.params.size, stack.dtype)
     for _ in range(cfg.epochs):
         totals, weights = np.zeros(len(nets)), 0
         for xs, g, norms, weight in epoch():

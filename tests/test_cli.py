@@ -149,6 +149,21 @@ def test_ndude_checkpoint_cli(sim_files, tmp_path):
     assert res.returncode == 2
 
 
+def test_ndude_denoise_reproduces_sweep_row(sim_files, tmp_path):
+    # Order k trains with seed S + k in both commands, so `denoise --k k`
+    # rebuilds the network behind the sweep's row k.
+    _, _, noisy = sim_files
+    common = ("--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+              "--hidden", "10", "--epochs", "2", "--seed", "3")
+    alone, swept = str(tmp_path / "alone.txt"), str(tmp_path / "swept.txt")
+    res = run_cli("denoise", *common, "--k", "2", "--output", alone)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("sweep", *common, "--kmin", "2", "--kmax", "2",
+                  "--report", str(tmp_path / "r.csv"), "--output", swept)
+    assert res.returncode == 0, res.stderr
+    assert load_sequence(alone)[0] == load_sequence(swept)[0]
+
+
 def test_sweep_and_eval(sim_files, tmp_path):
     _, clean, noisy = sim_files
     report_csv = str(tmp_path / "report.csv")
@@ -224,6 +239,18 @@ def test_sweep_image_mode(tmp_path):
     assert all(r.true_ber is not None for r in report.records)
 
 
+def test_sweep_bad_order_range_writes_nothing(tmp_path):
+    img, noisy = tmp_path / "img.pbm", tmp_path / "noisy.pbm"
+    save_pbm(ImageGrid(8, 8, np.zeros(64, dtype=np.uint8)), str(img))
+    res = run_cli(
+        "sweep", "--image", str(img), "--out-noisy", str(noisy), "--channel", "bsc:0.1",
+        "--method", "dude", "--kmin", "5", "--kmax", "2", "--report", str(tmp_path / "r.csv"),
+    )
+    assert res.returncode == 1, res.stderr
+    assert "context order range" in res.stderr, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.pbm"]
+
+
 def test_exit_codes(sim_files, tmp_path):
     _, clean, noisy = sim_files
     out = str(tmp_path / "o.txt")
@@ -297,10 +324,10 @@ def test_exit_codes(sim_files, tmp_path):
         "--method", "dude", "--k", "1", "--output", out,
     )
     assert res.returncode == 2 and "n=240" in res.stderr, res.stderr
-    # data: a learning rate that is not a finite number
+    # data: a training setting out of range
     res = run_cli(
         "denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
-        "--k", "1", "--hidden", "4", "--epochs", "1", "--lr", "nan", "--output", out,
+        "--k", "1", "--hidden", "4", "--epochs", "0", "--output", out,
     )
     assert res.returncode == 2, res.stderr
     # numerical: the half-flip channel is singular

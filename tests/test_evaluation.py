@@ -12,7 +12,7 @@ from conftest import ALPHABETS, random_invertible_channel
 from dudekit import evaluation, neural
 from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
-from dudekit.core import BINARY, Sequence, group_contexts
+from dudekit.core import BINARY, Alphabet, Sequence, group_contexts
 from dudekit.dude import dude_denoise, select_denoisers
 from dudekit.errors import (
     DataError,
@@ -191,6 +191,19 @@ def test_sweep_ndude_deterministic():
     assert dict(rep1.meta)["hidden"] == "10"
 
 
+def test_ndude_report_names_every_training_setting():
+    # Each TrainConfig field has a meta entry; a new field fails the lookup
+    # until reports record it.
+    _, z = _instance(500)
+    cfg = TrainConfig(epochs=1, minibatch_size=30, rng_seed=5)
+    report, _ = sweep_k(z, bsc01_tables(), [1], method="ndude", hidden=(4, 3), config=cfg)
+    key = {"epochs": "epochs", "minibatch_size": "minibatch", "rng_seed": "seed"}
+    want = {key[f.name]: str(getattr(cfg, f.name)) for f in dataclasses.fields(TrainConfig)}
+    meta = dict(report.meta)
+    assert {name: meta[name] for name in want} == want
+    assert meta["hidden"] == "4,3"
+
+
 @pytest.mark.parametrize(
     "size, n, minibatch",
     [(2, 403, 7), (2, 151, 1), (4, 403, 7), (4, 97, 1)],
@@ -207,10 +220,7 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     z = corrupt(x, chan, rng_seed=2)
     cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=9)
     ks = [0, 2, 5]
-    alone = {
-        k: neural.train(z, k, t, (8, 6), dataclasses.replace(cfg, rng_seed=cfg.rng_seed + k))
-        for k in ks
-    }
+    alone = {k: neural.train(z, k, t, (8, 6), cfg) for k in ks}
     for k, net in zip(ks, neural.train(z, ks, t, (8, 6), cfg)):
         assert net.k == k
         assert net.params.tobytes() == alone[k].params.tobytes()
@@ -374,6 +384,19 @@ def test_report_csv_roundtrip_without_ber(tmp_path):
     assert report_from_csv(path) == report
 
 
+def test_report_csv_roundtrip_with_comma_label(tmp_path):
+    report = ExperimentReport(
+        method="dude",
+        n=10,
+        alphabet=Alphabet(("a", ",", "=")).labels,
+        k_star=1,
+        records=(KRecord(1, 0.1, None, 4, 0.0),),
+    )
+    path = str(tmp_path / "report.csv")
+    report_to_csv(report, path)
+    assert report_from_csv(path) == report
+
+
 def test_report_json_roundtrip(tmp_path):
     x, z = _instance(2000)
     t = bsc01_tables()
@@ -391,7 +414,7 @@ def test_report_csv_malformed(tmp_path):
     path.write_text("# method=dude\nk,estimated_loss,true_ber,n_contexts,wall_time_s\n1,.5,,4,.1\n")
     with pytest.raises(MalformedHeader):
         report_from_csv(str(path))  # missing n and alphabet headers
-    head = "# method=dude\n# n=10\n# alphabet=0,1\n# k_star=1\n"
+    head = "# method=dude\n# n=10\n# alphabet=01\n# k_star=1\n"
     cols = "k,estimated_loss,true_ber,n_contexts,wall_time_s\n"
     for text in (head.replace("n=10", "n=x") + cols, head + cols + "1,abc,,4,0.2\n",
                  head + cols + "1,0.1,,4.5,0.2\n", head + cols + "1,0.1,,4,0.2,9\n",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, LossMatrix, is_singular, read_spec_json, stochastic
 from .core import BINARY, Alphabet, Sequence
-from .errors import DataError, DimensionMismatch, SequenceTooShort
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,13 @@ class MarkovSource:
         if self.rng_seed < 0:
             raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
         n = self.alphabet.size
-        arr = stochastic(self.transition, (n, n), "transition", DataError)
+        arr = stochastic(self.transition, (n, n), "transition")
         object.__setattr__(self, "transition", arr)
         if self.initial is None:
             init = _stationary(arr)
             init.flags.writeable = False
         else:
-            init = stochastic(self.initial, (n,), "initial distribution", DataError)
+            init = stochastic(self.initial, (n,), "initial distribution")
         object.__setattr__(self, "initial", init)
 
 
@@ -113,7 +113,7 @@ def generate_source(source: MarkovSource, n: int) -> Sequence:
     of next states by a blocked scan, which is exact for integer maps.
     """
     if n < 1:
-        raise SequenceTooShort("cannot generate an empty sequence")
+        raise DataError("cannot generate an empty sequence")
     rng = np.random.default_rng(source.rng_seed)
     size = source.alphabet.size
     first = int(np.searchsorted(np.cumsum(source.initial), rng.random(), side="right"))
@@ -160,9 +160,7 @@ def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
 
 def load_source_json(path: str, rng_seed: int = 0) -> MarkovSource:
     """Read a Markov source from JSON: alphabet, transition, optional initial."""
-    alphabet, transition, initial = read_spec_json(
-        path, "source file", "transition", "initial", DataError
-    )
+    alphabet, transition, initial = read_spec_json(path, "source file", "transition", "initial")
     return MarkovSource(transition, alphabet, initial=initial, rng_seed=rng_seed)
 
 
@@ -186,7 +184,7 @@ class HMMSpec:
 
     def __post_init__(self):
         if self.source.alphabet != self.channel.alphabet:
-            raise DimensionMismatch("source and channel alphabets differ")
+            raise DataError("source and channel alphabets differ")
 
 
 def _normalized(msg: np.ndarray) -> np.ndarray:
@@ -210,7 +208,7 @@ def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
         raise DataError("sequence alphabet does not match the model")
     n = len(z)
     if n < 1:
-        raise SequenceTooShort("cannot smooth an empty sequence")
+        raise DataError("cannot smooth an empty sequence")
     size = spec.source.alphabet.size
     side = math.isqrt(max(n - 2, 0)) + 1  # n - 1 steps fit in side blocks of side steps
     pad = side * side - (n - 1)

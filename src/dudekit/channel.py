@@ -25,18 +25,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import BINARY, Alphabet, Sequence
-from .errors import (
-    CapExceeded,
-    DataError,
-    DimensionMismatch,
-    InvalidChannel,
-    LengthMismatch,
-    SingularChannel,
-)
+from .errors import DataError, NumericalError
 
 ROW_SUM_TOL = 1e-9
 # Largest rule table built; |alphabet|**|alphabet| rows past it raise.
@@ -47,16 +41,16 @@ DENOISER_CAP = 65536
 SINGULAR_RCOND = 1e-12
 
 
-def stochastic(arr, shape: tuple[int, ...], what: str, error: type[DataError]) -> np.ndarray:
+def stochastic(arr, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Read-only float64 copy of arr, checked to have the given shape, finite
     non-negative entries, and rows (along the last axis) summing to 1."""
     out = np.array(arr, dtype=np.float64, order="C")
     if out.shape != shape:
-        raise error(f"{what} must have shape {shape}, got {out.shape}")
+        raise DataError(f"{what} must have shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out)) or np.any(out < 0):
-        raise error(f"{what} entries must be finite and non-negative")
+        raise DataError(f"{what} entries must be finite and non-negative")
     if np.max(np.abs(out.sum(axis=-1) - 1.0)) > ROW_SUM_TOL:
-        raise error(f"{what} rows must sum to 1")
+        raise DataError(f"{what} rows must sum to 1")
     out.flags.writeable = False
     return out
 
@@ -80,38 +74,33 @@ class ChannelMatrix:
 
     def __post_init__(self):
         n = self.alphabet.size
-        arr = stochastic(self.entries, (n, n), "channel", InvalidChannel)
+        arr = stochastic(self.entries, (n, n), "channel")
         object.__setattr__(self, "entries", arr)
 
     @property
     def size(self) -> int:
         return self.alphabet.size
 
-    @property
+    @cached_property
     def inverse(self) -> np.ndarray:
-        """Matrix inverse of the channel; raises SingularChannel."""
-        cached = getattr(self, "_inverse_cache", None)
-        if cached is None:
-            if is_singular(self.entries):
-                raise SingularChannel("channel matrix is singular to working precision")
-            cached = np.linalg.inv(self.entries)
-            cached.flags.writeable = False
-            object.__setattr__(self, "_inverse_cache", cached)
-        return cached
+        """Read-only matrix inverse of the channel; raises NumericalError."""
+        if is_singular(self.entries):
+            raise NumericalError("channel matrix is singular to working precision")
+        inv = np.linalg.inv(self.entries)
+        inv.flags.writeable = False
+        return inv
 
 
-def bsc(delta: float, alphabet: Alphabet = BINARY) -> ChannelMatrix:
+def bsc(delta: float) -> ChannelMatrix:
     """Binary symmetric channel with crossover probability delta."""
-    if alphabet.size != 2:
-        raise InvalidChannel("bsc requires a binary alphabet")
-    return symmetric_channel(delta, alphabet)
+    return symmetric_channel(delta, BINARY)
 
 
 def symmetric_channel(delta: float, alphabet: Alphabet) -> ChannelMatrix:
     """Channel keeping each symbol w.p. 1-delta, else uniform over the rest."""
     n = alphabet.size
     if not 0.0 <= delta <= 1.0:
-        raise InvalidChannel(f"flip probability must be in [0, 1], got {delta}")
+        raise DataError(f"flip probability must be in [0, 1], got {delta}")
     if n == 1:
         return ChannelMatrix(np.ones((1, 1)), alphabet)
     off = delta / (n - 1)
@@ -131,7 +120,7 @@ class LossMatrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         n = self.alphabet.size
         if arr.shape != (n, n):
-            raise DimensionMismatch(f"loss must have shape {(n, n)}, got {arr.shape}")
+            raise DataError(f"loss must have shape {(n, n)}, got {arr.shape}")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise DataError("loss entries must be finite and non-negative")
         arr = np.ascontiguousarray(arr)
@@ -152,7 +141,7 @@ def mapping_table(n: int) -> np.ndarray:
     """
     total = n**n
     if total > DENOISER_CAP:
-        raise CapExceeded(f"{total} denoisers exceed cap {DENOISER_CAP}")
+        raise DataError(f"{total} denoisers exceed cap {DENOISER_CAP}")
     idx = np.arange(total, dtype=np.int64)
     table = np.empty((total, n), dtype=np.uint8)
     for j in range(n):
@@ -170,7 +159,6 @@ class EstimatedLossTables:
     expected_loss: np.ndarray  # (X, S)
     estimated_loss: np.ndarray  # (Z, S)
     pseudo_labels: np.ndarray  # (Z, S), non-negative
-    max_estimated_loss: float
 
     @property
     def n_denoisers(self) -> int:
@@ -192,16 +180,15 @@ class EstimatedLossTables:
 
 
 def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedLossTables:
-    """Derive all tables; raises SingularChannel if the channel has no inverse."""
+    """Derive all tables; raises NumericalError if the channel has no inverse."""
     table = mapping_table(channel.size)
     rho = np.empty((channel.size, table.shape[0]))
     for x in range(channel.size):
         # loss of denoiser s at observation z, averaged over z ~ channel row x
         rho[x] = loss.entries[x][table] @ channel.entries[x]
     est = channel.inverse @ rho
-    l_max = float(est.max())
     # Non-negative by construction: the shift is the max over the same array.
-    labels = l_max - est
+    labels = est.max() - est
     for arr in (table, rho, est, labels):
         arr.flags.writeable = False
     return EstimatedLossTables(
@@ -211,7 +198,6 @@ def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedL
         expected_loss=rho,
         estimated_loss=est,
         pseudo_labels=labels,
-        max_estimated_loss=l_max,
     )
 
 
@@ -219,31 +205,31 @@ def apply_rules(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossTabl
     """Reconstruct by applying each position's single-symbol rule to its center."""
     rule_indices = np.asarray(rule_indices)
     if rule_indices.shape != (len(z),):
-        raise LengthMismatch("need one rule index per position")
+        raise DataError("need one rule index per position")
     xhat = tables.map_table[rule_indices, z.data.astype(np.int64)]
     return Sequence(xhat, z.alphabet)
 
 
-def read_spec_json(path: str, what: str, required: str, optional: str, error: type[DataError]):
+def read_spec_json(path: str, what: str, required: str, optional: str):
     """(alphabet, required array, optional array or None) from a JSON spec file.
 
     The file holds an object with "alphabet" (a list of labels) and the
     nested lists `required` and, if present and not null, `optional`.
-    Unreadable, non-UTF-8, non-JSON, ragged or non-numeric input raises error.
+    Unreadable, non-UTF-8, non-JSON, ragged or non-numeric input raises DataError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(doc, dict) or "alphabet" not in doc or required not in doc:
-        raise error(f"{what} needs 'alphabet' and '{required}' keys")
+        raise DataError(f"{what} needs 'alphabet' and '{required}' keys")
     try:
         alphabet = Alphabet(tuple(str(lab) for lab in doc["alphabet"]))
         first = np.asarray(doc[required], dtype=np.float64)
         second = None if doc.get(optional) is None else np.asarray(doc[optional], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"bad entries in {what} {path}: {exc}") from exc
+        raise DataError(f"bad entries in {what} {path}: {exc}") from exc
     return alphabet, first, second
 
 
@@ -254,7 +240,7 @@ def load_channel_json(path: str) -> tuple[ChannelMatrix, LossMatrix]:
     row-stochastic, square), optional "loss" (nested list, square,
     defaults to Hamming on the same alphabet).
     """
-    alphabet, raw, loss = read_spec_json(path, "channel file", "channel", "loss", InvalidChannel)
+    alphabet, raw, loss = read_spec_json(path, "channel file", "channel", "loss")
     chan = ChannelMatrix(raw, alphabet)
     return chan, hamming_loss(alphabet) if loss is None else LossMatrix(loss, alphabet)
 
@@ -265,16 +251,16 @@ def parse_channel_spec(spec: str) -> tuple[ChannelMatrix, LossMatrix]:
         try:
             delta = float(spec.split(":", 1)[1])
         except ValueError as exc:
-            raise InvalidChannel(f"bad bsc spec {spec!r}") from exc
+            raise DataError(f"bad bsc spec {spec!r}") from exc
         return bsc(delta), hamming_loss(BINARY)
     if spec.startswith("dsc:"):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise InvalidChannel(f"bad dsc spec {spec!r}, want dsc:<labels>:<delta>")
+            raise DataError(f"bad dsc spec {spec!r}, want dsc:<labels>:<delta>")
         alphabet = Alphabet(tuple(parts[1]))
         try:
             delta = float(parts[2])
         except ValueError as exc:
-            raise InvalidChannel(f"bad dsc spec {spec!r}") from exc
+            raise DataError(f"bad dsc spec {spec!r}") from exc
         return symmetric_channel(delta, alphabet), hamming_loss(alphabet)
     return load_channel_json(spec)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, InvalidSymbol, SequenceTooShort
+from .errors import DataError
 
 # uint8 storage must leave room for the padding sentinel.
 MAX_ALPHABET_SIZE = 255
@@ -67,7 +67,7 @@ class Alphabet:
             bad = [exc.start]
         if len(bad):
             pos = int(bad[0])
-            raise InvalidSymbol(f"symbol {text[pos]!r} at offset {pos} not in alphabet")
+            raise DataError(f"symbol {text[pos]!r} at offset {pos} not in alphabet")
         return idx.astype(np.uint8)
 
     def decode(self, indices: np.ndarray) -> str:
@@ -91,7 +91,7 @@ class Sequence:
         if arr.ndim != 1:
             raise DataError("sequence data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
-            raise InvalidSymbol("sequence contains indices outside the alphabet")
+            raise DataError("sequence contains indices outside the alphabet")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -134,10 +134,10 @@ def context_columns(k: int, reach: int) -> np.ndarray:
 def interior_slice(n: int, k: int) -> slice:
     """Positions whose order-k context needs no padding.
 
-    Raises SequenceTooShort when no interior position exists.
+    Raises DataError when no interior position exists.
     """
     if n <= 2 * k:
-        raise SequenceTooShort(f"need length > 2k = {2 * k}, got {n}")
+        raise DataError(f"need length > 2k = {2 * k}, got {n}")
     return slice(k, n - k)
 
 

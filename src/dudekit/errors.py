@@ -1,9 +1,10 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit: one class per CLI exit code.
 
-Two broad families matter to callers: DataError for malformed or
-inconsistent inputs, and NumericalError for computations that cannot
-proceed (singular matrices and the like). The CLI maps these onto
-distinct exit codes.
+DataError (exit 2) covers malformed or inconsistent inputs: files,
+sequences, specs, dimensions, caps and checkpoints. NumericalError
+(exit 3) covers computations that cannot proceed, such as a singular
+channel. Both derive from DenoiserError; the message, not the class,
+says which check failed.
 """
 
 
@@ -12,52 +13,8 @@ class DenoiserError(Exception):
 
 
 class DataError(DenoiserError):
-    """Bad or inconsistent input data (files, sequences, dimensions)."""
+    """Bad or inconsistent input data; the CLI exits 2."""
 
 
 class NumericalError(DenoiserError):
-    """A numerical procedure failed (singularity, non-convergence)."""
-
-
-class SequenceTooShort(DataError):
-    """Sequence shorter than the context window requires."""
-
-
-class LengthMismatch(DataError):
-    """Paired sequences or grids disagree in length."""
-
-
-class DimensionMismatch(DataError):
-    """Array or network dimensions are incompatible with the task."""
-
-
-class CapExceeded(DataError):
-    """A rule table would exceed its size cap."""
-
-
-class InvalidChannel(DataError):
-    """Channel or loss specification is malformed (shape, stochasticity)."""
-
-
-class MalformedHeader(DataError):
-    """File header does not follow the expected format."""
-
-
-class TruncatedPayload(DataError):
-    """File body ends before the declared amount of data."""
-
-
-class InvalidSymbol(DataError):
-    """A symbol outside the declared alphabet was encountered."""
-
-
-class EmptyFile(DataError):
-    """A file contains no usable records."""
-
-
-class CheckpointMismatch(DataError):
-    """A saved model does not match the requested configuration."""
-
-
-class SingularChannel(NumericalError):
-    """Channel transition matrix is not invertible."""
+    """A numerical procedure failed; the CLI exits 3."""

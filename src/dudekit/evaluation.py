@@ -22,7 +22,7 @@ import numpy as np
 from . import dude, io, neural
 from .channel import EstimatedLossTables, apply_rules
 from .core import Sequence, context_groups, interior_slice
-from .errors import DataError, LengthMismatch, MalformedHeader, NumericalError
+from .errors import DataError, NumericalError
 from .neural import TrainConfig
 
 METHODS = ("dude", "ndude")
@@ -31,7 +31,7 @@ METHODS = ("dude", "ndude")
 def true_loss(x: Sequence, xhat: Sequence, loss) -> float:
     """Mean per-symbol loss of a reconstruction against the clean sequence."""
     if len(x) != len(xhat):
-        raise LengthMismatch(f"length {len(x)} vs {len(xhat)}")
+        raise DataError(f"length {len(x)} vs {len(xhat)}")
     if len(x) == 0:
         raise DataError("cannot score empty sequences")
     return float(loss.entries[x.data.astype(np.int64), xhat.data.astype(np.int64)].mean())
@@ -40,7 +40,7 @@ def true_loss(x: Sequence, xhat: Sequence, loss) -> float:
 def symbol_error_rate(a: Sequence, b: Sequence) -> float:
     """Fraction of positions where the two sequences disagree."""
     if len(a) != len(b):
-        raise LengthMismatch(f"length {len(a)} vs {len(b)}")
+        raise DataError(f"length {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise DataError("cannot score empty sequences")
     return float(np.mean(a.data != b.data))
@@ -54,7 +54,7 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
     """
     rule_indices = np.asarray(rule_indices)
     if rule_indices.shape != (len(z),):
-        raise LengthMismatch("need one rule index per position")
+        raise DataError("need one rule index per position")
     return float(tables.estimated_loss[z.data.astype(np.int64), rule_indices].mean())
 
 
@@ -262,7 +262,7 @@ _HEAD = ("method", "n", "alphabet", "k_star")
 
 
 def _report(path: str, doc) -> ExperimentReport:
-    """Report from its JSON layout; a missing or malformed field raises MalformedHeader."""
+    """Report from its JSON layout; a missing or malformed field raises DataError."""
     try:
         return ExperimentReport(
             method=doc["method"],
@@ -273,7 +273,7 @@ def _report(path: str, doc) -> ExperimentReport:
             meta=tuple((str(key), str(value)) for key, value in dict(doc["meta"]).items()),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedHeader(f"bad report {path}: {exc!r}") from exc
+        raise DataError(f"bad report {path}: {exc!r}") from exc
 
 
 def report_to_csv(report: ExperimentReport, path: str) -> None:
@@ -296,9 +296,9 @@ def report_from_csv(path: str) -> ExperimentReport:
     head, body = io.read_headed(path)
     for key in _HEAD:
         if key not in head:
-            raise MalformedHeader(f"missing '# {key}=' header in {path}")
+            raise DataError(f"missing '# {key}=' header in {path}")
     if not body or tuple(body[0].split(",")) != CSV_COLUMNS:
-        raise MalformedHeader(f"unexpected CSV columns in {path}")
+        raise DataError(f"unexpected CSV columns in {path}")
     doc = {key: head.pop(key) for key in _HEAD}
     # A generator, so _report's error mapping covers ragged rows too.
     rows = (dict(zip(CSV_COLUMNS, line.split(","), strict=True)) for line in body[1:])
@@ -316,5 +316,5 @@ def report_from_json(path: str) -> ExperimentReport:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
-        raise MalformedHeader(f"cannot read report {path}: {exc}") from exc
+        raise DataError(f"cannot read report {path}: {exc}") from exc
     return _report(path, doc)

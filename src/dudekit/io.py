@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BINARY, Alphabet, Sequence
-from .errors import (
-    DataError,
-    EmptyFile,
-    LengthMismatch,
-    MalformedHeader,
-    TruncatedPayload,
-)
+from .errors import DataError
 
 _WHITESPACE = b" \t\r\n\v\f"
 
@@ -39,9 +33,7 @@ class ImageGrid:
             raise DataError("image dimensions must be positive")
         arr = np.asarray(self.pixels)
         if arr.shape != (self.width * self.height,):
-            raise LengthMismatch(
-                f"expected {self.width * self.height} pixels, got {arr.shape}"
-            )
+            raise DataError(f"expected {self.width * self.height} pixels, got {arr.shape}")
         if arr.size and arr.max() > 1:
             raise DataError("pixels must be 0 or 1")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
@@ -60,7 +52,7 @@ def rasterize(grid: ImageGrid) -> Sequence:
 def derasterize(seq: Sequence, width: int, height: int) -> ImageGrid:
     """Reshape a binary sequence back into an image."""
     if len(seq) != width * height:
-        raise LengthMismatch(f"sequence length {len(seq)} != {width}x{height}")
+        raise DataError(f"sequence length {len(seq)} != {width}x{height}")
     return ImageGrid(width=width, height=height, pixels=seq.data)
 
 
@@ -83,7 +75,7 @@ def _tokenize_pbm_header(blob: bytes, count: int):
             else:
                 break
         if i >= n:
-            raise MalformedHeader("bitmap header ended early")
+            raise DataError("bitmap header ended early")
         start = i
         while i < n and blob[i] not in _WHITESPACE and blob[i] != 0x23:
             i += 1
@@ -102,21 +94,21 @@ def load_pbm(path: str) -> ImageGrid:
     except OSError as exc:
         raise DataError(f"cannot read bitmap {path}: {exc}") from exc
     if len(blob) == 0:
-        raise EmptyFile(f"{path} is empty")
+        raise DataError(f"{path} is empty")
     tokens, offset = _tokenize_pbm_header(blob, 3)
     magic = tokens[0]
     try:
         width, height = int(tokens[1]), int(tokens[2])
     except ValueError as exc:
-        raise MalformedHeader(f"bad bitmap dimensions in {path}") from exc
+        raise DataError(f"bad bitmap dimensions in {path}") from exc
     if width < 1 or height < 1:
-        raise MalformedHeader(f"bad bitmap dimensions {width}x{height} in {path}")
+        raise DataError(f"bad bitmap dimensions {width}x{height} in {path}")
     if magic == b"P4":
         row_bytes = (width + 7) // 8
         need = row_bytes * height
         payload = blob[offset : offset + need]
         if len(payload) < need:
-            raise TruncatedPayload(f"{path}: expected {need} payload bytes, got {len(payload)}")
+            raise DataError(f"{path}: expected {need} payload bytes, got {len(payload)}")
         bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes), axis=1
         )[:, :width]
@@ -125,16 +117,14 @@ def load_pbm(path: str) -> ImageGrid:
         # Strip comments, then every remaining non-whitespace char must be a bit.
         flat = b"".join(re.sub(rb"#[^\n]*", b"", blob[offset:]).split())
         if flat.translate(None, b"01"):
-            raise MalformedHeader(f"{path}: plain bitmap contains non-bit characters")
+            raise DataError(f"{path}: plain bitmap contains non-bit characters")
         if len(flat) < width * height:
-            raise TruncatedPayload(
-                f"{path}: expected {width * height} bits, got {len(flat)}"
-            )
+            raise DataError(f"{path}: expected {width * height} bits, got {len(flat)}")
         if len(flat) > width * height:
-            raise MalformedHeader(f"{path}: trailing data after {width * height} bits")
+            raise DataError(f"{path}: trailing data after {width * height} bits")
         pixels = np.frombuffer(flat, dtype=np.uint8) - ord("0")
         return ImageGrid(width=width, height=height, pixels=pixels)
-    raise MalformedHeader(f"{path}: unsupported magic {magic!r}, expected P1 or P4")
+    raise DataError(f"{path}: unsupported magic {magic!r}, expected P1 or P4")
 
 
 def save_pbm(grid: ImageGrid, path: str, binary: bool = True) -> None:
@@ -201,9 +191,9 @@ def load_sequence(path: str, alphabet: Alphabet | None = None) -> tuple[Sequence
     meta, body = read_headed(path)
     if alphabet is None:
         if "alphabet" not in meta:
-            raise MalformedHeader(f"{path} has no '# alphabet=' header and none was given")
+            raise DataError(f"{path} has no '# alphabet=' header and none was given")
         alphabet = Alphabet(tuple(meta["alphabet"]))
     seq = Sequence.from_text("".join(body), alphabet)
     if meta.get("n", str(len(seq))) != str(len(seq)):
-        raise LengthMismatch(f"{path}: header says n={meta['n']}, body has {len(seq)} symbols")
+        raise DataError(f"{path}: header says n={meta['n']}, body has {len(seq)} symbols")
     return seq, meta

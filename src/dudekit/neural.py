@@ -43,13 +43,7 @@ import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
 from .core import Sequence, context_columns, context_groups, context_windows, group_contexts
-from .errors import (
-    CheckpointMismatch,
-    DataError,
-    DimensionMismatch,
-    MalformedHeader,
-    SequenceTooShort,
-)
+from .errors import DataError
 
 # Floor for log arguments inside the cost; keeps zero probabilities finite.
 COST_FLOOR = 1e-30
@@ -119,9 +113,9 @@ class MLPDenoiser:
             raise DataError(f"context order k must be non-negative, got {k}")
         layer_dims = tuple(int(d) for d in layer_dims)
         if len(layer_dims) < 2:
-            raise DimensionMismatch("need at least input and output dimensions")
+            raise DataError("need at least input and output dimensions")
         if any(d < 0 for d in layer_dims) or any(d < 1 for d in layer_dims[1:]):
-            raise DimensionMismatch(f"bad layer dimensions {layer_dims}")
+            raise DataError(f"bad layer dimensions {layer_dims}")
         self.layer_dims = layer_dims
         self.k = int(k)
         self.dtype = np.dtype(dtype)
@@ -154,9 +148,7 @@ class MLPDenoiser:
         """Class probabilities for a batch of encoded contexts."""
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim != 2 or a.shape[1] != self.input_dim:
-            raise DimensionMismatch(
-                f"expected (batch, {self.input_dim}) inputs, got {a.shape}"
-            )
+            raise DataError(f"expected (batch, {self.input_dim}) inputs, got {a.shape}")
         return _Stack([self]).forward([a])[0]
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
@@ -165,7 +157,7 @@ class MLPDenoiser:
         computed by the training step on a stack of this one network."""
         x, g = np.asarray(x, dtype=self.dtype), np.asarray(g, dtype=self.dtype)
         if g.shape != (x.shape[0], self.output_dim):
-            raise DimensionMismatch(f"targets must be (batch, {self.output_dim}), got {g.shape}")
+            raise DataError(f"targets must be (batch, {self.output_dim}), got {g.shape}")
         losses, grad = _Stack([self]).loss_grad([x], g[None], g.sum(axis=1)[None])
         return float(losses[0]), grad
 
@@ -335,9 +327,8 @@ def train(
     orders = [int(k)] if single else [int(v) for v in k]
     if tables.channel.alphabet != z.alphabet:
         raise DataError("tables were built for a different alphabet")
-    n = len(z)
-    if n < 1:
-        raise SequenceTooShort("cannot train on an empty sequence")
+    if len(z) < 1:
+        raise DataError("cannot train on an empty sequence")
     if not orders:
         raise DataError("need at least one context order")
     if min(orders) < 0:  # before seeding rng_seed + k
@@ -348,20 +339,29 @@ def train(
         MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
         for v, rng in zip(orders, rngs)
     ]
-    # Refined one order at a time from k = 0, groups, and so table rows, are
-    # numbered alike however the orders were asked for. G grows with k.
-    on_table = {}
-    for v, groups in enumerate(context_groups(z, range(max(orders) + 1))):
-        if n < TABLE_MIN_MEAN_GROUP * groups.n_groups:
-            break
-        on_table[v] = groups
+    on_table = _context_tables(z, orders, tables, nets[0].dtype)
     for net in nets:
         if net.k in on_table:
-            _train_table(net, *_context_table(on_table[net.k], tables, net.dtype), cfg)
+            _train_table(net, *on_table[net.k], cfg)
     rest = [pair for pair in zip(nets, rngs) if pair[0].k not in on_table]
     if rest:
         _train_positions(z, *zip(*rest), tables, cfg)
     return nets[0] if single else nets
+
+
+def _context_tables(z: Sequence, orders, tables: EstimatedLossTables, dtype) -> dict:
+    """{k: _context_table} for each of orders that trains on its table: those
+    below the first order with fewer than TABLE_MIN_MEAN_GROUP positions per
+    context. Refined one order at a time from k = 0, groups, and so table
+    rows, are numbered alike however the orders were asked for; no groups
+    outlive the walk."""
+    out = {}
+    for v, groups in enumerate(context_groups(z, range(max(orders) + 1))):
+        if len(z) < TABLE_MIN_MEAN_GROUP * groups.n_groups:
+            break
+        if v in orders:
+            out[v] = _context_table(groups, tables, dtype)
+    return out
 
 
 def _context_table(groups, tables: EstimatedLossTables, dtype):
@@ -444,11 +444,11 @@ def select_denoisers(
     (a sweep refines them from the order before)."""
     size = z.alphabet.size
     if net.input_dim != 2 * net.k * size:
-        raise DimensionMismatch(
+        raise DataError(
             f"network input width {net.input_dim} does not match 2k|Z| = {2 * net.k * size}"
         )
     if net.output_dim != tables.n_denoisers:
-        raise DimensionMismatch(
+        raise DataError(
             f"network output width {net.output_dim} does not match "
             f"{tables.n_denoisers} denoisers"
         )
@@ -491,32 +491,32 @@ def save_checkpoint(net: MLPDenoiser, path: str, tables: EstimatedLossTables) ->
 
 
 def load_checkpoint(path: str, tables: EstimatedLossTables, k: int) -> MLPDenoiser:
-    """The checkpoint's network; raises CheckpointMismatch unless it was
+    """The checkpoint's network; raises DataError unless it was
     trained against tables' channel and loss at order k."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "magic" not in data or str(data["magic"]) != CHECKPOINT_MAGIC:
-                raise MalformedHeader(f"{path} is not a denoiser checkpoint")
+                raise DataError(f"{path} is not a denoiser checkpoint")
             dims = tuple(int(d) for d in data["layer_dims"])
             dtype = np.dtype(str(data["dtype"]))
             if dtype not in (np.float32, np.float64):
-                raise MalformedHeader(f"checkpoint dtype {dtype} is not float32 or float64")
+                raise DataError(f"checkpoint dtype {dtype} is not float32 or float64")
             params = data["params"]
             if params.shape != (_n_params(dims),) or params.dtype != dtype:
-                raise MalformedHeader("checkpoint parameters do not match its dims and dtype")
+                raise DataError("checkpoint parameters do not match its dims and dtype")
             net = MLPDenoiser(dims, k=int(data["k"]), dtype=dtype)
             if not np.isfinite(params).all():
-                raise MalformedHeader("checkpoint parameters are not all finite")
+                raise DataError("checkpoint parameters are not all finite")
             net.params[:] = params
             net.epoch_losses = [float(v) for v in data["epoch_losses"]]
             fingerprint = str(data["fingerprint"])
     except OSError as exc:
-        raise MalformedHeader(f"cannot read checkpoint {path}: {exc}") from exc
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         # empty, truncated or foreign files, and archives missing a field
-        raise MalformedHeader(f"bad checkpoint {path}: {exc}") from exc
+        raise DataError(f"bad checkpoint {path}: {exc}") from exc
     if fingerprint != tables.fingerprint():
-        raise CheckpointMismatch("checkpoint was trained for a different channel or loss")
+        raise DataError("checkpoint was trained for a different channel or loss")
     if net.k != k:
-        raise CheckpointMismatch(f"checkpoint has k={net.k}, requested k={k}")
+        raise DataError(f"checkpoint has k={net.k}, requested k={k}")
     return net

@@ -18,7 +18,7 @@ import numpy as np
 
 from dudekit.channel import ChannelMatrix, LossMatrix
 from dudekit.core import Alphabet, Sequence, interior_slice
-from dudekit.errors import DataError, DimensionMismatch, InvalidSymbol
+from dudekit.errors import DataError
 from dudekit.neural import MLPDenoiser
 
 
@@ -77,7 +77,7 @@ def context_key(c: Context, alphabet: Alphabet) -> int:
             key += d * size**j
         return key
     if any(d > size for d in digits):
-        raise InvalidSymbol("context digit outside alphabet and pad range")
+        raise DataError("context digit outside alphabet and pad range")
     base = size + 1
     key = 0
     for j, d in enumerate(digits):
@@ -105,7 +105,7 @@ class CountTable:
 
 def collect_counts(z: Sequence, k: int) -> CountTable:
     """First pass: tally each interior position's center symbol under its context's key."""
-    interior_slice(len(z), k)  # raises SequenceTooShort
+    interior_slice(len(z), k)  # raises DataError
     table = {}
     for i in range(k, len(z) - k):
         key = context_key(extract_context(z, i, k), z.alphabet)
@@ -127,7 +127,7 @@ def dude_rule_original(
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (channel.size,):
-        raise DimensionMismatch(f"count vector must have length {channel.size}")
+        raise DataError(f"count vector must have length {channel.size}")
     v = m @ channel.inverse
     weighted = loss.entries * channel.entries[:, z_center][:, None]
     return int(np.argmin(v @ weighted))

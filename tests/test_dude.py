@@ -7,7 +7,7 @@ from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss, symmetric_channel
 from dudekit.core import BINARY, Sequence
 from dudekit.dude import _argmin_chunked, dude_denoise, select_denoisers
-from dudekit.errors import DataError, SequenceTooShort
+from dudekit.errors import DataError
 from oracles import Context, collect_counts, dude_rule_original, extract_context
 
 
@@ -42,7 +42,7 @@ def test_collect_counts_totals():
 
 def test_collect_counts_too_short():
     z = Sequence.from_text("0101", BINARY)
-    with pytest.raises(SequenceTooShort):
+    with pytest.raises(DataError, match="need length > 2k = 4, got 4"):
         collect_counts(z, 2)
 
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from dudekit.core import BINARY, DNA, Alphabet, Sequence
-from dudekit.errors import (
-    DataError,
-    EmptyFile,
-    InvalidSymbol,
-    LengthMismatch,
-    MalformedHeader,
-    TruncatedPayload,
-)
+from dudekit.errors import DataError
 from dudekit.io import (
     ImageGrid,
     derasterize,
@@ -30,7 +23,7 @@ def random_grid(rng, width, height):
 
 
 def test_image_grid_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="expected 4 pixels, got"):
         ImageGrid(2, 2, np.zeros(3, dtype=np.uint8))
     with pytest.raises(DataError):
         ImageGrid(2, 1, np.array([0, 2], dtype=np.uint8))
@@ -48,7 +41,7 @@ def test_rasterize_roundtrip():
     assert len(seq) == 35
     back = derasterize(seq, 7, 5)
     assert np.array_equal(back.pixels, grid.pixels)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="sequence length 35 != 6x5"):
         derasterize(seq, 6, 5)
 
 
@@ -104,28 +97,28 @@ def test_pbm_binary_with_header_comment(tmp_path):
 def test_pbm_errors(tmp_path):
     path = tmp_path / "img.pbm"
     path.write_bytes(b"")
-    with pytest.raises(EmptyFile):
+    with pytest.raises(DataError, match="is empty"):
         load_pbm(str(path))
     path.write_bytes(b"P5\n3 2\nxxxxxx")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="unsupported magic b'P5'"):
         load_pbm(str(path))
     path.write_bytes(b"P4\n8 4\n" + b"\x00" * 3)
-    with pytest.raises(TruncatedPayload):
+    with pytest.raises(DataError, match="expected 4 payload bytes, got 3"):
         load_pbm(str(path))
     path.write_text("P1\n3 2\n10101\n")
-    with pytest.raises(TruncatedPayload):
+    with pytest.raises(DataError, match="expected 6 bits, got 5"):
         load_pbm(str(path))
     path.write_text("P1\n3 2\n1010101\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="trailing data after 6 bits"):
         load_pbm(str(path))
     path.write_text("P1\n3 2\n1010x1\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="plain bitmap contains non-bit characters"):
         load_pbm(str(path))
     path.write_text("P1\n3\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="bitmap header ended early"):
         load_pbm(str(path))
     path.write_text("P1\n0 2\n\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="bad bitmap dimensions 0x2"):
         load_pbm(str(path))
 
 
@@ -153,12 +146,12 @@ def test_sequence_file_explicit_alphabet(tmp_path):
 def test_sequence_file_errors(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("0101\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="has no '# alphabet=' header and none was given"):
         load_sequence(str(path))  # no alphabet header, none given
     seq, _ = load_sequence(str(path), BINARY)
     assert seq.to_text() == "0101"
     path.write_text("# alphabet=01\n01021\n")
-    with pytest.raises(InvalidSymbol):
+    with pytest.raises(DataError, match="symbol '2' at offset 3 not in alphabet"):
         load_sequence(str(path))
     seq = Sequence.from_text("01", BINARY)
     with pytest.raises(DataError):
@@ -168,10 +161,10 @@ def test_sequence_file_errors(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1] == "# n=240" and len(lines[-1]) == 40
     path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="header says n=240, body has 200 symbols"):
         load_sequence(str(path))
     path.write_text("# alphabet=01\n# n=x\n0101\n")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="header says n=x, body has 4 symbols"):
         load_sequence(str(path))
     path.write_text("# alphabet=01\n# n=4\n01\n\n01\n")
     assert load_sequence(str(path))[0].to_text() == "0101"

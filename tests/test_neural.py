@@ -1,6 +1,8 @@
 """Network denoiser: cost, gradients, training loop, and inference paths."""
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -9,12 +11,7 @@ from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit import neural
 from dudekit.core import BINARY, Sequence, group_contexts
-from dudekit.errors import (
-    CheckpointMismatch,
-    DataError,
-    DimensionMismatch,
-    MalformedHeader,
-)
+from dudekit.errors import DataError
 from dudekit.neural import (
     BETA1,
     BETA2,
@@ -89,9 +86,9 @@ def test_mlp_parameter_layout():
 
 
 def test_mlp_dim_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="need at least input and output dimensions"):
         MLPDenoiser((4,), k=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"bad layer dimensions \(4, 0, 3\)"):
         MLPDenoiser((4, 0, 3), k=1)
 
 
@@ -109,9 +106,9 @@ def test_forward_rows_are_distributions():
     assert p.shape == (7, 4)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"expected \(batch, 6\) inputs, got \(3, 5\)"):
         net.forward(np.zeros((3, 5)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"targets must be \(batch, 4\), got \(7, 3\)"):
         net.loss_and_gradient(x, np.zeros((7, 3)))
 
 
@@ -328,6 +325,29 @@ def test_train_split_over_processes_matches_one_stack():
         assert len(a.epoch_losses) == cfg.epochs
 
 
+def test_position_training_holds_no_context_groups(monkeypatch):
+    # Binary n = 12000: the walk groups orders 0 to 3, order 1 trains on its
+    # table and order 5 on positions. None of the walk's groups, of the orders
+    # asked for or not, may stay alive while positions train.
+    _, z = _toy_instance(n=12000, seed=7)
+    refs, walk, positions = [], neural.context_groups, neural._train_positions
+
+    def tracked_walk(*args):
+        for groups in walk(*args):
+            refs.append(weakref.ref(groups))
+            yield groups
+
+    def checked_positions(*args):
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        return positions(*args)
+
+    monkeypatch.setattr(neural, "context_groups", tracked_walk)
+    monkeypatch.setattr(neural, "_train_positions", checked_positions)
+    nets = train(z, [1, 5], bsc01_tables(), hidden=(8,), config=TrainConfig(epochs=1))
+    assert [len(net.epoch_losses) for net in nets] == [1, 1]
+
+
 def test_mlp_pickle_keeps_layer_views_tied():
     _, z = _toy_instance(n=2000)
     t = bsc01_tables()
@@ -388,10 +408,10 @@ def test_select_denoisers_dim_checks():
     _, z = _toy_instance(n=300)
     t = bsc01_tables()
     net = MLPDenoiser((8, 6, 4), k=1, rng=np.random.default_rng(0))  # wrong input width
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="network input width 8 does not match 2k"):
         select_denoisers(z, net, t)
     net = MLPDenoiser((4, 6, 5), k=1, rng=np.random.default_rng(0))  # wrong output width
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="network output width 5 does not match 4 denoisers"):
         select_denoisers(z, net, t)
 
 
@@ -429,9 +449,9 @@ def test_checkpoint_mismatch(tmp_path):
     path = str(tmp_path / "model.npz")
     save_checkpoint(net, path, t)
     other = build_estimated_loss(bsc(0.2), hamming_loss(BINARY))
-    with pytest.raises(CheckpointMismatch):
+    with pytest.raises(DataError, match="checkpoint was trained for a different channel or loss"):
         load_checkpoint(path, other, 2)
-    with pytest.raises(CheckpointMismatch):
+    with pytest.raises(DataError, match="checkpoint has k=2, requested k=3"):
         load_checkpoint(path, t, 3)
 
 
@@ -439,26 +459,28 @@ def test_checkpoint_bad_file(tmp_path):
     t = bsc01_tables()
     path = tmp_path / "junk.npz"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="bad checkpoint"):
         load_checkpoint(str(path), t, 1)
     other = tmp_path / "other.npz"
     np.savez(other, stuff=np.arange(3))
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="is not a denoiser checkpoint"):
         load_checkpoint(str(other), t, 1)
     # networks that are not float, or whose parameters are not finite
     net = MLPDenoiser((4, 3, 4), k=1, rng=np.random.default_rng(0))
     save_checkpoint(net, str(path), t)
     with np.load(path) as data:
         fields = {key: data[key] for key in data.files}
-    bad = [{"dtype": d, "params": net.params.astype(d)} for d in ("int64", "bool", "complex128")]
-    bad += [{"params": net.params.astype(np.int64)}]  # not the dtype it declares
-    bad += [{"params": np.where(np.arange(net.n_params) == 5, v, net.params)}
-            for v in (np.nan, np.inf, -np.inf)]
+    bad = [({"dtype": d, "params": net.params.astype(d)}, f"checkpoint dtype {d} is not float")
+           for d in ("int64", "bool", "complex128")]
+    mismatch = "checkpoint parameters do not match its dims and dtype"
+    bad += [({"params": net.params.astype(np.int64)}, mismatch)]  # not the dtype it declares
+    bad += [({"params": np.where(np.arange(net.n_params) == 5, v, net.params)},
+             "checkpoint parameters are not all finite") for v in (np.nan, np.inf, -np.inf)]
     # dims implying far more parameters than the file holds; nothing is allocated
-    bad += [{"layer_dims": np.array([2, 10**6, 10**6, 4]), "params": net.params[:10]}]
-    for change in bad:
+    bad += [({"layer_dims": np.array([2, 10**6, 10**6, 4]), "params": net.params[:10]}, mismatch)]
+    for change, message in bad:
         np.savez(other, **{**fields, **change})
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match=message):
             load_checkpoint(str(other), t, 1)
 
 
@@ -472,10 +494,10 @@ def test_checkpoint_missing_field_or_truncated(tmp_path):
         fields = {key: data[key] for key in data.files if key != "layer_dims"}
     partial = tmp_path / "partial.npz"
     np.savez(partial, **fields)
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="bad checkpoint"):
         load_checkpoint(str(partial), t, 2)
     blob = path.read_bytes()
     for cut in (0, 10, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:cut])
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="bad checkpoint"):
             load_checkpoint(str(path), t, 2)

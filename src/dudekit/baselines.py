@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, LossMatrix, is_singular, read_spec_json, stochastic
-from .core import BINARY, Alphabet, Sequence
+from .core import BINARY, Alphabet, Rebuilt, Sequence
 from .errors import DataError
 
 
 @dataclass(frozen=True)
-class MarkovSource:
+class MarkovSource(Rebuilt):
     """First-order stationary Markov chain over an alphabet.
 
     initial defaults to the chain's stationary distribution, which is
@@ -38,12 +38,8 @@ class MarkovSource:
         n = self.alphabet.size
         arr = stochastic(self.transition, (n, n), "transition")
         object.__setattr__(self, "transition", arr)
-        if self.initial is None:
-            init = _stationary(arr)
-            init.flags.writeable = False
-        else:
-            init = stochastic(self.initial, (n,), "initial distribution")
-        object.__setattr__(self, "initial", init)
+        init = _stationary(arr) if self.initial is None else self.initial
+        object.__setattr__(self, "initial", stochastic(init, (n,), "initial distribution"))
 
 
 def _stationary(transition: np.ndarray) -> np.ndarray:
@@ -158,21 +154,18 @@ def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
     return Sequence(z.astype(np.uint8), x.alphabet)
 
 
-def load_source_json(path: str, rng_seed: int = 0) -> MarkovSource:
-    """Read a Markov source from JSON: alphabet, transition, optional initial."""
-    alphabet, transition, initial = read_spec_json(path, "source file", "transition", "initial")
-    return MarkovSource(transition, alphabet, initial=initial, rng_seed=rng_seed)
-
-
 def parse_source_spec(spec: str, rng_seed: int = 0) -> MarkovSource:
-    """Parse a source argument: 'bsmc:<alpha>' or a JSON path."""
+    """Parse a source argument: 'bsmc:<alpha>', or the path of a JSON file with keys
+    "alphabet" (list of labels), "transition" (square, row-stochastic) and optionally
+    "initial" (sums to 1; the stationary law when absent or null)."""
     if spec.startswith("bsmc:"):
         try:
             alpha = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise DataError(f"bad bsmc spec {spec!r}") from exc
         return bsmc(alpha, rng_seed=rng_seed)
-    return load_source_json(spec, rng_seed=rng_seed)
+    alphabet, transition, initial = read_spec_json(spec, "source file", "transition", "initial")
+    return MarkovSource(transition, alphabet, initial=initial, rng_seed=rng_seed)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,14 @@ denoiser reconstructs through it.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import BINARY, Alphabet, Sequence
+from .core import BINARY, Alphabet, Rebuilt, Sequence, frozen
 from .errors import DataError, NumericalError
+from .io import read_json
 
 ROW_SUM_TOL = 1e-9
 # Largest rule table built; |alphabet|**|alphabet| rows past it raise.
@@ -41,17 +41,23 @@ DENOISER_CAP = 65536
 SINGULAR_RCOND = 1e-12
 
 
-def stochastic(arr, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Read-only float64 copy of arr, checked to have the given shape, finite
-    non-negative entries, and rows (along the last axis) summing to 1."""
-    out = np.array(arr, dtype=np.float64, order="C")
+def nonnegative(arr, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only float64 copy of arr, checked to have the given shape and
+    finite non-negative entries."""
+    out = frozen(arr, np.float64)
     if out.shape != shape:
         raise DataError(f"{what} must have shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise DataError(f"{what} entries must be finite and non-negative")
+    return out
+
+
+def stochastic(arr, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """nonnegative(arr, shape, what), its rows (along the last axis) also
+    checked to sum to 1."""
+    out = nonnegative(arr, shape, what)
     if np.max(np.abs(out.sum(axis=-1) - 1.0)) > ROW_SUM_TOL:
         raise DataError(f"{what} rows must sum to 1")
-    out.flags.writeable = False
     return out
 
 
@@ -61,7 +67,7 @@ def is_singular(a: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class ChannelMatrix:
+class ChannelMatrix(Rebuilt):
     """Row-stochastic transition matrix Pi over a common in/out alphabet.
 
     Invertibility is not required to construct a channel (corruption and
@@ -86,9 +92,7 @@ class ChannelMatrix:
         """Read-only matrix inverse of the channel; raises NumericalError."""
         if is_singular(self.entries):
             raise NumericalError("channel matrix is singular to working precision")
-        inv = np.linalg.inv(self.entries)
-        inv.flags.writeable = False
-        return inv
+        return frozen(np.linalg.inv(self.entries))
 
 
 def bsc(delta: float) -> ChannelMatrix:
@@ -110,22 +114,15 @@ def symmetric_channel(delta: float, alphabet: Alphabet) -> ChannelMatrix:
 
 
 @dataclass(frozen=True)
-class LossMatrix:
+class LossMatrix(Rebuilt):
     """Per-symbol loss: rows index the clean symbol, columns the guess."""
 
     entries: np.ndarray
     alphabet: Alphabet
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
         n = self.alphabet.size
-        if arr.shape != (n, n):
-            raise DataError(f"loss must have shape {(n, n)}, got {arr.shape}")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise DataError("loss entries must be finite and non-negative")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", nonnegative(self.entries, (n, n), "loss"))
 
 
 def hamming_loss(alphabet: Alphabet) -> LossMatrix:
@@ -150,7 +147,7 @@ def mapping_table(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EstimatedLossTables:
+class EstimatedLossTables(Rebuilt):
     """Loss tables over the full family of single-symbol denoisers."""
 
     channel: ChannelMatrix
@@ -159,6 +156,10 @@ class EstimatedLossTables:
     expected_loss: np.ndarray  # (X, S)
     estimated_loss: np.ndarray  # (Z, S)
     pseudo_labels: np.ndarray  # (Z, S), non-negative
+
+    def __post_init__(self):
+        for name in ("map_table", "expected_loss", "estimated_loss", "pseudo_labels"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @property
     def n_denoisers(self) -> int:
@@ -189,8 +190,6 @@ def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedL
     est = channel.inverse @ rho
     # Non-negative by construction: the shift is the max over the same array.
     labels = est.max() - est
-    for arr in (table, rho, est, labels):
-        arr.flags.writeable = False
     return EstimatedLossTables(
         channel=channel,
         loss=loss,
@@ -217,11 +216,7 @@ def read_spec_json(path: str, what: str, required: str, optional: str):
     nested lists `required` and, if present and not null, `optional`.
     Unreadable, non-UTF-8, non-JSON, ragged or non-numeric input raises DataError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    doc = read_json(path, what)
     if not isinstance(doc, dict) or "alphabet" not in doc or required not in doc:
         raise DataError(f"{what} needs 'alphabet' and '{required}' keys")
     try:
@@ -233,20 +228,10 @@ def read_spec_json(path: str, what: str, required: str, optional: str):
     return alphabet, first, second
 
 
-def load_channel_json(path: str) -> tuple[ChannelMatrix, LossMatrix]:
-    """Read a channel (and optional loss) description from a JSON file.
-
-    Expected keys: "alphabet" (list of labels), "channel" (nested list,
-    row-stochastic, square), optional "loss" (nested list, square,
-    defaults to Hamming on the same alphabet).
-    """
-    alphabet, raw, loss = read_spec_json(path, "channel file", "channel", "loss")
-    chan = ChannelMatrix(raw, alphabet)
-    return chan, hamming_loss(alphabet) if loss is None else LossMatrix(loss, alphabet)
-
-
 def parse_channel_spec(spec: str) -> tuple[ChannelMatrix, LossMatrix]:
-    """Parse a channel argument: 'bsc:<delta>', 'dsc:<labels>:<delta>', or a JSON path."""
+    """Parse a channel argument: 'bsc:<delta>', 'dsc:<labels>:<delta>', or the path of
+    a JSON file with keys "alphabet" (list of labels), "channel" (square, row-stochastic)
+    and optionally "loss" (square, non-negative; Hamming when absent or null)."""
     if spec.startswith("bsc:"):
         try:
             delta = float(spec.split(":", 1)[1])
@@ -263,4 +248,6 @@ def parse_channel_spec(spec: str) -> tuple[ChannelMatrix, LossMatrix]:
         except ValueError as exc:
             raise DataError(f"bad dsc spec {spec!r}") from exc
         return symmetric_channel(delta, alphabet), hamming_loss(alphabet)
-    return load_channel_json(spec)
+    alphabet, raw, loss = read_spec_json(spec, "channel file", "channel", "loss")
+    chan = ChannelMatrix(raw, alphabet)
+    return chan, hamming_loss(alphabet) if loss is None else LossMatrix(loss, alphabet)

@@ -238,10 +238,7 @@ def _cmd_eval(args) -> int:
     mean_loss = true_loss(x, xhat, loss)
     print(f"n={len(x)} symbol_error_rate={ber:.6f} mean_loss={mean_loss:.6f}")
     if args.json:
-        doc = {"n": len(x), "symbol_error_rate": ber, "mean_loss": mean_loss}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        io.write_json(args.json, {"n": len(x), "symbol_error_rate": ber, "mean_loss": mean_loss})
     return 0
 
 

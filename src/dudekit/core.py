@@ -14,7 +14,7 @@ groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,6 +23,21 @@ from .errors import DataError
 
 # uint8 storage must leave room for the padding sentinel.
 MAX_ALPHABET_SIZE = 255
+
+
+def frozen(arr, dtype=None) -> np.ndarray:
+    """Read-only C-contiguous copy of arr, so no view of the caller's can change it."""
+    out = np.array(arr, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
+class Rebuilt:
+    """Base of the frozen dataclasses holding arrays: they unpickle through their
+    constructor, which copies and freezes the arrays again."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ DNA = Alphabet(("A", "C", "G", "T"))
 
 
 @dataclass(frozen=True, eq=False)
-class Sequence:
+class Sequence(Rebuilt):
     """Immutable index sequence over a fixed alphabet."""
 
     data: np.ndarray
@@ -92,15 +107,10 @@ class Sequence:
             raise DataError("sequence data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
             raise DataError("sequence contains indices outside the alphabet")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", frozen(arr, np.uint8))
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
-
-    def __reduce__(self):  # unpickled through __post_init__, so read-only again
-        return Sequence, (self.data, self.alphabet)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

@@ -12,7 +12,6 @@ whole pipeline for its orders; outputs do not depend on the number of parts.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -306,15 +305,8 @@ def report_from_csv(path: str) -> ExperimentReport:
 
 
 def report_to_json(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**asdict(report), "meta": dict(report.meta)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    io.write_json(path, {**asdict(report), "meta": dict(report.meta)})
 
 
 def report_from_json(path: str) -> ExperimentReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
-        raise DataError(f"cannot read report {path}: {exc}") from exc
-    return _report(path, doc)
+    return _report(path, io.read_json(path, "report"))

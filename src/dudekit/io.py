@@ -1,27 +1,29 @@
-"""File formats: portable bitmaps and headed text files.
+"""File formats: portable bitmaps, headed text files and JSON.
 
 Images are flattened row-major so a denoiser sees one long line; the
 grid shape travels separately and restores the image afterwards.
 Sequence files and sweep reports share one text layout: '# key=value'
 header lines, then body lines, read and written by read_headed and
-write_headed.
+write_headed. read_json and write_json are the one JSON codec: channel
+and source spec files, JSON sweep reports and `eval --json` go through it.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BINARY, Alphabet, Sequence
+from .core import BINARY, Alphabet, Rebuilt, Sequence, frozen
 from .errors import DataError
 
 _WHITESPACE = b" \t\r\n\v\f"
 
 
 @dataclass(frozen=True)
-class ImageGrid:
+class ImageGrid(Rebuilt):
     """Black-and-white image: row-major pixels, 1 = black (as in PBM)."""
 
     width: int
@@ -36,9 +38,7 @@ class ImageGrid:
             raise DataError(f"expected {self.width * self.height} pixels, got {arr.shape}")
         if arr.size and arr.max() > 1:
             raise DataError("pixels must be 0 or 1")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", frozen(arr, np.uint8))
 
     def rows(self) -> np.ndarray:
         return self.pixels.reshape(self.height, self.width)
@@ -197,3 +197,19 @@ def load_sequence(path: str, alphabet: Alphabet | None = None) -> tuple[Sequence
     if meta.get("n", str(len(seq))) != str(len(seq)):
         raise DataError(f"{path}: header says n={meta['n']}, body has {len(seq)} symbols")
     return seq, meta
+
+
+def read_json(path: str, what: str):
+    """The document in a UTF-8 JSON file; a file that cannot be read raises DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(path: str, doc) -> None:
+    """Write doc as JSON indented by 2, keys sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -13,7 +13,6 @@ from dudekit.baselines import (
     corrupt,
     forward_backward_denoise,
     generate_source,
-    load_source_json,
     parse_source_spec,
     smoothing_posteriors,
 )
@@ -360,12 +359,12 @@ def test_source_spec_parsing(tmp_path):
         '{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [0.4, 0.6]],'
         ' "initial": [0.5, 0.5]}'
     )
-    src = load_source_json(str(path), rng_seed=7)
+    src = parse_source_spec(str(path), rng_seed=7)
     assert src.transition[1, 0] == pytest.approx(0.4)
     assert np.allclose(src.initial, [0.5, 0.5])
     path.write_text('{"alphabet": ["0", "1"]}')
     with pytest.raises(DataError):
-        load_source_json(str(path))
+        parse_source_spec(str(path))
     # ragged, non-numeric, a non-list alphabet, a bad initial law, bad UTF-8
     for text in (
         b'{"alphabet": ["0", "1"], "transition": [[0.9, 0.1], [1]]}',
@@ -376,6 +375,6 @@ def test_source_spec_parsing(tmp_path):
     ):
         path.write_bytes(text)
         with pytest.raises(DataError):
-            load_source_json(str(path))
+            parse_source_spec(str(path))
     with pytest.raises(DataError):
         parse_source_spec("bsmc:zzz")

@@ -1,5 +1,6 @@
 """Channels, losses, the rule mapping table, and the derived loss tables."""
 
+import dataclasses
 import itertools
 import pickle
 
@@ -7,19 +8,20 @@ import numpy as np
 import pytest
 
 from conftest import ALPHABETS, random_invertible_channel, random_loss
+from dudekit.baselines import MarkovSource
 from dudekit.channel import (
     ChannelMatrix,
     LossMatrix,
     bsc,
     build_estimated_loss,
     hamming_loss,
-    load_channel_json,
     mapping_table,
     parse_channel_spec,
     symmetric_channel,
 )
-from dudekit.core import BINARY, DNA, Alphabet
+from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.errors import DataError, NumericalError
+from dudekit.io import ImageGrid
 
 
 def test_channel_validation():
@@ -58,12 +60,46 @@ def test_singular_channel_construction_ok_inverse_raises():
         _ = c.inverse
 
 
+def _assert_frozen_copy(back, value):
+    """back holds value's fields, its arrays read-only and equal, recursively."""
+    assert type(back) is type(value)
+    for name, field in vars(value).items():
+        got = getattr(back, name)
+        if isinstance(field, np.ndarray):
+            assert not got.flags.writeable and np.array_equal(got, field), name
+        elif dataclasses.is_dataclass(field):
+            _assert_frozen_copy(got, field)
+        else:
+            assert got == field, name
+
+
 def test_inverse_cached_read_only_and_picklable():
     c = bsc(0.1)
     inv = c.inverse
     assert c.inverse is inv and not inv.flags.writeable
-    back = pickle.loads(pickle.dumps(c))
-    assert np.array_equal(back.entries, c.entries) and np.array_equal(back.inverse, inv)
+    # every value type holding arrays unpickles through its constructor
+    for value in (
+        c,  # with its cached inverse
+        hamming_loss(DNA),
+        build_estimated_loss(c, hamming_loss(BINARY)),
+        MarkovSource(np.array([[0.9, 0.1], [0.3, 0.7]]), BINARY, rng_seed=4),
+        ImageGrid(3, 2, np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8)),
+        Sequence(np.array([0, 1, 1, 0], dtype=np.uint8), BINARY),
+    ):
+        _assert_frozen_copy(pickle.loads(pickle.dumps(value)), value)
+
+
+def test_value_types_hold_their_own_copy():
+    for arr, held in (
+        (np.array([0, 1, 1, 0], dtype=np.uint8), lambda a: Sequence(a, BINARY).data),
+        (np.array([0, 1, 1, 0], dtype=np.uint8), lambda a: ImageGrid(2, 2, a).pixels),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), lambda a: LossMatrix(a, BINARY).entries),
+    ):
+        view = arr[:]
+        stored = held(arr)
+        assert arr.flags.writeable and not stored.flags.writeable
+        view.flat[0] = 1
+        assert stored.flat[0] == 0
 
 
 def test_loss_validation():
@@ -181,39 +217,39 @@ def test_fingerprint_stability():
     assert a.fingerprint() != c.fingerprint()
 
 
-def test_load_channel_json(tmp_path):
+def test_channel_spec_json(tmp_path):
     path = tmp_path / "chan.json"
     path.write_text(
         '{"alphabet": ["0", "1"], "channel": [[0.8, 0.2], [0.2, 0.8]],'
         ' "loss": [[0, 1], [2, 0]]}'
     )
-    chan, loss = load_channel_json(str(path))
+    chan, loss = parse_channel_spec(str(path))
     assert np.allclose(chan.entries, [[0.8, 0.2], [0.2, 0.8]])
     assert loss.entries[1, 0] == 2.0
 
 
-def test_load_channel_json_defaults_and_errors(tmp_path):
+def test_channel_spec_json_defaults_and_errors(tmp_path):
     path = tmp_path / "chan.json"
     path.write_text('{"alphabet": ["0", "1"], "channel": [[0.8, 0.2], [0.2, 0.8]]}')
-    _, loss = load_channel_json(str(path))
+    _, loss = parse_channel_spec(str(path))
     assert np.allclose(loss.entries, 1 - np.eye(2))
     path.write_text('{"alphabet": ["0", "1"], "channel": [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0]]}')
     with pytest.raises(DataError, match=r"channel must have shape \(2, 2\), got \(2, 3\)"):
-        load_channel_json(str(path))
+        parse_channel_spec(str(path))
     # a loss with a third, "erase" column
     path.write_text('{"alphabet": ["0", "1"], "channel": [[0.7, 0.3], [0.3, 0.7]],'
                     ' "loss": [[0, 1, 0.2], [1, 0, 0.2]]}')
     with pytest.raises(DataError, match=r"loss must have shape \(2, 2\), got \(2, 3\)"):
-        load_channel_json(str(path))
+        parse_channel_spec(str(path))
     path.write_text('{"alphabet": ["x0", "x1"], "channel": [[0.8, 0.2], [0.2, 0.8]]}')
     with pytest.raises(DataError, match="x0"):
-        load_channel_json(str(path))
+        parse_channel_spec(str(path))
     path.write_text('{"channel": [[1.0]]}')
     with pytest.raises(DataError, match="channel file needs 'alphabet' and 'channel' keys"):
-        load_channel_json(str(path))
+        parse_channel_spec(str(path))
     path.write_text("not json")
     with pytest.raises(DataError, match="cannot read channel file"):
-        load_channel_json(str(path))
+        parse_channel_spec(str(path))
     # ragged, non-numeric, a non-list alphabet, a non-numeric loss, an overflow, bad UTF-8
     bad = "bad entries in channel file"
     for text, message in (
@@ -226,7 +262,7 @@ def test_load_channel_json_defaults_and_errors(tmp_path):
     ):
         path.write_bytes(text)
         with pytest.raises(DataError, match=message):
-            load_channel_json(str(path))
+            parse_channel_spec(str(path))
 
 
 def test_parse_channel_spec():

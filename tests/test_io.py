@@ -1,8 +1,12 @@
-"""Bitmap and headed text formats."""
+"""Bitmap, headed text and JSON formats."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dudekit
 from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.errors import DataError
 from dudekit.io import (
@@ -196,3 +200,15 @@ def test_headed_roundtrip_and_key_check(tmp_path):
             write_headed(path, [pair], [])
     with pytest.raises(DataError):
         read_headed(str(tmp_path / "missing.txt"))
+
+
+def test_json_files_go_through_io():
+    # read_json and write_json are the one JSON codec; json.dumps (cli._fingerprint) is no file
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(dudekit.__file__).parent.glob("*.py"))
+        if path.name != "io.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"json\.(load|dump)\(", line)
+    ]
+    assert hits == []

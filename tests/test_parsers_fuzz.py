@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dudekit.baselines import load_source_json
-from dudekit.channel import bsc, build_estimated_loss, hamming_loss, load_channel_json
+from dudekit.baselines import parse_source_spec
+from dudekit.channel import bsc, build_estimated_loss, hamming_loss, parse_channel_spec
 from dudekit.cli import main
 from dudekit.core import BINARY, Sequence
 from dudekit.errors import DenoiserError
@@ -57,8 +57,8 @@ def _valid_files(root):
 
 LOADERS = {
     "sequence": load_sequence,
-    "channel": load_channel_json,
-    "source": load_source_json,
+    "channel": parse_channel_spec,
+    "source": parse_source_spec,
     "checkpoint": lambda path: load_checkpoint(path, CHECKPOINT_TABLES, 1),
     "pbm": load_pbm,
     "report_csv": report_from_csv,

@@ -18,7 +18,7 @@ from .core import BINARY, Alphabet, Rebuilt, Sequence
 from .errors import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovSource(Rebuilt):
     """First-order stationary Markov chain over an alphabet.
 
@@ -168,8 +168,8 @@ def parse_source_spec(spec: str, rng_seed: int = 0) -> MarkovSource:
     return MarkovSource(transition, alphabet, initial=initial, rng_seed=rng_seed)
 
 
-@dataclass(frozen=True)
-class HMMSpec:
+@dataclass(frozen=True, eq=False)
+class HMMSpec(Rebuilt):
     """A Markov source observed through a memoryless channel."""
 
     source: MarkovSource
@@ -232,6 +232,8 @@ def forward_backward_denoise(z: Sequence, spec: HMMSpec, loss: LossMatrix) -> Se
     Picks, at each position, the guess minimizing the posterior-averaged
     loss; ties resolve to the smallest symbol index.
     """
+    if loss.alphabet != z.alphabet:
+        raise DataError("loss alphabet does not match the sequence")
     post = smoothing_posteriors(z, spec)
     risk = post @ loss.entries  # (n, guesses)
     xhat = np.argmin(risk, axis=1).astype(np.uint8)

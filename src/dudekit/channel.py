@@ -66,7 +66,7 @@ def is_singular(a: np.ndarray) -> bool:
     return not np.linalg.cond(a, 1) * SINGULAR_RCOND < 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrix(Rebuilt):
     """Row-stochastic transition matrix Pi over a common in/out alphabet.
 
@@ -113,7 +113,7 @@ def symmetric_channel(delta: float, alphabet: Alphabet) -> ChannelMatrix:
     return ChannelMatrix(entries, alphabet)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossMatrix(Rebuilt):
     """Per-symbol loss: rows index the clean symbol, columns the guess."""
 
@@ -146,20 +146,26 @@ def mapping_table(n: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatedLossTables(Rebuilt):
-    """Loss tables over the full family of single-symbol denoisers."""
+    """The tables over the full family of single-symbol denoisers, derived from a
+    (channel, loss) pair over one alphabet when constructed, as read-only arrays
+    map_table (S, Z), expected_loss (X, S), estimated_loss (Z, S), pseudo_labels (Z, S)."""
 
     channel: ChannelMatrix
     loss: LossMatrix
-    map_table: np.ndarray  # (S, Z) denoiser index, observed symbol -> guess
-    expected_loss: np.ndarray  # (X, S)
-    estimated_loss: np.ndarray  # (Z, S)
-    pseudo_labels: np.ndarray  # (Z, S), non-negative
 
     def __post_init__(self):
-        for name in ("map_table", "expected_loss", "estimated_loss", "pseudo_labels"):
-            object.__setattr__(self, name, frozen(getattr(self, name)))
+        if self.loss.alphabet != self.channel.alphabet:
+            raise DataError("loss and channel alphabets differ")
+        table = mapping_table(self.channel.size)
+        # row x: the loss of each denoiser s at observation z, averaged over z ~ channel row x
+        rho = np.array([lx[table] @ px for lx, px in zip(self.loss.entries, self.channel.entries)])
+        est = self.channel.inverse @ rho
+        labels = est.max() - est  # non-negative: the shift is the max over the same array
+        arrays = dict(map_table=table, expected_loss=rho, estimated_loss=est, pseudo_labels=labels)
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, frozen(arr))
 
     @property
     def n_denoisers(self) -> int:
@@ -181,31 +187,21 @@ class EstimatedLossTables(Rebuilt):
 
 
 def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedLossTables:
-    """Derive all tables; raises NumericalError if the channel has no inverse."""
-    table = mapping_table(channel.size)
-    rho = np.empty((channel.size, table.shape[0]))
-    for x in range(channel.size):
-        # loss of denoiser s at observation z, averaged over z ~ channel row x
-        rho[x] = loss.entries[x][table] @ channel.entries[x]
-    est = channel.inverse @ rho
-    # Non-negative by construction: the shift is the max over the same array.
-    labels = est.max() - est
-    return EstimatedLossTables(
-        channel=channel,
-        loss=loss,
-        map_table=table,
-        expected_loss=rho,
-        estimated_loss=est,
-        pseudo_labels=labels,
-    )
+    """The tables of the (channel, loss) pair; see EstimatedLossTables."""
+    return EstimatedLossTables(channel, loss)
+
+
+def one_rule_each(z: Sequence, rule_indices) -> np.ndarray:
+    """rule_indices as an array, checked to hold one rule index per position of z."""
+    rule_indices = np.asarray(rule_indices)
+    if rule_indices.shape != (len(z),):
+        raise DataError("need one rule index per position")
+    return rule_indices
 
 
 def apply_rules(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossTables) -> Sequence:
     """Reconstruct by applying each position's single-symbol rule to its center."""
-    rule_indices = np.asarray(rule_indices)
-    if rule_indices.shape != (len(z),):
-        raise DataError("need one rule index per position")
-    xhat = tables.map_table[rule_indices, z.data.astype(np.int64)]
+    xhat = tables.map_table[one_rule_each(z, rule_indices), z.data.astype(np.int64)]
     return Sequence(xhat, z.alphabet)
 
 

@@ -19,8 +19,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import baselines, dude, evaluation, io, neural
 from .channel import build_estimated_loss, hamming_loss, parse_channel_spec
 from .errors import DataError, DenoiserError, NumericalError
@@ -77,9 +75,7 @@ def _add_train_flags(sub):
 
 def _cmd_simulate(args) -> int:
     source = baselines.parse_source_spec(args.source, rng_seed=args.seed)
-    chan, _ = parse_channel_spec(args.channel)
-    if source.alphabet != chan.alphabet:
-        raise DataError("source and channel alphabets differ")
+    spec = baselines.HMMSpec(source, parse_channel_spec(args.channel)[0])
     source_id, channel_id = _spec_id(args.source), _spec_id(args.channel)
     fp = _fingerprint(
         {
@@ -90,9 +86,9 @@ def _cmd_simulate(args) -> int:
             "seed": args.seed,
         }
     )
-    x = baselines.generate_source(source, args.n)
+    x = baselines.generate_source(spec.source, args.n)
     # Corruption draws from its own stream so source and noise decouple.
-    z = baselines.corrupt(x, chan, rng_seed=args.seed + 1)
+    z = baselines.corrupt(x, spec.channel, rng_seed=args.seed + 1)
     common = {
         "source": source_id,
         "channel": channel_id,
@@ -100,7 +96,7 @@ def _cmd_simulate(args) -> int:
         "fingerprint": fp,
     }
     io.save_sequence(x, args.out_clean, {"kind": "clean", **common})
-    rate = float(np.mean(x.data != z.data))
+    rate = symbol_error_rate(x, z)
     io.save_sequence(
         z, args.out_noisy, {"kind": "noisy", "empirical_error_rate": repr(rate), **common}
     )
@@ -226,14 +222,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.channel:
-        chan, loss = parse_channel_spec(args.channel)
-        alphabet = chan.alphabet
-        x, _ = io.load_sequence(args.clean, alphabet)
+        loss = parse_channel_spec(args.channel)[1]
+        x, _ = io.load_sequence(args.clean, loss.alphabet)
     else:
         x, _ = io.load_sequence(args.clean)
-        alphabet = x.alphabet
-        loss = hamming_loss(alphabet)
-    xhat, _ = io.load_sequence(args.recon, alphabet)
+        loss = hamming_loss(x.alphabet)
+    xhat, _ = io.load_sequence(args.recon, x.alphabet)
     ber = symbol_error_rate(x, xhat)
     mean_loss = true_loss(x, xhat, loss)
     print(f"n={len(x)} symbol_error_rate={ber:.6f} mean_loss={mean_loss:.6f}")

@@ -33,11 +33,17 @@ def frozen(arr, dtype=None) -> np.ndarray:
 
 
 class Rebuilt:
-    """Base of the frozen dataclasses holding arrays: they unpickle through their
-    constructor, which copies and freezes the arrays again."""
+    """Base of the frozen (eq=False) dataclasses holding arrays: they unpickle through
+    their constructor, which freezes copies of the arrays, and == compares fields by value."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,6 @@ class Sequence(Rebuilt):
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self.alphabet == other.alphabet and np.array_equal(self.data, other.data)
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "Sequence":
@@ -199,6 +200,10 @@ class ContextGroups:
     inverse: np.ndarray  # (n,)
     n_groups: int
 
+    @property
+    def k(self) -> int:
+        return len(self.columns) // 2
+
     def rows(self) -> np.ndarray:
         """(n_groups, 2k) context digits, row g being group g's context."""
         member = np.empty(self.n_groups, dtype=np.intp)
@@ -220,6 +225,8 @@ def context_groups(seq: Sequence, orders):
     the orders it adds, as many per step as keep every key within uint64.
     All share one window view of reach max(orders).
     """
+    if len(seq) == 0:
+        raise DataError("cannot group the contexts of an empty sequence")
     orders = [int(k) for k in orders]
     if orders != sorted(orders):
         raise DataError("context orders must ascend")

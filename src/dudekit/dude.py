@@ -1,10 +1,10 @@
 """Two-pass sliding-window denoiser.
 
-Pass one counts, for every double-sided order-k context group of
-core.group_contexts, how often each symbol appears at the center. Pass
-two maps each interior position through the single-symbol rule that
-minimizes the count-weighted estimated loss of its context. Positions
-within k of either edge are passed through unchanged.
+Pass one counts, for every double-sided order-k context group (a
+core.ContextGroups, which carries the sequence and k), how often each
+symbol appears at the center. Pass two maps each interior position
+through the single-symbol rule that minimizes the count-weighted
+estimated loss of its context; edge positions pass through unchanged.
 
 This is the estimated-loss form of the selection rule: it scores whole
 single-symbol rules and applies the winner to the center. The original
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import Sequence, group_contexts, interior_slice
+from .core import ContextGroups, Sequence, group_contexts, interior_slice
 from .errors import DataError
 
 # Cap on score-matrix chunk size, in float64 entries (2 MiB).
@@ -37,20 +37,19 @@ def _argmin_chunked(counts: np.ndarray, est: np.ndarray) -> np.ndarray:
     return out
 
 
-def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables, groups=None) -> np.ndarray:
-    """Per-position single-symbol rule indices for the whole sequence.
+def select_denoisers(groups: ContextGroups, tables: EstimatedLossTables) -> np.ndarray:
+    """Per-position single-symbol rule indices for groups.seq at order groups.k.
 
     Interior positions get the rule chosen from their context's counts;
     edge positions get the identity rule, which reproduces the
     pass-through behavior of the denoiser there. Edge contexts hold the
     pad digit, so counting them changes no interior group's counts.
-    groups, if given, are z's order-k ContextGroups in any numbering (a
-    sweep refines them from the order before).
+    groups may be numbered in any way (a sweep refines them from the
+    order before).
     """
-    if tables.channel.alphabet != z.alphabet:
+    if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
-    inner = interior_slice(len(z), k)
-    groups = groups if groups is not None else group_contexts(z, k)
+    inner = interior_slice(len(groups.seq), groups.k)
     per_group = _argmin_chunked(groups.center_counts(), tables.estimated_loss)
     s_idx = per_group[groups.inverse]
     s_idx[: inner.start] = tables.identity
@@ -60,4 +59,5 @@ def select_denoisers(z: Sequence, k: int, tables: EstimatedLossTables, groups=No
 
 def dude_denoise(z: Sequence, k: int, tables: EstimatedLossTables) -> Sequence:
     """Denoise a sequence with context order k; edge positions are emitted unchanged."""
-    return apply_rules(z, select_denoisers(z, k, tables), tables)
+    interior_slice(len(z), k)  # checked before grouping, which pads z by k on each side
+    return apply_rules(z, select_denoisers(group_contexts(z, k), tables), tables)

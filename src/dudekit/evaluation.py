@@ -19,7 +19,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from . import dude, io, neural
-from .channel import EstimatedLossTables, apply_rules
+from .channel import EstimatedLossTables, apply_rules, one_rule_each
 from .core import Sequence, context_groups, interior_slice
 from .errors import DataError, NumericalError
 from .neural import TrainConfig
@@ -27,21 +27,24 @@ from .neural import TrainConfig
 METHODS = ("dude", "ndude")
 
 
+def _scored_pair(a: Sequence, b: Sequence) -> None:
+    if len(a) != len(b):
+        raise DataError(f"length {len(a)} vs {len(b)}")
+    if len(a) == 0:
+        raise DataError("cannot score empty sequences")
+
+
 def true_loss(x: Sequence, xhat: Sequence, loss) -> float:
     """Mean per-symbol loss of a reconstruction against the clean sequence."""
-    if len(x) != len(xhat):
-        raise DataError(f"length {len(x)} vs {len(xhat)}")
-    if len(x) == 0:
-        raise DataError("cannot score empty sequences")
+    _scored_pair(x, xhat)
+    if loss.alphabet != x.alphabet:
+        raise DataError("loss alphabet does not match the sequence")
     return float(loss.entries[x.data.astype(np.int64), xhat.data.astype(np.int64)].mean())
 
 
 def symbol_error_rate(a: Sequence, b: Sequence) -> float:
     """Fraction of positions where the two sequences disagree."""
-    if len(a) != len(b):
-        raise DataError(f"length {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise DataError("cannot score empty sequences")
+    _scored_pair(a, b)
     return float(np.mean(a.data != b.data))
 
 
@@ -51,10 +54,8 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
     Unbiased for the true loss position-wise, so concentration makes it
     a usable stand-in for the unobservable truth at large n.
     """
-    rule_indices = np.asarray(rule_indices)
-    if rule_indices.shape != (len(z),):
-        raise DataError("need one rule index per position")
-    return float(tables.estimated_loss[z.data.astype(np.int64), rule_indices].mean())
+    rules = one_rule_each(z, rule_indices)
+    return float(tables.estimated_loss[z.data.astype(np.int64), rules].mean())
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,15 @@ def _sweep_part(z, tables, part, method, clean, hidden, cfg):
     t0 = time.perf_counter()
     nets = neural.train(z, part, tables, hidden, cfg) if method == "ndude" else []
     share = (time.perf_counter() - t0) / len(part) if nets else 0.0  # of the joint training
-    walk = range(part[0], part[-1] + 1)
-    chain = zip(walk, context_groups(z, walk))
+    chain = context_groups(z, range(part[0], part[-1] + 1))
     records = []
     for j, k in enumerate(part):
         t0 = time.perf_counter()
-        groups = next(g for v, g in chain if v == k)
+        groups = next(g for g in chain if g.k == k)
         if method == "dude":
-            s_idx = dude.select_denoisers(z, k, tables, groups)
+            s_idx = dude.select_denoisers(groups, tables)
         else:
-            s_idx = neural.select_denoisers(z, nets[j], tables, groups)
+            s_idx = neural.select_denoisers(groups, nets[j], tables)
         est = estimated_loss(z, s_idx, tables)
         xhat = apply_rules(z, s_idx, tables)
         wall = time.perf_counter() - t0 + share

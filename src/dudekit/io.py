@@ -22,7 +22,7 @@ from .errors import DataError
 _WHITESPACE = b" \t\r\n\v\f"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageGrid(Rebuilt):
     """Black-and-white image: row-major pixels, 1 = black (as in PBM)."""
 

@@ -356,11 +356,11 @@ def _context_tables(z: Sequence, orders, tables: EstimatedLossTables, dtype) -> 
     rows, are numbered alike however the orders were asked for; no groups
     outlive the walk."""
     out = {}
-    for v, groups in enumerate(context_groups(z, range(max(orders) + 1))):
+    for groups in context_groups(z, range(max(orders) + 1)):
         if len(z) < TABLE_MIN_MEAN_GROUP * groups.n_groups:
             break
-        if v in orders:
-            out[v] = _context_table(groups, tables, dtype)
+        if groups.k in orders:
+            out[groups.k] = _context_table(groups, tables, dtype)
     return out
 
 
@@ -435,14 +435,11 @@ def _fit(nets, epoch, cfg: TrainConfig) -> None:
         mine[...] = stacked
 
 
-def select_denoisers(
-    z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables, groups=None
-) -> np.ndarray:
-    """Per-position rule indices: the network's argmax for each context.
-
-    groups, if given, are z's order-net.k ContextGroups in any numbering
-    (a sweep refines them from the order before)."""
-    size = z.alphabet.size
+def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:
+    """Per-position rule indices for the whole of groups.seq: the network's
+    argmax for each context. groups are core.ContextGroups of the network's
+    order, numbered in any way (a sweep refines them from the order before)."""
+    size = groups.seq.alphabet.size
     if net.input_dim != 2 * net.k * size:
         raise DataError(
             f"network input width {net.input_dim} does not match 2k|Z| = {2 * net.k * size}"
@@ -452,9 +449,10 @@ def select_denoisers(
             f"network output width {net.output_dim} does not match "
             f"{tables.n_denoisers} denoisers"
         )
-    if tables.channel.alphabet != z.alphabet:
+    if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
-    groups = groups if groups is not None else group_contexts(z, net.k)
+    if groups.k != net.k:
+        raise DataError(f"context groups of order {groups.k} for a network of order {net.k}")
     rows = groups.rows()
     per_row = np.empty(rows.shape[0], dtype=np.int64)
     buf = np.empty((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
@@ -468,7 +466,7 @@ def select_denoisers(
 
 def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> Sequence:
     """Apply the trained network to every position of the sequence."""
-    return apply_rules(z, select_denoisers(z, net, tables), tables)
+    return apply_rules(z, select_denoisers(group_contexts(z, net.k), net, tables), tables)
 
 
 CHECKPOINT_MAGIC = "mlp-denoiser-v1"

@@ -16,8 +16,8 @@ from dudekit.baselines import (
     parse_source_spec,
     smoothing_posteriors,
 )
-from dudekit.channel import bsc, build_estimated_loss, hamming_loss, symmetric_channel
-from dudekit.core import BINARY, Sequence
+from dudekit.channel import LossMatrix, bsc, build_estimated_loss, hamming_loss, symmetric_channel
+from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.dude import dude_denoise
 from dudekit.errors import DataError
 from dudekit.neural import TrainConfig, train, denoise as ndude_denoise
@@ -311,6 +311,14 @@ def test_fb_noiseless_channel_returns_observation():
     spec = HMMSpec(bsmc(0.3), bsc(0.0))
     out = forward_backward_denoise(x, spec, hamming_loss(BINARY))
     assert out == x
+
+
+def test_fb_refuses_a_loss_over_another_alphabet():
+    z = generate_source(bsmc(0.3, rng_seed=2), 50)
+    spec = HMMSpec(bsmc(0.3), bsc(0.1))
+    for loss in (hamming_loss(DNA), LossMatrix(1 - np.eye(2), Alphabet(("a", "b")))):
+        with pytest.raises(DataError, match="loss alphabet does not match the sequence"):
+            forward_backward_denoise(z, spec, loss)
 
 
 def test_fb_memoryless_source_returns_observation():

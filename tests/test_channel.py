@@ -1,16 +1,21 @@
 """Channels, losses, the rule mapping table, and the derived loss tables."""
 
+import copy
 import dataclasses
+import importlib
 import itertools
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import dudekit
 from conftest import ALPHABETS, random_invertible_channel, random_loss
-from dudekit.baselines import MarkovSource
+from dudekit.baselines import HMMSpec, MarkovSource
 from dudekit.channel import (
     ChannelMatrix,
+    EstimatedLossTables,
     LossMatrix,
     bsc,
     build_estimated_loss,
@@ -19,7 +24,7 @@ from dudekit.channel import (
     parse_channel_spec,
     symmetric_channel,
 )
-from dudekit.core import BINARY, DNA, Alphabet, Sequence
+from dudekit.core import BINARY, DNA, Alphabet, Rebuilt, Sequence
 from dudekit.errors import DataError, NumericalError
 from dudekit.io import ImageGrid
 
@@ -73,20 +78,71 @@ def _assert_frozen_copy(back, value):
             assert got == field, name
 
 
+def _values():
+    """One value of every type that holds arrays, c with its cached inverse read."""
+    c = bsc(0.1)
+    _ = c.inverse
+    source = MarkovSource(np.array([[0.9, 0.1], [0.3, 0.7]]), BINARY, rng_seed=4)
+    return (
+        c,
+        hamming_loss(DNA),
+        build_estimated_loss(c, hamming_loss(BINARY)),
+        source,
+        HMMSpec(source, c),
+        ImageGrid(3, 2, np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8)),
+        Sequence(np.array([0, 1, 1, 0], dtype=np.uint8), BINARY),
+    )
+
+
+def _one_entry_changed(value):
+    """A copy of value whose first array, at any depth of its fields, has one
+    entry changed; no constructor check runs on the change."""
+    other = copy.copy(value)
+    for f in dataclasses.fields(value):
+        field = getattr(value, f.name)
+        if isinstance(field, Rebuilt):
+            changed = _one_entry_changed(field)
+        elif isinstance(field, np.ndarray):
+            changed = field.copy()
+            changed.flat[-1] += 1
+        else:
+            continue
+        object.__setattr__(other, f.name, changed)
+        return other
+    raise AssertionError(f"{type(value).__name__} holds no array")
+
+
 def test_inverse_cached_read_only_and_picklable():
     c = bsc(0.1)
     inv = c.inverse
     assert c.inverse is inv and not inv.flags.writeable
-    # every value type holding arrays unpickles through its constructor
-    for value in (
-        c,  # with its cached inverse
-        hamming_loss(DNA),
-        build_estimated_loss(c, hamming_loss(BINARY)),
-        MarkovSource(np.array([[0.9, 0.1], [0.3, 0.7]]), BINARY, rng_seed=4),
-        ImageGrid(3, 2, np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8)),
-        Sequence(np.array([0, 1, 1, 0], dtype=np.uint8), BINARY),
-    ):
-        _assert_frozen_copy(pickle.loads(pickle.dumps(value)), value)
+    # every value type holding arrays unpickles through its constructor and compares by value
+    for value in _values():
+        back = pickle.loads(pickle.dumps(value))
+        _assert_frozen_copy(back, value)
+        assert back == value and not back != value
+        other = _one_entry_changed(value)
+        assert other != value and not other == value
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_every_value_type_is_in_the_round_trip():
+    for info in pkgutil.iter_modules(dudekit.__path__):
+        importlib.import_module(f"dudekit.{info.name}")
+    todo, types = [Rebuilt], set()
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("dudekit."):
+                types.add(sub)
+    assert types == {type(value) for value in _values()}
+
+
+def test_tables_are_derived_from_the_pair():
+    assert [f.name for f in dataclasses.fields(EstimatedLossTables)] == ["channel", "loss"]
+    with pytest.raises(DataError, match="loss and channel alphabets differ"):
+        build_estimated_loss(bsc(0.1), hamming_loss(DNA))
 
 
 def test_value_types_hold_their_own_copy():

@@ -370,6 +370,32 @@ def test_negative_k_is_a_usage_error(sim_files, tmp_path):
     assert not out.exists()
 
 
+def test_empty_input_exits_2_without_output(sim_files, tmp_path):
+    _, _, noisy = sim_files
+    model, empty, out = tmp_path / "m.npz", tmp_path / "e.txt", tmp_path / "o.txt"
+    train = ("--hidden", "4", "--epochs", "1")
+    res = run_cli("denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+                  "--k", "2", *train, "--output", str(out), "--save-model", str(model))
+    assert res.returncode == 0, res.stderr
+    out.unlink()
+    empty.write_text("# alphabet=01\n# n=0\n")
+    for method in (("dude", "--k", "2"), ("ndude", "--k", "2", "--load-model", str(model)),
+                   ("ndude", "--k", "2", *train), ("fb", "--source", "bsmc:0.1")):
+        res = run_cli("denoise", "--input", str(empty), "--channel", "bsc:0.1",
+                      "--method", *method, "--output", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr, res.stderr
+        assert not out.exists()
+
+
+def test_simulate_refuses_source_and_channel_over_other_alphabets(tmp_path, capsys):
+    args = ["simulate", "--source", "bsmc:0.1", "--channel", "dsc:ACGT:0.1", "--n", "10",
+            "--out-clean", str(tmp_path / "c.txt"), "--out-noisy", str(tmp_path / "n.txt")]
+    assert main(args) == 2
+    assert "source and channel alphabets differ" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_rectangular_loss_exits_2_before_any_output(sim_files, tmp_path, capsys):
     # A third, "erase" column has no symbol of the alphabet to reconstruct
     # into. Every command rejects the channel file before it writes a file.

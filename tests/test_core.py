@@ -290,6 +290,15 @@ def test_context_groups_reject_negative_orders():
         list(context_groups(seq, (-2, 1)))
 
 
+def test_context_groups_carry_their_order_and_reject_empty_sequences():
+    seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
+    assert [g.k for g in context_groups(seq, (0, 2, 7))] == [0, 2, 7]
+    empty = Sequence(np.zeros(0, dtype=np.uint8), BINARY)
+    for k in (0, 2):
+        with pytest.raises(DataError, match="cannot group the contexts of an empty sequence"):
+            group_contexts(empty, k)
+
+
 def test_group_contexts_far_past_the_length():
     # Every context is distinct; the step search stops at the first
     # step that overflows instead of trying every remaining order.

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss, symmetric_channel
-from dudekit.core import BINARY, Sequence
+from dudekit.core import BINARY, Sequence, group_contexts
 from dudekit.dude import _argmin_chunked, dude_denoise, select_denoisers
 from dudekit.errors import DataError
 from oracles import Context, collect_counts, dude_rule_original, extract_context
@@ -124,7 +124,7 @@ def test_same_context_same_output():
     z = Sequence(rng.integers(0, 2, 500).astype(np.uint8), BINARY)
     k = 2
     t = bsc01_tables()
-    s_idx = select_denoisers(z, k, t)
+    s_idx = select_denoisers(group_contexts(z, k), t)
     seen = {}
     for i in range(k, 500 - k):
         key = tuple(z.data[i - k : i]) + tuple(z.data[i + 1 : i + k + 1])
@@ -173,4 +173,4 @@ def test_alphabet_mismatch_raises():
     t = bsc01_tables()
     z = Sequence(np.zeros(20, dtype=np.uint8), ALPHABETS[4])
     with pytest.raises(DataError):
-        select_denoisers(z, 1, t)
+        select_denoisers(group_contexts(z, 1), t)

@@ -12,7 +12,7 @@ from conftest import ALPHABETS, random_invertible_channel
 from dudekit import evaluation, neural
 from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
-from dudekit.core import BINARY, Alphabet, Sequence, group_contexts
+from dudekit.core import BINARY, DNA, Alphabet, Sequence, group_contexts
 from dudekit.dude import dude_denoise, select_denoisers
 from dudekit.errors import DataError, NumericalError
 from dudekit.evaluation import (
@@ -46,6 +46,13 @@ def test_true_loss_and_ber():
     assert true_loss(a, a, loss) == 0.0
     with pytest.raises(DataError, match="length 4 vs 3"):
         true_loss(a, Sequence.from_text("000", BINARY), loss)
+
+
+def test_true_loss_refuses_a_loss_over_another_alphabet():
+    a = Sequence.from_text("0011", BINARY)
+    b = Sequence.from_text("0101", BINARY)
+    with pytest.raises(DataError, match="loss alphabet does not match the sequence"):
+        true_loss(a, b, hamming_loss(DNA))
 
 
 def test_estimated_loss_identity_rule_is_crossover():
@@ -113,7 +120,7 @@ def test_sweep_dude_records():
     assert report.n == len(z)
     assert report.k_star == select_k(report.records)
     for rec in report.records:
-        s_idx = select_denoisers(z, rec.k, t)
+        s_idx = select_denoisers(group_contexts(z, rec.k), t)
         assert rec.estimated_loss == pytest.approx(estimated_loss(z, s_idx, t))
         assert rec.true_ber is not None and rec.wall_time_s >= 0.0
     assert recon == dude_denoise(z, report.k_star, tables=t)
@@ -132,7 +139,7 @@ def test_sweep_dude_equals_each_k_alone(size):
     report, recon = sweep_k(z, t, ks, method="dude", clean=x)
     alone = {k: dude_denoise(z, k, t) for k in ks}
     for rec in report.records:
-        s_idx = select_denoisers(z, rec.k, t)
+        s_idx = select_denoisers(group_contexts(z, rec.k), t)
         assert rec.estimated_loss == estimated_loss(z, s_idx, t)
         assert rec.true_ber == symbol_error_rate(x, alone[rec.k])
         assert rec.n_contexts == group_contexts(z, rec.k).n_groups
@@ -223,7 +230,7 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     report, recon = sweep_k(z, t, ks, method="ndude", clean=x, hidden=(8, 6), config=cfg)
     recons = {}
     for rec in report.records:
-        s_idx = neural.select_denoisers(z, alone[rec.k], t)
+        s_idx = neural.select_denoisers(group_contexts(z, rec.k), alone[rec.k], t)
         recons[rec.k] = apply_rules(z, s_idx, t)
         want = KRecord(
             k=rec.k,

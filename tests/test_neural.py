@@ -378,7 +378,7 @@ def test_select_denoisers_matches_per_position_forward():
     x, z = _toy_instance(n=600, seed=7)
     t = bsc01_tables()
     net = train(z, 2, t, hidden=(12,), config=TrainConfig(epochs=2, rng_seed=4))
-    s_idx = select_denoisers(z, net, t)
+    s_idx = select_denoisers(group_contexts(z, net.k), net, t)
     for i in list(range(5)) + [300, 597, 598, 599]:
         c = extract_context(z, i, net.k)
         p = context_probabilities(net, [c], BINARY)[0]
@@ -401,7 +401,7 @@ def test_select_denoisers_ragged_chunks_match_layer_loop():
         net = MLPDenoiser((4 * k, 40, 40, t.n_denoisers), k=k, rng=rng, dtype=dtype)
         want = context_probabilities(net, contexts, BINARY)
         assert net.forward(x).tobytes() == want.tobytes()
-        assert np.array_equal(select_denoisers(z, net, t), np.argmax(want, axis=1))
+        assert np.array_equal(select_denoisers(group_contexts(z, k), net, t), np.argmax(want, axis=1))
 
 
 def test_select_denoisers_dim_checks():
@@ -409,10 +409,18 @@ def test_select_denoisers_dim_checks():
     t = bsc01_tables()
     net = MLPDenoiser((8, 6, 4), k=1, rng=np.random.default_rng(0))  # wrong input width
     with pytest.raises(DataError, match="network input width 8 does not match 2k"):
-        select_denoisers(z, net, t)
+        select_denoisers(group_contexts(z, 1), net, t)
     net = MLPDenoiser((4, 6, 5), k=1, rng=np.random.default_rng(0))  # wrong output width
     with pytest.raises(DataError, match="network output width 5 does not match 4 denoisers"):
-        select_denoisers(z, net, t)
+        select_denoisers(group_contexts(z, 1), net, t)
+
+
+def test_select_denoisers_refuses_groups_of_another_order():
+    _, z = _toy_instance(n=300)
+    t = bsc01_tables()
+    net = MLPDenoiser((8, 6, 4), k=2, rng=np.random.default_rng(0))
+    with pytest.raises(DataError, match="context groups of order 3 for a network of order 2"):
+        select_denoisers(group_contexts(z, 3), net, t)
 
 
 def test_single_context_training_converges_to_normalized_label():

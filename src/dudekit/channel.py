@@ -191,18 +191,26 @@ def build_estimated_loss(channel: ChannelMatrix, loss: LossMatrix) -> EstimatedL
     return EstimatedLossTables(channel, loss)
 
 
-def one_rule_each(z: Sequence, rule_indices) -> np.ndarray:
-    """rule_indices as an array, checked to hold one rule index per position of z."""
+def one_rule_each(z: Sequence, rule_indices, tables: EstimatedLossTables) -> np.ndarray:
+    """rule_indices as an array, checked to hold one index of a rule of tables
+    per position of z, whose alphabet tables must share."""
+    if tables.channel.alphabet != z.alphabet:
+        raise DataError("tables were built for a different alphabet")
     rule_indices = np.asarray(rule_indices)
     if rule_indices.shape != (len(z),):
         raise DataError("need one rule index per position")
+    if not np.issubdtype(rule_indices.dtype, np.integer):
+        raise DataError(f"rule indices must be integers, got {rule_indices.dtype}")
+    if rule_indices.size and (rule_indices.min() < 0 or rule_indices.max() >= tables.n_denoisers):
+        raise DataError(f"rule indices must lie in [0, {tables.n_denoisers})")
     return rule_indices
 
 
 def apply_rules(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossTables) -> Sequence:
     """Reconstruct by applying each position's single-symbol rule to its center."""
-    xhat = tables.map_table[one_rule_each(z, rule_indices), z.data.astype(np.int64)]
-    return Sequence(xhat, z.alphabet)
+    flat = np.multiply(one_rule_each(z, rule_indices, tables), z.alphabet.size, dtype=np.intp)
+    flat += z.data  # map_table[r, z], read through the raveled table
+    return Sequence(tables.map_table.ravel()[flat], z.alphabet)
 
 
 def read_spec_json(path: str, what: str, required: str, optional: str):

@@ -8,7 +8,9 @@ clean sequence).
 Exit codes: 0 success, 1 usage error, 2 bad input data, 3 numerical
 failure. All outputs are deterministic functions of the arguments; the
 only fields that vary between identical runs are wall-time measurements
-inside sweep reports.
+inside sweep reports. That holds on one machine with the same numpy and
+OpenBLAS builds: a trained N-DUDE network's bits follow the BLAS kernel
+and numpy's SIMD loops, which depend on the CPU.
 """
 
 from __future__ import annotations

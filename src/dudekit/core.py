@@ -165,25 +165,44 @@ def pack_context_keys(windows, columns, base: int, head, rows=slice(None)) -> np
     return key
 
 
+def _number_keys(key: np.ndarray, span: int, dtype):
+    """(ids, count): each key's rank among the distinct keys, all below span,
+    found by marking them in a bool array, with no sort."""
+    seen = np.zeros(span, dtype=bool)
+    seen[key] = True
+    ids = np.cumsum(seen, dtype=dtype) - 1
+    return ids[key], int(ids[-1]) + 1 if span else 0
+
+
 def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int):
-    """Split the groups of the partition (inverse, n_groups) by windows[:, columns]."""
-    span = n_groups * base ** len(columns)
-    if span <= inverse.size:  # dense keys: mark them and number them in key order, with no sort
+    """Split the groups of the partition (inverse, n_groups) by windows[:, columns].
+
+    A dense step numbers the new groups by (old group, new digits). A
+    sparse one numbers the groups of one position first, in their old
+    order, then the split shared groups by (old group, new digits)."""
+    n, digits = inverse.size, base ** len(columns)
+    if n_groups * digits <= n:  # dense keys
         key = pack_context_keys(windows, columns, base, inverse)
-        seen = np.zeros(span, dtype=bool)
-        seen[key] = True
-        ids = np.cumsum(seen, dtype=inverse.dtype) - 1
-        return ids[key], int(ids[-1]) + 1 if span else 0
-    # Sparse keys: a position alone in its group stays alone, so only shared groups are sorted.
+        return _number_keys(key, n_groups * digits, inverse.dtype)
+    # Sparse keys: a position alone in its group stays alone, so only shared groups are split.
     alone = np.bincount(inverse, minlength=n_groups) == 1
-    shared = np.flatnonzero(~alone[inverse]) if alone.any() else slice(None)
-    key = pack_context_keys(windows, columns, base, inverse[shared], shared)
-    uniq, sub = np.unique(key, return_inverse=True)
-    rank = np.cumsum(alone, dtype=inverse.dtype) - 1
-    out, n_alone = rank[inverse], int(rank[-1]) + 1
+    n_alone = int(np.count_nonzero(alone))
+    if n_alone:  # number the shared groups compactly, in their old order
+        shared = np.flatnonzero(~alone[inverse])
+        head = (np.cumsum(~alone, dtype=inverse.dtype) - 1)[inverse[shared]]
+    else:
+        shared, head = slice(None), inverse
+    key = pack_context_keys(windows, columns, base, head, shared)
+    span = (n_groups - n_alone) * digits
+    if span <= 4 * n:  # marking and a cumulative sum beat a sort up to about this span
+        sub, n_sub = _number_keys(key, span, inverse.dtype)
+    else:
+        uniq, sub = np.unique(key, return_inverse=True)
+        n_sub = len(uniq)
     sub += n_alone
+    out = (np.cumsum(alone, dtype=inverse.dtype) - 1)[inverse]  # the groups alone keep their order
     out[shared] = sub
-    return out, n_alone + len(uniq)
+    return out, n_alone + n_sub
 
 
 @dataclass(frozen=True, eq=False)

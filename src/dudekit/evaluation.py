@@ -54,8 +54,9 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
     Unbiased for the true loss position-wise, so concentration makes it
     a usable stand-in for the unobservable truth at large n.
     """
-    rules = one_rule_each(z, rule_indices)
-    return float(tables.estimated_loss[z.data.astype(np.int64), rules].mean())
+    flat = np.multiply(z.data, tables.n_denoisers, dtype=np.intp)
+    flat += one_rule_each(z, rule_indices, tables)  # estimated_loss[z, r], raveled
+    return float(tables.estimated_loss.ravel()[flat].mean())
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,55 @@ def test_refine_relabel_branches():
     assert alone.any() and (np.bincount(sparse)[sparse[alone]] == 1).all()
 
 
+def _refined_by_unique(inverse, n_groups, windows, columns, base):
+    """_refine's numbering, by np.unique: a dense step in key order; a sparse
+    one with the groups alone first, by rank, then the shared keys ascending."""
+    key = pack_context_keys(windows, columns, base, inverse)
+    if n_groups * base ** len(columns) <= inverse.size:
+        uniq, ref = np.unique(key, return_inverse=True)
+        return ref, len(uniq)
+    alone = np.bincount(inverse, minlength=n_groups) == 1
+    ref = (np.cumsum(alone) - 1)[inverse]
+    shared = ~alone[inverse]
+    uniq, sub = np.unique(key[shared], return_inverse=True)
+    ref[shared] = sub + alone.sum()
+    return ref, int(alone.sum()) + len(uniq)
+
+
+def test_refine_numbering_on_every_branch():
+    # Each case's sizes select the branch it names: dense (span <= n),
+    # counted (shared span <= 4n) or sorted; its numbering must be the
+    # reference's exactly.
+    n, reach, base = 40, 4, 3
+    rng = np.random.default_rng(21)
+    seq = Sequence(rng.integers(0, 2, n).astype(np.uint8), BINARY)
+    windows = context_windows(seq.data, reach, pad=BINARY.pad_index)
+
+    def added(done, k):  # the columns of orders done+1..k
+        cols = context_columns(k, reach)
+        return cols[abs(cols - reach) > done]
+
+    one = np.zeros(n, dtype=np.int32)
+    order1, n1 = _refine(one, 1, windows, added(0, 1), base)
+    cases = [  # (inverse, n_groups, columns, branch, groups alone)
+        (one, 1, added(0, 1), "dense", 0),
+        (order1, n1, added(1, 2), "counted", 2),  # the two edge contexts are alone
+        (order1, n1, added(1, 4), "sorted", 2),  # three orders in one step
+        (one, 1, added(0, 2), "counted", 0),
+        (one, 1, added(0, 4), "sorted", 0),
+        (rng.permutation(n).astype(np.int32), n, added(0, 1), "counted", n),
+    ]
+    for inverse, n_groups, cols, branch, n_alone in cases:
+        sizes = np.bincount(inverse, minlength=n_groups)
+        span, shared_span = n_groups * base ** len(cols), (sizes > 1).sum() * base ** len(cols)
+        assert (sizes == 1).sum() == n_alone
+        assert branch == ("dense" if span <= n else "counted" if shared_span <= 4 * n else "sorted")
+        got, n_got = _refine(inverse, n_groups, windows, cols, base)
+        ref, n_ref = _refined_by_unique(inverse, n_groups, windows, cols, base)
+        assert np.array_equal(got, ref) and n_got == n_ref
+        assert got.dtype == inverse.dtype
+
+
 def test_context_groups_reject_descending_orders():
     seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
     with pytest.raises(DataError):

@@ -93,6 +93,19 @@ def test_apply_rules():
     assert flipped.to_text() == "1001"
 
 
+@pytest.mark.parametrize("rules", [np.full(4, -1), np.full(4, 4), np.full(4, 1.0)])
+def test_rule_indices_outside_the_rules_raise(rules):
+    # Binary has rules 0..3: -1 would wrap to the last rule, 4 would read
+    # past the table, and a float is no index. Both readers refuse them.
+    t = bsc01_tables()
+    z = Sequence.from_text("0110", BINARY)
+    for read in (estimated_loss, apply_rules):
+        with pytest.raises(DataError, match="rule indices"):
+            read(z, rules, t)
+        with pytest.raises(DataError, match="different alphabet"):
+            read(Sequence.from_text("ACGT", DNA), np.zeros(4, dtype=int), t)
+
+
 def test_select_k_tie_breaks_low():
     records = [
         KRecord(k=1, estimated_loss=0.3, true_ber=None, n_contexts=1, wall_time_s=0.0),

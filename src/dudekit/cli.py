@@ -6,7 +6,8 @@ working one from noisy data), eval (score a reconstruction against the
 clean sequence).
 
 Exit codes: 0 success, 1 usage error, 2 bad input data, 3 numerical
-failure. All outputs are deterministic functions of the arguments; the
+failure, running out of memory included (sizes that pass every check but do
+not fit). All outputs are deterministic functions of the arguments; the
 only fields that vary between identical runs are wall-time measurements
 inside sweep reports. That holds on one machine with the same numpy and
 OpenBLAS builds: a trained N-DUDE network's bits follow the BLAS kernel
@@ -23,6 +24,7 @@ from dataclasses import replace
 
 from . import baselines, dude, evaluation, io, neural
 from .channel import build_estimated_loss, hamming_loss, parse_channel_spec
+from .core import interior_slice
 from .errors import DataError, DenoiserError, NumericalError
 from .evaluation import sweep_k, symbol_error_rate, true_loss
 from .neural import TrainConfig
@@ -183,8 +185,6 @@ def _cmd_sweep(args) -> int:
         if chan.alphabet != clean.alphabet:
             raise DataError("image sweeps need a binary channel")
         z = baselines.corrupt(clean, chan, rng_seed=args.seed + 1)
-        if args.out_noisy:
-            io.save_pbm(io.derasterize(z, grid.width, grid.height), args.out_noisy)
     else:
         if not args.input:
             raise _UsageError("either --input or --image is required")
@@ -192,6 +192,10 @@ def _cmd_sweep(args) -> int:
         clean = None
         if args.clean:
             clean, _ = io.load_sequence(args.clean, chan.alphabet)
+    # The smallest order of the range with 2k >= n names the error, found without building it.
+    interior_slice(len(z), min(args.kmax, max(args.kmin, (len(z) + 1) // 2)))
+    if grid is not None and args.out_noisy:
+        io.save_pbm(io.derasterize(z, grid.width, grid.height), args.out_noisy)
     report, recon = sweep_k(
         z,
         tables,
@@ -307,6 +311,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"dudekit: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"dudekit: numerical error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -125,6 +125,8 @@ def sweep_k(
     """Run one denoiser across context orders; returns the report and the
     reconstruction at the selected order.
 
+    Both methods take orders with 2k < n (core.interior_slice); the
+    smallest order too long for z raises DataError before any part starts.
     The ascending orders are dealt round-robin into min(usable CPUs, number
     of orders) parts, each run by _sweep_part: the first in this process,
     each other in a forked child (see _run_parts); one order, one CPU or no
@@ -138,9 +140,8 @@ def sweep_k(
     k_values = sorted(int(k) for k in k_values)
     if not k_values or any(k < 0 for k in k_values) or len(set(k_values)) != len(k_values):
         raise DataError("k values must be distinct and non-negative")
-    if method == "dude":
-        for k in k_values:  # the smallest order too long for z names the error, in any part
-            interior_slice(len(z), k)
+    for k in k_values:  # the smallest order too long for z names the error, in any part
+        interior_slice(len(z), k)
     cfg = config if config is not None else TrainConfig()
     results = _run_parts(
         lambda part: _sweep_part(z, tables, part, method, clean, hidden, cfg), _split(k_values)

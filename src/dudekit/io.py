@@ -19,7 +19,12 @@ import numpy as np
 from .core import BINARY, Alphabet, Rebuilt, Sequence, frozen
 from .errors import DataError
 
-_WHITESPACE = b" \t\r\n\v\f"
+# '#' starts a comment that runs to the end of its line, in a bitmap's header and P1 body alike.
+_COMMENT = rb"#[^\n]*"
+# A bitmap header: three tokens, each after whitespace and comments, then at
+# most one whitespace byte, where a P4 payload starts. The lookaheads keep
+# every token and comment whole, so a header with fewer tokens cannot match.
+_PBM_HEADER = re.compile((rb"(?:\s|%s(?![^\n]))*([^\s#]+)(?![^\s#])" % _COMMENT) * 3 + rb"\s?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,36 +61,6 @@ def derasterize(seq: Sequence, width: int, height: int) -> ImageGrid:
     return ImageGrid(width=width, height=height, pixels=seq.data)
 
 
-def _tokenize_pbm_header(blob: bytes, count: int):
-    """First `count` whitespace-separated tokens, honoring '#' comments.
-
-    Returns the tokens and the offset one whitespace byte past the last
-    token, which for binary bitmaps is where the payload starts.
-    """
-    tokens = []
-    i = 0
-    n = len(blob)
-    while len(tokens) < count:
-        while i < n:
-            if blob[i] in _WHITESPACE:
-                i += 1
-            elif blob[i] == 0x23:  # '#' comment runs to end of line
-                while i < n and blob[i] != 0x0A:
-                    i += 1
-            else:
-                break
-        if i >= n:
-            raise DataError("bitmap header ended early")
-        start = i
-        while i < n and blob[i] not in _WHITESPACE and blob[i] != 0x23:
-            i += 1
-        tokens.append(blob[start:i])
-    # exactly one whitespace byte separates the header from the payload
-    if i < n and blob[i] in _WHITESPACE:
-        i += 1
-    return tokens, i
-
-
 def load_pbm(path: str) -> ImageGrid:
     """Read a portable bitmap, plain (P1) or packed binary (P4)."""
     try:
@@ -95,10 +70,12 @@ def load_pbm(path: str) -> ImageGrid:
         raise DataError(f"cannot read bitmap {path}: {exc}") from exc
     if len(blob) == 0:
         raise DataError(f"{path} is empty")
-    tokens, offset = _tokenize_pbm_header(blob, 3)
-    magic = tokens[0]
+    header = _PBM_HEADER.match(blob)
+    if header is None:
+        raise DataError("bitmap header ended early")
+    (magic, width, height), offset = header.groups(), header.end()
     try:
-        width, height = int(tokens[1]), int(tokens[2])
+        width, height = int(width), int(height)
     except ValueError as exc:
         raise DataError(f"bad bitmap dimensions in {path}") from exc
     if width < 1 or height < 1:
@@ -115,7 +92,7 @@ def load_pbm(path: str) -> ImageGrid:
         return ImageGrid(width=width, height=height, pixels=bits.reshape(-1))
     if magic == b"P1":
         # Strip comments, then every remaining non-whitespace char must be a bit.
-        flat = b"".join(re.sub(rb"#[^\n]*", b"", blob[offset:]).split())
+        flat = b"".join(re.sub(_COMMENT, b"", blob[offset:]).split())
         if flat.translate(None, b"01"):
             raise DataError(f"{path}: plain bitmap contains non-bit characters")
         if len(flat) < width * height:

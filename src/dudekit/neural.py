@@ -14,11 +14,13 @@ is what the network conditions on, context statistics are shared across
 the whole sequence, which is what lets one network replace the count
 table at large context orders. The cost is the mean over every position;
 contexts that run past the sequence edge one-hot encode their missing
-symbols as all-zero blocks.
+symbols as all-zero blocks. Orders take DUDE's rule: a sequence of n
+symbols carries the orders with 2k < n, checked before any network is built.
 
 Grouped by context, that mean is one over the G distinct contexts with
 their pseudo-labels summed. An order with at least 500 positions per
-context on average trains on this table, 100 full-batch steps per epoch.
+context on average trains on this table, 100 full-batch steps per epoch,
+as soon as the one walk that refines the groups from k = 0 reaches it.
 The other orders step on minibatches of positions as one stack: the
 layers after the first as (K, in, out) stacks, all parameters in one
 flat vector. The network of order k is seeded rng_seed + k whether it
@@ -42,7 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import Sequence, context_columns, context_groups, context_windows, group_contexts
+from .core import (
+    Sequence, context_columns, context_groups, context_windows, group_contexts, interior_slice
+)
 from .errors import DataError
 
 # Floor for log arguments inside the cost; keeps zero probabilities finite.
@@ -314,13 +318,17 @@ def train(
     of networks. Network k is seeded config.rng_seed + k either way, so a
     network trained alone is a sweep's row k.
 
+    Orders take DUDE's rule, 2k < n (core.interior_slice): the smallest
+    order too long for z raises DataError before any network is built.
     Every position contributes a (context, pseudo-label) pair, edge
-    positions included. An order with G distinct contexts and n >=
-    TABLE_MIN_MEAN_GROUP * G takes epochs * TABLE_STEPS_PER_EPOCH full-batch
-    steps on its context table, whose loss is the mean over all n positions.
-    The other orders train on shuffled minibatches of positions as one
-    _Stack. Everything runs in this process, and every network ends bit for
-    bit as if its order were trained alone.
+    positions included. One walk refines the context groups from k = 0 and
+    trains each order it reaches with G distinct contexts and n >=
+    TABLE_MIN_MEAN_GROUP * G there: epochs * TABLE_STEPS_PER_EPOCH
+    full-batch steps on its context table, whose loss is the mean over all
+    n positions. The walk stops at the first order with fewer positions per
+    context; the orders from there on train on shuffled minibatches of
+    positions as one _Stack. Everything runs in this process, and every
+    network ends bit for bit as if its order were trained alone.
     """
     cfg = config if config is not None else TrainConfig()
     single = np.ndim(k) == 0
@@ -333,35 +341,27 @@ def train(
         raise DataError("need at least one context order")
     if min(orders) < 0:  # before seeding rng_seed + k
         raise DataError(f"context order k must be non-negative, got {min(orders)}")
+    for v in sorted(orders):  # the smallest order too long for z names the error
+        interior_slice(len(z), v)
     size = z.alphabet.size
     rngs = [np.random.default_rng(cfg.rng_seed + v) for v in orders]
     nets = [
         MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
         for v, rng in zip(orders, rngs)
     ]
-    on_table = _context_tables(z, orders, tables, nets[0].dtype)
-    for net in nets:
-        if net.k in on_table:
-            _train_table(net, *on_table[net.k], cfg)
-    rest = [pair for pair in zip(nets, rngs) if pair[0].k not in on_table]
-    if rest:
-        _train_positions(z, *zip(*rest), tables, cfg)
-    return nets[0] if single else nets
-
-
-def _context_tables(z: Sequence, orders, tables: EstimatedLossTables, dtype) -> dict:
-    """{k: _context_table} for each of orders that trains on its table: those
-    below the first order with fewer than TABLE_MIN_MEAN_GROUP positions per
-    context. Refined one order at a time from k = 0, groups, and so table
-    rows, are numbered alike however the orders were asked for; no groups
-    outlive the walk."""
-    out = {}
-    for groups in context_groups(z, range(max(orders) + 1)):
+    on_positions = max(orders) + 1  # the first order that trains on positions
+    for groups in context_groups(z, range(on_positions)):
         if len(z) < TABLE_MIN_MEAN_GROUP * groups.n_groups:
+            on_positions = groups.k
             break
-        if groups.k in orders:
-            out[groups.k] = _context_table(groups, tables, dtype)
-    return out
+        for net in nets:  # a table order trains while its groups are in hand
+            if net.k == groups.k:
+                _train_table(net, *_context_table(groups, tables, net.dtype), cfg)
+    del groups  # no groups outlive the walk
+    stack = [(net, rng) for net, rng in zip(nets, rngs) if net.k >= on_positions]
+    if stack:
+        _train_positions(z, *zip(*stack), tables, cfg)
+    return nets[0] if single else nets
 
 
 def _context_table(groups, tables: EstimatedLossTables, dtype):
@@ -453,6 +453,7 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
         raise DataError("tables were built for a different alphabet")
     if groups.k != net.k:
         raise DataError(f"context groups of order {groups.k} for a network of order {net.k}")
+    interior_slice(len(groups.seq), groups.k)
     rows = groups.rows()
     per_row = np.empty(rows.shape[0], dtype=np.int64)
     buf = np.empty((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
@@ -466,6 +467,7 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
 
 def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> Sequence:
     """Apply the trained network to every position of the sequence."""
+    interior_slice(len(z), net.k)  # checked before grouping, which pads z by k on each side
     return apply_rules(z, select_denoisers(group_contexts(z, net.k), net, tables), tables)
 
 

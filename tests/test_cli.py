@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 
@@ -23,7 +24,7 @@ from dudekit.neural import load_checkpoint
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dudekit.__file__)))
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
         [sys.executable, "-m", "dudekit.cli", *args],
@@ -31,7 +32,14 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=preexec_fn,
     )
+
+
+def _cap_address_space():
+    """Run in a CLI subprocess before it starts: 4 GiB of address space, so a
+    command that sizes an array far past memory fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +394,33 @@ def test_empty_input_exits_2_without_output(sim_files, tmp_path):
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr, res.stderr
         assert not out.exists()
+
+
+def test_orders_and_lengths_past_memory_keep_the_exit_codes(tmp_path):
+    # On 300 symbols, orders far past n exit 2 and name the smallest order
+    # too long, a checkpoint's included; a length that passes every check but
+    # does not fit exits 3. Each prints one line and writes no file.
+    short, model = tmp_path / "short.txt", tmp_path / "m.npz"
+    save_sequence(Sequence(np.arange(300, dtype=np.uint8) % 2, BINARY), str(short))
+    tables = build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
+    neural.save_checkpoint(neural.MLPDenoiser((800, 4, 4), k=200), str(model), tables)
+    out = str(tmp_path / "out.txt")
+    denoise = ("denoise", "--input", str(short), "--channel", "bsc:0.1", "--method", "ndude")
+    sweep = ("sweep", "--input", str(short), "--channel", "bsc:0.1", "--kmax", "99999999999",
+             "--report", out, "--json", out, "--output", out)
+    cases = [
+        ((*denoise, "--k", "99999999999", "--output", out), 2, "need length > 2k = 199999999998"),
+        ((*denoise, "--k", "200", "--load-model", str(model), "--output", out), 2, "2k = 400"),
+        ((*sweep, "--method", "dude"), 2, "need length > 2k = 300, got 300"),
+        ((*sweep, "--method", "ndude"), 2, "need length > 2k = 300, got 300"),
+        (("simulate", "--source", "bsmc:0.1", "--channel", "bsc:0.1", "--n", "10000000000",
+          "--out-clean", out, "--out-noisy", out), 3, "dudekit: numerical error: out of memory: "),
+    ]
+    for args, code, message in cases:
+        res = run_cli(*args, preexec_fn=_cap_address_space)
+        assert res.returncode == code, res.stderr
+        assert message in res.stderr and len(res.stderr.splitlines()) == 1, res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz", "short.txt"]
 
 
 def test_simulate_refuses_source_and_channel_over_other_alphabets(tmp_path, capsys):

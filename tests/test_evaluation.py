@@ -297,14 +297,16 @@ def test_split_sweep_matches_one_process(monkeypatch, method, ks):
     assert [ks.index(runs[0][0].k_star) % cpus for cpus in (2, 3)] == [0, 1]
 
 
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_dude_sweep_names_smallest_order_too_long_before_forking(monkeypatch, cpus):
+def test_dude_sweep_names_smallest_order_too_long_before_forking(monkeypatch, cpus, method):
     # Split over 2 CPUs, this process would reach order 6 before a child
-    # reached 5; the error names 5 either way, and nothing forks.
+    # reached 5; the error names 5 either way, and nothing forks. N-DUDE
+    # takes DUDE's order rule.
     _, z = _instance(10)
     forked = _count_forks(monkeypatch, cpus)
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-        sweep_k(z, bsc01_tables(), [9, 1, 6, 5], method="dude")
+        sweep_k(z, bsc01_tables(), [9, 1, 6, 5], method=method, hidden=(8,))
     assert forked == []
 
 

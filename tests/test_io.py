@@ -88,6 +88,14 @@ def test_pbm_plain_parsing_flexibility(tmp_path):
     # digits may run together
     path.write_text("P1\n3 2\n101010\n")
     assert np.array_equal(load_pbm(str(path)).pixels, [1, 0, 1, 0, 1, 0])
+    # a comment may end a token, or come before the magic
+    for text in ("P1#c\n3 2\n101010\n", "# made by hand\nP1\n3 2\n101010\n"):
+        path.write_text(text)
+        assert np.array_equal(load_pbm(str(path)).pixels, [1, 0, 1, 0, 1, 0])
+    # A P4 payload starts one whitespace byte after the last token, or right
+    # after it: a comment there is payload ('#' = 0x23, 'c' = 0x63).
+    path.write_bytes(b"P4\n3 2#c\n")
+    assert np.array_equal(load_pbm(str(path)).pixels, [0, 0, 1, 0, 1, 1])
 
 
 def test_pbm_binary_with_header_comment(tmp_path):

@@ -306,6 +306,17 @@ def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
         assert net.epoch_losses[-1] < net.epoch_losses[0]
 
 
+def test_duplicate_orders_train_identical_networks():
+    # Binary n = 12000: order 2 trains on its table in the walk, order 5 on
+    # positions in the stack; each copy of an order ends with the same bits.
+    _, z = _toy_instance(n=12000, seed=7)
+    nets = train(z, [2, 5, 2, 5], bsc01_tables(), hidden=(8,), config=TrainConfig(epochs=1))
+    assert [net.k for net in nets] == [2, 5, 2, 5]
+    for a, b in zip(nets[:2], nets[2:]):
+        assert a.params.tobytes() == b.params.tobytes()
+        assert a.epoch_losses == b.epoch_losses
+
+
 def test_train_split_over_processes_matches_one_stack():
     # A sweep on two CPUs trains orders [0, 2, 4, 6] in one process and
     # [1, 3, 5] in another. Orders 0..2 train on their tables (as in the
@@ -421,6 +432,30 @@ def test_select_denoisers_refuses_groups_of_another_order():
     net = MLPDenoiser((8, 6, 4), k=2, rng=np.random.default_rng(0))
     with pytest.raises(DataError, match="context groups of order 3 for a network of order 2"):
         select_denoisers(group_contexts(z, 3), net, t)
+
+
+def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
+    # DUDE's rule, 2k < n: of the orders 9, 2, 6 and 5 on n = 10 symbols, 5
+    # is the smallest too long. train names it before it builds a network;
+    # inference refuses such an order before it groups.
+    _, z = _toy_instance(n=10)
+    t = bsc01_tables()
+    net = MLPDenoiser((20, 6, 4), k=5, rng=np.random.default_rng(0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the order check")
+
+    monkeypatch.setattr(neural, "MLPDenoiser", forbidden)
+    for orders in (5, [9, 2, 6, 5]):
+        with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
+            train(z, orders, t, hidden=(6,))
+    monkeypatch.setattr(neural, "group_contexts", forbidden)
+    with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
+        denoise(z, net, t)
+    monkeypatch.undo()
+    with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
+        select_denoisers(group_contexts(z, 5), net, t)
+    assert train(z, 4, t, hidden=(6,), config=TrainConfig(epochs=1)).k == 4
 
 
 def test_single_context_training_converges_to_normalized_label():

@@ -172,6 +172,11 @@ class EstimatedLossTables(Rebuilt):
         return int(self.map_table.shape[0])
 
     @property
+    def rule_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every rule index."""
+        return np.min_scalar_type(self.n_denoisers - 1)
+
+    @property
     def identity(self) -> int:
         """Index of the identity denoiser."""
         n = self.channel.size

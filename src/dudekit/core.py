@@ -7,9 +7,9 @@ edge use a padding sentinel (index == alphabet.size) for the missing
 symbols, so the sentinel never collides with a real symbol.
 Every context row is read from one padded window view (context_windows
 and context_columns), and positions are grouped by context in one way:
-context_groups refines the groups order by order, and group_contexts is
-its one-order case. Both denoisers, and their sweeps, work from these
-groups.
+context_groups refines the groups order by order, settling positions alone
+in their group, and group_contexts is its one-order case. Both denoisers,
+and their sweeps, work from these groups.
 """
 
 from __future__ import annotations
@@ -165,44 +165,61 @@ def pack_context_keys(windows, columns, base: int, head, rows=slice(None)) -> np
     return key
 
 
-def _number_keys(key: np.ndarray, span: int, dtype):
-    """(ids, count): each key's rank among the distinct keys, all below span,
-    found by marking them in a bool array, with no sort."""
-    seen = np.zeros(span, dtype=bool)
+def _number_keys(key: np.ndarray, span: int, n: int, dtype):
+    """(ids, count): each key's rank among the distinct keys, all below span.
+    Up to a span of about 4n, marking them in a bool array and a cumulative
+    sum beat a sort, which frees its sorted copy before numbering it."""
+    if span > 4 * n:  # np.unique would hold about twice the memory
+        order = np.argsort(key)
+        key = key[order]
+        new = np.r_[True, key[1:] != key[:-1]]  # where each distinct key starts
+        del key
+        ids = np.empty(order.size, dtype=dtype)
+        ids[order] = np.cumsum(new, dtype=dtype) - 1
+        return ids, int(np.count_nonzero(new))
+    seen, key = np.zeros(span, dtype=bool), key.view(np.int64)  # an index numpy need not cast
     seen[key] = True
     ids = np.cumsum(seen, dtype=dtype) - 1
     return ids[key], int(ids[-1]) + 1 if span else 0
 
 
-def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int):
+def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int, settled=None):
     """Split the groups of the partition (inverse, n_groups) by windows[:, columns].
 
-    A dense step numbers the new groups by (old group, new digits). A
-    sparse one numbers the groups of one position first, in their old
-    order, then the split shared groups by (old group, new digits)."""
-    n, digits = inverse.size, base ** len(columns)
+    Returns (inverse, n_groups, settled). A dense step numbers the new groups
+    by (old group, new digits), keeping settled groups' numbers. A sparse one
+    numbers the groups of one position first, in their old order, then the
+    shared ones by (old group, new digits), and settles the first: settled is
+    None or (centres, count, active), each group below count holding one
+    position, whose symbol is centres[g], and active the others, ascending."""
+    n, digits, dtype = inverse.size, base ** len(columns), inverse.dtype
     if n_groups * digits <= n:  # dense keys
         key = pack_context_keys(windows, columns, base, inverse)
-        return _number_keys(key, n_groups * digits, inverse.dtype)
-    # Sparse keys: a position alone in its group stays alone, so only shared groups are split.
-    alone = np.bincount(inverse, minlength=n_groups) == 1
+        return (*_number_keys(key, n_groups * digits, n, dtype), settled)
+    centres, n_settled, active = settled or (np.empty(n, dtype=np.uint8), 0, slice(None))
+    group = inverse[active]  # a view of inverse in the first sparse step, which writes a copy
+    if settled:
+        group -= n_settled
+    alone = np.bincount(group, minlength=n_groups - n_settled) == 1
     n_alone = int(np.count_nonzero(alone))
-    if n_alone:  # number the shared groups compactly, in their old order
-        shared = np.flatnonzero(~alone[inverse])
-        head = (np.cumsum(~alone, dtype=inverse.dtype) - 1)[inverse[shared]]
-    else:
-        shared, head = slice(None), inverse
-    key = pack_context_keys(windows, columns, base, head, shared)
-    span = (n_groups - n_alone) * digits
-    if span <= 4 * n:  # marking and a cumulative sum beat a sort up to about this span
-        sub, n_sub = _number_keys(key, span, inverse.dtype)
-    else:
-        uniq, sub = np.unique(key, return_inverse=True)
-        n_sub = len(uniq)
-    sub += n_alone
-    out = (np.cumsum(alone, dtype=inverse.dtype) - 1)[inverse]  # the groups alone keep their order
-    out[shared] = sub
-    return out, n_alone + n_sub
+    if n_alone:  # a position alone in its group stays alone, numbered in its group's order
+        lone = alone[group]  # np.compress outruns indexing by this mask
+        at = np.compress(lone, active) if settled else np.flatnonzero(lone)
+        ids = (np.cumsum(alone, dtype=dtype) + (n_settled - 1))[np.compress(lone, group)]
+        centres[ids] = windows[at, windows.shape[1] // 2]
+        if settled:
+            inverse[at] = ids
+        active = np.compress(~lone, active) if settled else np.flatnonzero(~lone).astype(dtype)
+        group = (np.cumsum(~alone, dtype=dtype) - 1)[np.compress(~lone, group)]  # compactly
+        n_settled += n_alone
+        del lone, at, ids
+    key = pack_context_keys(windows, columns, base, group, active)
+    del group
+    sub, n_sub = _number_keys(key, (n_groups - n_settled) * digits, n, dtype)
+    out = inverse if settled else (np.cumsum(alone, dtype=dtype) - 1)[inverse]
+    sub += n_settled
+    out[active] = sub
+    return out, n_settled + n_sub, (centres, n_settled, active) if n_settled else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +228,8 @@ class ContextGroups:
 
     inverse[i] is the group of position i. Contexts that reach past an edge
     hold the pad digit, so they never share a group with pad-free ones.
+    Each group below len(centres) is settled: one position, whose symbol is
+    centres[g], alone at every higher order; active holds the others, ascending, or None.
     """
 
     seq: Sequence
@@ -218,6 +237,8 @@ class ContextGroups:
     columns: np.ndarray  # context_columns(k, reach)
     inverse: np.ndarray  # (n,)
     n_groups: int
+    centres: np.ndarray  # (settled groups,) uint8
+    active: np.ndarray | None  # positions in inverse's dtype
 
     @property
     def k(self) -> int:
@@ -242,7 +263,9 @@ def context_groups(seq: Sequence, orders):
 
     Each order's groups refine those of the order before by the digits of
     the orders it adds, as many per step as keep every key within uint64.
-    All share one window view of reach max(orders).
+    All share one window view of reach max(orders). Once groups have
+    settled, a sparse step relabels inverse in place, so a ContextGroups is
+    current until the walk takes its next step.
     """
     if len(seq) == 0:
         raise DataError("cannot group the contexts of an empty sequence")
@@ -255,7 +278,7 @@ def context_groups(seq: Sequence, orders):
     reach = max(orders, default=0)
     windows = context_windows(seq.data, reach, pad=seq.alphabet.pad_index)
     inverse = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
-    n_groups, done = min(n, 1), 0
+    n_groups, done, settled = min(n, 1), 0, None
     for k in orders:
         while done < k:
             step = 1  # keys grow with the step, so stop at the first that overflows
@@ -263,9 +286,12 @@ def context_groups(seq: Sequence, orders):
                 step += 1
             cols = context_columns(done + step, reach)
             cols = cols[abs(cols - reach) > done]  # the orders this step adds
-            inverse, n_groups = _refine(inverse, n_groups, windows, cols, base)
+            inverse, n_groups, settled = _refine(inverse, n_groups, windows, cols, base, settled)
             done += len(cols) // 2
-        yield ContextGroups(seq, windows, context_columns(k, reach), inverse, n_groups)
+        centres, n_settled, active = settled or (np.empty(0, dtype=np.uint8), 0, None)
+        yield ContextGroups(
+            seq, windows, context_columns(k, reach), inverse, n_groups, centres[:n_settled], active
+        )
 
 
 def group_contexts(seq: Sequence, k: int) -> ContextGroups:

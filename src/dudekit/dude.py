@@ -2,9 +2,10 @@
 
 Pass one counts, for every double-sided order-k context group (a
 core.ContextGroups, which carries the sequence and k), how often each
-symbol appears at the center. Pass two maps each interior position
-through the single-symbol rule that minimizes the count-weighted
-estimated loss of its context; edge positions pass through unchanged.
+symbol appears at the center, settled groups aside. Pass two maps each
+interior position through the single-symbol rule that minimizes the
+count-weighted estimated loss of its context, a settled group's being
+its center symbol's; edge positions pass through unchanged.
 
 This is the estimated-loss form of the selection rule: it scores whole
 single-symbol rules and applies the winner to the center. The original
@@ -26,31 +27,38 @@ _CHUNK_ENTRIES = 1 << 18
 
 def _argmin_chunked(counts: np.ndarray, est: np.ndarray) -> np.ndarray:
     """Row-wise argmin of counts @ est without materializing all scores."""
-    n_groups = counts.shape[0]
-    n_rules = est.shape[1]
-    out = np.empty(n_groups, dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // max(1, n_rules))
-    for start in range(0, n_groups, step):
-        stop = min(start + step, n_groups)
-        scores = counts[start:stop].astype(np.float64) @ est
-        out[start:stop] = np.argmin(scores, axis=1)
+    out = np.empty(counts.shape[0], dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // max(1, est.shape[1]))
+    for start in range(0, counts.shape[0], step):
+        scores = counts[start : start + step].astype(np.float64) @ est
+        out[start : start + step] = np.argmin(scores, axis=1)
     return out
 
 
 def select_denoisers(groups: ContextGroups, tables: EstimatedLossTables) -> np.ndarray:
-    """Per-position single-symbol rule indices for groups.seq at order groups.k.
+    """Per-position rule indices, in tables.rule_dtype, for groups.seq at order groups.k.
 
     Interior positions get the rule chosen from their context's counts;
     edge positions get the identity rule, which reproduces the
     pass-through behavior of the denoiser there. Edge contexts hold the
     pad digit, so counting them changes no interior group's counts.
-    groups may be numbered in any way (a sweep refines them from the
-    order before).
+    A settled group's count row is one-hot, so it scores exactly
+    estimated_loss[centre]; only the active positions are counted. groups
+    may be numbered in any way (a sweep refines them from the order before).
     """
     if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
     inner = interior_slice(len(groups.seq), groups.k)
-    per_group = _argmin_chunked(groups.center_counts(), tables.estimated_loss)
+    est, settled, size = tables.estimated_loss, len(groups.centres), groups.seq.alphabet.size
+    at = slice(None) if groups.active is None else groups.active
+    flat = np.multiply(groups.inverse[at], size, dtype=np.intp)
+    flat += groups.seq.data[at]
+    if settled:  # the active groups are numbered from settled on
+        flat -= settled * size
+    counts = np.bincount(flat, minlength=(groups.n_groups - settled) * size).reshape(-1, size)
+    per_group = np.empty(groups.n_groups, dtype=tables.rule_dtype)
+    per_group[:settled] = np.argmin(est, axis=1)[groups.centres]
+    per_group[settled:] = _argmin_chunked(counts, est)
     s_idx = per_group[groups.inverse]
     s_idx[: inner.start] = tables.identity
     s_idx[inner.stop :] = tables.identity

@@ -167,8 +167,8 @@ def sweep_k(
 def _sweep_part(z, tables, part, method, clean, hidden, cfg):
     """Rows of the ascending orders in part, and the reconstruction at the
     order select_k picks among them. N-DUDE orders train in one neural.train
-    call. Each order's context groups refine the order before's, walking
-    every order from part[0] to part[-1]; no rule depends on group numbers."""
+    call. Each order's context groups refine the order before's in place,
+    walking every order from part[0] to part[-1]; no rule depends on group numbers."""
     t0 = time.perf_counter()
     nets = neural.train(z, part, tables, hidden, cfg) if method == "ndude" else []
     share = (time.perf_counter() - t0) / len(part) if nets else 0.0  # of the joint training

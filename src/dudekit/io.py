@@ -21,10 +21,11 @@ from .errors import DataError
 
 # '#' starts a comment that runs to the end of its line, in a bitmap's header and P1 body alike.
 _COMMENT = rb"#[^\n]*"
-# A bitmap header: three tokens, each after whitespace and comments, then at
-# most one whitespace byte, where a P4 payload starts. The lookaheads keep
-# every token and comment whole, so a header with fewer tokens cannot match.
-_PBM_HEADER = re.compile((rb"(?:\s|%s(?![^\n]))*([^\s#]+)(?![^\s#])" % _COMMENT) * 3 + rb"\s?")
+# A bitmap header: three tokens, each after whitespace and comments, then at most
+# one whitespace byte or comment line, as Netpbm reads it; a P4 payload follows.
+# The lookaheads keep every token and comment whole, so fewer tokens cannot match.
+_PBM_TOKEN = rb"(?:\s|%s(?![^\n]))*([^\s#]+)(?![^\s#])" % _COMMENT
+_PBM_HEADER = re.compile(_PBM_TOKEN * 3 + rb"(?:\s|%s\n?)?" % _COMMENT)
 
 
 @dataclass(frozen=True, eq=False)

@@ -455,7 +455,7 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
         raise DataError(f"context groups of order {groups.k} for a network of order {net.k}")
     interior_slice(len(groups.seq), groups.k)
     rows = groups.rows()
-    per_row = np.empty(rows.shape[0], dtype=np.int64)
+    per_row = np.empty(rows.shape[0], dtype=tables.rule_dtype)
     buf = np.empty((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
     for start in range(0, rows.shape[0], _FORWARD_CHUNK):
         chunk = rows[start : start + _FORWARD_CHUNK]

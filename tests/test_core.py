@@ -204,10 +204,10 @@ def test_group_contexts_split_refinement(monkeypatch):
     # still fit: one step, numbered in the order of the packed keys.
     spans, grown = [], []
 
-    def spy(inverse, n_groups, windows, columns, base):
+    def spy(inverse, n_groups, windows, columns, base, settled=None):
         spans.append(n_groups * base ** len(columns))
         grown.append(n_groups * base ** (len(columns) + 2))
-        return refine(inverse, n_groups, windows, columns, base)
+        return refine(inverse, n_groups, windows, columns, base, settled)
 
     refine = core._refine
     monkeypatch.setattr(core, "_refine", spy)
@@ -264,12 +264,12 @@ def test_refine_relabel_branches():
     windows = context_windows(seq.data, 2, pad=BINARY.pad_index)
     inverse = np.zeros(len(seq), dtype=np.int32)
     inner = context_columns(1, 2)
-    dense, n_dense = _refine(inverse, 1, windows, inner, 3)  # span 9 <= n = 11
+    dense, n_dense, _ = _refine(inverse, 1, windows, inner, 3)  # span 9 <= n = 11
     keys = pack_context_keys(windows, inner, 3, inverse)
     assert np.array_equal(dense, np.unique(keys, return_inverse=True)[1])
     assert n_dense == len(set(_direct_partition(seq, 1)))
     outer = np.array([0, 4])  # order 2's two new digits; span 9 * n_dense > n
-    sparse, n_sparse = _refine(dense, n_dense, windows, outer, 3)
+    sparse, n_sparse, _ = _refine(dense, n_dense, windows, outer, 3)
     assert n_sparse == len(set(_direct_partition(seq, 2)))
     assert len(set(zip(_direct_partition(seq, 2), sparse.tolist()))) == n_sparse
     alone = (np.bincount(dense, minlength=n_dense) == 1)[dense]
@@ -305,7 +305,7 @@ def test_refine_numbering_on_every_branch():
         return cols[abs(cols - reach) > done]
 
     one = np.zeros(n, dtype=np.int32)
-    order1, n1 = _refine(one, 1, windows, added(0, 1), base)
+    order1, n1, _ = _refine(one, 1, windows, added(0, 1), base)
     cases = [  # (inverse, n_groups, columns, branch, groups alone)
         (one, 1, added(0, 1), "dense", 0),
         (order1, n1, added(1, 2), "counted", 2),  # the two edge contexts are alone
@@ -319,10 +319,76 @@ def test_refine_numbering_on_every_branch():
         span, shared_span = n_groups * base ** len(cols), (sizes > 1).sum() * base ** len(cols)
         assert (sizes == 1).sum() == n_alone
         assert branch == ("dense" if span <= n else "counted" if shared_span <= 4 * n else "sorted")
-        got, n_got = _refine(inverse, n_groups, windows, cols, base)
+        got, n_got, _ = _refine(inverse, n_groups, windows, cols, base)
         ref, n_ref = _refined_by_unique(inverse, n_groups, windows, cols, base)
         assert np.array_equal(got, ref) and n_got == n_ref
         assert got.dtype == inverse.dtype
+
+
+def _check_settled(seq, groups):
+    """The settled groups hold one position each, whose symbol centres
+    records; active holds every other position, ascending."""
+    settled, inverse = len(groups.centres), groups.inverse
+    assert groups.centres.dtype == np.uint8
+    assert (np.bincount(inverse, minlength=groups.n_groups)[:settled] == 1).all()
+    at = np.flatnonzero(inverse < settled)
+    assert np.array_equal(groups.centres[inverse[at]], seq.data[at])
+    if settled == 0:
+        assert groups.active is None
+    else:
+        assert groups.active.dtype == inverse.dtype
+        assert np.array_equal(groups.active, np.flatnonzero(inverse >= settled))
+
+
+def _walk_with_reference(monkeypatch, seq, ks):
+    """Yield (groups, reference inverse, reference count) at each of ks: the
+    reference chains _refined_by_unique over the columns of the walk's own steps."""
+    steps, refine = [], core._refine
+
+    def spy(inverse, n_groups, windows, columns, base, settled=None):
+        steps.append((columns, n_groups * base ** len(columns) <= inverse.size, settled))
+        return refine(inverse, n_groups, windows, columns, base, settled)
+
+    monkeypatch.setattr(core, "_refine", spy)
+    windows = context_windows(seq.data, max(ks), pad=seq.alphabet.pad_index)
+    ref, n_ref = np.zeros(len(seq), dtype=np.int64), 1
+    for groups in context_groups(seq, ks):
+        for cols, _, _ in steps:
+            ref, n_ref = _refined_by_unique(ref, n_ref, windows, cols, seq.alphabet.size + 1)
+        yield groups, ref, n_ref, list(steps)
+        steps.clear()
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 40, 700, 3000])
+@pytest.mark.parametrize("ks", [tuple(range(9)), (0, 2, 3, 7, 8, 9), (1, 5, 6, 23, 24)])
+def test_settled_walk_numbers_like_the_reference_chain(monkeypatch, size, n, ks):
+    # Chains with gaps, and k = 23 over 3 and 4 symbols, whose step splits;
+    # from n = 700 on, groups settle and later sparse steps refine the
+    # active positions alone.
+    alphabet = Alphabet(tuple("abcd"[:size]))
+    rng = np.random.default_rng(size * 10_000 + n)
+    seq = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
+    active_steps = 0
+    for groups, ref, n_ref, steps in _walk_with_reference(monkeypatch, seq, ks):
+        assert np.array_equal(groups.inverse, ref) and groups.n_groups == n_ref
+        _check_settled(seq, groups)
+        active_steps += sum(settled is not None and not dense for _, dense, settled in steps)
+    assert active_steps or n < 700
+
+
+def test_dense_step_keeps_the_settled_groups(monkeypatch):
+    # Zeros with a few ones: the edges settle at the sparse step to k = 5,
+    # and so few contexts occur that the step to k = 6 is dense.
+    data = np.zeros(3000, dtype=np.uint8)
+    data[[500, 1200, 2100]] = 1
+    seq = Sequence(data, BINARY)
+    dense_after = 0
+    for groups, ref, n_ref, steps in _walk_with_reference(monkeypatch, seq, (0, 1, 5, 6, 7)):
+        assert np.array_equal(groups.inverse, ref) and groups.n_groups == n_ref
+        _check_settled(seq, groups)
+        dense_after += sum(settled is not None and dense for _, dense, settled in steps)
+    assert dense_after and len(groups.centres) > 0
 
 
 def test_context_groups_reject_descending_orders():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import ALPHABETS, random_invertible_channel
-from dudekit.channel import bsc, build_estimated_loss, hamming_loss, symmetric_channel
-from dudekit.core import BINARY, Sequence, group_contexts
+from dudekit.channel import apply_rules, bsc, build_estimated_loss, hamming_loss, symmetric_channel
+from dudekit.core import BINARY, DNA, Alphabet, Sequence, context_groups, group_contexts
 from dudekit.dude import _argmin_chunked, dude_denoise, select_denoisers
 from dudekit.errors import DataError
+from dudekit.evaluation import estimated_loss
 from oracles import Context, collect_counts, dude_rule_original, extract_context
 
 
@@ -174,3 +175,51 @@ def test_alphabet_mismatch_raises():
     z = Sequence(np.zeros(20, dtype=np.uint8), ALPHABETS[4])
     with pytest.raises(DataError):
         select_denoisers(group_contexts(z, 1), t)
+
+
+@pytest.mark.parametrize(
+    "alphabet, chan, n, top",
+    [(BINARY, bsc(0.12), 600, 12), (DNA, symmetric_channel(0.2, DNA), 400, 7)],
+)
+def test_walked_selection_matches_full_counts_and_original_form(alphabet, chan, n, top):
+    # Settled groups take their center symbol's rule uncounted; that must be
+    # the rule of the full count path, and reconstruct as the original form
+    # does. The chain runs past the order where every group is alone, to
+    # orders where every position has settled.
+    rng = np.random.default_rng(23)
+    z = Sequence(rng.integers(0, alphabet.size, n).astype(np.uint8), alphabet)
+    loss = hamming_loss(alphabet)
+    t = build_estimated_loss(chan, loss)
+    all_alone = None
+    for groups in context_groups(z, range(top + 1)):
+        k = groups.k
+        s_idx = select_denoisers(groups, t)
+        assert s_idx.dtype == np.uint8
+        full = _argmin_chunked(groups.center_counts(), t.estimated_loss)[groups.inverse]
+        full[:k] = t.identity
+        full[n - k :] = t.identity
+        assert np.array_equal(s_idx, full)
+        table = collect_counts(z, k)
+        for i in rng.choice(np.arange(k, n - k), 25):
+            m = table.vector(extract_context(z, i, k))
+            assert t.map_table[s_idx[i], z.data[i]] == dude_rule_original(m, z.data[i], chan, loss)
+        if all_alone is None and groups.n_groups == n:
+            all_alone = k
+    assert all_alone is not None and all_alone < top
+    assert len(groups.centres) == n and len(groups.active) == 0
+
+
+def test_rule_indices_take_the_narrowest_dtype_and_score_alike():
+    rng = np.random.default_rng(24)
+    five = Alphabet(tuple("abcde"))
+    wide_family = build_estimated_loss(symmetric_channel(0.1, five), hamming_loss(five))
+    assert wide_family.rule_dtype == np.uint16  # 3,125 rules
+    for alphabet, chan in ((BINARY, bsc(0.1)), (DNA, symmetric_channel(0.2, DNA))):
+        t = build_estimated_loss(chan, hamming_loss(alphabet))
+        assert t.rule_dtype == np.uint8
+        z = Sequence(rng.integers(0, alphabet.size, 500).astype(np.uint8), alphabet)
+        wide = rng.integers(0, t.n_denoisers, 500)
+        wide[:2] = 0, t.n_denoisers - 1
+        narrow = wide.astype(np.uint8)
+        assert estimated_loss(z, narrow, t) == estimated_loss(z, wide, t)
+        assert apply_rules(z, narrow, t) == apply_rules(z, wide, t)

@@ -93,9 +93,11 @@ def test_pbm_plain_parsing_flexibility(tmp_path):
         path.write_text(text)
         assert np.array_equal(load_pbm(str(path)).pixels, [1, 0, 1, 0, 1, 0])
     # A P4 payload starts one whitespace byte after the last token, or right
-    # after it: a comment there is payload ('#' = 0x23, 'c' = 0x63).
-    path.write_bytes(b"P4\n3 2#c\n")
-    assert np.array_equal(load_pbm(str(path)).pixels, [0, 0, 1, 0, 1, 1])
+    # after it; a comment there belongs to the header, with its newline, as
+    # Netpbm reads it.
+    payload = np.packbits(np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8), axis=1).tobytes()
+    path.write_bytes(b"P4\n3 2#c\n" + payload)
+    assert np.array_equal(load_pbm(str(path)).pixels, [1, 0, 1, 0, 1, 0])
 
 
 def test_pbm_binary_with_header_comment(tmp_path):

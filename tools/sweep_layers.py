@@ -1,0 +1,194 @@
+"""Per-layer timings of the in-process DUDE sweep, to compare two checkouts.
+
+    python3 tools/sweep_layers.py --seed 1 [--checkout DIR] [--repeats 5] [--out FILE]
+
+Builds the inputs of perfbench's `bsmc-1m-dude` and `bsmc-150k-ndude`
+workloads (perfbench/workloads.py) with `dudekit.cli.main simulate` in a
+temporary directory, then times, in this process with BLAS on one thread:
+
+- for each order k = 1..20 of the n = 1M input, the walk's step to that
+  order (`core.context_groups`), `dude.select_denoisers`, and scoring
+  (`evaluation.estimated_loss`, `channel.apply_rules` and
+  `evaluation.symbol_error_rate` against the clean input);
+- one-order jumps `core.group_contexts(z, k)` at k = 10, 13, 16 and 20 on
+  the n = 1M input, and at k = 16 on the n = 150k input;
+- the `tracemalloc` peak, above the memory live before it, of walking the
+  k = 1..20 chain at n = 1M (no order's groups held past its step) and of
+  `group_contexts(z, 16)` at n = 150k. Heap layout does not move them.
+
+Every timing is the median over --repeats runs. `dudekit` and the workloads
+are imported from --checkout, by default the checkout holding this script.
+Writes JSON (to stdout, or --out) with the checkout's git SHA, the OpenBLAS
+core name, and numpy and Python versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import ctypes
+import glob
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # before numpy loads
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ORDERS = range(1, 21)
+JUMPS = (10, 13, 16, 20)
+
+
+def blas_core() -> str:
+    """The running OpenBLAS kernel, read from numpy's bundled library, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return "unknown"
+
+
+def git_sha(root: str) -> str:
+    """HEAD of the checkout at root, marked -dirty when its tracked files differ."""
+    try:
+        sha = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "-C", root, "status", "--porcelain", "-uno"],
+                               capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return sha + ("-dirty" if dirty else "")
+
+
+def simulated(workload, d: str, seed: int):
+    """(noisy, clean) of workload at seed, written by `simulate` into d."""
+    from dudekit import cli, io
+
+    with contextlib.redirect_stdout(sys.stderr):
+        if cli.main(workload.simulate_argv(d, seed)) != 0:
+            raise SystemExit(f"{workload.name}: simulate failed")
+    from workloads import CLEAN, NOISY
+
+    return io.load_sequence(os.path.join(d, NOISY))[0], io.load_sequence(os.path.join(d, CLEAN))[0]
+
+
+def sweep_once(z, clean, tables) -> dict[str, list[float]]:
+    """Seconds per order of the walk step, selection and scoring."""
+    from dudekit import channel, core, dude, evaluation
+
+    out = {"walk_s": [], "select_s": [], "score_s": []}
+    chain = core.context_groups(z, ORDERS)
+    for _ in ORDERS:
+        t0 = time.perf_counter()
+        groups = next(chain)
+        t1 = time.perf_counter()
+        s_idx = dude.select_denoisers(groups, tables)
+        t2 = time.perf_counter()
+        evaluation.estimated_loss(z, s_idx, tables)
+        evaluation.symbol_error_rate(clean, channel.apply_rules(z, s_idx, tables))
+        t3 = time.perf_counter()
+        for key, dt in zip(out, (t1 - t0, t2 - t1, t3 - t2)):
+            out[key].append(dt)
+        del groups, s_idx
+    return out
+
+
+def timed(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
+def traced_peak(fn) -> float:
+    """MiB that fn's allocations peak at above the memory traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def walk(z) -> None:
+    from dudekit import core
+
+    for groups in core.context_groups(z, ORDERS):
+        del groups
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--checkout", default=ROOT, help="repository root to import dudekit from")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", help="JSON file to write (default: stdout)")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    root = os.path.abspath(args.checkout)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    from dudekit import channel, core
+    from workloads import WORKLOADS
+
+    big, small = WORKLOADS["bsmc-1m-dude"], WORKLOADS["bsmc-150k-ndude"]
+    with tempfile.TemporaryDirectory() as d:
+        z, clean = simulated(big, d, args.seed)
+    with tempfile.TemporaryDirectory() as d:
+        z_small, _ = simulated(small, d, args.seed)
+    tables = channel.build_estimated_loss(*channel.parse_channel_spec(big.channel_spec()))
+
+    sweep_once(z, clean, tables)  # warm-up: lazy set-up and first-touch page faults
+    runs = [sweep_once(z, clean, tables) for _ in range(args.repeats)]
+    per_order = {
+        key: [float(np.median([run[key][j] for run in runs])) for j in range(len(ORDERS))]
+        for key in runs[0]
+    }
+    totals = {key: float(np.median([sum(run[key]) for run in runs])) for key in runs[0]}
+    jumps = {f"n1m_k{k}": timed(lambda k=k: core.group_contexts(z, k), args.repeats) for k in JUMPS}
+    jumps["n150k_k16"] = timed(lambda: core.group_contexts(z_small, 16), args.repeats)
+    peaks = {
+        "walk_k1-20_n1m_mib": traced_peak(lambda: walk(z)),
+        "group_contexts_k16_n150k_mib": traced_peak(lambda: core.group_contexts(z_small, 16)),
+    }
+    doc = {
+        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, BLAS on one thread",
+        "checkout_sha": git_sha(root),
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "blas_core": blas_core(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "orders": list(ORDERS),
+        "per_order_s": per_order,
+        "total_s": totals,
+        "group_contexts_s": jumps,
+        "tracemalloc_peak": peaks,
+    }
+    text = json.dumps(doc, indent=1)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -75,27 +75,25 @@ def bsmc(alpha: float, rng_seed: int = 0) -> MarkovSource:
     return MarkovSource(trans, BINARY, rng_seed=rng_seed)
 
 
-def _blocked_scan(first, identity, steps, advance, carry) -> np.ndarray:
-    """States from first through steps shaped (blocks, length, ...).
+def _blocked_scan(first, identity, steps, advance, carry):
+    """Yield the states after step j = 0, 1, ... of side blocks of side steps.
 
-    advance(x, steps[:, j]) applies step j of every block to x: one state,
-    or one map from identity, per block. One pass builds the maps,
+    Blocks lie on the last axis: advance(x, steps[j]) applies step j of every
+    block to its state or map (from identity). One pass builds the maps,
     carry(state, map) takes first to each block's start, and a second pass
-    fills all blocks: 2 * length + blocks Python steps, not blocks * length.
+    fills all blocks: 3 * side Python steps over side numbers each.
     """
-    blocks, length = steps.shape[:2]
-    out = np.empty((1 + blocks * length,) + first.shape, dtype=first.dtype)
-    out[0] = first
-    maps = np.broadcast_to(identity, (blocks,) + identity.shape)
-    for j in range(length):
-        maps = advance(maps, steps[:, j])
-    starts = np.empty((blocks,) + first.shape, dtype=first.dtype)
-    for b in range(blocks):
+    maps = identity[..., None]  # the first step broadcasts it to every block
+    for step in steps:
+        maps = advance(maps, step)
+    maps = np.ascontiguousarray(np.moveaxis(maps, -1, 0))  # one contiguous map per block
+    starts = np.empty((len(maps),) + first.shape, dtype=first.dtype)
+    for b in range(len(maps)):
         starts[b], first = first, carry(first, maps[b])
-    body = out[1:].reshape((blocks, length) + out.shape[1:])
-    for j in range(length):
-        body[:, j] = starts = advance(starts, steps[:, j])
-    return out
+    states = np.ascontiguousarray(np.moveaxis(starts, 0, -1))
+    for step in steps:
+        states = advance(states, step)
+        yield states
 
 
 def generate_source(source: MarkovSource, n: int) -> Sequence:
@@ -106,7 +104,7 @@ def generate_source(source: MarkovSource, n: int) -> Sequence:
     alphabets walk the row's cumulative distribution. Symmetric binary
     chains reduce to an accumulated-parity fast path with identical
     output to the stepwise rule; the other chains compose per-step tables
-    of next states by a blocked scan, which is exact for integer maps.
+    of next states through `_blocked_scan`, which is exact for integer maps.
     """
     if n < 1:
         raise DataError("cannot generate an empty sequence")
@@ -123,19 +121,21 @@ def generate_source(source: MarkovSource, n: int) -> Sequence:
         out[1:] ^= np.uint8(first)
         return Sequence(out, source.alphabet)
     side = math.isqrt(max(n - 2, 0)) + 1  # n - 1 steps fit in side blocks of side steps
-    step = np.zeros((side * side, size), dtype=np.uint8)  # step[i, s]: state after s
+    step = np.zeros((size, side * side), dtype=np.uint8)  # step[s, i]: state after s
     if size == 2:
-        step[: n - 1, 0] = u < source.transition[0, 1]
-        step[: n - 1, 1] = u >= source.transition[1, 0]
+        step[0, : n - 1] = u < source.transition[0, 1]
+        step[1, : n - 1] = u >= source.transition[1, 0]
     else:
         cum = np.cumsum(source.transition, axis=1)
         for s in range(size):
-            step[: n - 1, s] = np.minimum(np.searchsorted(cum[s], u, side="right"), size - 1)
-    out = _blocked_scan(np.array([first], dtype=np.uint8), np.arange(size, dtype=np.uint8),
-                        step.reshape(side, side, size),
-                        lambda x, table: np.take_along_axis(table, x, axis=1),
-                        lambda state, table: table[state])
-    return Sequence(out[:n, 0], source.alphabet)
+            step[s, : n - 1] = np.minimum(np.searchsorted(cum[s], u, side="right"), size - 1)
+    out = np.full(1 + side * side, first, dtype=np.uint8)  # step j of block b at 1 + b * side + j
+    steps = step.reshape(size, side, side).transpose(2, 0, 1).copy()  # [j, s, block]
+    for j, states in enumerate(_blocked_scan(out[:1], np.arange(size, dtype=np.uint8), steps,
+                                             lambda x, table: np.take_along_axis(table, x, axis=0),
+                                             lambda state, table: table[state])):
+        out[1 + j :: side] = states[0]
+    return Sequence(out[:n], source.alphabet)
 
 
 def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
@@ -180,22 +180,28 @@ class HMMSpec(Rebuilt):
             raise DataError("source and channel alphabets differ")
 
 
-def _normalized(msg: np.ndarray) -> np.ndarray:
-    """msg scaled to sum to one over its last two axes; a sum that is not
-    positive and finite means some symbol has zero likelihood."""
-    total = msg.sum(axis=(-2, -1), keepdims=True)
-    if not np.all(np.isfinite(total) & (total > 0.0)):
-        raise DataError("observation has zero likelihood under the model")
-    return msg / total
+def _summed(a: np.ndarray) -> np.ndarray:
+    """a summed over axis 1 as numpy sums m <= 128 contiguous numbers: in
+    sequence below 8, else 8 partial sums by a pairwise tree, then the rest."""
+    m = a.shape[1]
+    lanes = 8 if m >= 8 else 1
+    r = a[:, :lanes].copy()
+    for i in range(lanes, m - m % lanes, lanes):
+        r += a[:, i : i + lanes]
+    while r.shape[1] > 1:
+        r = r[:, 0::2] + r[:, 1::2]
+    for i in range(m - m % lanes, m):
+        r[:, 0] += a[:, i]
+    return r[:, 0]
 
 
 def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
-    """P(x_i | z) for every position, by forward and backward blocked scans.
+    """P(x_i | z) for every position, by one blocked scan of both directions.
 
-    Forward, alpha_i ∝ (alpha_{i-1} @ T) * like_i; backward, the same with
-    T transposed over the reversed likelihoods gives u_i = like_i * beta_i,
-    and beta_i ∝ T @ u_{i+1}. Messages and block maps (products of
-    T @ diag(like_i)) are scaled to sum to one, which keeps them stable.
+    Forward, alpha_i ∝ (alpha_{i-1} @ T) * like_i; backward, u_i ∝ like_i *
+    (T @ u_{i+1}), and beta_i ∝ T @ u_{i+1}. Messages and block maps are
+    scaled to sum to one, summed as numpy sums (`_summed`); the least sum
+    flags a symbol of zero likelihood. The peak is about two n x |X| arrays.
     """
     if z.alphabet != spec.channel.alphabet:
         raise DataError("sequence alphabet does not match the model")
@@ -204,25 +210,38 @@ def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
         raise DataError("cannot smooth an empty sequence")
     size = spec.source.alphabet.size
     side = math.isqrt(max(n - 2, 0)) + 1  # n - 1 steps fit in side blocks of side steps
-    pad = side * side - (n - 1)
-    # state likelihoods per position, between pad rows of ones to fill the blocks
-    like = np.ones((n + 2 * pad, size))
-    like[pad : pad + n] = spec.channel.entries.T[z.data]
+    codes = np.full((2, side * side), size, dtype=np.uint8)  # symbol `size` pads the last block
+    codes[:, : n - 1] = z.data[1:], z.data[-2::-1]  # each direction's symbols by step
+    codes = codes.reshape(2, side, side).transpose(2, 0, 1).copy()  # [j, direction, block]
+    like = np.hstack((spec.channel.entries, np.ones((size, 1))))  # like[:, c]: given symbol c
+    t = spec.source.transition
+    trans = np.stack((t, t.T)).swapaxes(1, 2)[:, None]  # T' and T, laid out as in x @ T, x @ T'
+    low = np.full((2, side), np.inf)
 
-    def scan(first, steps, trans):  # messages through steps of trans @ diag(like)
-        def advance(x, like_j):  # one matrix product for all blocks
-            return _normalized((x.reshape(-1, size) @ trans).reshape(x.shape) * like_j)
+    def scaled(x):  # x divided in place by its sum over axes 1 and 2
+        total = _summed(x.reshape((2, -1) + x.shape[3:]))
+        np.minimum(low, total.reshape(2, -1), out=low)
+        return np.divide(x, total[:, None, None], out=x)
 
-        return _blocked_scan(_normalized(first[None]), np.eye(size),
-                             steps.reshape(side, side, 1, size), advance,
-                             lambda msg, block: _normalized(msg @ block))[:, 0]
+    def advance(x, code):  # x: (direction, rows, state, block)
+        return scaled(trans @ x * np.take(like, code, axis=1).swapaxes(0, 1)[:, None])
 
-    trans = spec.source.transition
-    post = scan(spec.source.initial * like[pad], like[pad + 1 :], trans)[:n]
-    u = scan(like[pad + n - 1], like[: pad + n - 1][::-1], trans.T)
-    del like
-    post[:-1] *= u[: n - 1][::-1] @ trans.T
-    post /= post.sum(axis=1, keepdims=True)
+    post, u = np.empty((1 + side * side, size)), np.empty((1 + side * side, size))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a 0/0 shows in low
+        first = np.stack((spec.source.initial * like[:, z.data[0]], like[:, z.data[-1]]))
+        post[0], u[0] = first = scaled(first[:, None])[:, 0]
+        for j, states in enumerate(_blocked_scan(first[:, None], np.eye(size), codes, advance,
+                                                 lambda x, m: scaled(x @ m))):
+            post[1 + j :: side], u[1 + j :: side] = states[:, 0].swapaxes(1, 2)
+    if not low.min() > 0.0:
+        raise DataError("observation has zero likelihood under the model")
+    post, back = post[:n], u[: n - 1][::-1]
+    parts = -(-(n - 1) // (1 << 14))  # beta_i ∝ T @ u_{i+1}, in parts of 2 rows or more,
+    for i in range(parts):  # as one row would take numpy's vector path
+        rows = slice((n - 1) * i // parts, (n - 1) * (i + 1) // parts)
+        post[rows] *= back[rows] @ t.T
+    del u, back
+    np.divide(post.T, _summed(post.T[None]), out=post.T)
     return post
 
 

@@ -1,6 +1,7 @@
 """Source simulation, corruption, and the informed smoothing baseline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,17 +286,37 @@ def test_posteriors_match_sequential_near_certain():
     assert np.max(np.abs(post - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("where", [0, 10, 11, 15, 100])
+@pytest.mark.parametrize("where", [0, 1, 5, 10, 11, 15, 95, 100])
 def test_posteriors_reject_impossible_observation(where):
     # a chain that never moves, seen without noise, cannot show a second
     # symbol; 101 positions are 100 steps in 10 blocks of 10, so position 15
-    # sits inside a block, 10 and 11 on either side of a boundary, and 100 last
+    # sits inside a block, 10 and 11 on either side of a boundary, and 100
+    # last. The backward direction meets 95 at its fifth step and 1 and 5 in
+    # its last block; 95 lies in the forward direction's last block, whose
+    # map takes no state to a later block. The check runs after both scans.
     spec = HMMSpec(MarkovSource(np.eye(2), BINARY, initial=np.array([0.5, 0.5])), bsc(0.0))
     data = np.zeros(101, dtype=np.uint8)
     assert np.all(smoothing_posteriors(Sequence(data.copy(), BINARY), spec)[:, 0] == 1.0)
     data[where] = 1
     with np.errstate(all="raise"), pytest.raises(DataError, match="zero likelihood"):
         smoothing_posteriors(Sequence(data, BINARY), spec)
+
+
+@pytest.mark.parametrize("size, n", [(2, 200_000), (4, 100_000)])
+def test_posteriors_memory_peak(size, n):
+    # forward states fill the posterior buffer and backward states one more
+    # of its size; an n x |X| array of likelihoods and a whole n x |X| last
+    # product would raise the traced peak to about 3 such arrays
+    spec = _asymmetric_spec(size)
+    z = corrupt(generate_source(spec.source, n), spec.channel, rng_seed=28)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        smoothing_posteriors(z, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * size * 8
 
 
 def test_posteriors_normalized_long():

@@ -1,10 +1,11 @@
-"""Per-layer timings of the in-process DUDE sweep, to compare two checkouts.
+"""Per-layer timings of the in-process DUDE sweep and FB smoother, to compare two checkouts.
 
     python3 tools/sweep_layers.py --seed 1 [--checkout DIR] [--repeats 5] [--out FILE]
 
-Builds the inputs of perfbench's `bsmc-1m-dude` and `bsmc-150k-ndude`
-workloads (perfbench/workloads.py) with `dudekit.cli.main simulate` in a
-temporary directory, then times, in this process with BLAS on one thread:
+Builds the inputs of perfbench's `bsmc-1m-dude`, `bsmc-150k-ndude` and
+`dna-100k` workloads (perfbench/workloads.py) with `dudekit.cli.main
+simulate` in a temporary directory, then times, in this process with BLAS
+on one thread:
 
 - for each order k = 1..20 of the n = 1M input, the walk's step to that
   order (`core.context_groups`), `dude.select_denoisers`, and scoring
@@ -12,10 +13,15 @@ temporary directory, then times, in this process with BLAS on one thread:
   `evaluation.symbol_error_rate` against the clean input);
 - one-order jumps `core.group_contexts(z, k)` at k = 10, 13, 16 and 20 on
   the n = 1M input, and at k = 16 on the n = 150k input;
+- `baselines.smoothing_posteriors` and `baselines.forward_backward_denoise`
+  under the true model, on the n = 1M and the DNA inputs;
 - the `tracemalloc` peak, above the memory live before it, of walking the
-  k = 1..20 chain at n = 1M (no order's groups held past its step) and of
-  `group_contexts(z, 16)` at n = 150k. Heap layout does not move them.
+  k = 1..20 chain at n = 1M (no order's groups held past its step), of
+  `group_contexts(z, 16)` at n = 150k and of `smoothing_posteriors` at
+  n = 1M. Heap layout does not move them.
 
+It also records an md5 of the posterior array's bytes on each of the three
+inputs, so a diff of two checkouts' JSON shows whether FB stayed bit for bit.
 Every timing is the median over --repeats runs. `dudekit` and the workloads
 are imported from --checkout, by default the checkout holding this script.
 Writes JSON (to stdout, or --out) with the checkout's git SHA, the OpenBLAS
@@ -28,6 +34,7 @@ import argparse
 import contextlib
 import ctypes
 import glob
+import hashlib
 import json
 import os
 import platform
@@ -45,6 +52,8 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDERS = range(1, 21)
 JUMPS = (10, 13, 16, 20)
+FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior md5s
+FB_TIMED = ("bsmc-1m-dude", "dna-100k")
 
 
 def blas_core() -> str:
@@ -70,16 +79,20 @@ def git_sha(root: str) -> str:
     return sha + ("-dirty" if dirty else "")
 
 
-def simulated(workload, d: str, seed: int):
-    """(noisy, clean) of workload at seed, written by `simulate` into d."""
-    from dudekit import cli, io
-
-    with contextlib.redirect_stdout(sys.stderr):
-        if cli.main(workload.simulate_argv(d, seed)) != 0:
-            raise SystemExit(f"{workload.name}: simulate failed")
+def simulated(workload, seed: int):
+    """(noisy, clean, HMM spec, loss) of workload at seed, from `simulate`."""
+    from dudekit import baselines, channel, cli, io
     from workloads import CLEAN, NOISY
 
-    return io.load_sequence(os.path.join(d, NOISY))[0], io.load_sequence(os.path.join(d, CLEAN))[0]
+    with tempfile.TemporaryDirectory() as d:
+        workload.write_source(d)
+        with contextlib.redirect_stdout(sys.stderr):
+            if cli.main(workload.simulate_argv(d, seed)) != 0:
+                raise SystemExit(f"{workload.name}: simulate failed")
+        chan, loss = channel.parse_channel_spec(workload.channel_spec())
+        spec = baselines.HMMSpec(baselines.parse_source_spec(workload.source_spec(d)), chan)
+        z, clean = (io.load_sequence(os.path.join(d, f))[0] for f in (NOISY, CLEAN))
+    return z, clean, spec, loss
 
 
 def sweep_once(z, clean, tables) -> dict[str, list[float]]:
@@ -141,15 +154,13 @@ def main() -> int:
         ap.error("--repeats must be at least 1")
     root = os.path.abspath(args.checkout)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    from dudekit import channel, core
+    from dudekit import baselines, channel, core
     from workloads import WORKLOADS
 
-    big, small = WORKLOADS["bsmc-1m-dude"], WORKLOADS["bsmc-150k-ndude"]
-    with tempfile.TemporaryDirectory() as d:
-        z, clean = simulated(big, d, args.seed)
-    with tempfile.TemporaryDirectory() as d:
-        z_small, _ = simulated(small, d, args.seed)
-    tables = channel.build_estimated_loss(*channel.parse_channel_spec(big.channel_spec()))
+    inputs = {name: simulated(WORKLOADS[name], args.seed) for name in FB_INPUTS}
+    z, clean, spec, loss = inputs["bsmc-1m-dude"]
+    z_small = inputs["bsmc-150k-ndude"][0]
+    tables = channel.build_estimated_loss(spec.channel, loss)
 
     sweep_once(z, clean, tables)  # warm-up: lazy set-up and first-touch page faults
     runs = [sweep_once(z, clean, tables) for _ in range(args.repeats)]
@@ -160,12 +171,23 @@ def main() -> int:
     totals = {key: float(np.median([sum(run[key]) for run in runs])) for key in runs[0]}
     jumps = {f"n1m_k{k}": timed(lambda k=k: core.group_contexts(z, k), args.repeats) for k in JUMPS}
     jumps["n150k_k16"] = timed(lambda: core.group_contexts(z_small, 16), args.repeats)
+    fb = {"smoothing_posteriors_s": {}, "forward_backward_denoise_s": {}, "posterior_md5": {}}
+    for name, (zi, _, spec_i, loss_i) in inputs.items():
+        post = baselines.smoothing_posteriors(zi, spec_i)  # also the warm-up
+        fb["posterior_md5"][name] = hashlib.md5(np.ascontiguousarray(post).tobytes()).hexdigest()
+        del post
+        if name in FB_TIMED:
+            fb["smoothing_posteriors_s"][name] = timed(
+                lambda: baselines.smoothing_posteriors(zi, spec_i), args.repeats)
+            fb["forward_backward_denoise_s"][name] = timed(
+                lambda: baselines.forward_backward_denoise(zi, spec_i, loss_i), args.repeats)
     peaks = {
         "walk_k1-20_n1m_mib": traced_peak(lambda: walk(z)),
         "group_contexts_k16_n150k_mib": traced_peak(lambda: core.group_contexts(z_small, 16)),
+        "smoothing_posteriors_n1m_mib": traced_peak(lambda: baselines.smoothing_posteriors(z, spec)),
     }
     doc = {
-        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, BLAS on one thread",
+        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, and FB, BLAS on one thread",
         "checkout_sha": git_sha(root),
         "seed": args.seed,
         "repeats": args.repeats,
@@ -179,6 +201,7 @@ def main() -> int:
         "per_order_s": per_order,
         "total_s": totals,
         "group_contexts_s": jumps,
+        "fb": fb,
         "tracemalloc_peak": peaks,
     }
     text = json.dumps(doc, indent=1)

@@ -145,13 +145,14 @@ def corrupt(x: Sequence, channel: ChannelMatrix, rng_seed: int = 0) -> Sequence:
     if rng_seed < 0:
         raise DataError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
-    n = len(x)
-    u = rng.random(n)
+    u = rng.random(len(x))
     cum = np.cumsum(channel.entries, axis=1)
-    # z_i = first column whose cumulative mass exceeds u_i, per row x_i
-    z = (cum[x.data.astype(np.int64)] <= u[:, None]).sum(axis=1)
-    z = np.minimum(z, channel.size - 1)
-    return Sequence(z.astype(np.uint8), x.alphabet)
+    # z_i = how many of row x_i's cumulative masses u_i reaches, one column at a
+    # time; the last column's, 1 up to rounding, could only lift z_i to |X|.
+    rows, z = x.data.astype(np.intp), np.zeros(len(x), dtype=np.uint8)
+    for j in range(channel.size - 1):
+        z += u >= cum[:, j][rows]
+    return Sequence(z, x.alphabet)
 
 
 def parse_source_spec(spec: str, rng_seed: int = 0) -> MarkovSource:
@@ -195,6 +196,13 @@ def _summed(a: np.ndarray) -> np.ndarray:
     return r[:, 0]
 
 
+def _row_parts(n: int) -> list[slice]:
+    """n rows in equal parts of at most 2**14, each of 2 rows or more where n
+    allows, since a product of one row would take numpy's vector path."""
+    parts = -(-n // (1 << 14))
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
 def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
     """P(x_i | z) for every position, by one blocked scan of both directions.
 
@@ -236,9 +244,7 @@ def smoothing_posteriors(z: Sequence, spec: HMMSpec) -> np.ndarray:
     if not low.min() > 0.0:
         raise DataError("observation has zero likelihood under the model")
     post, back = post[:n], u[: n - 1][::-1]
-    parts = -(-(n - 1) // (1 << 14))  # beta_i ∝ T @ u_{i+1}, in parts of 2 rows or more,
-    for i in range(parts):  # as one row would take numpy's vector path
-        rows = slice((n - 1) * i // parts, (n - 1) * (i + 1) // parts)
+    for rows in _row_parts(n - 1):  # beta_i ∝ T @ u_{i+1}
         post[rows] *= back[rows] @ t.T
     del u, back
     np.divide(post.T, _summed(post.T[None]), out=post.T)
@@ -254,6 +260,7 @@ def forward_backward_denoise(z: Sequence, spec: HMMSpec, loss: LossMatrix) -> Se
     if loss.alphabet != z.alphabet:
         raise DataError("loss alphabet does not match the sequence")
     post = smoothing_posteriors(z, spec)
-    risk = post @ loss.entries  # (n, guesses)
-    xhat = np.argmin(risk, axis=1).astype(np.uint8)
+    xhat = np.empty(len(z), dtype=np.uint8)
+    for rows in _row_parts(len(z)):  # the risks (rows, guesses) a part at a time
+        xhat[rows] = np.argmin(post[rows] @ loss.entries, axis=1)
     return Sequence(xhat, z.alphabet)

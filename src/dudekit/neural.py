@@ -17,22 +17,21 @@ contexts that run past the sequence edge one-hot encode their missing
 symbols as all-zero blocks. Orders take DUDE's rule: a sequence of n
 symbols carries the orders with 2k < n, checked before any network is built.
 
-Grouped by context, that mean is one over the G distinct contexts with
-their pseudo-labels summed. An order with at least 500 positions per
-context on average trains on this table, 100 full-batch steps per epoch,
-as soon as the one walk that refines the groups from k = 0 reaches it.
-The other orders step on minibatches of positions as one stack: the
-layers after the first as (K, in, out) stacks, all parameters in one
-flat vector. The network of order k is seeded rng_seed + k whether it
-trains alone or in a sweep, and ends bit for bit as if trained alone,
-however its orders are stacked; stacking only saves numpy calls, where
-these small steps spend their time. Adam runs with Kingma & Ba's
-constants, the learning rate among them. Training runs in the
-calling process; a sweep that splits its orders over processes does so
-above this module (evaluation.sweep_k). Both kinds of order train through
-one step loop, and training and inference run one forward pass, the
-stack's; a single network is a stack of one, whose layers are views made
-on demand into its parameters.
+Grouped by context, that mean is one over the G distinct contexts, each
+weighted by its count, and each position's pseudo-label may be replaced
+by the mean of its context's: a minibatch of contexts drawn in
+proportion to their counts, each with its mean pseudo-label as target,
+is unbiased for it. Every order trains on such minibatches, as soon as
+the one walk that refines the groups from k = 0 reaches it, from the
+walk's window view and the center counts per context alone; an order of
+at most one minibatch of contexts takes them all at every step. An
+order's network is seeded rng_seed + k, whether it trains alone or in a
+sweep, and the network returned is the mean of the last epoch's
+iterates. Adam runs with Kingma & Ba's constants, the learning rate
+among them. Training runs in the calling process; a sweep that splits
+its orders over processes does so above this module
+(evaluation.sweep_k). Training and inference run one forward pass,
+_Pass's, over views into the network's flat parameters.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import (
-    Sequence, context_columns, context_groups, context_windows, group_contexts, interior_slice
-)
+from .core import Sequence, context_groups, group_contexts, interior_slice
 from .errors import DataError
 
 # Floor for log arguments inside the cost; keeps zero probabilities finite.
@@ -54,6 +51,9 @@ COST_FLOOR = 1e-30
 
 # Rows per chunk when encoding training rows and classifying unique contexts.
 _FORWARD_CHUNK = 4096
+# Float64 targets a chunk of training rows holds at most (1 MiB): a wide head's
+# chunks take fewer rows.
+_TARGET_ENTRIES = 1 << 17
 
 DEFAULT_HIDDEN = (40, 40, 40)
 
@@ -63,9 +63,7 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
-# An order whose contexts hold this many positions each on average trains
-# on its context table, this many full-batch steps per epoch (see train).
-TABLE_MIN_MEAN_GROUP = 500
+# The steps an epoch takes at least, where n / minibatch_size allows (see train).
 TABLE_STEPS_PER_EPOCH = 100
 
 
@@ -88,12 +86,18 @@ class TrainConfig:
 def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
     """One-hot encode (B, 2k) digit rows into a C-contiguous (B, 2k*size) array.
 
-    Each digit gathers its row of a one-hot table whose pad row is zero.
-    Digits come from a context window view, so they lie in [0, size].
+    Digit d sets column d of its block of size columns; the pad digit, size,
+    sets none. Digits come from a context window view, so they lie in
+    [0, size]. Each column is compared in the digits' own dtype into a bool
+    array, then copied into out as bytes: a gather would first copy the
+    digits to intp, 8 bytes each, and comparing all size values at once runs
+    numpy's loop over size elements at a time, several times slower.
     """
     b, width = rows.shape
-    table = np.eye(size + 1, size, dtype=out.dtype)
-    np.take(table, rows, axis=0, out=out.reshape(b, width, size), mode="clip")
+    hot = np.empty((b, width, size), dtype=bool)
+    for d in range(size):
+        np.equal(rows, d, out=hot[..., d])
+    np.copyto(out.reshape(b, width, size), hot.view(np.uint8))
     return out
 
 
@@ -102,8 +106,8 @@ class MLPDenoiser:
 
     Parameters live in one flat vector, which keeps the optimizer a single
     vector update; layers() makes per-layer views into it on demand. The
-    forward pass is _Stack's, on a stack of this one network. layer_dims
-    runs from input width to output width (L weight layers, L-1 hidden).
+    forward pass is _Pass's. layer_dims runs from input width to output
+    width (L weight layers, L-1 hidden).
     """
 
     def __init__(
@@ -153,17 +157,16 @@ class MLPDenoiser:
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise DataError(f"expected (batch, {self.input_dim}) inputs, got {a.shape}")
-        return _Stack([self]).forward([a])[0]
+        return _Pass(self).forward(a)
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
         """Mean generalized cross-entropy -sum(g * log p) over the batch, p
         floored at COST_FLOOR, and its gradient in flat-parameter form,
-        computed by the training step on a stack of this one network."""
+        computed by the training step."""
         x, g = np.asarray(x, dtype=self.dtype), np.asarray(g, dtype=self.dtype)
         if g.shape != (x.shape[0], self.output_dim):
             raise DataError(f"targets must be (batch, {self.output_dim}), got {g.shape}")
-        losses, grad = _Stack([self]).loss_grad([x], g[None], g.sum(axis=1)[None])
-        return float(losses[0]), grad
+        return _Pass(self).loss_grad(x, g, g.sum(axis=1))
 
 
 def _n_params(dims) -> int:
@@ -177,89 +180,63 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
-class _Stack:
-    """K networks with the same hidden and output widths, evaluated together;
-    the one forward pass, which inference and training steps both run.
+class _Pass:
+    """One network's forward and backward passes, which inference and
+    training steps both run. Weights and biases are views into the
+    network's parameters; layer outputs, deltas and the flat gradient live
+    in buffers kept per batch size, which every step of that size reuses."""
 
-    Parameters, and gradients, are one flat vector: each network's first
-    weight block (input widths differ with k), then the (K, 1, out) biases
-    and (K, in, out) weights of the stacked layers, in the network's own
-    order, which for K = 1 is its own layout. numpy runs a stacked matmul
-    as one gemm per network on the operands that network would use alone,
-    so each ends bit for bit as if run alone. Zero-padding the first layer
-    to one input width would change its gemm, so it runs per network.
-    """
-
-    def __init__(self, nets: list[MLPDenoiser]):
-        self.nets, self.dtype = nets, nets[0].dtype
-        stack = len(nets)
-        shapes = [net.layers()[0].shape for net in nets]
-        shapes += [(stack, *np.atleast_2d(a).shape) for a in nets[0].layers()[1:]]
-        self.params = np.empty(sum(net.n_params for net in nets), dtype=self.dtype)
-        self.grad = np.empty_like(self.params)
-        parts, grads = _views(self.params, shapes), _views(self.grad, shapes)
-        self.first, self.rest = parts[:stack], parts[stack:]
-        self.biases, self.weights = self.rest[0::2], self.rest[1::2]
-        self.g_first, self.g_biases = grads[:stack], grads[stack::2]
-        self.g_weights = grads[stack + 1 :: 2]
-        self.weights_t = [w.transpose(0, 2, 1) for w in self.weights]
-        for stacked, mine in self.pairs():
-            stacked[...] = mine
+    def __init__(self, net: MLPDenoiser):
+        layers, self.dtype = net.layers(), net.dtype
+        self.weights, self.biases = layers[0::2], layers[1::2]
+        self.grad = np.empty_like(net.params)
+        grads = _views(self.grad, [a.shape for a in layers])
+        self.g_weights, self.g_biases = grads[0::2], grads[1::2]
         self._outs, self._back = {}, {}
 
-    def pairs(self):
-        """(stacked view, network's own array) for every weight and bias."""
-        for j, net in enumerate(self.nets):
-            yield from zip([self.first[j]] + [a[j] for a in self.rest], net.layers())
-
-    def forward(self, xs) -> np.ndarray:
-        """(K, batch, out) probabilities, xs[j] holding network j's encoded
-        rows. Each layer's post-ReLU outputs stay in self._outs[batch]."""
-        batch = len(xs[0])
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """(batch, out) probabilities of the encoded rows x. Each layer's
+        post-ReLU outputs stay in self._outs[batch]."""
+        batch = len(x)
         if batch not in self._outs:
-            shapes = [(len(self.nets), batch, b.shape[2]) for b in self.biases]
-            self._outs[batch] = [np.empty(shape, self.dtype) for shape in shapes]
+            self._outs[batch] = [np.empty((batch, b.size), self.dtype) for b in self.biases]
         outs = self._outs[batch]
-        for x, w, out in zip(xs, self.first, outs[0]):
-            np.matmul(x, w, out=out)
-        for a, b, w, out in zip(outs, self.biases, self.weights, outs[1:]):
+        np.matmul(x, self.weights[0], out=outs[0])
+        for a, b, w, out in zip(outs, self.biases, self.weights[1:], outs[1:]):
             a += b
             np.maximum(a, 0.0, out=a)
             np.matmul(a, w, out=out)
         probs = outs[-1]
         probs += self.biases[-1]
-        probs -= probs.max(axis=-1, keepdims=True)  # softmax, in place
+        probs -= probs.max(axis=1, keepdims=True)  # softmax, in place
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs /= probs.sum(axis=1, keepdims=True)
         return probs
 
-    def loss_grad(self, xs, g: np.ndarray, norms: np.ndarray):
-        """Each network's mean cost on its minibatch, and the stacked gradient
-        (self.grad, overwritten by the next call). xs[j] holds network j's
-        encoded rows, g the (K, batch, out) targets and norms their row sums."""
-        probs, batch = self.forward(xs), g.shape[1]
+    def loss_grad(self, x: np.ndarray, g: np.ndarray, norms: np.ndarray):
+        """The mean cost of the encoded rows x against targets g, whose row
+        sums are norms, and its gradient (self.grad, overwritten by the next call)."""
+        probs, batch = self.forward(x), len(x)
         outs = self._outs[batch]
-        if batch not in self._back:  # deltas, ReLU masks, outputs transposed, float64 loss terms
+        if batch not in self._back:  # deltas, ReLU masks, float64 loss terms
             deltas = [np.empty_like(o) for o in outs]
             masks = [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
-            outs_t = [o.transpose(0, 2, 1) for o in outs]
-            self._back[batch] = deltas, masks, outs_t, np.empty(probs.shape, dtype=np.float64)
-        deltas, masks, outs_t, terms = self._back[batch]
+            self._back[batch] = deltas, masks, np.empty(probs.shape, dtype=np.float64)
+        deltas, masks, terms = self._back[batch]
         log_p = np.log(np.maximum(probs, COST_FLOOR, out=deltas[-1]), out=deltas[-1])
         terms[...] = g
-        losses = -np.multiply(terms, log_p, out=terms).sum(axis=(1, 2)) / batch
-        delta = np.multiply(norms[..., None], probs, out=deltas[-1])
+        loss = -float(np.multiply(terms, log_p, out=terms).sum()) / batch
+        delta = np.multiply(norms[:, None], probs, out=deltas[-1])
         delta -= g
         delta /= self.dtype.type(batch)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(outs_t[layer], delta, out=self.g_weights[layer])
-            np.add.reduce(delta, axis=1, keepdims=True, out=self.g_biases[layer + 1])
-            delta = np.matmul(delta, self.weights_t[layer], out=deltas[layer])
-            delta *= np.greater(outs[layer], 0, out=masks[layer])
-        for x, d, gw in zip(xs, delta, self.g_first):
-            np.matmul(x.T, d, out=gw)
-        np.add.reduce(delta, axis=1, keepdims=True, out=self.g_biases[0])
-        return losses, self.grad
+        for layer in range(len(self.weights) - 1, 0, -1):
+            np.matmul(outs[layer - 1].T, delta, out=self.g_weights[layer])
+            np.add.reduce(delta, axis=0, out=self.g_biases[layer])
+            delta = np.matmul(delta, self.weights[layer].T, out=deltas[layer - 1])
+            delta *= np.greater(outs[layer - 1], 0, out=masks[layer - 1])
+        np.matmul(x.T, delta, out=self.g_weights[0])
+        np.add.reduce(delta, axis=0, out=self.g_biases[0])
+        return loss, self.grad
 
 
 class _Adam:
@@ -321,14 +298,20 @@ def train(
     Orders take DUDE's rule, 2k < n (core.interior_slice): the smallest
     order too long for z raises DataError before any network is built.
     Every position contributes a (context, pseudo-label) pair, edge
-    positions included. One walk refines the context groups from k = 0 and
-    trains each order it reaches with G distinct contexts and n >=
-    TABLE_MIN_MEAN_GROUP * G there: epochs * TABLE_STEPS_PER_EPOCH
-    full-batch steps on its context table, whose loss is the mean over all
-    n positions. The walk stops at the first order with fewer positions per
-    context; the orders from there on train on shuffled minibatches of
-    positions as one _Stack. Everything runs in this process, and every
-    network ends bit for bit as if its order were trained alone.
+    positions included. One walk refines the context groups from k = 0,
+    one order per step, so an order's G groups are numbered alike however
+    many orders train, and each order trains as the walk reaches it
+    (_train_order). An epoch takes max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH,
+    ceil(n/mb))) steps, mb = config.minibatch_size, never more than a pass
+    over the n positions. Where G > mb, each step takes the contexts of the
+    next mb positions of the epoch's shuffle of the n, so contexts come in
+    proportion to their counts, and each row's target is its context's
+    mean pseudo-label; where G <= mb, every step takes all G contexts in
+    group order, each target being the context's pseudo-labels summed and
+    scaled by G/n. Either way the mean cost estimates, or is, the mean over
+    all n positions. The network returned holds the float64 mean of the last
+    epoch's iterates, rounded once to its dtype; its epoch losses are the
+    mean cost over each epoch's rows. Everything runs in this process.
     """
     cfg = config if config is not None else TrainConfig()
     single = np.ndim(k) == 0
@@ -349,90 +332,83 @@ def train(
         MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
         for v, rng in zip(orders, rngs)
     ]
-    on_positions = max(orders) + 1  # the first order that trains on positions
-    for groups in context_groups(z, range(on_positions)):
-        if len(z) < TABLE_MIN_MEAN_GROUP * groups.n_groups:
-            on_positions = groups.k
-            break
-        for net in nets:  # a table order trains while its groups are in hand
+    for groups in context_groups(z, range(max(orders) + 1)):
+        for net, rng in zip(nets, rngs):  # an order trains while its groups are in hand
             if net.k == groups.k:
-                _train_table(net, *_context_table(groups, tables, net.dtype), cfg)
-    del groups  # no groups outlive the walk
-    stack = [(net, rng) for net, rng in zip(nets, rngs) if net.k >= on_positions]
-    if stack:
-        _train_positions(z, *zip(*stack), tables, cfg)
+                _train_order(net, rng, groups, tables, cfg)
     return nets[0] if single else nets
 
 
-def _context_table(groups, tables: EstimatedLossTables, dtype):
-    """Encoded context rows and targets of groups' G contexts. Row g's target
-    is G/n times the pseudo-labels summed over group g, so the mean cost of the
-    G rows, and its gradient, are those of the mean over all n positions."""
-    rows, size = groups.rows(), groups.seq.alphabet.size
-    x = _encode_rows(rows, size, np.empty((len(rows), rows.shape[1] * size), dtype))
-    return x, groups.center_counts() @ tables.pseudo_labels * (len(rows) / len(groups.seq))
+def _epoch_layout(n: int, n_groups: int, minibatch: int) -> tuple[int, int, int]:
+    """(batch, steps, rows) of an epoch over n positions in n_groups contexts.
+    Up to minibatch contexts, every step is the batch of all of them and
+    rows = steps * batch; beyond, rows is the number of positions drawn."""
+    steps = max(-(-n_groups // minibatch), min(TABLE_STEPS_PER_EPOCH, -(-n // minibatch)))
+    if n_groups <= minibatch:
+        return n_groups, steps, steps * n_groups
+    return minibatch, steps, min(n, steps * minibatch)
 
 
-def _train_table(net: MLPDenoiser, x: np.ndarray, g: np.ndarray, cfg: TrainConfig) -> None:
-    """Full-batch Adam on one network's context table, no shuffles; its epoch
-    loss is the mean over the epoch's steps."""
-    targets, norms = g.astype(net.dtype)[None], g.sum(axis=1).astype(net.dtype)[None]
-    _fit([net], lambda: [([x], targets, norms, 1)] * TABLE_STEPS_PER_EPOCH, cfg)
+def _context_feed(groups, tables: EstimatedLossTables):
+    """feed(pos, x_out, g_out, scale=None) -> (x, g): the encoded contexts of
+    positions pos and, as targets, their contexts' pseudo-labels summed (the
+    center counts times the pseudo-labels) times scale, by default one over
+    the context's count, which gives its mean pseudo-label. It keeps the
+    center counts per context alone: no (G, rules) table is built."""
+    counts, size = groups.center_counts(), groups.seq.alphabet.size
+
+    def feed(pos, x_out, g_out, scale=None):
+        x = _encode_rows(groups.windows[pos][:, groups.columns], size, x_out)
+        c = counts.take(groups.inverse[pos], axis=0)
+        g = c @ tables.pseudo_labels
+        if scale is None:
+            g /= c.sum(axis=1, keepdims=True)
+        else:
+            g *= scale
+        np.copyto(g_out, g)
+        return x, g_out
+
+    return feed
 
 
-def _train_positions(z: Sequence, nets, rngs, tables: EstimatedLossTables, cfg: TrainConfig):
-    """Minibatch steps over positions, each net shuffling with its rng. Rows
-    are gathered from one context window view of z and encoded a chunk of
-    whole minibatches at a time, the minibatches one encoding per step sees."""
-    n, size, dtype = len(z), z.alphabet.size, nets[0].dtype
-    labels = tables.pseudo_labels.astype(dtype)
-    norms = tables.pseudo_labels.sum(axis=1).astype(dtype)
-    reach = max(net.k for net in nets)
-    windows = context_windows(z.data, reach, pad=size)
-    columns = [context_columns(net.k, reach) for net in nets]
-    mb = cfg.minibatch_size
-    chunk = min(n, mb * max(1, _FORWARD_CHUNK // mb))
-    x_bufs = [np.empty((chunk, net.input_dim), dtype=dtype) for net in nets]
-    g_buf = np.empty((len(nets), mb, tables.n_denoisers), dtype=dtype)
-    # Each network's shuffle of the epoch; int32 halves their memory.
-    perms = np.empty((len(nets), n), dtype=np.int32 if n < 2**31 else np.int64)
-
-    def epoch():
-        for perm, rng in zip(perms, rngs):
-            perm[:] = rng.permutation(n)
-        for c0 in range(0, n, chunk):
-            idx = perms[:, c0 : c0 + chunk]
-            xs = [
-                _encode_rows(windows[i][:, cols], size, buf[: i.size])
-                for i, cols, buf in zip(idx, columns, x_bufs)
-            ]
-            zc = z.data[idx]
-            g_norms = norms[zc]
-            for s in range(0, idx.shape[1], mb):
-                zs = zc[:, s : s + mb]
-                g = labels.take(zs, axis=0, out=g_buf[:, : zs.shape[1]], mode="clip")
-                yield [x[s : s + mb] for x in xs], g, g_norms[:, s : s + mb], zs.shape[1]
-
-    _fit(nets, epoch, cfg)
-
-
-def _fit(nets, epoch, cfg: TrainConfig) -> None:
-    """Adam on a _Stack of nets for cfg.epochs epochs, then copy the stack back.
-    epoch() yields one epoch's steps as _Stack.loss_grad's (xs, g, norms) and
-    a weight; a network's epoch loss is the weighted mean of its step losses."""
-    stack = _Stack(nets)
-    adam = _Adam(stack.params.size, stack.dtype)
-    for _ in range(cfg.epochs):
-        totals, weights = np.zeros(len(nets)), 0
-        for xs, g, norms, weight in epoch():
-            losses, grad = stack.loss_grad(xs, g, norms)
-            adam.step(stack.params, grad)
-            totals += losses * weight
-            weights += weight
-        for net, total in zip(nets, totals):
-            net.epoch_losses.append(float(total / weights))
-    for stacked, mine in stack.pairs():
-        mine[...] = stacked
+def _train_order(net: MLPDenoiser, rng, groups, tables: EstimatedLossTables, cfg: TrainConfig):
+    """Adam on minibatches of groups' contexts (see train), drawn with rng, a
+    chunk of whole minibatches fed at a time; net ends at the mean of the last
+    epoch's iterates."""
+    n, n_groups = len(groups.seq), groups.n_groups
+    batch, steps, rows = _epoch_layout(n, n_groups, cfg.minibatch_size)
+    feed, full = _context_feed(groups, tables), n_groups <= batch
+    if full:  # one member per context, its summed pseudo-labels scaled by G/n
+        member = np.empty(n_groups, dtype=groups.inverse.dtype)
+        member[groups.inverse] = np.arange(n, dtype=member.dtype)  # every member has the same row
+        order = np.tile(member, steps)
+    else:  # reshuffled in place every epoch
+        order = np.arange(n, dtype=groups.inverse.dtype)
+    drawn = order[:rows]  # a view: each epoch's rows
+    per_chunk = min(_FORWARD_CHUNK, _TARGET_ENTRIES // tables.n_denoisers) // batch
+    chunk = min(rows, batch * max(1, per_chunk))
+    x_buf = np.empty((chunk, net.input_dim), dtype=net.dtype)
+    g_buf = np.empty((chunk, tables.n_denoisers), dtype=net.dtype)
+    passes, adam = _Pass(net), _Adam(net.n_params, net.dtype)
+    mean = np.zeros(net.n_params)  # the float64 sum of the last epoch's iterates
+    for epoch in range(cfg.epochs):
+        if not full:  # the first rows of a shuffle: contexts in proportion to their counts
+            rng.shuffle(order)
+        total = 0.0
+        for c0 in range(0, rows, chunk):
+            pos = drawn[c0 : c0 + chunk]
+            x, g = feed(pos, x_buf[: pos.size], g_buf[: pos.size], n_groups / n if full else None)
+            norms = g.sum(axis=1)  # row by row, so the same bits however rows chunk
+            for s in range(0, len(x), batch):
+                step = slice(s, s + batch)
+                loss, grad = passes.loss_grad(x[step], g[step], norms[step])
+                adam.step(net.params, grad)
+                total += loss * len(norms[step])
+                if epoch == cfg.epochs - 1:
+                    mean += net.params
+        net.epoch_losses.append(total / rows)
+    np.divide(mean, steps, out=mean)
+    net.params[:] = mean
 
 
 def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:
@@ -460,7 +436,7 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
     for start in range(0, rows.shape[0], _FORWARD_CHUNK):
         chunk = rows[start : start + _FORWARD_CHUNK]
         x = _encode_rows(chunk, size, buf[: chunk.shape[0]])
-        # A stack per chunk: its layer buffers are gone while the next chunk encodes.
+        # A pass per chunk: its layer buffers are gone while the next chunk encodes.
         per_row[start : start + chunk.shape[0]] = np.argmax(net.forward(x), axis=1)
     return per_row[groups.inverse]
 

@@ -172,6 +172,45 @@ def test_ndude_denoise_reproduces_sweep_row(sim_files, tmp_path):
     assert load_sequence(alone)[0] == load_sequence(swept)[0]
 
 
+@pytest.mark.parametrize("labels, channel", [("01", "bsc:0.1"), ("ACGT", "dsc:ACGT:0.2")])
+def test_ndude_denoise_reproduces_every_sweep_row_however_parts_split(
+    tmp_path, monkeypatch, capsys, labels, channel
+):
+    # A sweep over k = 1..4 on 1, 2 or 3 CPUs splits its orders into parts
+    # [1..4], [1, 3] + [2, 4] or [1, 4] + [2] + [3]; each part's trainer walks
+    # the groups from k = 0, one order a step, and draws order k's shuffles
+    # with seed S + k, so its network is that of `denoise --k k` with the same
+    # --seed: same true error as row k, and at k* the same reconstruction.
+    size = len(labels)
+    stay = [[0.9 if i == j else 0.1 / (size - 1) for j in range(size)] for i in range(size)]
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({"alphabet": list(labels), "transition": stay}))
+    clean, noisy = str(tmp_path / "clean.txt"), str(tmp_path / "noisy.txt")
+    assert main(["simulate", "--source", str(source), "--channel", channel, "--n", "3000",
+                 "--seed", "4", "--out-clean", clean, "--out-noisy", noisy]) == 0
+    common = ["--input", noisy, "--channel", channel, "--method", "ndude",
+              "--hidden", "8", "--epochs", "2", "--seed", "6"]
+    reports, swept = [], str(tmp_path / "swept.txt")
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        path = str(tmp_path / f"r{cpus}.json")
+        assert main(["sweep", *common, "--kmin", "1", "--kmax", "4", "--clean", clean,
+                     "--report", str(tmp_path / "r.csv"), "--json", path, "--output", swept]) == 0
+        reports.append(report_from_json(path))
+    rows = [[(r.k, r.estimated_loss, r.true_ber, r.n_contexts) for r in report.records]
+            for report in reports]
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+    x = load_sequence(clean)[0]
+    for rec in reports[0].records:
+        alone = str(tmp_path / f"k{rec.k}.txt")
+        assert main(["denoise", *common, "--k", str(rec.k), "--output", alone]) == 0
+        xhat = load_sequence(alone)[0]
+        assert float(np.mean(xhat.data != x.data)) == rec.true_ber
+        if rec.k == reports[0].k_star:
+            assert xhat == load_sequence(swept)[0]
+    capsys.readouterr()
+
+
 def test_sweep_and_eval(sim_files, tmp_path):
     _, clean, noisy = sim_files
     report_csv = str(tmp_path / "report.csv")
@@ -550,12 +589,10 @@ def test_sweep_exits_3_when_a_training_child_dies(sim_files, tmp_path, monkeypat
     # Two usable CPUs: this process sweeps order 6, a forked child order 7,
     # and that child exits while training, before it sends its result.
     _, _, noisy = sim_files
-    real = neural._train_positions
+    real = neural._train_order
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        neural,
-        "_train_positions",
-        lambda z, nets, *args: os._exit(1) if 7 in [n.k for n in nets] else real(z, nets, *args),
+        neural, "_train_order", lambda net, *args: os._exit(1) if net.k == 7 else real(net, *args)
     )
     argv = [
         "sweep", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",

@@ -275,15 +275,15 @@ def _masked(report):
     return dataclasses.replace(report, records=records)
 
 
-@pytest.mark.parametrize("method, ks", [("dude", [0, 1, 3, 4, 8]), ("ndude", [0, 2, 4, 5, 7])])
+@pytest.mark.parametrize("method, ks", [("dude", [0, 1, 3, 4, 8]), ("ndude", [0, 1, 4, 5, 9])])
 def test_split_sweep_matches_one_process(monkeypatch, method, ks):
     # k* is the last order: on 2 CPUs this process runs it, on 3 a child.
-    # N-DUDE's orders 0 and 2 train on their tables, 4..7 on positions.
+    # N-DUDE's orders 0 and 1 take full batches of their G contexts, 4..9
+    # minibatches drawn from shuffles of the positions.
     x, z = _instance(12000)
     t = bsc01_tables()
-    mean = neural.TABLE_MIN_MEAN_GROUP
-    assert mean * group_contexts(z, 2).n_groups <= len(z) < mean * group_contexts(z, 4).n_groups
     cfg = TrainConfig(epochs=2, rng_seed=4)
+    assert group_contexts(z, 1).n_groups <= cfg.minibatch_size < group_contexts(z, 4).n_groups
     runs = []
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
@@ -337,14 +337,12 @@ def test_single_order_and_one_cpu_fork_nothing(monkeypatch):
     assert forked == []
 
 
-def _failing_positions(monkeypatch, k, fail):
-    """On 2 CPUs, make neural._train_positions call fail() for the part that holds order k."""
-    real = neural._train_positions
+def _failing_training(monkeypatch, k, fail):
+    """On 2 CPUs, make neural._train_order call fail() when it trains order k."""
+    real = neural._train_order
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        neural,
-        "_train_positions",
-        lambda z, nets, *args: fail() if k in [net.k for net in nets] else real(z, nets, *args),
+        neural, "_train_order", lambda net, *args: fail() if net.k == k else real(net, *args)
     )
 
 
@@ -369,7 +367,7 @@ def test_child_failure_reaches_parent(monkeypatch, fail, error, match):
     # This process runs order 3, a forked child order 4.
     _, z = _instance(3000)
     t = bsc01_tables()
-    _failing_positions(monkeypatch, 4, fail)
+    _failing_training(monkeypatch, 4, fail)
     with pytest.raises(error, match=match):
         sweep_k(z, t, [3, 4], "ndude", hidden=(8,), config=TrainConfig(epochs=1))
     assert multiprocessing.active_children() == []
@@ -378,7 +376,7 @@ def test_child_failure_reaches_parent(monkeypatch, fail, error, match):
 def test_parent_failure_stops_children(monkeypatch):
     _, z = _instance(3000)
     t = bsc01_tables()
-    _failing_positions(monkeypatch, 3, lambda: _raise(DataError("order 3 failed")))
+    _failing_training(monkeypatch, 3, lambda: _raise(DataError("order 3 failed")))
     with pytest.raises(DataError, match="order 3 failed"):
         sweep_k(z, t, [3, 4], "ndude", hidden=(8,), config=TrainConfig(epochs=50))
     assert multiprocessing.active_children() == []

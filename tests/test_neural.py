@@ -10,7 +10,7 @@ import pytest
 from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit import neural
-from dudekit.core import BINARY, Sequence, group_contexts
+from dudekit.core import BINARY, DNA, Sequence, context_groups, group_contexts
 from dudekit.errors import DataError
 from dudekit.neural import (
     BETA1,
@@ -25,8 +25,10 @@ from dudekit.neural import (
     select_denoisers,
     train,
     _Adam,
-    _context_table,
+    _Pass,
+    _context_feed,
     _encode_rows,
+    _epoch_layout,
 )
 from oracles import Context, context_probabilities, encode_context, extract_context
 
@@ -73,6 +75,24 @@ def test_encode_rows_matches_encode_context():
     for i in (0, 1, 20, 38, 39):
         want = encode_context(extract_context(seq, i, k), alphabet)
         assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, DNA], ids=["binary", "dna"])
+def test_encode_rows_equals_eye_table(alphabet):
+    # Every digit in [0, size], the pad digit size included, encodes as its
+    # row of the one-hot table whose pad row is zero.
+    size = alphabet.size
+    rng = np.random.default_rng(size)
+    for width in (0, 1, 6, 32):
+        rows = rng.integers(0, size + 1, (300, width)).astype(np.uint8)
+        rows[0] = size
+        if width:
+            rows[1 : size + 2, 0] = np.arange(size + 1)
+        out = np.full((300, width * size), np.nan, dtype=np.float32)
+        got = _encode_rows(rows, size, out)
+        want = np.eye(size + 1, size, dtype=np.float32)[rows].reshape(300, width * size)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mlp_parameter_layout():
@@ -227,41 +247,78 @@ def test_adam_step_matches_stock_update_through_subnormals():
         assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
 
+def _walked_groups(z, k):
+    """Order k's groups as train numbers them: one walk from k = 0, one order a step."""
+    return list(context_groups(z, range(k + 1)))[-1]
+
+
 def test_train_matches_per_step_reference():
-    # The plain loop: encode each minibatch into fresh arrays, fresh
-    # gradient buffers, stock Adam. train() must give the same bits.
-    _, z = _toy_instance(n=9000, seed=5)
+    for n, k, minibatch in [(9000, 6, 7), (700, 3, 50), (700, 1, 50)]:
+        _check_per_step_reference(n, k, minibatch)
+
+
+def _check_per_step_reference(n, k, minibatch):
+    # The plain loop. Where G > minibatch, each epoch takes the first
+    # steps * minibatch positions of a shuffle of the n, in place, with seed
+    # rng_seed + k (all n at n = 700, k = 3), encodes each one's context from
+    # the oracle and takes its context's mean pseudo-label as target; where
+    # G <= minibatch (k = 1), every step takes one member of each of the
+    # walk's G groups in group order, its target the group's pseudo-labels
+    # summed times G/n. Stock Adam; the float64 mean of the last epoch's
+    # iterates, rounded once. train() must give the same bits.
+    _, z = _toy_instance(n=n, seed=5)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=2, minibatch_size=7, rng_seed=3)
-    k, size = 3, z.alphabet.size
+    cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=3)
+    size = z.alphabet.size
     rng = np.random.default_rng(cfg.rng_seed + k)
     ref = MLPDenoiser((2 * k * size, 16, t.n_denoisers), k=k, rng=rng)
-    ctx = np.array([extract_context(z, i, k).digits() for i in range(len(z))], dtype=np.uint8)
-    labels = t.pseudo_labels.astype(np.float32)
+    inverse = _walked_groups(z, k).inverse
+    n_groups = int(inverse.max()) + 1
+    counts = np.zeros((n_groups, size))
+    np.add.at(counts, (inverse, z.data), 1)
+    ctx = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
+    steps = max(-(-n_groups // minibatch), min(100, -(-n // minibatch)))
+    full = n_groups <= minibatch
+    assert full == (k == 1)
+    rows = steps * n_groups if full else min(n, steps * minibatch)
+    batch = n_groups if full else minibatch
     m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
-    steps = 0
-    losses = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(z))
-        total = 0.0
-        for start in range(0, len(z), cfg.minibatch_size):
-            idx = order[start : start + cfg.minibatch_size]
-            x = _encode_rows(ctx[idx], size, np.zeros((idx.size, ref.input_dim), np.float32))
-            zc = z.data[idx]
-            loss, grad = ref.loss_and_gradient(x, labels[zc])
-            steps += 1
-            _stock_adam(ref.params, m, v, grad, steps)
-            total += loss * idx.size
-        losses.append(total / len(z))
+    t_adam, losses, shuffled = 0, [], np.arange(n)
+    for epoch in range(cfg.epochs):
+        if full:
+            order = np.tile(np.unique(inverse, return_index=True)[1], steps)
+        else:
+            rng.shuffle(shuffled)
+            order = shuffled[:rows]
+        total, mean = 0.0, np.zeros(ref.n_params)
+        for start in range(0, rows, batch):
+            pos = order[start : start + batch]
+            group = inverse[pos]
+            x = _encode_rows(ctx[pos], size, np.zeros((pos.size, ref.input_dim), np.float32))
+            g = counts[group] @ t.pseudo_labels
+            if full:
+                g *= n_groups / n
+            else:
+                g /= counts[group].sum(axis=1)[:, None]
+            loss, grad = ref.loss_and_gradient(x, g.astype(np.float32))
+            t_adam += 1
+            _stock_adam(ref.params, m, v, grad, t_adam)
+            total += loss * pos.size
+            mean += ref.params
+        losses.append(total / rows)
+    assert t_adam == cfg.epochs * steps
     net = train(z, k, t, hidden=(16,), config=cfg)
-    assert net.params.tobytes() == ref.params.tobytes()
+    assert net.params.tobytes() == (mean / steps).astype(np.float32).tobytes()
     assert net.epoch_losses == losses
 
 
 @pytest.mark.parametrize("size, n, k", [(2, 3000, 3), (4, 2000, 2)])
 def test_context_table_objective_matches_every_position(size, n, k):
-    # The mean cost over the G contexts, targets scaled by G/n, is the mean
-    # over all n positions, edges included, and so is its gradient.
+    # The mean cost over the G contexts, each target its context's summed
+    # pseudo-labels scaled by G/n, is the mean over all n positions, edges
+    # included, and so is its gradient. So is the mean, weighted by batch
+    # size, over minibatches of the positions of a shuffle, each target the
+    # mean pseudo-label of the position's context.
     rng = np.random.default_rng(size)
     alphabet = ALPHABETS[size]
     t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
@@ -269,31 +326,110 @@ def test_context_table_objective_matches_every_position(size, n, k):
     net = MLPDenoiser((2 * k * size, 12, t.n_denoisers), k=k, rng=rng, dtype=np.float64)
     groups = group_contexts(z, k)
     assert groups.n_groups < n / 5
-    x, g = _context_table(groups, t, np.float64)
+    feed = _context_feed(groups, t)
     rows = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
     x_all = _encode_rows(rows, size, np.empty((n, net.input_dim)))
-    loss, grad = net.loss_and_gradient(x, g)
     want_loss, want_grad = net.loss_and_gradient(x_all, t.pseudo_labels[z.data])
-    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    def close(loss, grad):
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    member = np.unique(groups.inverse, return_index=True)[1]
+    g_rows = groups.n_groups
+    x, g = feed(member, np.empty((g_rows, net.input_dim)), np.empty((g_rows, t.n_denoisers)),
+                groups.n_groups / n)
+    close(*net.loss_and_gradient(x, g))
+    order = rng.permutation(n)
+    loss, grad = 0.0, np.zeros(net.n_params)
+    for start in range(0, n, 13 * 17):  # the last minibatch ragged
+        pos = order[start : start + 13 * 17]
+        x, g = feed(pos, np.empty((pos.size, net.input_dim)), np.empty((pos.size, t.n_denoisers)))
+        part_loss, part_grad = net.loss_and_gradient(x, g)
+        loss += part_loss * pos.size / n
+        grad += part_grad * pos.size / n
+    close(loss, grad)
 
 
-def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
-    # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) have n >= 500 G
-    # and train on their context tables, order 5 on positions. Each network
+@pytest.mark.parametrize(
+    "n, n_groups, minibatch, want",
+    [
+        (12000, 1, 100, (1, 100, 100)),  # k = 0: one context, a full batch, 100 steps
+        (12000, 20, 100, (20, 100, 2000)),  # G <= minibatch: full batches
+        (12000, 250, 100, (100, 100, 10000)),  # at least 100 steps
+        (12000, 9950, 100, (100, 100, 10000)),
+        (12000, 11000, 100, (100, 110, 11000)),  # one step per 100 contexts
+        (12000, 11950, 100, (100, 120, 12000)),  # every position, never more
+        (7, 5, 100, (5, 1, 5)),  # tiny n: one full batch, no more steps than positions allow
+        (250, 3, 100, (3, 3, 9)),
+        (250, 180, 100, (100, 3, 250)),  # the last batch of 50
+    ],
+)
+def test_epoch_steps_rule(n, n_groups, minibatch, want):
+    # max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH, ceil(n/mb))) steps, no more
+    # than a shuffle of the n positions would take.
+    assert _epoch_layout(n, n_groups, minibatch) == want
+    batch, steps, rows = want
+    assert steps <= -(-n // minibatch)
+    assert rows <= n or batch == n_groups
+
+
+def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
+    # Binary n = 12000 at orders 0, 2, 5 and a tiny n = 7 at order 1: every
+    # step's batch size, and the number of steps, follow _epoch_layout.
+    _, z = _toy_instance(n=12000, seed=7)
+    tiny = Sequence(z.data[:7], BINARY)
+    real = _Pass.loss_grad
+    batches = []
+    monkeypatch.setattr(
+        _Pass, "loss_grad", lambda self, x, *args: (batches.append(len(x)), real(self, x, *args))[1]
+    )
+    cfg = TrainConfig(epochs=2)
+    for seq, ks in ((z, [0, 2, 5]), (tiny, [1])):
+        for k in ks:
+            batches.clear()
+            train(seq, k, bsc01_tables(), hidden=(8,), config=cfg)
+            batch, steps, rows = _epoch_layout(len(seq), group_contexts(seq, k).n_groups, 100)
+            assert len(batches) == cfg.epochs * steps
+            assert sum(batches) == cfg.epochs * rows and max(batches) == batch
+    assert _epoch_layout(7, group_contexts(tiny, 1).n_groups, 100)[1] == 1
+
+
+def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
+    # The parameters train returns are the float64 mean of the iterates after
+    # each step of the last epoch, rounded once to float32; the epochs before
+    # leave no trace but through those iterates.
+    _, z = _toy_instance(n=3000, seed=2)
+    iterates = []
+    real = _Adam.step
+    def recorded(self, params, grad):
+        real(self, params, grad)
+        iterates.append(params.copy())
+
+    monkeypatch.setattr(_Adam, "step", recorded)
+    cfg = TrainConfig(epochs=3, rng_seed=5)
+    k = 4
+    net = train(z, k, bsc01_tables(), hidden=(8,), config=cfg)
+    steps = _epoch_layout(len(z), group_contexts(z, k).n_groups, cfg.minibatch_size)[1]
+    assert len(iterates) == cfg.epochs * steps
+    total = np.zeros(net.n_params)
+    for p in iterates[-steps:]:
+        total += p
+    assert net.params.tobytes() == (total / steps).astype(np.float32).tobytes()
+    assert not np.array_equal(net.params, iterates[-1])
+
+
+def test_train_mixed_sweep_matches_each_order_alone():
+    # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) take full batches,
+    # order 5 minibatches drawn from shuffles of the positions. Each network
     # ends as if trained alone with seed rng_seed + k.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=3, rng_seed=4)
     ks = [0, 1, 2, 5]
-    on_table = []
-    table_step = neural._train_table
-    monkeypatch.setattr(
-        neural, "_train_table", lambda net, *args: (on_table.append(net.k), table_step(net, *args))
-    )
-    nets = train(z, ks, t, hidden=(8,), config=cfg)
-    assert on_table == [0, 1, 2]
     assert [group_contexts(z, k).n_groups for k in ks[:3]] == [1, 6, 20]
+    assert group_contexts(z, 5).n_groups > cfg.minibatch_size
+    nets = train(z, ks, t, hidden=(8,), config=cfg)
     for k, net in zip(ks, nets):
         alone = train(z, k, t, hidden=(8,), config=cfg)
         assert net.k == k
@@ -307,8 +443,8 @@ def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
 
 
 def test_duplicate_orders_train_identical_networks():
-    # Binary n = 12000: order 2 trains on its table in the walk, order 5 on
-    # positions in the stack; each copy of an order ends with the same bits.
+    # Binary n = 12000: order 2 takes full batches, order 5 minibatches drawn
+    # from shuffles of the positions; each copy of an order ends with the same bits.
     _, z = _toy_instance(n=12000, seed=7)
     nets = train(z, [2, 5, 2, 5], bsc01_tables(), hidden=(8,), config=TrainConfig(epochs=1))
     assert [net.k for net in nets] == [2, 5, 2, 5]
@@ -317,10 +453,10 @@ def test_duplicate_orders_train_identical_networks():
         assert a.epoch_losses == b.epoch_losses
 
 
-def test_train_split_over_processes_matches_one_stack():
+def test_train_split_over_processes_matches_one_call():
     # A sweep on two CPUs trains orders [0, 2, 4, 6] in one process and
-    # [1, 3, 5] in another. Orders 0..2 train on their tables (as in the
-    # mixed sweep above), 3..6 on positions, in either part.
+    # [1, 3, 5] in another; each order's groups are numbered by the same
+    # walk from k = 0 in either part, and its shuffles drawn with the same seed.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=2, rng_seed=4)
@@ -336,26 +472,28 @@ def test_train_split_over_processes_matches_one_stack():
         assert len(a.epoch_losses) == cfg.epochs
 
 
-def test_position_training_holds_no_context_groups(monkeypatch):
-    # Binary n = 12000: the walk groups orders 0 to 3, order 1 trains on its
-    # table and order 5 on positions. None of the walk's groups, of the orders
-    # asked for or not, may stay alive while positions train.
+def test_each_order_trains_holding_only_its_own_groups(monkeypatch):
+    # Binary n = 12000, orders 1 and 5: the walk groups orders 0 to 5. While
+    # an order trains, no earlier order's groups, asked for or not, are alive.
     _, z = _toy_instance(n=12000, seed=7)
-    refs, walk, positions = [], neural.context_groups, neural._train_positions
+    refs, walk, real = [], neural.context_groups, neural._train_order
 
     def tracked_walk(*args):
         for groups in walk(*args):
             refs.append(weakref.ref(groups))
             yield groups
 
-    def checked_positions(*args):
+    def checked_order(net, rng, groups, *args):
         gc.collect()
-        assert len(refs) == 4 and all(ref() is None for ref in refs)
-        return positions(*args)
+        assert refs[-1]() is groups and all(ref() is None for ref in refs[:-1])
+        trained.append(net.k)
+        return real(net, rng, groups, *args)
 
+    trained = []
     monkeypatch.setattr(neural, "context_groups", tracked_walk)
-    monkeypatch.setattr(neural, "_train_positions", checked_positions)
+    monkeypatch.setattr(neural, "_train_order", checked_order)
     nets = train(z, [1, 5], bsc01_tables(), hidden=(8,), config=TrainConfig(epochs=1))
+    assert trained == [1, 5] and len(refs) == 6
     assert [len(net.epoch_losses) for net in nets] == [1, 1]
 
 
@@ -370,7 +508,7 @@ def test_mlp_pickle_keeps_layer_views_tied():
     before = copy.params.copy()
     cfg = TrainConfig(epochs=1)
     for trained in (net, copy):
-        neural._train_positions(z, [trained], [np.random.default_rng(1)], t, cfg)
+        neural._train_order(trained, np.random.default_rng(1), group_contexts(z, 1), t, cfg)
     assert not np.array_equal(copy.params, before)
     assert copy.params.tobytes() == net.params.tobytes()
     assert copy.forward(x).tobytes() == net.forward(x).tobytes()

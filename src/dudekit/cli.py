@@ -74,7 +74,11 @@ def _train_config(args) -> TrainConfig:
 
 def _add_train_flags(sub):
     sub.add_argument("--hidden", default="40,40,40", help="hidden layer sizes, comma separated")
-    sub.add_argument("--epochs", type=int, default=10)
+    sub.add_argument(
+        "--epochs", type=int, default=10,
+        help=f"most epochs an order trains: past {neural.STEP_BUDGET} steps, as many as fit, "
+        f"but at least {neural.MIN_EPOCHS}",
+    )
 
 
 def _cmd_simulate(args) -> int:

@@ -24,10 +24,12 @@ proportion to their counts, each with its mean pseudo-label as target,
 is unbiased for it. Every order trains on such minibatches, as soon as
 the one walk that refines the groups from k = 0 reaches it, from the
 walk's window view and the center counts per context alone; an order of
-at most one minibatch of contexts takes them all at every step. An
-order's network is seeded rng_seed + k, whether it trains alone or in a
-sweep, and the network returned is the mean of the last epoch's
-iterates. Adam runs with Kingma & Ba's constants, the learning rate
+at most one minibatch of contexts takes them all at every step. The
+epochs asked are an upper bound: an order trains them all while they take
+at most STEP_BUDGET steps, and past it as many as fit, but at least
+MIN_EPOCHS. An order's network is seeded rng_seed + k, whether it trains
+alone or in a sweep, and the network returned is the mean of the last
+epoch's iterates. Adam runs with Kingma & Ba's constants, the learning rate
 among them. Training runs in the calling process; a sweep that splits
 its orders over processes does so above this module
 (evaluation.sweep_k). Training and inference run one forward pass,
@@ -65,12 +67,18 @@ EPSILON = 1e-8
 
 # The steps an epoch takes at least, where n / minibatch_size allows (see train).
 TABLE_STEPS_PER_EPOCH = 100
+# Past STEP_BUDGET steps an order trains fewer epochs than asked, but at least
+# MIN_EPOCHS (see train): an order of many contexts, whose epochs are long, ends
+# about as close to FB after 6 passes as after 10, and overfits its pseudo-labels less.
+STEP_BUDGET = 2000
+MIN_EPOCHS = 6
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Schedule and seed of pseudo-label training; order k's network is
-    seeded rng_seed + k (see train)."""
+    seeded rng_seed + k. epochs is the most an order trains: past
+    STEP_BUDGET steps it trains fewer, but at least MIN_EPOCHS (see train)."""
 
     epochs: int = 10
     minibatch_size: int = 100
@@ -259,16 +267,22 @@ class _Adam:
         self.v *= BETA2
         self.v += np.multiply(np.square(grad, out=step), 1.0 - BETA2, out=step)
         # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same operation order.
-        _rounded(np.divide, self.m, cast(1.0 - BETA1**self.t), step, self._wide)
-        _rounded(np.multiply, step, cast(LEARNING_RATE), step, self._wide)
-        np.divide(self.v, 1.0 - BETA2**self.t, out=scale)
-        np.sqrt(scale, out=scale)
+        # A bias correction that rounds to 1 (from t = 165 for m, t = 17,321
+        # for v) is skipped: dividing by 1 changes no bit, subnormals included.
+        m_fix, v_fix = cast(1.0 - BETA1**self.t), cast(1.0 - BETA2**self.t)
+        m_hat, v_hat = self.m, self.v
+        if m_fix != 1:
+            m_hat = _rounded(np.divide, self.m, m_fix, step, self._wide)
+        if v_fix != 1:
+            v_hat = np.divide(self.v, v_fix, out=scale)
+        _rounded(np.multiply, m_hat, cast(LEARNING_RATE), step, self._wide)
+        np.sqrt(v_hat, out=scale)
         scale += EPSILON
         step /= scale
         params -= step
 
 
-def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> None:
+def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np.ndarray:
     """out = op(a, scalar) rounded to a's dtype, computed in float64 `wide`.
 
     Where a gradient stays zero, m decays into float32 subnormals, and
@@ -280,6 +294,7 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> No
     np.copyto(wide, a)
     op(wide, scalar, out=wide)
     np.copyto(out, wide, casting="same_kind")
+    return out
 
 
 def train(
@@ -303,7 +318,11 @@ def train(
     many orders train, and each order trains as the walk reaches it
     (_train_order). An epoch takes max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH,
     ceil(n/mb))) steps, mb = config.minibatch_size, never more than a pass
-    over the n positions. Where G > mb, each step takes the contexts of the
+    over the n positions. An order trains config.epochs epochs while they
+    take at most STEP_BUDGET steps, else floor(STEP_BUDGET / steps per
+    epoch), clipped to [MIN_EPOCHS, config.epochs]: no order takes more
+    steps than config.epochs asks, and config.epochs <= MIN_EPOCHS changes
+    nothing at any order. Where G > mb, each step takes the contexts of the
     next mb positions of the epoch's shuffle of the n, so contexts come in
     proportion to their counts, and each row's target is its context's
     mean pseudo-label; where G <= mb, every step takes all G contexts in
@@ -339,14 +358,16 @@ def train(
     return nets[0] if single else nets
 
 
-def _epoch_layout(n: int, n_groups: int, minibatch: int) -> tuple[int, int, int]:
-    """(batch, steps, rows) of an epoch over n positions in n_groups contexts.
-    Up to minibatch contexts, every step is the batch of all of them and
-    rows = steps * batch; beyond, rows is the number of positions drawn."""
+def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
+    """(batch, steps, rows, epochs) of training over n positions in n_groups
+    contexts, at most epochs epochs. Up to minibatch contexts, every step is
+    the batch of all of them and rows = steps * batch; beyond, rows is the
+    number of positions drawn per epoch."""
     steps = max(-(-n_groups // minibatch), min(TABLE_STEPS_PER_EPOCH, -(-n // minibatch)))
+    epochs = min(epochs, max(MIN_EPOCHS, STEP_BUDGET // steps))
     if n_groups <= minibatch:
-        return n_groups, steps, steps * n_groups
-    return minibatch, steps, min(n, steps * minibatch)
+        return n_groups, steps, steps * n_groups, epochs
+    return minibatch, steps, min(n, steps * minibatch), epochs
 
 
 def _context_feed(groups, tables: EstimatedLossTables):
@@ -376,7 +397,7 @@ def _train_order(net: MLPDenoiser, rng, groups, tables: EstimatedLossTables, cfg
     chunk of whole minibatches fed at a time; net ends at the mean of the last
     epoch's iterates."""
     n, n_groups = len(groups.seq), groups.n_groups
-    batch, steps, rows = _epoch_layout(n, n_groups, cfg.minibatch_size)
+    batch, steps, rows, epochs = _epoch_layout(n, n_groups, cfg.minibatch_size, cfg.epochs)
     feed, full = _context_feed(groups, tables), n_groups <= batch
     if full:  # one member per context, its summed pseudo-labels scaled by G/n
         member = np.empty(n_groups, dtype=groups.inverse.dtype)
@@ -391,7 +412,7 @@ def _train_order(net: MLPDenoiser, rng, groups, tables: EstimatedLossTables, cfg
     g_buf = np.empty((chunk, tables.n_denoisers), dtype=net.dtype)
     passes, adam = _Pass(net), _Adam(net.n_params, net.dtype)
     mean = np.zeros(net.n_params)  # the float64 sum of the last epoch's iterates
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         if not full:  # the first rows of a shuffle: contexts in proportion to their counts
             rng.shuffle(order)
         total = 0.0
@@ -404,7 +425,7 @@ def _train_order(net: MLPDenoiser, rng, groups, tables: EstimatedLossTables, cfg
                 loss, grad = passes.loss_grad(x[step], g[step], norms[step])
                 adam.step(net.params, grad)
                 total += loss * len(norms[step])
-                if epoch == cfg.epochs - 1:
+                if epoch == epochs - 1:
                     mean += net.params
         net.epoch_losses.append(total / rows)
     np.divide(mean, steps, out=mean)

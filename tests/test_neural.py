@@ -17,6 +17,8 @@ from dudekit.neural import (
     BETA2,
     EPSILON,
     LEARNING_RATE,
+    MIN_EPOCHS,
+    STEP_BUDGET,
     MLPDenoiser,
     TrainConfig,
     denoise,
@@ -41,6 +43,7 @@ def test_train_config_defaults():
     cfg = TrainConfig()
     assert cfg.epochs == 10
     assert cfg.minibatch_size == 100
+    assert (STEP_BUDGET, MIN_EPOCHS) == (2000, 6)
     assert (LEARNING_RATE, BETA1, BETA2, EPSILON) == (0.001, 0.9, 0.999, 1e-8)
 
 
@@ -229,22 +232,25 @@ def _stock_adam(params, m, v, grad, t):
 
 
 def test_adam_step_matches_stock_update_through_subnormals():
+    # Steps 6-16, and steps across t = 165 and t = 17,321, where the float32
+    # bias corrections of m and then of v round to 1 and are skipped.
     rng = np.random.default_rng(4)
     n = 4000
-    m = (rng.standard_normal(n) * 10.0 ** rng.uniform(-44, -2, n)).astype(np.float32)
-    v = (rng.random(n) * 10.0 ** rng.uniform(-12, -4, n)).astype(np.float32)
-    params = (rng.standard_normal(n) * 10.0 ** rng.uniform(-40, 0, n)).astype(np.float32)
-    assert np.any((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny))
-    adam = _Adam(n, np.float32)
-    adam.m[:], adam.v[:], adam.t = m, v, 5
-    got = params.copy()
-    for t in range(6, 12):
-        grad = (rng.standard_normal(n) * 1e-3).astype(np.float32)
-        grad[rng.random(n) < 0.5] = 0.0
-        adam.step(got, grad)
-        _stock_adam(params, m, v, grad, t)
-        assert got.tobytes() == params.tobytes()
-        assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
+    for first in (6, 160, 17315):
+        m = (rng.standard_normal(n) * 10.0 ** rng.uniform(-44, -2, n)).astype(np.float32)
+        v = (rng.random(n) * 10.0 ** rng.uniform(-12, -4, n)).astype(np.float32)
+        params = (rng.standard_normal(n) * 10.0 ** rng.uniform(-40, 0, n)).astype(np.float32)
+        assert np.any((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny))
+        adam = _Adam(n, np.float32)
+        adam.m[:], adam.v[:], adam.t = m, v, first - 1
+        got = params.copy()
+        for t in range(first, first + 11):
+            grad = (rng.standard_normal(n) * 1e-3).astype(np.float32)
+            grad[rng.random(n) < 0.5] = 0.0
+            adam.step(got, grad)
+            _stock_adam(params, m, v, grad, t)
+            assert got.tobytes() == params.tobytes()
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
 
 def _walked_groups(z, k):
@@ -253,12 +259,15 @@ def _walked_groups(z, k):
 
 
 def test_train_matches_per_step_reference():
-    for n, k, minibatch in [(9000, 6, 7), (700, 3, 50), (700, 1, 50)]:
-        _check_per_step_reference(n, k, minibatch)
+    for n, k, minibatch, epochs in [(9000, 6, 7, 2), (700, 3, 50, 2), (700, 1, 50, 2)]:
+        _check_per_step_reference(n, k, minibatch, epochs)
+    # G = 1451, so 208 steps an epoch: of 10 epochs, 9 fit the step budget
+    assert _check_per_step_reference(9000, 6, 7, 10) == 9
 
 
-def _check_per_step_reference(n, k, minibatch):
-    # The plain loop. Where G > minibatch, each epoch takes the first
+def _check_per_step_reference(n, k, minibatch, epochs):
+    # The plain loop, over min(epochs, max(6, 2000 // steps)) epochs; returns
+    # that number. Where G > minibatch, each epoch takes the first
     # steps * minibatch positions of a shuffle of the n, in place, with seed
     # rng_seed + k (all n at n = 700, k = 3), encodes each one's context from
     # the oracle and takes its context's mean pseudo-label as target; where
@@ -268,7 +277,7 @@ def _check_per_step_reference(n, k, minibatch):
     # iterates, rounded once. train() must give the same bits.
     _, z = _toy_instance(n=n, seed=5)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=3)
+    cfg = TrainConfig(epochs=epochs, minibatch_size=minibatch, rng_seed=3)
     size = z.alphabet.size
     rng = np.random.default_rng(cfg.rng_seed + k)
     ref = MLPDenoiser((2 * k * size, 16, t.n_denoisers), k=k, rng=rng)
@@ -278,13 +287,14 @@ def _check_per_step_reference(n, k, minibatch):
     np.add.at(counts, (inverse, z.data), 1)
     ctx = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
     steps = max(-(-n_groups // minibatch), min(100, -(-n // minibatch)))
+    epochs = min(epochs, max(6, 2000 // steps))
     full = n_groups <= minibatch
     assert full == (k == 1)
     rows = steps * n_groups if full else min(n, steps * minibatch)
     batch = n_groups if full else minibatch
     m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
     t_adam, losses, shuffled = 0, [], np.arange(n)
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         if full:
             order = np.tile(np.unique(inverse, return_index=True)[1], steps)
         else:
@@ -306,10 +316,11 @@ def _check_per_step_reference(n, k, minibatch):
             total += loss * pos.size
             mean += ref.params
         losses.append(total / rows)
-    assert t_adam == cfg.epochs * steps
+    assert t_adam == epochs * steps
     net = train(z, k, t, hidden=(16,), config=cfg)
     assert net.params.tobytes() == (mean / steps).astype(np.float32).tobytes()
     assert net.epoch_losses == losses
+    return epochs
 
 
 @pytest.mark.parametrize("size, n, k", [(2, 3000, 3), (4, 2000, 2)])
@@ -354,29 +365,48 @@ def test_context_table_objective_matches_every_position(size, n, k):
 @pytest.mark.parametrize(
     "n, n_groups, minibatch, want",
     [
-        (12000, 1, 100, (1, 100, 100)),  # k = 0: one context, a full batch, 100 steps
-        (12000, 20, 100, (20, 100, 2000)),  # G <= minibatch: full batches
-        (12000, 250, 100, (100, 100, 10000)),  # at least 100 steps
-        (12000, 9950, 100, (100, 100, 10000)),
-        (12000, 11000, 100, (100, 110, 11000)),  # one step per 100 contexts
-        (12000, 11950, 100, (100, 120, 12000)),  # every position, never more
-        (7, 5, 100, (5, 1, 5)),  # tiny n: one full batch, no more steps than positions allow
-        (250, 3, 100, (3, 3, 9)),
-        (250, 180, 100, (100, 3, 250)),  # the last batch of 50
+        (12000, 1, 100, (1, 100, 100, 10)),  # k = 0: one context, a full batch, 100 steps
+        (12000, 20, 100, (20, 100, 2000, 10)),  # G <= minibatch: full batches
+        (12000, 250, 100, (100, 100, 10000, 10)),  # at least 100 steps
+        (12000, 9950, 100, (100, 100, 10000, 10)),
+        (12000, 11000, 100, (100, 110, 11000, 10)),  # one step per 100 contexts
+        (12000, 11950, 100, (100, 120, 12000, 10)),  # every position, never more
+        (7, 5, 100, (5, 1, 5, 10)),  # tiny n: one full batch, no more steps than n allows
+        (250, 3, 100, (3, 3, 9, 10)),
+        (250, 180, 100, (100, 3, 250, 10)),  # the last batch of 50
+        # the step budget: 10 epochs of 200 steps fit it, 201 steps take 9
+        (10**6, 20000, 100, (100, 200, 20000, 10)),
+        (10**6, 20001, 100, (100, 201, 20100, 9)),
+        (10**6, 30000, 100, (100, 300, 30000, 6)),
+        (10**6, 60000, 100, (100, 600, 60000, 6)),  # 3 fit, but never fewer than 6
+        (10**6, 856000, 100, (100, 8560, 856000, 6)),  # criterion 01's k = 16
+        (10**6, 5000, 7, (7, 715, 5005, 6)),
     ],
 )
 def test_epoch_steps_rule(n, n_groups, minibatch, want):
     # max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH, ceil(n/mb))) steps, no more
-    # than a shuffle of the n positions would take.
-    assert _epoch_layout(n, n_groups, minibatch) == want
-    batch, steps, rows = want
+    # than a shuffle of the n positions would take (want: at 10 epochs asked).
+    # Of E epochs asked, E while they take at most STEP_BUDGET steps or
+    # E <= MIN_EPOCHS, else floor(STEP_BUDGET / steps) clipped to [MIN_EPOCHS, E].
+    assert _epoch_layout(n, n_groups, minibatch, 10) == want
+    batch, steps, rows, _ = want
     assert steps <= -(-n // minibatch)
     assert rows <= n or batch == n_groups
+    for asked in (1, 3, 4, 5, 9, 10, 11, 40):
+        took = _epoch_layout(n, n_groups, minibatch, asked)
+        assert took[:3] == want[:3]
+        if asked * steps <= STEP_BUDGET or asked <= MIN_EPOCHS:
+            assert took[3] == asked
+        else:
+            assert took[3] == min(asked, max(MIN_EPOCHS, STEP_BUDGET // steps)) < asked
 
 
 def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
-    # Binary n = 12000 at orders 0, 2, 5 and a tiny n = 7 at order 1: every
-    # step's batch size, and the number of steps, follow _epoch_layout.
+    # Binary n = 12000 at orders 0, 2, 5 and a tiny n = 7 at order 1, two
+    # epochs each; then orders 5 and 6 at minibatch 3 and the default 10
+    # epochs: order 5 (G = 755, 252 steps an epoch) takes the 7 that fit the
+    # step budget, order 6 (G = 1587, 529 steps) the 6 it takes at least.
+    # Every step's batch size, the number of steps and of epochs follow _epoch_layout.
     _, z = _toy_instance(n=12000, seed=7)
     tiny = Sequence(z.data[:7], BINARY)
     real = _Pass.loss_grad
@@ -384,15 +414,21 @@ def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
     monkeypatch.setattr(
         _Pass, "loss_grad", lambda self, x, *args: (batches.append(len(x)), real(self, x, *args))[1]
     )
-    cfg = TrainConfig(epochs=2)
-    for seq, ks in ((z, [0, 2, 5]), (tiny, [1])):
+    two, cut = TrainConfig(epochs=2), TrainConfig(minibatch_size=3)
+    took = {}
+    for seq, ks, cfg in ((z, [0, 2, 5], two), (tiny, [1], two), (z, [5, 6], cut)):
         for k in ks:
             batches.clear()
-            train(seq, k, bsc01_tables(), hidden=(8,), config=cfg)
-            batch, steps, rows = _epoch_layout(len(seq), group_contexts(seq, k).n_groups, 100)
-            assert len(batches) == cfg.epochs * steps
-            assert sum(batches) == cfg.epochs * rows and max(batches) == batch
-    assert _epoch_layout(7, group_contexts(tiny, 1).n_groups, 100)[1] == 1
+            net = train(seq, k, bsc01_tables(), hidden=(8,), config=cfg)
+            batch, steps, rows, epochs = _epoch_layout(
+                len(seq), group_contexts(seq, k).n_groups, cfg.minibatch_size, cfg.epochs
+            )
+            assert len(batches) == epochs * steps and len(net.epoch_losses) == epochs
+            assert sum(batches) == epochs * rows and max(batches) == batch
+            took[len(seq), k, cfg.minibatch_size] = epochs
+    assert _epoch_layout(7, group_contexts(tiny, 1).n_groups, 100, 2)[1] == 1
+    assert took == {(12000, 0, 100): 2, (12000, 2, 100): 2, (12000, 5, 100): 2, (7, 1, 100): 2,
+                    (12000, 5, 3): 7, (12000, 6, 3): 6}
 
 
 def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
@@ -410,7 +446,7 @@ def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
     cfg = TrainConfig(epochs=3, rng_seed=5)
     k = 4
     net = train(z, k, bsc01_tables(), hidden=(8,), config=cfg)
-    steps = _epoch_layout(len(z), group_contexts(z, k).n_groups, cfg.minibatch_size)[1]
+    steps = _epoch_layout(len(z), group_contexts(z, k).n_groups, cfg.minibatch_size, 3)[1]
     assert len(iterates) == cfg.epochs * steps
     total = np.zeros(net.n_params)
     for p in iterates[-steps:]:

@@ -64,11 +64,9 @@ class KRecord:
     """One sweep row: context order, losses, distinct contexts, wall time.
 
     n_contexts counts distinct order-k contexts, edges included.
-    wall_time_s is this k's own grouping, selection and scoring time. In
-    an N-DUDE sweep, where each part of the sweep (see sweep_k) trains its
-    orders in one joint call, it also holds an equal share of that part's
-    training wall time. Both report formats write the fields in this
-    order, and parse reads them back.
+    wall_time_s is this k's own time: its steps of the grouping walk, its
+    training (N-DUDE), selection and scoring (see _sweep_part). Both report
+    formats write the fields in this order, and parse reads them back.
     """
 
     k: int
@@ -131,9 +129,10 @@ def sweep_k(
     of orders) parts, each run by _sweep_part: the first in this process,
     each other in a forked child (see _run_parts); one order, one CPU or no
     fork runs all here. The rows are merged by k, and k*'s reconstruction
-    kept. The trained denoiser seeds order k with rng_seed + k, neural.train's
-    one rule, so every row is reproducible alone (a single-order train or
-    `denoise`) and the same however orders split.
+    kept. Each part walks the context groups from k = 0, as neural.train
+    does, and the trained denoiser seeds order k with rng_seed + k, so every
+    row is reproducible alone (neural.train or `denoise`) and the same
+    however orders split.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -166,29 +165,30 @@ def sweep_k(
 
 def _sweep_part(z, tables, part, method, clean, hidden, cfg):
     """Rows of the ascending orders in part, and the reconstruction at the
-    order select_k picks among them. N-DUDE orders train in one neural.train
-    call. Each order's context groups refine the order before's in place,
-    walking every order from part[0] to part[-1]; no rule depends on group numbers."""
-    t0 = time.perf_counter()
-    nets = neural.train(z, part, tables, hidden, cfg) if method == "ndude" else []
-    share = (time.perf_counter() - t0) / len(part) if nets else 0.0  # of the joint training
-    chain = context_groups(z, range(part[0], part[-1] + 1))
-    records = []
-    for j, k in enumerate(part):
-        t0 = time.perf_counter()
-        groups = next(g for g in chain if g.k == k)
+    order select_k picks among them. One walk refines the context groups
+    from k = 0, one order per step, so a full-batch network's rows follow
+    the group numbering of neural.train's walk. Each order of part is
+    trained (N-DUDE), selected and scored while its groups are in hand, and
+    they are dropped before the walk moves on. A row's wall_time_s runs from
+    the end of the row before, so it holds the walk's steps up to its order."""
+    records, t0 = [], time.perf_counter()
+    for groups in context_groups(z, range(part[-1] + 1)):
+        if groups.k not in part:
+            continue
         if method == "dude":
             s_idx = dude.select_denoisers(groups, tables)
         else:
-            s_idx = neural.select_denoisers(groups, nets[j], tables)
+            net = neural.train_groups(groups, tables, hidden, cfg)
+            s_idx = neural.select_denoisers(groups, net, tables)
         est = estimated_loss(z, s_idx, tables)
         xhat = apply_rules(z, s_idx, tables)
-        wall = time.perf_counter() - t0 + share
         ber = symbol_error_rate(clean, xhat) if clean is not None else None
-        records.append(KRecord(k, est, ber, groups.n_groups, wall))
-        if select_k(records) == k:
+        t1 = time.perf_counter()
+        records.append(KRecord(groups.k, est, ber, groups.n_groups, t1 - t0))
+        if select_k(records) == groups.k:
             kept = xhat
         del groups, s_idx  # not held while the walk refines the orders up to the next k
+        t0 = t1
     return records, kept
 
 

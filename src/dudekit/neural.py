@@ -21,19 +21,19 @@ Grouped by context, that mean is one over the G distinct contexts, each
 weighted by its count, and each position's pseudo-label may be replaced
 by the mean of its context's: a minibatch of contexts drawn in
 proportion to their counts, each with its mean pseudo-label as target,
-is unbiased for it. Every order trains on such minibatches, as soon as
-the one walk that refines the groups from k = 0 reaches it, from the
-walk's window view and the center counts per context alone; an order of
-at most one minibatch of contexts takes them all at every step. The
-epochs asked are an upper bound: an order trains them all while they take
-at most STEP_BUDGET steps, and past it as many as fit, but at least
-MIN_EPOCHS. An order's network is seeded rng_seed + k, whether it trains
-alone or in a sweep, and the network returned is the mean of the last
-epoch's iterates. Adam runs with Kingma & Ba's constants, the learning rate
-among them. Training runs in the calling process; a sweep that splits
-its orders over processes does so above this module
-(evaluation.sweep_k). Training and inference run one forward pass,
-_Pass's, over views into the network's flat parameters.
+is unbiased for it. train_groups trains one order on such minibatches,
+from the groups' window view and center counts per context alone; an
+order of at most one minibatch of contexts takes them all at every step.
+Its groups come from a walk that refines them from k = 0, one order per
+step: train's walk, or a sweep part's, which trains, selects and scores
+each order as it reaches it (evaluation._sweep_part). The epochs asked
+are an upper bound: an order trains them all while they take at most
+STEP_BUDGET steps, and past it as many as fit, but at least MIN_EPOCHS.
+An order's network is seeded rng_seed + k, whether it trains alone or in
+a sweep, and the network returned is the mean of the last epoch's
+iterates. Adam runs with Kingma & Ba's constants, the learning rate among
+them. Training runs in the calling process. Training and inference run
+one forward pass, _Pass's, over views into the network's flat parameters.
 """
 
 from __future__ import annotations
@@ -65,11 +65,11 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
-# The steps an epoch takes at least, where n / minibatch_size allows (see train).
+# The steps an epoch takes at least, where n / minibatch_size allows (see train_groups).
 TABLE_STEPS_PER_EPOCH = 100
 # Past STEP_BUDGET steps an order trains fewer epochs than asked, but at least
-# MIN_EPOCHS (see train): an order of many contexts, whose epochs are long, ends
-# about as close to FB after 6 passes as after 10, and overfits its pseudo-labels less.
+# MIN_EPOCHS (see train_groups): an order of many contexts, whose epochs are long,
+# ends about as close to FB after 6 passes as after 10, and overfits its pseudo-labels less.
 STEP_BUDGET = 2000
 MIN_EPOCHS = 6
 
@@ -77,8 +77,8 @@ MIN_EPOCHS = 6
 @dataclass(frozen=True)
 class TrainConfig:
     """Schedule and seed of pseudo-label training; order k's network is
-    seeded rng_seed + k. epochs is the most an order trains: past
-    STEP_BUDGET steps it trains fewer, but at least MIN_EPOCHS (see train)."""
+    seeded rng_seed + k. epochs is the most an order trains: past STEP_BUDGET
+    steps it trains fewer, but at least MIN_EPOCHS (see train_groups)."""
 
     epochs: int = 10
     minibatch_size: int = 100
@@ -299,63 +299,24 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np
 
 def train(
     z: Sequence,
-    k,
+    k: int,
     tables: EstimatedLossTables,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
     config: TrainConfig | None = None,
-):
-    """Train a context denoiser on one noisy sequence, or one per context order.
+) -> MLPDenoiser:
+    """Train a context denoiser of order k on one noisy sequence.
 
-    k is one order, for one network, or a sequence of orders, for a list
-    of networks. Network k is seeded config.rng_seed + k either way, so a
-    network trained alone is a sweep's row k.
-
-    Orders take DUDE's rule, 2k < n (core.interior_slice): the smallest
-    order too long for z raises DataError before any network is built.
-    Every position contributes a (context, pseudo-label) pair, edge
-    positions included. One walk refines the context groups from k = 0,
-    one order per step, so an order's G groups are numbered alike however
-    many orders train, and each order trains as the walk reaches it
-    (_train_order). An epoch takes max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH,
-    ceil(n/mb))) steps, mb = config.minibatch_size, never more than a pass
-    over the n positions. An order trains config.epochs epochs while they
-    take at most STEP_BUDGET steps, else floor(STEP_BUDGET / steps per
-    epoch), clipped to [MIN_EPOCHS, config.epochs]: no order takes more
-    steps than config.epochs asks, and config.epochs <= MIN_EPOCHS changes
-    nothing at any order. Where G > mb, each step takes the contexts of the
-    next mb positions of the epoch's shuffle of the n, so contexts come in
-    proportion to their counts, and each row's target is its context's
-    mean pseudo-label; where G <= mb, every step takes all G contexts in
-    group order, each target being the context's pseudo-labels summed and
-    scaled by G/n. Either way the mean cost estimates, or is, the mean over
-    all n positions. The network returned holds the float64 mean of the last
-    epoch's iterates, rounded once to its dtype; its epoch losses are the
-    mean cost over each epoch's rows. Everything runs in this process.
+    Orders take DUDE's rule, 2k < n (core.interior_slice), checked before
+    the walk. The walk refines the context groups from k = 0, one order per
+    step, as a sweep part walks (evaluation._sweep_part), so the network is
+    a sweep's row k bit for bit; train_groups trains it on order k's groups.
     """
-    cfg = config if config is not None else TrainConfig()
-    single = np.ndim(k) == 0
-    orders = [int(k)] if single else [int(v) for v in k]
-    if tables.channel.alphabet != z.alphabet:
-        raise DataError("tables were built for a different alphabet")
-    if len(z) < 1:
-        raise DataError("cannot train on an empty sequence")
-    if not orders:
-        raise DataError("need at least one context order")
-    if min(orders) < 0:  # before seeding rng_seed + k
-        raise DataError(f"context order k must be non-negative, got {min(orders)}")
-    for v in sorted(orders):  # the smallest order too long for z names the error
-        interior_slice(len(z), v)
-    size = z.alphabet.size
-    rngs = [np.random.default_rng(cfg.rng_seed + v) for v in orders]
-    nets = [
-        MLPDenoiser((2 * v * size, *hidden, tables.n_denoisers), k=v, rng=rng)
-        for v, rng in zip(orders, rngs)
-    ]
-    for groups in context_groups(z, range(max(orders) + 1)):
-        for net, rng in zip(nets, rngs):  # an order trains while its groups are in hand
-            if net.k == groups.k:
-                _train_order(net, rng, groups, tables, cfg)
-    return nets[0] if single else nets
+    if k < 0:  # before seeding rng_seed + k
+        raise DataError(f"context order k must be non-negative, got {k}")
+    interior_slice(len(z), k)
+    for groups in context_groups(z, range(k + 1)):
+        pass  # each order's groups refine the order before's
+    return train_groups(groups, tables, hidden, config)
 
 
 def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
@@ -392,10 +353,40 @@ def _context_feed(groups, tables: EstimatedLossTables):
     return feed
 
 
-def _train_order(net: MLPDenoiser, rng, groups, tables: EstimatedLossTables, cfg: TrainConfig):
-    """Adam on minibatches of groups' contexts (see train), drawn with rng, a
-    chunk of whole minibatches fed at a time; net ends at the mean of the last
-    epoch's iterates."""
+def train_groups(
+    groups,
+    tables: EstimatedLossTables,
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
+    config: TrainConfig | None = None,
+) -> MLPDenoiser:
+    """Train a denoiser of order groups.k on the positions of groups.seq,
+    grouped by their contexts (core.ContextGroups), seeded config.rng_seed + k.
+
+    Every position contributes a (context, pseudo-label) pair, edge
+    positions included. An epoch takes max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH,
+    ceil(n/mb))) steps, G the groups and mb = config.minibatch_size, never
+    more than a pass over the n positions. An order trains config.epochs
+    epochs while they take at most STEP_BUDGET steps, else floor(STEP_BUDGET /
+    steps per epoch), clipped to [MIN_EPOCHS, config.epochs]: no order takes
+    more steps than config.epochs asks, and config.epochs <= MIN_EPOCHS
+    changes nothing at any order. Where G > mb, each step takes the contexts
+    of the next mb positions of the epoch's shuffle of the n, so contexts
+    come in proportion to their counts, and each row's target is its
+    context's mean pseudo-label; where G <= mb, every step takes all G
+    contexts in group order, so the bits follow the group numbering, each
+    target being the context's pseudo-labels summed and scaled by G/n.
+    Either way the mean cost estimates, or is, the mean over all n
+    positions. Adam runs on chunks of whole minibatches fed at a time. The
+    network returned holds the float64 mean of the last epoch's iterates,
+    rounded once to its dtype; its epoch losses are the mean cost over each
+    epoch's rows. Everything runs in this process.
+    """
+    cfg = config if config is not None else TrainConfig()
+    if tables.channel.alphabet != groups.seq.alphabet:
+        raise DataError("tables were built for a different alphabet")
+    rng = np.random.default_rng(cfg.rng_seed + groups.k)
+    width = 2 * groups.k * groups.seq.alphabet.size
+    net = MLPDenoiser((width, *hidden, tables.n_denoisers), k=groups.k, rng=rng)
     n, n_groups = len(groups.seq), groups.n_groups
     batch, steps, rows, epochs = _epoch_layout(n, n_groups, cfg.minibatch_size, cfg.epochs)
     feed, full = _context_feed(groups, tables), n_groups <= batch
@@ -430,6 +421,7 @@ def _train_order(net: MLPDenoiser, rng, groups, tables: EstimatedLossTables, cfg
         net.epoch_losses.append(total / rows)
     np.divide(mean, steps, out=mean)
     net.params[:] = mean
+    return net
 
 
 def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_ndude_denoise_reproduces_every_sweep_row_however_parts_split(
     tmp_path, monkeypatch, capsys, labels, channel
 ):
     # A sweep over k = 1..4 on 1, 2 or 3 CPUs splits its orders into parts
-    # [1..4], [1, 3] + [2, 4] or [1, 4] + [2] + [3]; each part's trainer walks
+    # [1..4], [1, 3] + [2, 4] or [1, 4] + [2] + [3]; each part walks
     # the groups from k = 0, one order a step, and draws order k's shuffles
     # with seed S + k, so its network is that of `denoise --k k` with the same
     # --seed: same true error as row k, and at k* the same reconstruction.
@@ -589,10 +589,10 @@ def test_sweep_exits_3_when_a_training_child_dies(sim_files, tmp_path, monkeypat
     # Two usable CPUs: this process sweeps order 6, a forked child order 7,
     # and that child exits while training, before it sends its result.
     _, _, noisy = sim_files
-    real = neural._train_order
+    real = neural.train_groups
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        neural, "_train_order", lambda net, *args: os._exit(1) if net.k == 7 else real(net, *args)
+        neural, "train_groups", lambda g, *args: os._exit(1) if g.k == 7 else real(g, *args)
     )
     argv = [
         "sweep", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",

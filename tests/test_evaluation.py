@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -222,10 +223,9 @@ def test_ndude_report_names_every_training_setting():
     [(2, 403, 7), (2, 151, 1), (4, 403, 7), (4, 97, 1)],
 )
 def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
-    # One stacked training of the whole sweep gives, bit for bit, the
-    # networks, rows and reconstruction of training each k on its own
-    # with seed rng_seed + k. n is not a multiple of the minibatch, the
-    # orders include 0 and gaps, and size 4 has a 256-rule head.
+    # A sweep's rows and reconstruction are, bit for bit, those of training
+    # each k on its own with seed rng_seed + k. n is not a multiple of the
+    # minibatch, the orders include 0 and gaps, and size 4 has a 256-rule head.
     rng = np.random.default_rng(size * 1000 + n)
     chan = random_invertible_channel(rng, size)
     t = build_estimated_loss(chan, hamming_loss(ALPHABETS[size]))
@@ -234,12 +234,6 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=9)
     ks = [0, 2, 5]
     alone = {k: neural.train(z, k, t, (8, 6), cfg) for k in ks}
-    for k, net in zip(ks, neural.train(z, ks, t, (8, 6), cfg)):
-        assert net.k == k
-        assert net.params.tobytes() == alone[k].params.tobytes()
-        assert net.epoch_losses == alone[k].epoch_losses
-    with pytest.raises(DataError):
-        neural.train(z, [], t, (8, 6), cfg)
     report, recon = sweep_k(z, t, ks, method="ndude", clean=x, hidden=(8, 6), config=cfg)
     recons = {}
     for rec in report.records:
@@ -256,6 +250,24 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     assert [r.k for r in report.records] == ks
     assert report.k_star == select_k(report.records)
     assert recon == recons[report.k_star]
+
+
+def test_wall_time_is_each_orders_own(monkeypatch):
+    # On one CPU, a clock that moves only while order k trains, by 10 k s:
+    # each row reads its own order's time, not a share of the part's.
+    _, z = _instance(3000)
+    now, real = [0.0], neural.train_groups
+
+    def timed(groups, *args):
+        now[0] += 10.0 * groups.k
+        return real(groups, *args)
+
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(evaluation, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(neural, "train_groups", timed)
+    cfg = TrainConfig(epochs=1)
+    report, _ = sweep_k(z, bsc01_tables(), [1, 3, 4], "ndude", hidden=(8,), config=cfg)
+    assert [(r.k, r.wall_time_s) for r in report.records] == [(1, 10.0), (3, 30.0), (4, 40.0)]
 
 
 def _count_forks(monkeypatch, cpus):
@@ -338,11 +350,11 @@ def test_single_order_and_one_cpu_fork_nothing(monkeypatch):
 
 
 def _failing_training(monkeypatch, k, fail):
-    """On 2 CPUs, make neural._train_order call fail() when it trains order k."""
-    real = neural._train_order
+    """On 2 CPUs, make neural.train_groups call fail() when it trains order k."""
+    real = neural.train_groups
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        neural, "_train_order", lambda net, *args: fail() if net.k == k else real(net, *args)
+        neural, "train_groups", lambda groups, *a: fail() if groups.k == k else real(groups, *a)
     )
 
 

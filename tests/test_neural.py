@@ -1,5 +1,6 @@
 """Network denoiser: cost, gradients, training loop, and inference paths."""
 
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import ALPHABETS, random_invertible_channel
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
-from dudekit import neural
+from dudekit import evaluation, neural
 from dudekit.core import BINARY, DNA, Sequence, context_groups, group_contexts
 from dudekit.errors import DataError
 from dudekit.neural import (
@@ -455,86 +456,103 @@ def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
     assert not np.array_equal(net.params, iterates[-1])
 
 
-def test_train_mixed_sweep_matches_each_order_alone():
+def _swept(monkeypatch, z, ks, tables, cfg, cpus):
+    """A sweep of ks on cpus usable CPUs: the networks this process trains,
+    by order, the report with wall times zeroed, and the reconstruction."""
+    nets, real = {}, neural.train_groups
+
+    def kept(groups, *args):
+        nets[groups.k] = real(groups, *args)
+        return nets[groups.k]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        patch.setattr(neural, "train_groups", kept)
+        report, recon = evaluation.sweep_k(z, tables, ks, "ndude", hidden=(8,), config=cfg)
+    records = tuple(dataclasses.replace(r, wall_time_s=0.0) for r in report.records)
+    return nets, dataclasses.replace(report, records=records), recon
+
+
+def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
     # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) take full batches,
-    # order 5 minibatches drawn from shuffles of the positions. Each network
-    # ends as if trained alone with seed rng_seed + k.
+    # order 5 minibatches drawn from shuffles of the positions. A sweep on one
+    # CPU trains each network as train trains it alone, with seed rng_seed + k.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=3, rng_seed=4)
     ks = [0, 1, 2, 5]
     assert [group_contexts(z, k).n_groups for k in ks[:3]] == [1, 6, 20]
     assert group_contexts(z, 5).n_groups > cfg.minibatch_size
-    nets = train(z, ks, t, hidden=(8,), config=cfg)
-    for k, net in zip(ks, nets):
+    nets, _, _ = _swept(monkeypatch, z, ks, t, cfg, cpus=1)
+    assert sorted(nets) == ks
+    for k, net in nets.items():
         alone = train(z, k, t, hidden=(8,), config=cfg)
         assert net.k == k
         assert net.params.tobytes() == alone.params.tobytes()
         assert net.epoch_losses == alone.epoch_losses
         assert len(net.epoch_losses) == cfg.epochs
-    for net, again in zip(nets, train(z, ks[:3], t, hidden=(8,), config=cfg)):
-        assert net.params.tobytes() == again.params.tobytes()
-        assert net.epoch_losses == again.epoch_losses
-        assert net.epoch_losses[-1] < net.epoch_losses[0]
+    assert all(nets[k].epoch_losses[-1] < nets[k].epoch_losses[0] for k in ks[:3])
 
 
-def test_duplicate_orders_train_identical_networks():
-    # Binary n = 12000: order 2 takes full batches, order 5 minibatches drawn
-    # from shuffles of the positions; each copy of an order ends with the same bits.
-    _, z = _toy_instance(n=12000, seed=7)
-    nets = train(z, [2, 5, 2, 5], bsc01_tables(), hidden=(8,), config=TrainConfig(epochs=1))
-    assert [net.k for net in nets] == [2, 5, 2, 5]
-    for a, b in zip(nets[:2], nets[2:]):
-        assert a.params.tobytes() == b.params.tobytes()
-        assert a.epoch_losses == b.epoch_losses
-
-
-def test_train_split_over_processes_matches_one_call():
-    # A sweep on two CPUs trains orders [0, 2, 4, 6] in one process and
-    # [1, 3, 5] in another; each order's groups are numbered by the same
-    # walk from k = 0 in either part, and its shuffles drawn with the same seed.
+def test_train_split_over_processes_matches_one_call(monkeypatch):
+    # A sweep on two CPUs trains orders [0, 2, 4, 6] in this process and
+    # [1, 3, 5] in a forked child; each part walks the groups from k = 0, so
+    # its networks, rows and reconstruction are those of a sweep on one CPU,
+    # and each network that of training its order alone.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=2, rng_seed=4)
     ks = [0, 1, 2, 3, 4, 5, 6]
-    split = {net.k: net for j in (0, 1) for net in train(z, ks[j::2], t, hidden=(8,), config=cfg)}
-    one = train(z, ks, t, hidden=(8,), config=cfg)
-    for k, b in zip(ks, one):
-        a = split[k]
+    assert group_contexts(z, 2).n_groups <= cfg.minibatch_size < group_contexts(z, 4).n_groups
+    one, report, recon = _swept(monkeypatch, z, ks, t, cfg, cpus=1)
+    split, split_report, split_recon = _swept(monkeypatch, z, ks, t, cfg, cpus=2)
+    assert sorted(one) == ks and sorted(split) == ks[0::2]
+    assert split_report == report and split_recon == recon
+    for k, a in one.items():
         alone = train(z, k, t, hidden=(8,), config=cfg)
-        assert a.k == b.k == k
-        assert a.params.tobytes() == b.params.tobytes() == alone.params.tobytes()
-        assert a.epoch_losses == b.epoch_losses == alone.epoch_losses
+        for b in (alone, split.get(k, alone)):
+            assert a.params.tobytes() == b.params.tobytes()
+            assert a.epoch_losses == b.epoch_losses
         assert len(a.epoch_losses) == cfg.epochs
 
 
 def test_each_order_trains_holding_only_its_own_groups(monkeypatch):
-    # Binary n = 12000, orders 1 and 5: the walk groups orders 0 to 5. While
-    # an order trains, no earlier order's groups, asked for or not, are alive.
+    # Binary n = 12000, a sweep part of orders 1 and 5 walks orders 0 to 5.
+    # While an order trains or is selected, by either method, no earlier
+    # order's groups, asked for or not, are alive.
     _, z = _toy_instance(n=12000, seed=7)
-    refs, walk, real = [], neural.context_groups, neural._train_order
+    refs, walk, used = [], evaluation.context_groups, []
 
     def tracked_walk(*args):
         for groups in walk(*args):
             refs.append(weakref.ref(groups))
             yield groups
 
-    def checked_order(net, rng, groups, *args):
-        gc.collect()
-        assert refs[-1]() is groups and all(ref() is None for ref in refs[:-1])
-        trained.append(net.k)
-        return real(net, rng, groups, *args)
+    def checked(real):
+        def stage(groups, *args):
+            gc.collect()
+            assert refs[-1]() is groups and all(ref() is None for ref in refs[:-1])
+            used.append((real.__module__, real.__name__, groups.k))
+            return real(groups, *args)
 
-    trained = []
-    monkeypatch.setattr(neural, "context_groups", tracked_walk)
-    monkeypatch.setattr(neural, "_train_order", checked_order)
-    nets = train(z, [1, 5], bsc01_tables(), hidden=(8,), config=TrainConfig(epochs=1))
-    assert trained == [1, 5] and len(refs) == 6
-    assert [len(net.epoch_losses) for net in nets] == [1, 1]
+        return stage
+
+    monkeypatch.setattr(evaluation, "context_groups", tracked_walk)
+    stages = ((neural, "train_groups"), (neural, "select_denoisers"),
+              (evaluation.dude, "select_denoisers"))
+    for module, name in stages:
+        monkeypatch.setattr(module, name, checked(getattr(module, name)))
+    cfg = TrainConfig(epochs=1)
+    for method, run in (("ndude", stages[:2]), ("dude", stages[2:])):
+        refs.clear()
+        used.clear()
+        rows, _ = evaluation._sweep_part(z, bsc01_tables(), [1, 5], method, None, (8,), cfg)
+        want = [(module.__name__, name, k) for k in (1, 5) for module, name in run]
+        assert used == want and len(refs) == 6
+        assert [r.k for r in rows] == [1, 5]
 
 
 def test_mlp_pickle_keeps_layer_views_tied():
-    _, z = _toy_instance(n=2000)
     t = bsc01_tables()
     net = MLPDenoiser((4, 8, t.n_denoisers), k=1, rng=np.random.default_rng(2))
     copy = pickle.loads(pickle.dumps(net))
@@ -542,9 +560,9 @@ def test_mlp_pickle_keeps_layer_views_tied():
     x = np.random.default_rng(3).random((5, 4)).astype(np.float32)
     assert copy.forward(x).tobytes() == net.forward(x).tobytes()
     before = copy.params.copy()
-    cfg = TrainConfig(epochs=1)
-    for trained in (net, copy):
-        neural._train_order(trained, np.random.default_rng(1), group_contexts(z, 1), t, cfg)
+    grad = np.random.default_rng(4).standard_normal(net.n_params).astype(net.dtype)
+    for stepped in (net, copy):  # one Adam step changes the flat vector in place
+        _Adam(stepped.n_params, stepped.dtype).step(stepped.params, grad)
     assert not np.array_equal(copy.params, before)
     assert copy.params.tobytes() == net.params.tobytes()
     assert copy.forward(x).tobytes() == net.forward(x).tobytes()
@@ -610,8 +628,8 @@ def test_select_denoisers_refuses_groups_of_another_order():
 
 def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
     # DUDE's rule, 2k < n: of the orders 9, 2, 6 and 5 on n = 10 symbols, 5
-    # is the smallest too long. train names it before it builds a network;
-    # inference refuses such an order before it groups.
+    # is the smallest too long. train and an N-DUDE sweep name it before
+    # they build a network; inference refuses such an order before it groups.
     _, z = _toy_instance(n=10)
     t = bsc01_tables()
     net = MLPDenoiser((20, 6, 4), k=5, rng=np.random.default_rng(0))
@@ -620,9 +638,10 @@ def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
         raise AssertionError("called before the order check")
 
     monkeypatch.setattr(neural, "MLPDenoiser", forbidden)
-    for orders in (5, [9, 2, 6, 5]):
-        with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-            train(z, orders, t, hidden=(6,))
+    with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
+        train(z, 5, t, hidden=(6,))
+    with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
+        evaluation.sweep_k(z, t, [9, 2, 6, 5], method="ndude", hidden=(6,))
     monkeypatch.setattr(neural, "group_contexts", forbidden)
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
         denoise(z, net, t)

@@ -17,10 +17,12 @@ Instances:
   and 2, k = 1..20.
 
 The n = 200k and DNA inputs come from `dudekit.cli.main simulate --seed S`.
-Every order's network comes from `neural.train` with its default width,
+One walk refines the context groups from k = 0, and each order's network
+comes from `neural.train_groups` on its groups, with the default width,
 epochs and seed S + k, in this process with BLAS on one thread, as
-`sweep --seed S` would train it. For each instance and order it prints,
-in units of the channel's δ (its flip probability):
+`sweep --seed S` would train it; the order is selected and scored on the
+same groups before the walk moves on. For each instance and order it
+prints, in units of the channel's δ (its flip probability):
 
 - `excess`: true error rate minus the forward-backward smoother's;
 - `est_gap`: estimated loss minus true loss;
@@ -32,10 +34,11 @@ and worst of `excess` over every (seed, k), the worst |est_gap| and the
 median and worst `kstar_excess`. The JSON (stdout, or --out) holds the
 same numbers, the git SHA and the OpenBLAS kernels, and no wall times, so
 two checkouts' files diff line by line. The wall times of the n = 1M runs
-(FB, each order's training, and selection with scoring) go to --times, or
-to stderr. `dudekit` and the workloads are imported from --checkout, by
-default the checkout holding this script. It takes 5-15 minutes and is
-not part of the Tier-1 tests.
+(FB, the grouping walk, each order's training, and selection with
+scoring) go to --times, or to stderr. `dudekit` and the workloads are
+imported from --checkout, by default the checkout holding this script; a
+checkout without `neural.train_groups` needs its own copy of the script.
+It takes 5-15 minutes and is not part of the Tier-1 tests.
 
 --compare prints, for each instance, k* and `kstar_excess` before and
 after, the summary deltas, and the excess and est_gap deltas of every
@@ -72,36 +75,30 @@ DELTA = 0.1  # of bsc(0.1), the binary instances' channel
 
 def instance(inputs, delta: float, seed: int, orders, times: dict | None = None) -> dict:
     """Per-order quality of N-DUDE on inputs = (noisy, clean, HMM spec, loss)
-    at seed; times, when given, takes the wall times of FB, of each order's
-    training and of selection with scoring."""
+    at seed; times, when given, takes the wall times of FB, of the grouping
+    walk, of each order's training and of selection with scoring."""
     from dudekit import baselines, channel, evaluation, neural
-    from dudekit.core import group_contexts
+    from dudekit.core import context_groups
 
     z, clean, spec, loss = inputs
     tables = channel.build_estimated_loss(spec.channel, loss)
     t0 = time.perf_counter()
     fb = evaluation.symbol_error_rate(clean, baselines.forward_backward_denoise(z, spec, loss))
-    trained = {}
-    real = neural._train_order
-
-    def timed(net, *args):
+    t1 = time.perf_counter()
+    cfg = neural.TrainConfig(rng_seed=seed)
+    rows, trained, scored = [], {}, 0.0
+    for groups in context_groups(z, range(max(orders) + 1)):
+        if groups.k not in orders:
+            continue
         t = time.perf_counter()
-        real(net, *args)
+        net = neural.train_groups(groups, tables, config=cfg)
         trained[net.k] = time.perf_counter() - t
-
-    neural._train_order = timed
-    try:
-        t1 = time.perf_counter()
-        nets = neural.train(z, list(orders), tables, config=neural.TrainConfig(rng_seed=seed))
-        t2 = time.perf_counter()
-    finally:
-        neural._train_order = real
-    rows = []
-    for net in nets:
-        s_idx = neural.select_denoisers(group_contexts(z, net.k), net, tables)
+        t = time.perf_counter()
+        s_idx = neural.select_denoisers(groups, net, tables)
         xhat = channel.apply_rules(z, s_idx, tables)
         true = evaluation.symbol_error_rate(clean, xhat)
         est = evaluation.estimated_loss(z, s_idx, tables)
+        scored += time.perf_counter() - t
         rows.append({
             "k": net.k,
             "epochs": len(net.epoch_losses),
@@ -111,12 +108,15 @@ def instance(inputs, delta: float, seed: int, orders, times: dict | None = None)
             "true_error": true,
             "md5": hashlib.md5(xhat.data.tobytes()).hexdigest(),
         })
+        del groups, s_idx  # not held while the walk refines the next orders
     if times is not None:
+        train_s = sum(trained.values())
         times.update({
             "fb_s": round(t1 - t0, 3),
-            "train_s": round(t2 - t1, 3),
+            "walk_s": round(time.perf_counter() - t1 - train_s - scored, 3),
+            "train_s": round(train_s, 3),
             "train_s_per_k": {k: round(s, 3) for k, s in sorted(trained.items())},
-            "select_score_s": round(time.perf_counter() - t2, 3),
+            "select_score_s": round(scored, 3),
         })
     k_star = min(rows, key=lambda r: (r["estimated_loss"], r["k"]))
     best = min(r["true_error"] for r in rows)

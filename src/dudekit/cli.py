@@ -140,12 +140,14 @@ def _cmd_denoise(args) -> int:
         xhat = dude.dude_denoise(z, args.k, tables=tables)
     elif args.method == "ndude":
         if args.load_model:
-            net = neural.load_checkpoint(args.load_model, tables, args.k)
-        else:
-            net = neural.train(z, args.k, tables, _parse_hidden(args.hidden), _train_config(args))
+            groups, net = None, neural.load_checkpoint(args.load_model, tables, args.k)
+        else:  # selected on the groups it trained on
+            hidden, config = _parse_hidden(args.hidden), _train_config(args)
+            groups = neural.walked_groups(z, args.k)
+            net = neural.train_groups(groups, tables, hidden, config)
         if args.save_model:
             neural.save_checkpoint(net, args.save_model, tables)
-        xhat = neural.denoise(z, net, tables)
+        xhat = neural.denoise(z, net, tables, groups)
     else:  # fb
         if not args.source:
             raise _UsageError("--source is required for method fb")

@@ -5,9 +5,9 @@ one-hot encoded double-sided context of each position to a probability
 distribution over all single-symbol denoising rules. Training targets
 are the pseudo-label rows of the estimated-loss tables indexed by the
 observed center symbol, under a generalized cross-entropy that accepts
-unnormalized non-negative targets. After training, each position is
-reconstructed by applying the rule with the highest probability for its
-context to the observed center symbol.
+unnormalized non-negative targets, computed exactly from the log-softmax.
+After training, each position is reconstructed by applying the rule with
+the highest probability for its context to the observed center symbol.
 
 Because the targets depend only on the observed symbol and the context
 is what the network conditions on, context statistics are shared across
@@ -25,7 +25,7 @@ is unbiased for it. train_groups trains one order on such minibatches,
 from the groups' window view and center counts per context alone; an
 order of at most one minibatch of contexts takes them all at every step.
 Its groups come from a walk that refines them from k = 0, one order per
-step: train's walk, or a sweep part's, which trains, selects and scores
+step: walked_groups's, or a sweep part's, which trains, selects and scores
 each order as it reaches it (evaluation._sweep_part). The epochs asked
 are an upper bound: an order trains them all while they take at most
 STEP_BUDGET steps, and past it as many as fit, but at least MIN_EPOCHS.
@@ -33,7 +33,8 @@ An order's network is seeded rng_seed + k, whether it trains alone or in
 a sweep, and the network returned is the mean of the last epoch's
 iterates. Adam runs with Kingma & Ba's constants, the learning rate among
 them. Training runs in the calling process. Training and inference run
-one forward pass, _Pass's, over views into the network's flat parameters.
+one forward pass, _Pass's, over views into the network's flat parameters;
+training takes one of its two heads, chosen from the sizes (train_groups).
 """
 
 from __future__ import annotations
@@ -48,13 +49,10 @@ from .channel import EstimatedLossTables, apply_rules
 from .core import Sequence, context_groups, group_contexts, interior_slice
 from .errors import DataError
 
-# Floor for log arguments inside the cost; keeps zero probabilities finite.
-COST_FLOOR = 1e-30
-
 # Rows per chunk when encoding training rows and classifying unique contexts.
 _FORWARD_CHUNK = 4096
-# Float64 targets a chunk of training rows holds at most (1 MiB): a wide head's
-# chunks take fewer rows.
+# Float64 target entries a chunk of training rows holds at most (1 MiB): the
+# narrow head's chunks of many rules take fewer rows.
 _TARGET_ENTRIES = 1 << 17
 
 DEFAULT_HIDDEN = (40, 40, 40)
@@ -114,22 +112,25 @@ class MLPDenoiser:
 
     Parameters live in one flat vector, which keeps the optimizer a single
     vector update; layers() makes per-layer views into it on demand. The
-    forward pass is _Pass's. layer_dims runs from input width to output
-    width (L weight layers, L-1 hidden).
+    forward pass is _Pass's. widths run from the first hidden layer to the
+    output (the rules); the input width is 2k*size, the one-hot encoded
+    context of order k over an alphabet of size symbols, so layer_dims is
+    (2k*size, *widths): L weight layers, L-1 hidden.
     """
 
     def __init__(
         self,
-        layer_dims: tuple[int, ...],
+        widths: tuple[int, ...],
         k: int,
+        size: int,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
         if k < 0:
             raise DataError(f"context order k must be non-negative, got {k}")
-        layer_dims = tuple(int(d) for d in layer_dims)
+        layer_dims = (2 * int(k) * int(size), *(int(d) for d in widths))
         if len(layer_dims) < 2:
-            raise DataError("need at least input and output dimensions")
+            raise DataError("need at least an output width")
         if any(d < 0 for d in layer_dims) or any(d < 1 for d in layer_dims[1:]):
             raise DataError(f"bad layer dimensions {layer_dims}")
         self.layer_dims = layer_dims
@@ -168,9 +169,9 @@ class MLPDenoiser:
         return _Pass(self).forward(a)
 
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
-        """Mean generalized cross-entropy -sum(g * log p) over the batch, p
-        floored at COST_FLOOR, and its gradient in flat-parameter form,
-        computed by the training step."""
+        """Mean generalized cross-entropy -sum(g * log p) over the batch and
+        its gradient in flat-parameter form, computed by the narrow head of
+        the training step."""
         x, g = np.asarray(x, dtype=self.dtype), np.asarray(g, dtype=self.dtype)
         if g.shape != (x.shape[0], self.output_dim):
             raise DataError(f"targets must be (batch, {self.output_dim}), got {g.shape}")
@@ -192,19 +193,33 @@ class _Pass:
     """One network's forward and backward passes, which inference and
     training steps both run. Weights and biases are views into the
     network's parameters; layer outputs, deltas and the flat gradient live
-    in buffers kept per batch size, which every step of that size reuses."""
+    in buffers kept per batch size, which every step of that size reuses.
 
-    def __init__(self, net: MLPDenoiser):
+    Training runs the trunk, the layers up to the logits and the hidden
+    layers' backward loop, under one of two heads. Both take the exact
+    cost: with shifted the logits less their row maximum and s the row sums
+    of exp(shifted), -sum(g * log p) = sum_i(norms_i log s_i - g_i . shifted_i),
+    norms the row sums of the targets g. The narrow head takes g itself.
+    The wide head, given labels, the (|Z|, rules) pseudo-label table, takes
+    weights w with g = w @ labels and never forms g or the probabilities:
+    with e = exp(shifted) and r = norms / (batch * s), the top layer, input
+    h and weights W, has gradients (h * r).T @ e - (h.T @ w/batch) @ labels
+    and r @ e - (w/batch).sum(0) @ labels, and passes down the delta
+    r * (e @ W.T) - (w/batch) @ (labels @ W.T).
+    """
+
+    def __init__(self, net: MLPDenoiser, labels: np.ndarray | None = None):
         layers, self.dtype = net.layers(), net.dtype
         self.weights, self.biases = layers[0::2], layers[1::2]
+        self.labels = None if labels is None else np.asarray(labels, dtype=self.dtype)
         self.grad = np.empty_like(net.params)
         grads = _views(self.grad, [a.shape for a in layers])
         self.g_weights, self.g_biases = grads[0::2], grads[1::2]
         self._outs, self._back = {}, {}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(batch, out) probabilities of the encoded rows x. Each layer's
-        post-ReLU outputs stay in self._outs[batch]."""
+    def _logits(self, x: np.ndarray) -> np.ndarray:
+        """(batch, out) logits of the encoded rows x, the last of the layer
+        outputs kept in self._outs[batch]; the others are post-ReLU."""
         batch = len(x)
         if batch not in self._outs:
             self._outs[batch] = [np.empty((batch, b.size), self.dtype) for b in self.biases]
@@ -214,37 +229,65 @@ class _Pass:
             a += b
             np.maximum(a, 0.0, out=a)
             np.matmul(a, w, out=out)
-        probs = outs[-1]
-        probs += self.biases[-1]
-        probs -= probs.max(axis=1, keepdims=True)  # softmax, in place
+        logits = outs[-1]
+        logits += self.biases[-1]
+        return logits
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """(batch, out) probabilities of the encoded rows x, the softmax
+        taken in place of the logits."""
+        probs = self._logits(x)
+        probs -= probs.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
         return probs
 
-    def loss_grad(self, x: np.ndarray, g: np.ndarray, norms: np.ndarray):
-        """The mean cost of the encoded rows x against targets g, whose row
-        sums are norms, and its gradient (self.grad, overwritten by the next call)."""
-        probs, batch = self.forward(x), len(x)
+    def loss_grad(self, x: np.ndarray, t: np.ndarray, norms: np.ndarray):
+        """The mean cost of the encoded rows x against targets t, the rows g
+        or, on the wide head, the weights w, where norms are g's row sums,
+        and its gradient (self.grad, overwritten by the next call)."""
+        shifted, batch = self._logits(x), len(x)
         outs = self._outs[batch]
-        if batch not in self._back:  # deltas, ReLU masks, float64 loss terms
+        if batch not in self._back:  # deltas (the last holds exp(shifted)) and ReLU masks
             deltas = [np.empty_like(o) for o in outs]
-            masks = [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
-            self._back[batch] = deltas, masks, np.empty(probs.shape, dtype=np.float64)
-        deltas, masks, terms = self._back[batch]
-        log_p = np.log(np.maximum(probs, COST_FLOOR, out=deltas[-1]), out=deltas[-1])
-        terms[...] = g
-        loss = -float(np.multiply(terms, log_p, out=terms).sum()) / batch
-        delta = np.multiply(norms[:, None], probs, out=deltas[-1])
-        delta -= g
-        delta /= self.dtype.type(batch)
-        for layer in range(len(self.weights) - 1, 0, -1):
-            np.matmul(outs[layer - 1].T, delta, out=self.g_weights[layer])
+            self._back[batch] = deltas, [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
+        deltas, masks = self._back[batch]
+        shifted -= shifted.max(axis=1, keepdims=True)
+        e = np.exp(shifted, out=deltas[-1])
+        sums = e.sum(axis=1, keepdims=True)
+        loss = float(np.dot(norms, np.log(sums[:, 0])))
+        layer, ins = len(self.weights) - 1, [x, *outs[:-1]]
+        if self.labels is None:  # delta = (norms * p - g) / batch at the logits
+            loss -= float(np.vdot(t, shifted))
+            delta = np.divide(e, sums, out=e)
+            delta *= norms[:, None]
+            delta -= t
+            delta /= self.dtype.type(batch)
+        else:
+            labels, w_top, h = self.labels, self.weights[layer], ins[layer]
+            loss -= float(np.vdot(t, shifted @ labels.T))
+            share = t / self.dtype.type(batch)
+            r = norms[:, None] / (batch * sums)
+            hr = np.multiply(h, r, out=deltas[layer - 1] if layer else None)
+            np.matmul(hr.T, e, out=self.g_weights[layer])
+            self.g_weights[layer] -= (h.T @ share) @ labels
+            np.matmul(r[:, 0], e, out=self.g_biases[layer])
+            self.g_biases[layer] -= share.sum(axis=0) @ labels
+            if not layer:
+                return loss / batch, self.grad
+            delta = np.matmul(e, w_top.T, out=deltas[layer - 1])
+            delta *= r
+            delta -= share @ (labels @ w_top.T)
+            delta *= np.greater(h, 0, out=masks[layer - 1])
+            layer -= 1
+        for layer in range(layer, 0, -1):
+            np.matmul(ins[layer].T, delta, out=self.g_weights[layer])
             np.add.reduce(delta, axis=0, out=self.g_biases[layer])
             delta = np.matmul(delta, self.weights[layer].T, out=deltas[layer - 1])
-            delta *= np.greater(outs[layer - 1], 0, out=masks[layer - 1])
+            delta *= np.greater(ins[layer], 0, out=masks[layer - 1])
         np.matmul(x.T, delta, out=self.g_weights[0])
         np.add.reduce(delta, axis=0, out=self.g_biases[0])
-        return loss, self.grad
+        return loss / batch, self.grad
 
 
 class _Adam:
@@ -297,6 +340,22 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np
     return out
 
 
+def walked_groups(z: Sequence, k: int):
+    """Order k's context groups of z, numbered as a sweep part numbers them.
+
+    Orders take DUDE's rule, 2k < n (core.interior_slice), checked before
+    the walk. The walk refines the context groups from k = 0, one order per
+    step, as a sweep part walks (evaluation._sweep_part), so a network
+    trained on them is a sweep's row k bit for bit.
+    """
+    if k < 0:  # before train_groups seeds rng_seed + k
+        raise DataError(f"context order k must be non-negative, got {k}")
+    interior_slice(len(z), k)
+    for groups in context_groups(z, range(k + 1)):
+        pass  # each order's groups refine the order before's
+    return groups
+
+
 def train(
     z: Sequence,
     k: int,
@@ -304,19 +363,9 @@ def train(
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
     config: TrainConfig | None = None,
 ) -> MLPDenoiser:
-    """Train a context denoiser of order k on one noisy sequence.
-
-    Orders take DUDE's rule, 2k < n (core.interior_slice), checked before
-    the walk. The walk refines the context groups from k = 0, one order per
-    step, as a sweep part walks (evaluation._sweep_part), so the network is
-    a sweep's row k bit for bit; train_groups trains it on order k's groups.
-    """
-    if k < 0:  # before seeding rng_seed + k
-        raise DataError(f"context order k must be non-negative, got {k}")
-    interior_slice(len(z), k)
-    for groups in context_groups(z, range(k + 1)):
-        pass  # each order's groups refine the order before's
-    return train_groups(groups, tables, hidden, config)
+    """Train a context denoiser of order k on one noisy sequence: train_groups
+    on walked_groups(z, k)."""
+    return train_groups(walked_groups(z, k), tables, hidden, config)
 
 
 def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
@@ -331,24 +380,29 @@ def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[i
     return minibatch, steps, min(n, steps * minibatch), epochs
 
 
-def _context_feed(groups, tables: EstimatedLossTables):
-    """feed(pos, x_out, g_out, scale=None) -> (x, g): the encoded contexts of
-    positions pos and, as targets, their contexts' pseudo-labels summed (the
-    center counts times the pseudo-labels) times scale, by default one over
-    the context's count, which gives its mean pseudo-label. It keeps the
-    center counts per context alone: no (G, rules) table is built."""
-    counts, size = groups.center_counts(), groups.seq.alphabet.size
+def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
+    """feed(pos, x_out, t_out, scale=None) -> (x, t, norms): the encoded
+    contexts of positions pos, their targets and the targets' row sums.
+    A context's target g is its pseudo-labels summed, its center counts c
+    times the pseudo-label table L, times scale, by default one over the
+    context's count, which gives its mean pseudo-label. For the narrow head
+    t is g, formed in float64 and rounded into t_out; for the wide head t
+    is the weights c times scale, so g = t @ L, and no row of g is formed.
+    It keeps the center counts per context alone: no (G, rules) table is built."""
+    counts, size, labels = groups.center_counts(), groups.seq.alphabet.size, tables.pseudo_labels
+    totals = labels.sum(axis=1)
 
-    def feed(pos, x_out, g_out, scale=None):
+    def feed(pos, x_out, t_out, scale=None):
         x = _encode_rows(groups.windows[pos][:, groups.columns], size, x_out)
         c = counts.take(groups.inverse[pos], axis=0)
-        g = c @ tables.pseudo_labels
+        t = c.astype(np.float64) if wide else c @ labels
         if scale is None:
-            g /= c.sum(axis=1, keepdims=True)
+            t /= c.sum(axis=1, keepdims=True)
         else:
-            g *= scale
-        np.copyto(g_out, g)
-        return x, g_out
+            t *= scale
+        np.copyto(t_out, t)
+        norms = (t @ totals).astype(t_out.dtype) if wide else t_out.sum(axis=1)  # row by row
+        return x, t_out, norms
 
     return feed
 
@@ -376,20 +430,25 @@ def train_groups(
     contexts in group order, so the bits follow the group numbering, each
     target being the context's pseudo-labels summed and scaled by G/n.
     Either way the mean cost estimates, or is, the mean over all n
-    positions. Adam runs on chunks of whole minibatches fed at a time. The
-    network returned holds the float64 mean of the last epoch's iterates,
-    rounded once to its dtype; its epoch losses are the mean cost over each
-    epoch's rows. Everything runs in this process.
+    positions. Where the rules outnumber the last hidden layer's units
+    (DNA's 256 against the default 40), the step takes _Pass's wide head,
+    fed the |Z| weights of each target's mix of pseudo-label rows; else the
+    narrow head, fed the target rows. Adam runs on chunks of whole
+    minibatches fed at a time. The network returned holds the float64 mean
+    of the last epoch's iterates, rounded once to its dtype; its epoch
+    losses are the mean cost over each epoch's rows. Everything runs in
+    this process.
     """
     cfg = config if config is not None else TrainConfig()
     if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
     rng = np.random.default_rng(cfg.rng_seed + groups.k)
-    width = 2 * groups.k * groups.seq.alphabet.size
-    net = MLPDenoiser((width, *hidden, tables.n_denoisers), k=groups.k, rng=rng)
+    size = groups.seq.alphabet.size
+    net = MLPDenoiser((*hidden, tables.n_denoisers), k=groups.k, size=size, rng=rng)
+    wide = tables.n_denoisers > net.layer_dims[-2]
     n, n_groups = len(groups.seq), groups.n_groups
     batch, steps, rows, epochs = _epoch_layout(n, n_groups, cfg.minibatch_size, cfg.epochs)
-    feed, full = _context_feed(groups, tables), n_groups <= batch
+    feed, full = _context_feed(groups, tables, wide), n_groups <= batch
     if full:  # one member per context, its summed pseudo-labels scaled by G/n
         member = np.empty(n_groups, dtype=groups.inverse.dtype)
         member[groups.inverse] = np.arange(n, dtype=member.dtype)  # every member has the same row
@@ -397,11 +456,12 @@ def train_groups(
     else:  # reshuffled in place every epoch
         order = np.arange(n, dtype=groups.inverse.dtype)
     drawn = order[:rows]  # a view: each epoch's rows
-    per_chunk = min(_FORWARD_CHUNK, _TARGET_ENTRIES // tables.n_denoisers) // batch
-    chunk = min(rows, batch * max(1, per_chunk))
+    t_width = size if wide else tables.n_denoisers
+    chunk = min(rows, batch * max(1, min(_FORWARD_CHUNK, _TARGET_ENTRIES // t_width) // batch))
     x_buf = np.empty((chunk, net.input_dim), dtype=net.dtype)
-    g_buf = np.empty((chunk, tables.n_denoisers), dtype=net.dtype)
-    passes, adam = _Pass(net), _Adam(net.n_params, net.dtype)
+    t_buf = np.empty((chunk, t_width), dtype=net.dtype)
+    passes = _Pass(net, tables.pseudo_labels if wide else None)
+    adam = _Adam(net.n_params, net.dtype)
     mean = np.zeros(net.n_params)  # the float64 sum of the last epoch's iterates
     for epoch in range(epochs):
         if not full:  # the first rows of a shuffle: contexts in proportion to their counts
@@ -409,11 +469,11 @@ def train_groups(
         total = 0.0
         for c0 in range(0, rows, chunk):
             pos = drawn[c0 : c0 + chunk]
-            x, g = feed(pos, x_buf[: pos.size], g_buf[: pos.size], n_groups / n if full else None)
-            norms = g.sum(axis=1)  # row by row, so the same bits however rows chunk
+            scale = n_groups / n if full else None
+            x, t, norms = feed(pos, x_buf[: pos.size], t_buf[: pos.size], scale)
             for s in range(0, len(x), batch):
                 step = slice(s, s + batch)
-                loss, grad = passes.loss_grad(x[step], g[step], norms[step])
+                loss, grad = passes.loss_grad(x[step], t[step], norms[step])
                 adam.step(net.params, grad)
                 total += loss * len(norms[step])
                 if epoch == epochs - 1:
@@ -427,12 +487,10 @@ def train_groups(
 def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:
     """Per-position rule indices for the whole of groups.seq: the network's
     argmax for each context. groups are core.ContextGroups of the network's
-    order, numbered in any way (a sweep refines them from the order before)."""
+    order, numbered in any way (a sweep refines them from the order before).
+    The network's input width, 2k|Z|, follows from its order and its
+    output width, |Z|^|Z| rules."""
     size = groups.seq.alphabet.size
-    if net.input_dim != 2 * net.k * size:
-        raise DataError(
-            f"network input width {net.input_dim} does not match 2k|Z| = {2 * net.k * size}"
-        )
     if net.output_dim != tables.n_denoisers:
         raise DataError(
             f"network output width {net.output_dim} does not match "
@@ -454,10 +512,14 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
     return per_row[groups.inverse]
 
 
-def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables) -> Sequence:
-    """Apply the trained network to every position of the sequence."""
-    interior_slice(len(z), net.k)  # checked before grouping, which pads z by k on each side
-    return apply_rules(z, select_denoisers(group_contexts(z, net.k), net, tables), tables)
+def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables, groups=None) -> Sequence:
+    """Apply the trained network to every position of the sequence. groups,
+    if given, are z's context groups at the network's order, in any
+    numbering (those train_groups took, say); else z is grouped here."""
+    if groups is None:
+        interior_slice(len(z), net.k)  # checked before grouping, which pads z by k on each side
+        groups = group_contexts(z, net.k)
+    return apply_rules(z, select_denoisers(groups, net, tables), tables)
 
 
 CHECKPOINT_MAGIC = "mlp-denoiser-v1"
@@ -480,8 +542,8 @@ def save_checkpoint(net: MLPDenoiser, path: str, tables: EstimatedLossTables) ->
 
 
 def load_checkpoint(path: str, tables: EstimatedLossTables, k: int) -> MLPDenoiser:
-    """The checkpoint's network; raises DataError unless it was
-    trained against tables' channel and loss at order k."""
+    """The checkpoint's network; raises DataError unless it was trained
+    against tables' channel and loss at order k, its input width 2k|Z|."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "magic" not in data or str(data["magic"]) != CHECKPOINT_MAGIC:
@@ -493,19 +555,22 @@ def load_checkpoint(path: str, tables: EstimatedLossTables, k: int) -> MLPDenois
             params = data["params"]
             if params.shape != (_n_params(dims),) or params.dtype != dtype:
                 raise DataError("checkpoint parameters do not match its dims and dtype")
-            net = MLPDenoiser(dims, k=int(data["k"]), dtype=dtype)
+            if str(data["fingerprint"]) != tables.fingerprint():
+                raise DataError("checkpoint was trained for a different channel or loss")
+            saved_k, size = int(data["k"]), tables.channel.alphabet.size
+            if dims[:1] != (2 * saved_k * size,):
+                raise DataError(f"checkpoint layer widths {dims} do not start at "
+                                f"2k|Z| = {2 * saved_k * size}")
+            net = MLPDenoiser(dims[1:], k=saved_k, size=size, dtype=dtype)
             if not np.isfinite(params).all():
                 raise DataError("checkpoint parameters are not all finite")
             net.params[:] = params
             net.epoch_losses = [float(v) for v in data["epoch_losses"]]
-            fingerprint = str(data["fingerprint"])
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         # empty, truncated or foreign files, and archives missing a field
         raise DataError(f"bad checkpoint {path}: {exc}") from exc
-    if fingerprint != tables.fingerprint():
-        raise DataError("checkpoint was trained for a different channel or loss")
     if net.k != k:
         raise DataError(f"checkpoint has k={net.k}, requested k={k}")
     return net

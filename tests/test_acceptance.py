@@ -245,7 +245,7 @@ def test_criterion_07_gradient_check(capsys):
     # parameter of a two-weight-layer network.
     def body():
         rng = np.random.default_rng(71)
-        net = MLPDenoiser((6, 12, 4), k=1, rng=rng, dtype=np.float64)
+        net = MLPDenoiser((12, 4), k=1, size=3, rng=rng, dtype=np.float64)
         x = rng.random((8, 6))
         g = rng.random((8, 4)) * 2
         _, grad = net.loss_and_gradient(x, g)

@@ -157,6 +157,26 @@ def test_ndude_checkpoint_cli(sim_files, tmp_path):
     assert res.returncode == 2
 
 
+def test_checkpoint_of_another_input_width_exits_2(sim_files, tmp_path):
+    # An order-2 binary network takes 2k|Z| = 8 inputs; a checkpoint whose
+    # first layer takes 6 is a data error.
+    _, _, noisy = sim_files
+    model = tmp_path / "model.npz"
+    tables = build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
+    neural.save_checkpoint(neural.MLPDenoiser((3, 4), k=2, size=2), str(model), tables)
+    with np.load(model) as data:
+        fields = {key: data[key] for key in data.files}
+    params = np.zeros(6 * 3 + 3 + 3 * 4 + 4, dtype=np.float32)
+    np.savez(model, **{**fields, "layer_dims": np.array([6, 3, 4]), "params": params})
+    res = run_cli(
+        "denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+        "--k", "2", "--output", str(tmp_path / "out.txt"), "--load-model", str(model),
+    )
+    assert res.returncode == 2
+    assert "do not start at 2k|Z| = 8" in res.stderr
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_ndude_denoise_reproduces_sweep_row(sim_files, tmp_path):
     # Order k trains with seed S + k in both commands, so `denoise --k k`
     # rebuilds the network behind the sweep's row k.
@@ -442,7 +462,7 @@ def test_orders_and_lengths_past_memory_keep_the_exit_codes(tmp_path):
     short, model = tmp_path / "short.txt", tmp_path / "m.npz"
     save_sequence(Sequence(np.arange(300, dtype=np.uint8) % 2, BINARY), str(short))
     tables = build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
-    neural.save_checkpoint(neural.MLPDenoiser((800, 4, 4), k=200), str(model), tables)
+    neural.save_checkpoint(neural.MLPDenoiser((4, 4), k=200, size=2), str(model), tables)
     out = str(tmp_path / "out.txt")
     denoise = ("denoise", "--input", str(short), "--channel", "bsc:0.1", "--method", "ndude")
     sweep = ("sweep", "--input", str(short), "--channel", "bsc:0.1", "--kmax", "99999999999",

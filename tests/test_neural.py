@@ -16,6 +16,7 @@ from dudekit.errors import DataError
 from dudekit.neural import (
     BETA1,
     BETA2,
+    DEFAULT_HIDDEN,
     EPSILON,
     LEARNING_RATE,
     MIN_EPOCHS,
@@ -100,7 +101,7 @@ def test_encode_rows_equals_eye_table(alphabet):
 
 
 def test_mlp_parameter_layout():
-    net = MLPDenoiser((4, 8, 3), k=1, rng=np.random.default_rng(0))
+    net = MLPDenoiser((8, 3), k=1, size=2, rng=np.random.default_rng(0))
     assert net.n_params == 4 * 8 + 8 + 8 * 3 + 3
     # views share storage with the flat vector
     net.params[:] = 0.0
@@ -110,10 +111,13 @@ def test_mlp_parameter_layout():
 
 
 def test_mlp_dim_validation():
-    with pytest.raises(DataError, match="need at least input and output dimensions"):
-        MLPDenoiser((4,), k=1)
+    # The input width is 2k|Z|, derived from the order and the alphabet size.
+    assert MLPDenoiser((5, 256), k=3, size=4).layer_dims == (24, 5, 256)
+    assert MLPDenoiser((4,), k=0, size=2).layer_dims == (0, 4)
+    with pytest.raises(DataError, match="need at least an output width"):
+        MLPDenoiser((), k=1, size=2)
     with pytest.raises(DataError, match=r"bad layer dimensions \(4, 0, 3\)"):
-        MLPDenoiser((4, 0, 3), k=1)
+        MLPDenoiser((0, 3), k=1, size=2)
 
 
 def test_negative_order_is_named_before_the_layer_widths():
@@ -124,7 +128,7 @@ def test_negative_order_is_named_before_the_layer_widths():
 
 def test_forward_rows_are_distributions():
     rng = np.random.default_rng(8)
-    net = MLPDenoiser((6, 10, 4), k=1, rng=rng, dtype=np.float64)
+    net = MLPDenoiser((10, 4), k=1, size=3, rng=rng, dtype=np.float64)
     x = rng.random((7, 6))
     p = net.forward(x)
     assert p.shape == (7, 4)
@@ -138,7 +142,7 @@ def test_forward_rows_are_distributions():
 
 def test_gradient_finite_difference():
     rng = np.random.default_rng(9)
-    net = MLPDenoiser((6, 12, 4), k=1, rng=rng, dtype=np.float64)
+    net = MLPDenoiser((12, 4), k=1, size=3, rng=rng, dtype=np.float64)
     x = rng.random((8, 6))
     g = rng.random((8, 4)) * 2
     _, grad = net.loss_and_gradient(x, g)
@@ -158,7 +162,7 @@ def test_gradient_finite_difference():
 
 def test_gradient_zero_for_zero_targets():
     rng = np.random.default_rng(10)
-    net = MLPDenoiser((4, 6, 3), k=1, rng=rng, dtype=np.float64)
+    net = MLPDenoiser((6, 3), k=1, size=2, rng=rng, dtype=np.float64)
     x = rng.random((5, 4))
     loss, grad = net.loss_and_gradient(x, np.zeros((5, 3)))
     assert loss == 0.0
@@ -166,7 +170,7 @@ def test_gradient_zero_for_zero_targets():
     # A k = 0 network outputs softmax(output bias) for every row. Its loss
     # is the mean of -g . log p, and its gradient vanishes where p is the
     # targets summed over the batch, normalized.
-    net = MLPDenoiser((0, 6), k=0, dtype=np.float64)
+    net = MLPDenoiser((6,), k=0, size=2, dtype=np.float64)
     x = np.zeros((4, 0))
     g = rng.random((4, 6)) * 3
     net.layers()[1][:] = np.log(g.sum(axis=0) / g.sum())
@@ -174,7 +178,7 @@ def test_gradient_zero_for_zero_targets():
     p = g.sum(axis=0) / g.sum()
     assert loss == pytest.approx(-(g @ np.log(p)).mean())
     assert np.max(np.abs(grad)) < 1e-12
-    # the floored log keeps a zero probability finite
+    # the cost, taken from the log-softmax, stays finite where p underflows to 0
     net.layers()[1][:] = [0.0, -1000.0, 0.0, 0.0, 0.0, 0.0]
     loss, _ = net.loss_and_gradient(x, np.eye(6)[[1, 1, 1, 1]])
     assert np.isfinite(loss) and loss > 60
@@ -262,11 +266,13 @@ def _walked_groups(z, k):
 def test_train_matches_per_step_reference():
     for n, k, minibatch, epochs in [(9000, 6, 7, 2), (700, 3, 50, 2), (700, 1, 50, 2)]:
         _check_per_step_reference(n, k, minibatch, epochs)
+    # the default hidden width, 40 units against 4 rules: the narrow head
+    _check_per_step_reference(700, 3, 50, 2, DEFAULT_HIDDEN)
     # G = 1451, so 208 steps an epoch: of 10 epochs, 9 fit the step budget
     assert _check_per_step_reference(9000, 6, 7, 10) == 9
 
 
-def _check_per_step_reference(n, k, minibatch, epochs):
+def _check_per_step_reference(n, k, minibatch, epochs, hidden=(16,)):
     # The plain loop, over min(epochs, max(6, 2000 // steps)) epochs; returns
     # that number. Where G > minibatch, each epoch takes the first
     # steps * minibatch positions of a shuffle of the n, in place, with seed
@@ -281,7 +287,7 @@ def _check_per_step_reference(n, k, minibatch, epochs):
     cfg = TrainConfig(epochs=epochs, minibatch_size=minibatch, rng_seed=3)
     size = z.alphabet.size
     rng = np.random.default_rng(cfg.rng_seed + k)
-    ref = MLPDenoiser((2 * k * size, 16, t.n_denoisers), k=k, rng=rng)
+    ref = MLPDenoiser((*hidden, t.n_denoisers), k=k, size=size, rng=rng)
     inverse = _walked_groups(z, k).inverse
     n_groups = int(inverse.max()) + 1
     counts = np.zeros((n_groups, size))
@@ -318,7 +324,7 @@ def _check_per_step_reference(n, k, minibatch, epochs):
             mean += ref.params
         losses.append(total / rows)
     assert t_adam == epochs * steps
-    net = train(z, k, t, hidden=(16,), config=cfg)
+    net = train(z, k, t, hidden=hidden, config=cfg)
     assert net.params.tobytes() == (mean / steps).astype(np.float32).tobytes()
     assert net.epoch_losses == losses
     return epochs
@@ -330,15 +336,19 @@ def test_context_table_objective_matches_every_position(size, n, k):
     # pseudo-labels scaled by G/n, is the mean over all n positions, edges
     # included, and so is its gradient. So is the mean, weighted by batch
     # size, over minibatches of the positions of a shuffle, each target the
-    # mean pseudo-label of the position's context.
+    # mean pseudo-label of the position's context. Binary feeds the narrow
+    # head its target rows; 4 symbols, 256 rules against 12 units, feed the
+    # wide head its weights.
     rng = np.random.default_rng(size)
     alphabet = ALPHABETS[size]
     t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
     z = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
-    net = MLPDenoiser((2 * k * size, 12, t.n_denoisers), k=k, rng=rng, dtype=np.float64)
+    net = MLPDenoiser((12, t.n_denoisers), k=k, size=size, rng=rng, dtype=np.float64)
     groups = group_contexts(z, k)
     assert groups.n_groups < n / 5
-    feed = _context_feed(groups, t)
+    wide = size == 4
+    feed, width = _context_feed(groups, t, wide), size if wide else t.n_denoisers
+    step = _Pass(net, t.pseudo_labels if wide else None)
     rows = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
     x_all = _encode_rows(rows, size, np.empty((n, net.input_dim)))
     want_loss, want_grad = net.loss_and_gradient(x_all, t.pseudo_labels[z.data])
@@ -349,18 +359,87 @@ def test_context_table_objective_matches_every_position(size, n, k):
 
     member = np.unique(groups.inverse, return_index=True)[1]
     g_rows = groups.n_groups
-    x, g = feed(member, np.empty((g_rows, net.input_dim)), np.empty((g_rows, t.n_denoisers)),
-                groups.n_groups / n)
-    close(*net.loss_and_gradient(x, g))
+    x, targets, norms = feed(member, np.empty((g_rows, net.input_dim)), np.empty((g_rows, width)),
+                             groups.n_groups / n)
+    close(*step.loss_grad(x, targets, norms))
     order = rng.permutation(n)
     loss, grad = 0.0, np.zeros(net.n_params)
     for start in range(0, n, 13 * 17):  # the last minibatch ragged
         pos = order[start : start + 13 * 17]
-        x, g = feed(pos, np.empty((pos.size, net.input_dim)), np.empty((pos.size, t.n_denoisers)))
-        part_loss, part_grad = net.loss_and_gradient(x, g)
+        x, targets, norms = feed(pos, np.empty((pos.size, net.input_dim)),
+                                 np.empty((pos.size, width)))
+        part_loss, part_grad = step.loss_grad(x, targets, norms)
         loss += part_loss * pos.size / n
         grad += part_grad * pos.size / n
     close(loss, grad)
+
+
+def _wide_instance(rng, hidden, dtype, k=5, batch=60):
+    """A 4-symbol network of order k, 256 rules, with encoded rows x, pseudo-label
+    table L and per-row weights w over its 4 rows, counts over their total."""
+    t = build_estimated_loss(random_invertible_channel(rng, 4), hamming_loss(ALPHABETS[4]))
+    net = MLPDenoiser((*hidden, t.n_denoisers), k=k, size=4, rng=rng, dtype=dtype)
+    x = rng.random((batch, net.input_dim)).astype(dtype)  # no ReLU input sits at its kink
+    counts = rng.integers(0, 9, (batch, 4)) + np.eye(4, dtype=int)[rng.integers(0, 4, batch)]
+    return net, x, t.pseudo_labels, counts / counts.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("hidden", [(40, 40, 40), ()], ids=["hidden", "no-hidden"])
+def test_wide_head_matches_materialised_targets(dtype, tol, hidden):
+    # The wide head's cost and gradient from the weights w equal the narrow
+    # head's from the targets w @ L, formed: 1e-12 relative in float64, 1e-5
+    # in float32.
+    rng = np.random.default_rng(29)
+    net, x, labels, w = _wide_instance(rng, hidden, dtype)
+    g = (w @ labels).astype(dtype)
+    want_loss, want_grad = _Pass(net).loss_grad(x, g, g.sum(axis=1))
+    w = w.astype(dtype)
+    loss, grad = _Pass(net, labels).loss_grad(x, w, (w @ labels.sum(axis=1)).astype(dtype))
+    assert loss == pytest.approx(want_loss, rel=tol, abs=0)
+    assert np.max(np.abs(grad - want_grad)) <= tol * np.max(np.abs(want_grad))
+
+
+def test_wide_head_gradient_finite_difference():
+    rng = np.random.default_rng(30)
+    net, x, labels, w = _wide_instance(rng, (6,), np.float64, k=1, batch=9)
+    step = _Pass(net, labels)
+    norms = w @ labels.sum(axis=1)
+    grad = step.loss_grad(x, w, norms)[1].copy()
+    eps = 1e-6
+    fd = np.zeros_like(grad)
+    for j in range(net.n_params):
+        orig = net.params[j]
+        net.params[j] = orig + eps
+        up, _ = step.loss_grad(x, w, norms)
+        net.params[j] = orig - eps
+        down, _ = step.loss_grad(x, w, norms)
+        net.params[j] = orig
+        fd[j] = (up - down) / (2 * eps)
+    rel = np.max(np.abs(fd - grad)) / max(np.max(np.abs(fd)), 1e-12)
+    assert rel < 1e-6
+
+
+def test_head_follows_rule_count_against_last_hidden_width(monkeypatch):
+    # Training takes the wide head where the rules outnumber the last hidden
+    # layer's units: DNA's 256 against the default 40, or 27 ternary rules
+    # against 8; binary's 4 and ternary's 27 at the default width take the narrow.
+    heads, real = [], _Pass.__init__
+
+    def recorded(self, net, labels=None):
+        heads.append(labels is not None)
+        real(self, net, labels)
+
+    monkeypatch.setattr(_Pass, "__init__", recorded)
+    rng = np.random.default_rng(31)
+    for size, hidden, wide in ((2, DEFAULT_HIDDEN, False), (3, DEFAULT_HIDDEN, False),
+                               (4, DEFAULT_HIDDEN, True), (3, (16, 8), True), (4, (300,), False)):
+        alphabet = ALPHABETS[size]
+        t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
+        z = Sequence(rng.integers(0, size, 300).astype(np.uint8), alphabet)
+        heads.clear()
+        train(z, 1, t, hidden=hidden, config=TrainConfig(epochs=1))
+        assert heads == [wide]
 
 
 @pytest.mark.parametrize(
@@ -554,7 +633,7 @@ def test_each_order_trains_holding_only_its_own_groups(monkeypatch):
 
 def test_mlp_pickle_keeps_layer_views_tied():
     t = bsc01_tables()
-    net = MLPDenoiser((4, 8, t.n_denoisers), k=1, rng=np.random.default_rng(2))
+    net = MLPDenoiser((8, t.n_denoisers), k=1, size=2, rng=np.random.default_rng(2))
     copy = pickle.loads(pickle.dumps(net))
     assert copy.params.tobytes() == net.params.tobytes()
     x = np.random.default_rng(3).random((5, 4)).astype(np.float32)
@@ -601,19 +680,19 @@ def test_select_denoisers_ragged_chunks_match_layer_loop():
     contexts = [extract_context(z, i, k) for i in range(len(z))]
     x = np.stack([encode_context(c, BINARY) for c in contexts])
     for dtype in (np.float32, np.float64):
-        net = MLPDenoiser((4 * k, 40, 40, t.n_denoisers), k=k, rng=rng, dtype=dtype)
+        net = MLPDenoiser((40, 40, t.n_denoisers), k=k, size=2, rng=rng, dtype=dtype)
         want = context_probabilities(net, contexts, BINARY)
         assert net.forward(x).tobytes() == want.tobytes()
         assert np.array_equal(select_denoisers(group_contexts(z, k), net, t), np.argmax(want, axis=1))
 
 
 def test_select_denoisers_dim_checks():
+    # No network of order k takes other than 2k|Z| inputs; the output width
+    # must be the tables' rule count, which fixes |Z|.
     _, z = _toy_instance(n=300)
     t = bsc01_tables()
-    net = MLPDenoiser((8, 6, 4), k=1, rng=np.random.default_rng(0))  # wrong input width
-    with pytest.raises(DataError, match="network input width 8 does not match 2k"):
-        select_denoisers(group_contexts(z, 1), net, t)
-    net = MLPDenoiser((4, 6, 5), k=1, rng=np.random.default_rng(0))  # wrong output width
+    assert MLPDenoiser((6, 4), k=1, size=2).input_dim == 4
+    net = MLPDenoiser((6, 5), k=1, size=2, rng=np.random.default_rng(0))  # wrong output width
     with pytest.raises(DataError, match="network output width 5 does not match 4 denoisers"):
         select_denoisers(group_contexts(z, 1), net, t)
 
@@ -621,7 +700,7 @@ def test_select_denoisers_dim_checks():
 def test_select_denoisers_refuses_groups_of_another_order():
     _, z = _toy_instance(n=300)
     t = bsc01_tables()
-    net = MLPDenoiser((8, 6, 4), k=2, rng=np.random.default_rng(0))
+    net = MLPDenoiser((6, 4), k=2, size=2, rng=np.random.default_rng(0))
     with pytest.raises(DataError, match="context groups of order 3 for a network of order 2"):
         select_denoisers(group_contexts(z, 3), net, t)
 
@@ -632,7 +711,7 @@ def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
     # they build a network; inference refuses such an order before it groups.
     _, z = _toy_instance(n=10)
     t = bsc01_tables()
-    net = MLPDenoiser((20, 6, 4), k=5, rng=np.random.default_rng(0))
+    net = MLPDenoiser((6, 4), k=5, size=2, rng=np.random.default_rng(0))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called before the order check")
@@ -702,7 +781,7 @@ def test_checkpoint_bad_file(tmp_path):
     with pytest.raises(DataError, match="is not a denoiser checkpoint"):
         load_checkpoint(str(other), t, 1)
     # networks that are not float, or whose parameters are not finite
-    net = MLPDenoiser((4, 3, 4), k=1, rng=np.random.default_rng(0))
+    net = MLPDenoiser((3, 4), k=1, size=2, rng=np.random.default_rng(0))
     save_checkpoint(net, str(path), t)
     with np.load(path) as data:
         fields = {key: data[key] for key in data.files}
@@ -718,6 +797,22 @@ def test_checkpoint_bad_file(tmp_path):
         np.savez(other, **{**fields, **change})
         with pytest.raises(DataError, match=message):
             load_checkpoint(str(other), t, 1)
+
+
+def test_checkpoint_input_width_must_be_2k_alphabet(tmp_path):
+    # A binary network of order 2 takes 8 inputs; a checkpoint that declares
+    # 6, with parameters to match, is refused before any network is built.
+    t = bsc01_tables()
+    net = MLPDenoiser((3, 4), k=2, size=2, rng=np.random.default_rng(0))
+    path = tmp_path / "model.npz"
+    save_checkpoint(net, str(path), t)
+    assert load_checkpoint(str(path), t, 2).layer_dims == (8, 3, 4)
+    with np.load(path) as data:
+        fields = {key: data[key] for key in data.files}
+    params = np.zeros(6 * 3 + 3 + 3 * 4 + 4, dtype=np.float32)
+    np.savez(path, **{**fields, "layer_dims": np.array([6, 3, 4]), "params": params})
+    with pytest.raises(DataError, match=r"layer widths \(6, 3, 4\) do not start at 2k\|Z\| = 8"):
+        load_checkpoint(str(path), t, 2)
 
 
 def test_checkpoint_missing_field_or_truncated(tmp_path):

@@ -32,7 +32,7 @@ def _valid_files(root):
     seq_path = root / "seq.txt"
     save_sequence(Sequence.from_text("0110100111", BINARY), str(seq_path), meta={"kind": "x"})
     model_path = root / "model.npz"
-    save_checkpoint(MLPDenoiser((4, 3, 4), k=1), str(model_path), CHECKPOINT_TABLES)
+    save_checkpoint(MLPDenoiser((3, 4), k=1, size=2), str(model_path), CHECKPOINT_TABLES)
     pbm_path = root / "img.pbm"
     save_pbm(ImageGrid(5, 3, np.arange(15) % 2), str(pbm_path))
     report = ExperimentReport(

@@ -33,11 +33,11 @@ every reconstruction. A summary line per instance family gives the median
 and worst of `excess` over every (seed, k), the worst |est_gap| and the
 median and worst `kstar_excess`. The JSON (stdout, or --out) holds the
 same numbers, the git SHA and the OpenBLAS kernels, and no wall times, so
-two checkouts' files diff line by line. The wall times of the n = 1M runs
-(FB, the grouping walk, each order's training, and selection with
-scoring) go to --times, or to stderr. `dudekit` and the workloads are
-imported from --checkout, by default the checkout holding this script; a
-checkout without `neural.train_groups` needs its own copy of the script.
+two checkouts' files diff line by line. The wall times of every run (FB,
+the grouping walk, each order's training, and selection with scoring) go
+to --times, or to stderr. `dudekit` and the workloads are imported from
+--checkout, by default the checkout holding this script; a checkout
+without `neural.train_groups` needs its own copy of the script.
 It takes 5-15 minutes and is not part of the Tier-1 tests.
 
 --compare prints, for each instance, k* and `kstar_excess` before and
@@ -73,10 +73,10 @@ MAIN_N, MAIN_SEEDS, MAIN_ORDERS = 1_000_000, (1, 2), range(1, 21)
 DELTA = 0.1  # of bsc(0.1), the binary instances' channel
 
 
-def instance(inputs, delta: float, seed: int, orders, times: dict | None = None) -> dict:
+def instance(inputs, delta: float, seed: int, orders, times: dict) -> dict:
     """Per-order quality of N-DUDE on inputs = (noisy, clean, HMM spec, loss)
-    at seed; times, when given, takes the wall times of FB, of the grouping
-    walk, of each order's training and of selection with scoring."""
+    at seed; times takes the wall times of FB, of the grouping walk, of each
+    order's training and of selection with scoring."""
     from dudekit import baselines, channel, evaluation, neural
     from dudekit.core import context_groups
 
@@ -109,15 +109,14 @@ def instance(inputs, delta: float, seed: int, orders, times: dict | None = None)
             "md5": hashlib.md5(xhat.data.tobytes()).hexdigest(),
         })
         del groups, s_idx  # not held while the walk refines the next orders
-    if times is not None:
-        train_s = sum(trained.values())
-        times.update({
-            "fb_s": round(t1 - t0, 3),
-            "walk_s": round(time.perf_counter() - t1 - train_s - scored, 3),
-            "train_s": round(train_s, 3),
-            "train_s_per_k": {k: round(s, 3) for k, s in sorted(trained.items())},
-            "select_score_s": round(scored, 3),
-        })
+    train_s = sum(trained.values())
+    times.update({
+        "fb_s": round(t1 - t0, 3),
+        "walk_s": round(time.perf_counter() - t1 - train_s - scored, 3),
+        "train_s": round(train_s, 3),
+        "train_s_per_k": {k: round(s, 3) for k, s in sorted(trained.items())},
+        "select_score_s": round(scored, 3),
+    })
     k_star = min(rows, key=lambda r: (r["estimated_loss"], r["k"]))
     best = min(r["true_error"] for r in rows)
     return {
@@ -156,7 +155,7 @@ def family(name: str, build, delta: float, seeds, orders, times: dict) -> dict:
     """Summary and runs of one instance family, printed as they finish."""
     runs = []
     for seed in seeds:
-        clock = {} if build is criterion_01 else None
+        times[f"{name} seed={seed}"] = clock = {}
         run = instance(build(seed), delta, seed, orders, clock)
         runs.append(run)
         for r in run["orders"]:
@@ -165,8 +164,6 @@ def family(name: str, build, delta: float, seeds, orders, times: dict) -> dict:
                   file=sys.stderr)
         print(f"{name} seed={seed} k*={run['k_star']} kstar_excess={run['kstar_excess']:.4f}",
               file=sys.stderr, flush=True)
-        if clock is not None:
-            times[f"{name} seed={seed}"] = clock
     line = " ".join(f"{key}={value:.4f}" for key, value in summary(runs).items())
     print(f"{name} {line}", file=sys.stderr, flush=True)
     return {"summary": summary(runs), "runs": runs}
@@ -226,7 +223,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", default=ROOT, help="repository root to import dudekit from")
     ap.add_argument("--out", help="quality JSON file to write (default: stdout)")
-    ap.add_argument("--times", help="JSON file for the n = 1M wall times (default: stderr)")
+    ap.add_argument("--times", help="JSON file for every run's wall times (default: stderr)")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="diff two quality files")
     ap.add_argument("--haswell-child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -260,7 +257,7 @@ def main() -> int:
         },
     }
     clock = json.dumps({"checkout_sha": doc["checkout_sha"], "blas_core": doc["blas_core"],
-                        "n_1m_seconds": times}, indent=1)
+                        "seconds": times}, indent=1)
     if args.times:
         with open(args.times, "w", encoding="utf-8") as fh:
             fh.write(clock + "\n")

@@ -226,8 +226,10 @@ def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int, set
 class ContextGroups:
     """Positions of seq grouped by their padded order-k context.
 
-    inverse[i] is the group of position i. Contexts that reach past an edge
-    hold the pad digit, so they never share a group with pad-free ones.
+    inverse[i] is the group of position i, and members()[g] one position of
+    group g, so windows[members()[g], columns] is group g's context. Contexts
+    that reach past an edge hold the pad digit, so they never share a group
+    with pad-free ones.
     Each group below len(centres) is settled: one position, whose symbol is
     centres[g], alone at every higher order; active holds the others, ascending, or None.
     """
@@ -244,12 +246,13 @@ class ContextGroups:
     def k(self) -> int:
         return len(self.columns) // 2
 
-    def rows(self) -> np.ndarray:
-        """(n_groups, 2k) context digits, row g being group g's context."""
-        member = np.empty(self.n_groups, dtype=np.intp)
-        # Every member of a group has the same row, so any one will do.
-        member[self.inverse] = np.arange(self.inverse.size)
-        return self.windows[member[:, None], self.columns]
+    def members(self) -> np.ndarray:
+        """One position of each group, in inverse's dtype, whose context is its group's."""
+        member = np.empty(self.n_groups, dtype=self.inverse.dtype)
+        for start in range(0, self.inverse.size, 1 << 16):  # no (n,) index of positions
+            part = self.inverse[start : start + (1 << 16)]
+            member[part] = np.arange(start, start + part.size, dtype=member.dtype)
+        return member
 
     def center_counts(self) -> np.ndarray:
         """counts[g, a]: how often symbol a sits at the center of group g."""

@@ -449,12 +449,9 @@ def train_groups(
     n, n_groups = len(groups.seq), groups.n_groups
     batch, steps, rows, epochs = _epoch_layout(n, n_groups, cfg.minibatch_size, cfg.epochs)
     feed, full = _context_feed(groups, tables, wide), n_groups <= batch
-    if full:  # one member per context, its summed pseudo-labels scaled by G/n
-        member = np.empty(n_groups, dtype=groups.inverse.dtype)
-        member[groups.inverse] = np.arange(n, dtype=member.dtype)  # every member has the same row
-        order = np.tile(member, steps)
-    else:  # reshuffled in place every epoch
-        order = np.arange(n, dtype=groups.inverse.dtype)
+    # full: one member per context, its summed pseudo-labels scaled by G/n; else
+    # the positions, reshuffled in place every epoch
+    order = np.tile(groups.members(), steps) if full else np.arange(n, dtype=groups.inverse.dtype)
     drawn = order[:rows]  # a view: each epoch's rows
     t_width = size if wide else tables.n_denoisers
     chunk = min(rows, batch * max(1, min(_FORWARD_CHUNK, _TARGET_ENTRIES // t_width) // batch))
@@ -489,36 +486,36 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
     argmax for each context. groups are core.ContextGroups of the network's
     order, numbered in any way (a sweep refines them from the order before).
     The network's input width, 2k|Z|, follows from its order and its
-    output width, |Z|^|Z| rules."""
-    size = groups.seq.alphabet.size
+    output width, |Z|^|Z| rules. It classifies _FORWARD_CHUNK groups at a time,
+    their rows gathered from ContextGroups.members(): no (G, 2k) table is formed."""
     if net.output_dim != tables.n_denoisers:
-        raise DataError(
-            f"network output width {net.output_dim} does not match "
-            f"{tables.n_denoisers} denoisers"
-        )
+        raise DataError(f"network output width {net.output_dim} does not match "
+                        f"{tables.n_denoisers} denoisers")
     if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
     if groups.k != net.k:
         raise DataError(f"context groups of order {groups.k} for a network of order {net.k}")
     interior_slice(len(groups.seq), groups.k)
-    rows = groups.rows()
-    per_row = np.empty(rows.shape[0], dtype=tables.rule_dtype)
-    buf = np.empty((min(_FORWARD_CHUNK, max(1, rows.shape[0])), net.input_dim), dtype=net.dtype)
-    for start in range(0, rows.shape[0], _FORWARD_CHUNK):
-        chunk = rows[start : start + _FORWARD_CHUNK]
-        x = _encode_rows(chunk, size, buf[: chunk.shape[0]])
+    member = groups.members()
+    per_group = np.empty(groups.n_groups, dtype=tables.rule_dtype)
+    buf = np.empty((min(_FORWARD_CHUNK, groups.n_groups), net.input_dim), dtype=net.dtype)
+    for start in range(0, groups.n_groups, _FORWARD_CHUNK):
+        rows = groups.windows[member[start : start + _FORWARD_CHUNK]].take(groups.columns, axis=1)
+        x = _encode_rows(rows, groups.seq.alphabet.size, buf[: len(rows)])
         # A pass per chunk: its layer buffers are gone while the next chunk encodes.
-        per_row[start : start + chunk.shape[0]] = np.argmax(net.forward(x), axis=1)
-    return per_row[groups.inverse]
+        per_group[start : start + len(rows)] = np.argmax(net.forward(x), axis=1)
+    return per_group[groups.inverse]
 
 
 def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables, groups=None) -> Sequence:
-    """Apply the trained network to every position of the sequence. groups,
-    if given, are z's context groups at the network's order, in any
-    numbering (those train_groups took, say); else z is grouped here."""
+    """Apply the trained network to every position of z. groups, if given,
+    are z's context groups at the network's order, in any numbering (those
+    train_groups took, say), else z is grouped here; groups of another sequence raise DataError."""
     if groups is None:
         interior_slice(len(z), net.k)  # checked before grouping, which pads z by k on each side
         groups = group_contexts(z, net.k)
+    elif groups.seq != z:
+        raise DataError("context groups are of another sequence than the one to denoise")
     return apply_rules(z, select_denoisers(groups, net, tables), tables)
 
 

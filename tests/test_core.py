@@ -181,9 +181,14 @@ def test_pack_context_keys_matches_context_key():
         assert int(keys[i]) == context_key(extract_context(seq, i, k), BINARY)
 
 
+def _group_rows(groups):
+    """(n_groups, 2k) context digits, row g read at group g's member."""
+    return groups.windows[groups.members()][:, groups.columns]
+
+
 def _check_groups(seq, k):
     groups = group_contexts(seq, k)
-    rows = groups.rows()
+    rows = _group_rows(groups)
     digits = [extract_context(seq, i, k).digits() for i in range(len(seq))]
     assert groups.n_groups == rows.shape[0] == len(set(digits))
     for i, d in enumerate(digits):
@@ -196,6 +201,17 @@ def test_group_contexts_matches_extract():
         seq = Sequence(rng.integers(0, alphabet.size, 60).astype(np.uint8), alphabet)
         for k in range(4):
             _check_groups(seq, k)
+
+
+@pytest.mark.parametrize("n", [1, 7, 70_000, 140_001])
+def test_members_index_one_position_of_each_group(n):
+    # Sizes past one slice of the fill (2**16 positions) and a ragged last slice.
+    rng = np.random.default_rng(n)
+    seq = Sequence(rng.integers(0, 3, n).astype(np.uint8), Alphabet(("a", "b", "c")))
+    for groups in context_groups(seq, (0, 1, 4, 9)):
+        members = groups.members()
+        assert members.dtype == groups.inverse.dtype
+        assert np.array_equal(groups.inverse[members], np.arange(groups.n_groups))
 
 
 def test_group_contexts_split_refinement(monkeypatch):
@@ -250,7 +266,7 @@ def test_context_groups_refine_like_direct_grouping(size, n, ks):
         assert groups.n_groups == len(set(direct))
         # Same partition: the pairs (direct id, group) are one to one.
         assert len(set(zip(direct, groups.inverse.tolist()))) == groups.n_groups
-        rows = groups.rows()
+        rows = _group_rows(groups)
         assert rows.shape == (groups.n_groups, 2 * k)
         for i in range(0, n, max(1, n // 50)):
             assert tuple(rows[groups.inverse[i]]) == extract_context(seq, i, k).digits()

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -684,6 +685,64 @@ def test_select_denoisers_ragged_chunks_match_layer_loop():
         want = context_probabilities(net, contexts, BINARY)
         assert net.forward(x).tobytes() == want.tobytes()
         assert np.array_equal(select_denoisers(group_contexts(z, k), net, t), np.argmax(want, axis=1))
+
+
+def test_select_denoisers_whole_chunks_and_k0_match_layer_loop():
+    # G an exact multiple of the inference chunk (no ragged last chunk), and
+    # k = 0, whose one group's row has no columns
+    rng = np.random.default_rng(11)
+    z = Sequence((rng.random(11_253) < 0.5).astype(np.uint8), BINARY)
+    t = bsc01_tables()
+    for k in (7, 0):
+        groups = group_contexts(z, k)
+        assert groups.n_groups == (2 * neural._FORWARD_CHUNK if k else 1)
+        contexts = [extract_context(z, i, k) for i in range(len(z))]
+        for dtype in (np.float32, np.float64):
+            net = MLPDenoiser((40, 40, t.n_denoisers), k=k, size=2, rng=rng, dtype=dtype)
+            want = np.argmax(context_probabilities(net, contexts, BINARY), axis=1)
+            got = select_denoisers(groups, net, t)
+            assert got.tobytes() == want.astype(t.rule_dtype).tobytes()
+
+
+def test_select_denoisers_memory_is_a_few_bytes_per_group_plus_one_chunk():
+    # Nearly every order-16 context of a random binary sequence is distinct,
+    # so G is close to n and spans many chunks. Selection holds a member and
+    # a rule per group, a rule per position, and one chunk's buffers: its
+    # encoded rows and their one-hot bools, and the layer outputs with their
+    # temporaries. A (G, 2k) digit table, 32 bytes a group, breaks the bound.
+    rng = np.random.default_rng(5)
+    n, k = 100_000, 16
+    z = Sequence((rng.random(n) < 0.5).astype(np.uint8), BINARY)
+    t = bsc01_tables()
+    groups = group_contexts(z, k)
+    assert k >= 12 and groups.n_groups > 4 * neural._FORWARD_CHUNK
+    net = MLPDenoiser((8, t.n_denoisers), k=k, size=2, rng=rng)
+    itemsize = net.dtype.itemsize
+    chunk = neural._FORWARD_CHUNK * (
+        2 * net.input_dim * itemsize + 2 * sum(net.layer_dims[1:]) * itemsize + 64
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s_idx = select_denoisers(groups, net, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * groups.n_groups + n + chunk
+    assert s_idx.dtype == t.rule_dtype and s_idx.shape == (n,)
+
+
+def test_denoise_refuses_groups_of_another_sequence():
+    # Selection reads groups.seq's contexts and the rules apply to z's
+    # symbols, so groups of another sequence of z's length are refused.
+    _, z = _toy_instance(n=600, seed=7)
+    t = bsc01_tables()
+    net = MLPDenoiser((6, t.n_denoisers), k=2, size=2, rng=np.random.default_rng(0))
+    other = Sequence(z.data[::-1], BINARY)
+    with pytest.raises(DataError, match="another sequence"):
+        denoise(z, net, t, group_contexts(other, 2))
+    same = group_contexts(Sequence(z.data.copy(), BINARY), 2)  # equal symbols, another object
+    assert denoise(z, net, t, same) == denoise(z, net, t)
 
 
 def test_select_denoisers_dim_checks():

@@ -1,4 +1,4 @@
-"""Per-layer timings of the in-process DUDE sweep and FB smoother, to compare two checkouts.
+"""Per-layer timings of the in-process DUDE sweep, N-DUDE selection and FB, to compare checkouts.
 
     python3 tools/sweep_layers.py --seed 1 [--checkout DIR] [--repeats 5] [--out FILE]
 
@@ -15,6 +15,11 @@ on one thread:
   the n = 1M input, and at k = 16 on the n = 150k input;
 - `baselines.smoothing_posteriors` and `baselines.forward_backward_denoise`
   under the true model, on the n = 1M and the DNA inputs;
+- `neural.select_denoisers` at k = 20 on the n = 1M input and at k = 16 on
+  the n = 150k input, with an untrained network of the default width
+  (selection's memory and time do not depend on the weights), on the
+  groups of `core.group_contexts`: its time, its `tracemalloc` peak and
+  an md5 of the rule indices it returns;
 - the `tracemalloc` peak, above the memory live before it, of walking the
   k = 1..20 chain at n = 1M (no order's groups held past its step), of
   `group_contexts(z, 16)` at n = 150k and of `smoothing_posteriors` at
@@ -52,6 +57,7 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDERS = range(1, 21)
 JUMPS = (10, 13, 16, 20)
+SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16))
 FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
 
@@ -143,6 +149,26 @@ def walk(z) -> None:
         del groups
 
 
+def selections(inputs, repeats: int) -> dict[str, dict]:
+    """Time, tracemalloc peak (MiB) and rule md5 of N-DUDE selection per SELECTIONS entry."""
+    from dudekit import channel, core, neural
+
+    out = {"s": {}, "tracemalloc_peak_mib": {}, "rules_md5": {}}
+    for label, name, k in SELECTIONS:
+        z, _, spec, loss = inputs[name]
+        tables = channel.build_estimated_loss(spec.channel, loss)
+        groups = core.group_contexts(z, k)
+        net = neural.MLPDenoiser((*neural.DEFAULT_HIDDEN, tables.n_denoisers), k=k,
+                                 size=z.alphabet.size, rng=np.random.default_rng(0))
+        rules = neural.select_denoisers(groups, net, tables)  # also the warm-up
+        out["rules_md5"][label] = hashlib.md5(rules.tobytes()).hexdigest()
+        del rules
+        out["s"][label] = timed(lambda: neural.select_denoisers(groups, net, tables), repeats)
+        out["tracemalloc_peak_mib"][label] = traced_peak(
+            lambda: neural.select_denoisers(groups, net, tables))
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True)
@@ -187,7 +213,8 @@ def main() -> int:
         "smoothing_posteriors_n1m_mib": traced_peak(lambda: baselines.smoothing_posteriors(z, spec)),
     }
     doc = {
-        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, and FB, BLAS on one thread",
+        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, N-DUDE selection, and FB, "
+                "BLAS on one thread",
         "checkout_sha": git_sha(root),
         "seed": args.seed,
         "repeats": args.repeats,
@@ -202,6 +229,7 @@ def main() -> int:
         "total_s": totals,
         "group_contexts_s": jumps,
         "fb": fb,
+        "select_denoisers": selections(inputs, args.repeats),
         "tracemalloc_peak": peaks,
     }
     text = json.dumps(doc, indent=1)

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 from . import baselines, dude, evaluation, io, neural
 from .channel import build_estimated_loss, hamming_loss, parse_channel_spec
-from .core import interior_slice
+from .core import group_contexts, interior_slice
 from .errors import DataError, DenoiserError, NumericalError
 from .evaluation import sweep_k, symbol_error_rate, true_loss
 from .neural import TrainConfig
@@ -113,6 +113,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    if args.method != "ndude" and (args.save_model or args.load_model):
+        raise _UsageError(f"--save-model and --load-model need method ndude, not {args.method}")
     chan, loss = parse_channel_spec(args.channel)
     z, _ = io.load_sequence(args.input, chan.alphabet)
     channel_id = _spec_id(args.channel)
@@ -143,7 +145,7 @@ def _cmd_denoise(args) -> int:
             groups, net = None, neural.load_checkpoint(args.load_model, tables, args.k)
         else:  # selected on the groups it trained on
             hidden, config = _parse_hidden(args.hidden), _train_config(args)
-            groups = neural.walked_groups(z, args.k)
+            groups = group_contexts(z, args.k)
             net = neural.train_groups(groups, tables, hidden, config)
         if args.save_model:
             neural.save_checkpoint(net, args.save_model, tables)
@@ -167,6 +169,8 @@ def _cmd_denoise(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.kmin < 0 or args.kmax < args.kmin:
         raise _UsageError(f"bad context order range [{args.kmin}, {args.kmax}]")
+    if args.out_noisy and not args.image:
+        raise _UsageError("--out-noisy needs --image")
     chan, loss = parse_channel_spec(args.channel)
     tables = build_estimated_loss(chan, loss)
     fp = _fingerprint(
@@ -200,7 +204,7 @@ def _cmd_sweep(args) -> int:
             clean, _ = io.load_sequence(args.clean, chan.alphabet)
     # The smallest order of the range with 2k >= n names the error, found without building it.
     interior_slice(len(z), min(args.kmax, max(args.kmin, (len(z) + 1) // 2)))
-    if grid is not None and args.out_noisy:
+    if args.out_noisy:
         io.save_pbm(io.derasterize(z, grid.width, grid.height), args.out_noisy)
     report, recon = sweep_k(
         z,

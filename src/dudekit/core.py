@@ -7,9 +7,9 @@ edge use a padding sentinel (index == alphabet.size) for the missing
 symbols, so the sentinel never collides with a real symbol.
 Every context row is read from one padded window view (context_windows
 and context_columns), and positions are grouped by context in one way:
-context_groups refines the groups order by order, settling positions alone
-in their group, and group_contexts is its one-order case. Both denoisers,
-and their sweeps, work from these groups.
+context_groups refines the groups from k = 0, one order per step, settling
+positions alone in their group, and group_contexts is its last step. Both
+denoisers, and their sweeps, work from these groups.
 """
 
 from __future__ import annotations
@@ -261,44 +261,34 @@ class ContextGroups:
         return np.bincount(flat, minlength=self.n_groups * size).reshape(self.n_groups, size)
 
 
-def context_groups(seq: Sequence, orders):
-    """Yield seq's ContextGroups for each of the ascending orders.
-
-    Each order's groups refine those of the order before by the digits of
-    the orders it adds, as many per step as keep every key within uint64.
-    All share one window view of reach max(orders). Once groups have
-    settled, a sparse step relabels inverse in place, so a ContextGroups is
-    current until the walk takes its next step.
-    """
+def context_groups(seq: Sequence, kmax: int):
+    """Yield seq's ContextGroups at each order k = 0, 1, ..., kmax, once DUDE's
+    rule 2 kmax < n (interior_slice) holds, checked before seq is padded.
+    Order k's groups refine order k-1's by its two new digits, so every key
+    stays below n (|Z|+1)**2; all share one window view of reach kmax. Once
+    groups have settled, a sparse step relabels inverse in place, so a
+    ContextGroups is current until the walk takes its next step."""
     if len(seq) == 0:
         raise DataError("cannot group the contexts of an empty sequence")
-    orders = [int(k) for k in orders]
-    if orders != sorted(orders):
-        raise DataError("context orders must ascend")
-    if orders and orders[0] < 0:
-        raise DataError(f"context order must be non-negative, got {orders[0]}")
+    if kmax < 0:
+        raise DataError(f"context order must be non-negative, got {kmax}")
     n, base = len(seq), seq.alphabet.size + 1  # pad digit == size needs base size+1
-    reach = max(orders, default=0)
-    windows = context_windows(seq.data, reach, pad=seq.alphabet.pad_index)
+    interior_slice(n, kmax)
+    windows = context_windows(seq.data, kmax, pad=seq.alphabet.pad_index)
     inverse = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
-    n_groups, done, settled = min(n, 1), 0, None
-    for k in orders:
-        while done < k:
-            step = 1  # keys grow with the step, so stop at the first that overflows
-            while step < k - done and n_groups * base ** (2 * step + 2) <= 2**64:
-                step += 1
-            cols = context_columns(done + step, reach)
-            cols = cols[abs(cols - reach) > done]  # the orders this step adds
+    n_groups, settled = 1, None
+    for k in range(kmax + 1):
+        if k:
+            cols = kmax + np.array([-k, k])
             inverse, n_groups, settled = _refine(inverse, n_groups, windows, cols, base, settled)
-            done += len(cols) // 2
         centres, n_settled, active = settled or (np.empty(0, dtype=np.uint8), 0, None)
         yield ContextGroups(
-            seq, windows, context_columns(k, reach), inverse, n_groups, centres[:n_settled], active
+            seq, windows, context_columns(k, kmax), inverse, n_groups, centres[:n_settled], active
         )
 
 
 def group_contexts(seq: Sequence, k: int) -> ContextGroups:
-    """Group every position of seq, edges included, by its order-k context.
-
-    Up to k = 20 on binary and 13 on DNA, groups are numbered in key order."""
-    return next(context_groups(seq, (k,)))
+    """Positions of seq, edges included, by order-k context: context_groups' last."""
+    for groups in context_groups(seq, k):
+        pass  # each order's groups refine the order before's
+    return groups

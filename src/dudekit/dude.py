@@ -67,5 +67,4 @@ def select_denoisers(groups: ContextGroups, tables: EstimatedLossTables) -> np.n
 
 def dude_denoise(z: Sequence, k: int, tables: EstimatedLossTables) -> Sequence:
     """Denoise a sequence with context order k; edge positions are emitted unchanged."""
-    interior_slice(len(z), k)  # checked before grouping, which pads z by k on each side
     return apply_rules(z, select_denoisers(group_contexts(z, k), tables), tables)

@@ -129,10 +129,10 @@ def sweep_k(
     of orders) parts, each run by _sweep_part: the first in this process,
     each other in a forked child (see _run_parts); one order, one CPU or no
     fork runs all here. The rows are merged by k, and k*'s reconstruction
-    kept. Each part walks the context groups from k = 0, as neural.train
-    does, and the trained denoiser seeds order k with rng_seed + k, so every
-    row is reproducible alone (neural.train or `denoise`) and the same
-    however orders split.
+    kept. Each part walks the context groups from k = 0, as
+    core.group_contexts does, and the trained denoiser seeds order k with
+    rng_seed + k, so every row is reproducible alone (neural.train_groups on
+    group_contexts, or `denoise`) and the same however orders split.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -167,12 +167,12 @@ def _sweep_part(z, tables, part, method, clean, hidden, cfg):
     """Rows of the ascending orders in part, and the reconstruction at the
     order select_k picks among them. One walk refines the context groups
     from k = 0, one order per step, so a full-batch network's rows follow
-    the group numbering of neural.train's walk. Each order of part is
+    the group numbering of core.group_contexts. Each order of part is
     trained (N-DUDE), selected and scored while its groups are in hand, and
     they are dropped before the walk moves on. A row's wall_time_s runs from
     the end of the row before, so it holds the walk's steps up to its order."""
     records, t0 = [], time.perf_counter()
-    for groups in context_groups(z, range(part[-1] + 1)):
+    for groups in context_groups(z, part[-1]):
         if groups.k not in part:
             continue
         if method == "dude":

@@ -14,8 +14,8 @@ is what the network conditions on, context statistics are shared across
 the whole sequence, which is what lets one network replace the count
 table at large context orders. The cost is the mean over every position;
 contexts that run past the sequence edge one-hot encode their missing
-symbols as all-zero blocks. Orders take DUDE's rule: a sequence of n
-symbols carries the orders with 2k < n, checked before any network is built.
+symbols as all-zero blocks. Orders take DUDE's rule, 2k < n, which
+grouping checks before any network is built.
 
 Grouped by context, that mean is one over the G distinct contexts, each
 weighted by its count, and each position's pseudo-label may be replaced
@@ -24,9 +24,10 @@ proportion to their counts, each with its mean pseudo-label as target,
 is unbiased for it. train_groups trains one order on such minibatches,
 from the groups' window view and center counts per context alone; an
 order of at most one minibatch of contexts takes them all at every step.
-Its groups come from a walk that refines them from k = 0, one order per
-step: walked_groups's, or a sweep part's, which trains, selects and scores
-each order as it reaches it (evaluation._sweep_part). The epochs asked
+Its groups come from core's one walk, which refines them from k = 0, one
+order per step: group_contexts's, or a sweep part's, which trains, selects
+and scores each order as it reaches it (evaluation._sweep_part), so an
+order trained alone is a sweep's row bit for bit. The epochs asked
 are an upper bound: an order trains them all while they take at most
 STEP_BUDGET steps, and past it as many as fit, but at least MIN_EPOCHS.
 An order's network is seeded rng_seed + k, whether it trains alone or in
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EstimatedLossTables, apply_rules
-from .core import Sequence, context_groups, group_contexts, interior_slice
+from .core import Sequence, group_contexts
 from .errors import DataError
 
 # Rows per chunk when encoding training rows and classifying unique contexts.
@@ -340,34 +341,6 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np
     return out
 
 
-def walked_groups(z: Sequence, k: int):
-    """Order k's context groups of z, numbered as a sweep part numbers them.
-
-    Orders take DUDE's rule, 2k < n (core.interior_slice), checked before
-    the walk. The walk refines the context groups from k = 0, one order per
-    step, as a sweep part walks (evaluation._sweep_part), so a network
-    trained on them is a sweep's row k bit for bit.
-    """
-    if k < 0:  # before train_groups seeds rng_seed + k
-        raise DataError(f"context order k must be non-negative, got {k}")
-    interior_slice(len(z), k)
-    for groups in context_groups(z, range(k + 1)):
-        pass  # each order's groups refine the order before's
-    return groups
-
-
-def train(
-    z: Sequence,
-    k: int,
-    tables: EstimatedLossTables,
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    config: TrainConfig | None = None,
-) -> MLPDenoiser:
-    """Train a context denoiser of order k on one noisy sequence: train_groups
-    on walked_groups(z, k)."""
-    return train_groups(walked_groups(z, k), tables, hidden, config)
-
-
 def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
     """(batch, steps, rows, epochs) of training over n positions in n_groups
     contexts, at most epochs epochs. Up to minibatch contexts, every step is
@@ -393,7 +366,7 @@ def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
     totals = labels.sum(axis=1)
 
     def feed(pos, x_out, t_out, scale=None):
-        x = _encode_rows(groups.windows[pos][:, groups.columns], size, x_out)
+        x = _encode_rows(groups.windows[pos].take(groups.columns, axis=1), size, x_out)
         c = counts.take(groups.inverse[pos], axis=0)
         t = c.astype(np.float64) if wide else c @ labels
         if scale is None:
@@ -495,7 +468,6 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
         raise DataError("tables were built for a different alphabet")
     if groups.k != net.k:
         raise DataError(f"context groups of order {groups.k} for a network of order {net.k}")
-    interior_slice(len(groups.seq), groups.k)
     member = groups.members()
     per_group = np.empty(groups.n_groups, dtype=tables.rule_dtype)
     buf = np.empty((min(_FORWARD_CHUNK, groups.n_groups), net.input_dim), dtype=net.dtype)
@@ -512,7 +484,6 @@ def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables, groups=N
     are z's context groups at the network's order, in any numbering (those
     train_groups took, say), else z is grouped here; groups of another sequence raise DataError."""
     if groups is None:
-        interior_slice(len(z), net.k)  # checked before grouping, which pads z by k on each side
         groups = group_contexts(z, net.k)
     elif groups.seq != z:
         raise DataError("context groups are of another sequence than the one to denoise")

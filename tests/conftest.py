@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dudekit.channel import ChannelMatrix, LossMatrix, hamming_loss
-from dudekit.core import Alphabet
+from dudekit.core import Alphabet, group_contexts
+from dudekit.neural import DEFAULT_HIDDEN, train_groups
 
 ALPHABETS = {
     2: Alphabet(("0", "1")),
@@ -24,6 +25,12 @@ def random_loss(rng: np.random.Generator, size: int) -> LossMatrix:
     if rng.random() < 0.5:
         return hamming_loss(ALPHABETS[size])
     return LossMatrix(rng.random((size, size)) * 2.0, ALPHABETS[size])
+
+
+def train_alone(z, k, tables, hidden=DEFAULT_HIDDEN, config=None):
+    """Order k's network trained alone: train_groups on group_contexts(z, k),
+    which `denoise --method ndude` trains and a sweep's row k matches."""
+    return train_groups(group_contexts(z, k), tables, hidden, config)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 import dudekit
-from conftest import ALPHABETS, random_invertible_channel, random_loss
+from conftest import ALPHABETS, random_invertible_channel, random_loss, train_alone
 from dudekit.baselines import (
     HMMSpec,
     MarkovSource,
@@ -35,7 +35,7 @@ from dudekit.core import BINARY, Sequence
 from dudekit.dude import dude_denoise
 from dudekit.evaluation import sweep_k, symbol_error_rate
 from dudekit.io import ImageGrid, derasterize, load_pbm, rasterize, save_pbm
-from dudekit.neural import MLPDenoiser, TrainConfig, train
+from dudekit.neural import MLPDenoiser, TrainConfig
 from oracles import (
     Context,
     collect_counts,
@@ -231,7 +231,7 @@ def test_criterion_06_single_context_argmax(capsys):
                 continue
             tried += 1
             cfg = TrainConfig(epochs=150, minibatch_size=50, rng_seed=case_seed)
-            net = train(z, 0, tables, (8,), cfg)
+            net = train_alone(z, 0, tables, (8,), cfg)
             p = context_probabilities(net, [Context((), ())], alphabet)[0]
             if int(np.argmax(p)) == int(np.argmax(summed)):
                 matched += 1

@@ -406,6 +406,28 @@ def test_exit_codes(sim_files, tmp_path):
     assert "singular" in res.stderr.lower()
 
 
+def test_file_flags_their_mode_ignores_are_usage_errors(sim_files, tmp_path):
+    # A file flag that the command's mode would neither write nor read exits
+    # 1 and writes no file, the named output included.
+    _, _, noisy = sim_files
+    out = tmp_path / "out"
+    out.mkdir()
+    cases = (
+        ("--out-noisy", ("sweep", "--input", noisy, "--method", "dude", "--kmax", "1",
+                         "--report", str(out / "r.csv"), "--out-noisy", str(out / "n.pbm"))),
+        ("--save-model", ("denoise", "--input", noisy, "--method", "dude", "--k", "1",
+                          "--output", str(out / "o.txt"), "--save-model", str(out / "m.npz"))),
+        ("--load-model", ("denoise", "--input", noisy, "--method", "fb", "--source", "bsmc:0.1",
+                          "--output", str(out / "o.txt"),
+                          "--load-model", str(tmp_path / "missing.npz"))),
+    )
+    for flag, args in cases:
+        res = run_cli(*args, "--channel", "bsc:0.1")
+        assert res.returncode == 1, res.stderr
+        assert "usage error" in res.stderr and flag in res.stderr, res.stderr
+        assert list(out.iterdir()) == []
+
+
 def test_negative_seed_exits_2(sim_files, tmp_path):
     # numpy rejects a negative seed with a ValueError; the CLI must not leak it.
     _, _, noisy = sim_files

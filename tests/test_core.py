@@ -1,11 +1,12 @@
 """Alphabet, sequence, and context plumbing."""
 
-import time
+import types
 
 import numpy as np
 import pytest
 
-from dudekit import core
+from dudekit import core, neural
+from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit.core import (
     BINARY,
     DNA,
@@ -19,6 +20,7 @@ from dudekit.core import (
     interior_slice,
     pack_context_keys,
 )
+from dudekit.dude import dude_denoise
 from dudekit.errors import DataError
 from oracles import Context, context_key, extract_context
 
@@ -208,40 +210,12 @@ def test_members_index_one_position_of_each_group(n):
     # Sizes past one slice of the fill (2**16 positions) and a ragged last slice.
     rng = np.random.default_rng(n)
     seq = Sequence(rng.integers(0, 3, n).astype(np.uint8), Alphabet(("a", "b", "c")))
-    for groups in context_groups(seq, (0, 1, 4, 9)):
+    for groups in context_groups(seq, min(9, (n - 1) // 2)):
+        if groups.k not in (0, 1, 4, 9):
+            continue
         members = groups.members()
         assert members.dtype == groups.inverse.dtype
         assert np.array_equal(groups.inverse[members], np.arange(groups.n_groups))
-
-
-def test_group_contexts_split_refinement(monkeypatch):
-    # 3**82 and 5**28 overflow uint64, so grouping splits the orders over
-    # several refinement steps, each of whose keys fits. 3**40 and 5**26
-    # still fit: one step, numbered in the order of the packed keys.
-    spans, grown = [], []
-
-    def spy(inverse, n_groups, windows, columns, base, settled=None):
-        spans.append(n_groups * base ** len(columns))
-        grown.append(n_groups * base ** (len(columns) + 2))
-        return refine(inverse, n_groups, windows, columns, base, settled)
-
-    refine = core._refine
-    monkeypatch.setattr(core, "_refine", spy)
-    rng = np.random.default_rng(12)
-    for alphabet, k, n in ((BINARY, 41, 120), (DNA, 14, 60)):
-        seq = Sequence(rng.integers(0, alphabet.size, n).astype(np.uint8), alphabet)
-        spans.clear()
-        grown.clear()
-        _check_groups(seq, k)
-        assert len(spans) >= 2 and max(spans) <= 2**64
-        # each step but the last takes as many orders as fit: one more overflows
-        assert min(grown[:-1]) > 2**64
-    for alphabet, k in ((BINARY, 20), (DNA, 13)):
-        seq = Sequence(rng.integers(0, alphabet.size, 300).astype(np.uint8), alphabet)
-        _check_groups(seq, k)
-        windows = context_windows(seq.data, k, pad=alphabet.pad_index)
-        keys = pack_context_keys(windows, context_columns(k, k), alphabet.size + 1, np.zeros(300))
-        assert np.array_equal(group_contexts(seq, k).inverse, np.unique(keys, return_inverse=True)[1])
 
 
 def _direct_partition(seq, k):
@@ -254,14 +228,16 @@ def _direct_partition(seq, k):
 @pytest.mark.parametrize("n", [1, 2, 5, 40, 700, 3000])
 @pytest.mark.parametrize("ks", [(0, 1, 2, 3), (0, 2, 3, 7), (1, 5, 6, 23)])
 def test_context_groups_refine_like_direct_grouping(size, n, ks):
-    # The chain covers k = 0, orders with gaps, n <= 2k, and sizes whose
-    # steps take the dense relabel (few groups) and the sparse one (many,
-    # some positions already alone). k = 23 over 3 and 4 symbols
-    # overflows one key, so its step is split.
+    # The orders checked cover k = 0 and gaps, up to the largest with 2k < n,
+    # and sizes whose steps take the dense relabel (few groups) and the
+    # sparse one (many, some positions already alone).
     alphabet = Alphabet(tuple("abcd"[:size]))
     rng = np.random.default_rng(size * 10_000 + n)
     seq = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
-    for k, groups in zip(ks, context_groups(seq, ks)):
+    for groups in context_groups(seq, min(max(ks), (n - 1) // 2)):
+        k = groups.k
+        if k not in ks:
+            continue
         direct = _direct_partition(seq, k)
         assert groups.n_groups == len(set(direct))
         # Same partition: the pairs (direct id, group) are one to one.
@@ -357,31 +333,36 @@ def _check_settled(seq, groups):
 
 
 def _walk_with_reference(monkeypatch, seq, ks):
-    """Yield (groups, reference inverse, reference count) at each of ks: the
-    reference chains _refined_by_unique over the columns of the walk's own steps."""
-    steps, refine = [], core._refine
+    """Yield (groups, reference inverse, reference count, steps) at each of ks
+    with 2k < n: the reference chains _refined_by_unique over the columns of
+    the walk's own steps, and steps are those taken since the last yield."""
+    steps, taken, refine = [], [], core._refine
 
     def spy(inverse, n_groups, windows, columns, base, settled=None):
         steps.append((columns, n_groups * base ** len(columns) <= inverse.size, settled))
         return refine(inverse, n_groups, windows, columns, base, settled)
 
     monkeypatch.setattr(core, "_refine", spy)
-    windows = context_windows(seq.data, max(ks), pad=seq.alphabet.pad_index)
+    kmax = min(max(ks), (len(seq) - 1) // 2)
+    windows = context_windows(seq.data, kmax, pad=seq.alphabet.pad_index)
     ref, n_ref = np.zeros(len(seq), dtype=np.int64), 1
-    for groups in context_groups(seq, ks):
+    for groups in context_groups(seq, kmax):
         for cols, _, _ in steps:
             ref, n_ref = _refined_by_unique(ref, n_ref, windows, cols, seq.alphabet.size + 1)
-        yield groups, ref, n_ref, list(steps)
+        taken += steps
         steps.clear()
+        if groups.k in ks:
+            yield groups, ref, n_ref, taken
+            taken = []
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 40, 700, 3000])
 @pytest.mark.parametrize("ks", [tuple(range(9)), (0, 2, 3, 7, 8, 9), (1, 5, 6, 23, 24)])
 def test_settled_walk_numbers_like_the_reference_chain(monkeypatch, size, n, ks):
-    # Chains with gaps, and k = 23 over 3 and 4 symbols, whose step splits;
-    # from n = 700 on, groups settle and later sparse steps refine the
-    # active positions alone.
+    # Orders checked with gaps, up to the largest with 2k < n; from n = 700
+    # on, groups settle and later sparse steps refine the active positions
+    # alone.
     alphabet = Alphabet(tuple("abcd"[:size]))
     rng = np.random.default_rng(size * 10_000 + n)
     seq = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
@@ -393,24 +374,31 @@ def test_settled_walk_numbers_like_the_reference_chain(monkeypatch, size, n, ks)
     assert active_steps or n < 700
 
 
-def test_dense_step_keeps_the_settled_groups(monkeypatch):
-    # Zeros with a few ones: the edges settle at the sparse step to k = 5,
-    # and so few contexts occur that the step to k = 6 is dense.
+def test_dense_step_keeps_the_settled_groups():
+    # The walk adds one order a step, so once a step is sparse every later
+    # one is; _refine still keeps settled groups through a dense step. Zeros
+    # with a few ones: orders 1-5 in one sparse step settle nothing, orders
+    # 6-10 in another settle the edges, and so few contexts occur that the
+    # step to order 11 is dense.
     data = np.zeros(3000, dtype=np.uint8)
     data[[500, 1200, 2100]] = 1
-    seq = Sequence(data, BINARY)
-    dense_after = 0
-    for groups, ref, n_ref, steps in _walk_with_reference(monkeypatch, seq, (0, 1, 5, 6, 7)):
-        assert np.array_equal(groups.inverse, ref) and groups.n_groups == n_ref
-        _check_settled(seq, groups)
-        dense_after += sum(settled is not None and dense for _, dense, settled in steps)
-    assert dense_after and len(groups.centres) > 0
-
-
-def test_context_groups_reject_descending_orders():
-    seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
-    with pytest.raises(DataError):
-        list(context_groups(seq, (2, 1)))
+    seq, reach, base = Sequence(data, BINARY), 11, 3
+    windows = context_windows(data, reach, pad=BINARY.pad_index)
+    inverse, n_groups, settled = np.zeros(len(data), dtype=np.int32), 1, None
+    ref, n_ref = np.zeros(len(data), dtype=np.int64), 1
+    for done, k, dense in ((0, 5, False), (5, 10, False), (10, 11, True)):
+        cols = context_columns(k, reach)
+        cols = cols[abs(cols - reach) > done]  # the columns of orders done+1..k
+        assert (n_groups * base ** len(cols) <= len(data)) == dense
+        inverse, n_groups, settled = _refine(inverse, n_groups, windows, cols, base, settled)
+        ref, n_ref = _refined_by_unique(ref, n_ref, windows, cols, base)
+        assert np.array_equal(inverse, ref) and n_groups == n_ref
+    centres, n_settled, active = settled
+    assert n_settled > 0
+    groups = types.SimpleNamespace(
+        inverse=inverse, n_groups=n_groups, centres=centres[:n_settled], active=active
+    )
+    _check_settled(seq, groups)
 
 
 def test_context_groups_reject_negative_orders():
@@ -418,26 +406,52 @@ def test_context_groups_reject_negative_orders():
     with pytest.raises(DataError, match="-1"):
         group_contexts(seq, -1)
     with pytest.raises(DataError):
-        list(context_groups(seq, (-2, 1)))
+        list(context_groups(seq, -2))
 
 
 def test_context_groups_carry_their_order_and_reject_empty_sequences():
-    seq = Sequence(np.zeros(5, dtype=np.uint8), BINARY)
-    assert [g.k for g in context_groups(seq, (0, 2, 7))] == [0, 2, 7]
+    seq = Sequence(np.zeros(15, dtype=np.uint8), BINARY)
+    assert [g.k for g in context_groups(seq, 7)] == list(range(8))
     empty = Sequence(np.zeros(0, dtype=np.uint8), BINARY)
     for k in (0, 2):
         with pytest.raises(DataError, match="cannot group the contexts of an empty sequence"):
             group_contexts(empty, k)
 
 
-def test_group_contexts_far_past_the_length():
-    # Every context is distinct; the step search stops at the first
-    # step that overflows instead of trying every remaining order.
-    seq = Sequence(np.random.default_rng(13).integers(0, 4, 200).astype(np.uint8), DNA)
-    start = time.perf_counter()
-    groups = group_contexts(seq, 3000)
-    assert time.perf_counter() - start < 1.0
-    assert groups.n_groups == 200
+def test_walk_groups_each_order_as_group_contexts_does():
+    # The order-k groups a longer walk passes through are group_contexts(seq, k)'s:
+    # the same numbering, settled groups and active positions.
+    rng = np.random.default_rng(13)
+    for alphabet, n in ((BINARY, 3000), (DNA, 800)):
+        seq = Sequence(rng.integers(0, alphabet.size, n).astype(np.uint8), alphabet)
+        for k in (0, 1, 3, 6, 9):
+            want = group_contexts(seq, k)
+            for kmax in (k + 1, k + 4, 40):
+                groups = next(g for g in context_groups(seq, kmax) if g.k == k)
+                assert np.array_equal(groups.inverse, want.inverse)
+                assert groups.n_groups == want.n_groups
+                assert np.array_equal(groups.centres, want.centres)
+                assert (groups.active is None) == (want.active is None)
+                assert want.active is None or np.array_equal(groups.active, want.active)
+        assert len(want.centres) > 0  # settled groups at k = 9
+
+
+def test_order_far_past_the_length_fails_before_any_window(monkeypatch):
+    # The walk applies 2k < n before it pads the sequence by k on each side.
+    z = Sequence(np.random.default_rng(14).integers(0, 2, 50).astype(np.uint8), BINARY)
+    tables = build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("context_windows called for an order too long")
+
+    monkeypatch.setattr(core, "context_windows", forbidden)
+    far = 10**12
+    with pytest.raises(DataError, match=f"need length > 2k = {2 * far}, got 50"):
+        group_contexts(z, far)
+    with pytest.raises(DataError, match=f"need length > 2k = {2 * far}, got 50"):
+        dude_denoise(z, far, tables)
+    with pytest.raises(DataError, match=f"need length > 2k = {2 * far}, got 50"):
+        neural.denoise(z, types.SimpleNamespace(k=far), tables)
 
 
 def test_interior_slice():

@@ -191,7 +191,7 @@ def test_walked_selection_matches_full_counts_and_original_form(alphabet, chan, 
     loss = hamming_loss(alphabet)
     t = build_estimated_loss(chan, loss)
     all_alone = None
-    for groups in context_groups(z, range(top + 1)):
+    for groups in context_groups(z, top):
         k = groups.k
         s_idx = select_denoisers(groups, t)
         assert s_idx.dtype == np.uint8

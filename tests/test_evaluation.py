@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import ALPHABETS, random_invertible_channel
+from conftest import ALPHABETS, random_invertible_channel, train_alone
 from dudekit import evaluation, neural
 from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
@@ -233,7 +233,7 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     z = corrupt(x, chan, rng_seed=2)
     cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=9)
     ks = [0, 2, 5]
-    alone = {k: neural.train(z, k, t, (8, 6), cfg) for k in ks}
+    alone = {k: train_alone(z, k, t, (8, 6), cfg) for k in ks}
     report, recon = sweep_k(z, t, ks, method="ndude", clean=x, hidden=(8, 6), config=cfg)
     recons = {}
     for rec in report.records:

@@ -9,10 +9,10 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import ALPHABETS, random_invertible_channel
+from conftest import ALPHABETS, random_invertible_channel, train_alone
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit import evaluation, neural
-from dudekit.core import BINARY, DNA, Sequence, context_groups, group_contexts
+from dudekit.core import BINARY, DNA, Sequence, group_contexts
 from dudekit.errors import DataError
 from dudekit.neural import (
     BETA1,
@@ -28,7 +28,6 @@ from dudekit.neural import (
     load_checkpoint,
     save_checkpoint,
     select_denoisers,
-    train,
     _Adam,
     _Pass,
     _context_feed,
@@ -124,7 +123,7 @@ def test_mlp_dim_validation():
 def test_negative_order_is_named_before_the_layer_widths():
     _, z = _toy_instance(n=200)
     with pytest.raises(DataError, match="non-negative, got -1"):
-        train(z, -1, bsc01_tables(), hidden=(4,), config=TrainConfig(epochs=1))
+        train_alone(z, -1, bsc01_tables(), hidden=(4,), config=TrainConfig(epochs=1))
 
 
 def test_forward_rows_are_distributions():
@@ -201,18 +200,18 @@ def test_train_is_deterministic():
     _, z = _toy_instance()
     t = bsc01_tables()
     cfg = TrainConfig(epochs=2, rng_seed=12)
-    a = train(z, 2, t, hidden=(16,), config=cfg)
-    b = train(z, 2, t, hidden=(16,), config=cfg)
+    a = train_alone(z, 2, t, hidden=(16,), config=cfg)
+    b = train_alone(z, 2, t, hidden=(16,), config=cfg)
     assert np.array_equal(a.params, b.params)
     assert a.epoch_losses == b.epoch_losses
-    c = train(z, 2, t, hidden=(16,), config=TrainConfig(epochs=2, rng_seed=13))
+    c = train_alone(z, 2, t, hidden=(16,), config=TrainConfig(epochs=2, rng_seed=13))
     assert not np.array_equal(a.params, c.params)
 
 
 def test_train_loss_decreases():
     _, z = _toy_instance()
     t = bsc01_tables()
-    net = train(z, 2, t, hidden=(16,), config=TrainConfig(epochs=5, rng_seed=1))
+    net = train_alone(z, 2, t, hidden=(16,), config=TrainConfig(epochs=5, rng_seed=1))
     assert len(net.epoch_losses) == 5
     assert net.epoch_losses[-1] < net.epoch_losses[0]
 
@@ -220,7 +219,7 @@ def test_train_loss_decreases():
 def test_train_k0_runs():
     _, z = _toy_instance(n=500)
     t = bsc01_tables()
-    net = train(z, 0, t, hidden=(8,), config=TrainConfig(epochs=1, rng_seed=0))
+    net = train_alone(z, 0, t, hidden=(8,), config=TrainConfig(epochs=1, rng_seed=0))
     assert net.input_dim == 0
     out = denoise(z, net, t)
     assert len(out) == len(z)
@@ -259,11 +258,6 @@ def test_adam_step_matches_stock_update_through_subnormals():
             assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
 
-def _walked_groups(z, k):
-    """Order k's groups as train numbers them: one walk from k = 0, one order a step."""
-    return list(context_groups(z, range(k + 1)))[-1]
-
-
 def test_train_matches_per_step_reference():
     for n, k, minibatch, epochs in [(9000, 6, 7, 2), (700, 3, 50, 2), (700, 1, 50, 2)]:
         _check_per_step_reference(n, k, minibatch, epochs)
@@ -282,14 +276,14 @@ def _check_per_step_reference(n, k, minibatch, epochs, hidden=(16,)):
     # G <= minibatch (k = 1), every step takes one member of each of the
     # walk's G groups in group order, its target the group's pseudo-labels
     # summed times G/n. Stock Adam; the float64 mean of the last epoch's
-    # iterates, rounded once. train() must give the same bits.
+    # iterates, rounded once. train_alone() must give the same bits.
     _, z = _toy_instance(n=n, seed=5)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=epochs, minibatch_size=minibatch, rng_seed=3)
     size = z.alphabet.size
     rng = np.random.default_rng(cfg.rng_seed + k)
     ref = MLPDenoiser((*hidden, t.n_denoisers), k=k, size=size, rng=rng)
-    inverse = _walked_groups(z, k).inverse
+    inverse = group_contexts(z, k).inverse
     n_groups = int(inverse.max()) + 1
     counts = np.zeros((n_groups, size))
     np.add.at(counts, (inverse, z.data), 1)
@@ -325,7 +319,7 @@ def _check_per_step_reference(n, k, minibatch, epochs, hidden=(16,)):
             mean += ref.params
         losses.append(total / rows)
     assert t_adam == epochs * steps
-    net = train(z, k, t, hidden=hidden, config=cfg)
+    net = train_alone(z, k, t, hidden=hidden, config=cfg)
     assert net.params.tobytes() == (mean / steps).astype(np.float32).tobytes()
     assert net.epoch_losses == losses
     return epochs
@@ -439,7 +433,7 @@ def test_head_follows_rule_count_against_last_hidden_width(monkeypatch):
         t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
         z = Sequence(rng.integers(0, size, 300).astype(np.uint8), alphabet)
         heads.clear()
-        train(z, 1, t, hidden=hidden, config=TrainConfig(epochs=1))
+        train_alone(z, 1, t, hidden=hidden, config=TrainConfig(epochs=1))
         assert heads == [wide]
 
 
@@ -500,7 +494,7 @@ def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
     for seq, ks, cfg in ((z, [0, 2, 5], two), (tiny, [1], two), (z, [5, 6], cut)):
         for k in ks:
             batches.clear()
-            net = train(seq, k, bsc01_tables(), hidden=(8,), config=cfg)
+            net = train_alone(seq, k, bsc01_tables(), hidden=(8,), config=cfg)
             batch, steps, rows, epochs = _epoch_layout(
                 len(seq), group_contexts(seq, k).n_groups, cfg.minibatch_size, cfg.epochs
             )
@@ -513,7 +507,7 @@ def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
 
 
 def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
-    # The parameters train returns are the float64 mean of the iterates after
+    # The parameters train_groups returns are the float64 mean of the iterates after
     # each step of the last epoch, rounded once to float32; the epochs before
     # leave no trace but through those iterates.
     _, z = _toy_instance(n=3000, seed=2)
@@ -526,7 +520,7 @@ def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
     monkeypatch.setattr(_Adam, "step", recorded)
     cfg = TrainConfig(epochs=3, rng_seed=5)
     k = 4
-    net = train(z, k, bsc01_tables(), hidden=(8,), config=cfg)
+    net = train_alone(z, k, bsc01_tables(), hidden=(8,), config=cfg)
     steps = _epoch_layout(len(z), group_contexts(z, k).n_groups, cfg.minibatch_size, 3)[1]
     assert len(iterates) == cfg.epochs * steps
     total = np.zeros(net.n_params)
@@ -556,7 +550,7 @@ def _swept(monkeypatch, z, ks, tables, cfg, cpus):
 def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
     # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) take full batches,
     # order 5 minibatches drawn from shuffles of the positions. A sweep on one
-    # CPU trains each network as train trains it alone, with seed rng_seed + k.
+    # CPU trains each network as train_alone does, with seed rng_seed + k.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=3, rng_seed=4)
@@ -566,7 +560,7 @@ def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
     nets, _, _ = _swept(monkeypatch, z, ks, t, cfg, cpus=1)
     assert sorted(nets) == ks
     for k, net in nets.items():
-        alone = train(z, k, t, hidden=(8,), config=cfg)
+        alone = train_alone(z, k, t, hidden=(8,), config=cfg)
         assert net.k == k
         assert net.params.tobytes() == alone.params.tobytes()
         assert net.epoch_losses == alone.epoch_losses
@@ -589,7 +583,7 @@ def test_train_split_over_processes_matches_one_call(monkeypatch):
     assert sorted(one) == ks and sorted(split) == ks[0::2]
     assert split_report == report and split_recon == recon
     for k, a in one.items():
-        alone = train(z, k, t, hidden=(8,), config=cfg)
+        alone = train_alone(z, k, t, hidden=(8,), config=cfg)
         for b in (alone, split.get(k, alone)):
             assert a.params.tobytes() == b.params.tobytes()
             assert a.epoch_losses == b.epoch_losses
@@ -654,13 +648,13 @@ def test_train_alphabet_mismatch():
     t = bsc01_tables()
     z = Sequence(np.zeros(50, dtype=np.uint8), ALPHABETS[4])
     with pytest.raises(DataError):
-        train(z, 1, t, hidden=(8,), config=TrainConfig(epochs=1))
+        train_alone(z, 1, t, hidden=(8,), config=TrainConfig(epochs=1))
 
 
 def test_select_denoisers_matches_per_position_forward():
     x, z = _toy_instance(n=600, seed=7)
     t = bsc01_tables()
-    net = train(z, 2, t, hidden=(12,), config=TrainConfig(epochs=2, rng_seed=4))
+    net = train_alone(z, 2, t, hidden=(12,), config=TrainConfig(epochs=2, rng_seed=4))
     s_idx = select_denoisers(group_contexts(z, net.k), net, t)
     for i in list(range(5)) + [300, 597, 598, 599]:
         c = extract_context(z, i, net.k)
@@ -765,28 +759,27 @@ def test_select_denoisers_refuses_groups_of_another_order():
 
 
 def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
-    # DUDE's rule, 2k < n: of the orders 9, 2, 6 and 5 on n = 10 symbols, 5
-    # is the smallest too long. train and an N-DUDE sweep name it before
-    # they build a network; inference refuses such an order before it groups.
+    # DUDE's rule, 2k < n, is the grouping walk's own: on n = 10 symbols it
+    # refuses k = 5, so neither training nor inference at that order builds a
+    # network or selects a rule; of the orders 9, 2, 6 and 5, an N-DUDE sweep
+    # names 5, the smallest too long.
     _, z = _toy_instance(n=10)
     t = bsc01_tables()
     net = MLPDenoiser((6, 4), k=5, size=2, rng=np.random.default_rng(0))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("called before the order check")
+        raise AssertionError("called after the walk refused the order")
 
     monkeypatch.setattr(neural, "MLPDenoiser", forbidden)
+    monkeypatch.setattr(neural, "select_denoisers", forbidden)
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-        train(z, 5, t, hidden=(6,))
+        train_alone(z, 5, t, hidden=(6,))
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
         evaluation.sweep_k(z, t, [9, 2, 6, 5], method="ndude", hidden=(6,))
-    monkeypatch.setattr(neural, "group_contexts", forbidden)
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
         denoise(z, net, t)
     monkeypatch.undo()
-    with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-        select_denoisers(group_contexts(z, 5), net, t)
-    assert train(z, 4, t, hidden=(6,), config=TrainConfig(epochs=1)).k == 4
+    assert train_alone(z, 4, t, hidden=(6,), config=TrainConfig(epochs=1)).k == 4
 
 
 def test_single_context_training_converges_to_normalized_label():
@@ -796,7 +789,7 @@ def test_single_context_training_converges_to_normalized_label():
     t = bsc01_tables()
     z = Sequence(np.ones(400, dtype=np.uint8), BINARY)
     cfg = TrainConfig(epochs=150, minibatch_size=50, rng_seed=2)
-    net = train(z, 1, t, hidden=(8,), config=cfg)
+    net = train_alone(z, 1, t, hidden=(8,), config=cfg)
     p = context_probabilities(net, [Context((1,), (1,))], BINARY)[0]
     target = t.pseudo_labels[1] / t.pseudo_labels[1].sum()
     assert int(np.argmax(p)) == int(np.argmax(target))
@@ -806,7 +799,7 @@ def test_single_context_training_converges_to_normalized_label():
 def test_checkpoint_roundtrip(tmp_path):
     _, z = _toy_instance(n=500)
     t = bsc01_tables()
-    net = train(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
+    net = train_alone(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
     path = str(tmp_path / "model.npz")
     save_checkpoint(net, path, t)
     loaded = load_checkpoint(path, t, 2)
@@ -819,7 +812,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_mismatch(tmp_path):
     _, z = _toy_instance(n=500)
     t = bsc01_tables()
-    net = train(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
+    net = train_alone(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
     path = str(tmp_path / "model.npz")
     save_checkpoint(net, path, t)
     other = build_estimated_loss(bsc(0.2), hamming_loss(BINARY))
@@ -877,7 +870,7 @@ def test_checkpoint_input_width_must_be_2k_alphabet(tmp_path):
 def test_checkpoint_missing_field_or_truncated(tmp_path):
     _, z = _toy_instance(n=500)
     t = bsc01_tables()
-    net = train(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
+    net = train_alone(z, 2, t, hidden=(10,), config=TrainConfig(epochs=1, rng_seed=6))
     path = tmp_path / "model.npz"
     save_checkpoint(net, str(path), t)
     with np.load(path) as data:

@@ -37,7 +37,8 @@ two checkouts' files diff line by line. The wall times of every run (FB,
 the grouping walk, each order's training, and selection with scoring) go
 to --times, or to stderr. `dudekit` and the workloads are imported from
 --checkout, by default the checkout holding this script; a checkout
-without `neural.train_groups` needs its own copy of the script.
+without `neural.train_groups`, or whose `core.context_groups` takes a list
+of orders, needs its own copy of the script.
 It takes 5-15 minutes and is not part of the Tier-1 tests.
 
 --compare prints, for each instance, k* and `kstar_excess` before and
@@ -87,7 +88,7 @@ def instance(inputs, delta: float, seed: int, orders, times: dict) -> dict:
     t1 = time.perf_counter()
     cfg = neural.TrainConfig(rng_seed=seed)
     rows, trained, scored = [], {}, 0.0
-    for groups in context_groups(z, range(max(orders) + 1)):
+    for groups in context_groups(z, max(orders)):
         if groups.k not in orders:
             continue
         t = time.perf_counter()

@@ -8,11 +8,12 @@ simulate` in a temporary directory, then times, in this process with BLAS
 on one thread:
 
 - for each order k = 1..20 of the n = 1M input, the walk's step to that
-  order (`core.context_groups`), `dude.select_denoisers`, and scoring
-  (`evaluation.estimated_loss`, `channel.apply_rules` and
-  `evaluation.symbol_error_rate` against the clean input);
-- one-order jumps `core.group_contexts(z, k)` at k = 10, 13, 16 and 20 on
-  the n = 1M input, and at k = 16 on the n = 150k input;
+  order (`core.context_groups`, k = 1's step timed with the k = 0 start),
+  `dude.select_denoisers`, and scoring (`evaluation.estimated_loss`,
+  `channel.apply_rules` and `evaluation.symbol_error_rate` against the
+  clean input);
+- `core.group_contexts(z, k)`, a walk from k = 0 to k, at k = 10, 13, 16
+  and 20 on the n = 1M input, and at k = 16 on the n = 150k input;
 - `baselines.smoothing_posteriors` and `baselines.forward_backward_denoise`
   under the true model, on the n = 1M and the DNA inputs;
 - `neural.select_denoisers` at k = 20 on the n = 1M input and at k = 16 on
@@ -56,7 +57,7 @@ import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDERS = range(1, 21)
-JUMPS = (10, 13, 16, 20)
+GROUPED = (10, 13, 16, 20)
 SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16))
 FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
@@ -106,10 +107,10 @@ def sweep_once(z, clean, tables) -> dict[str, list[float]]:
     from dudekit import channel, core, dude, evaluation
 
     out = {"walk_s": [], "select_s": [], "score_s": []}
-    chain = core.context_groups(z, ORDERS)
-    for _ in ORDERS:
-        t0 = time.perf_counter()
-        groups = next(chain)
+    t0 = time.perf_counter()
+    for groups in core.context_groups(z, ORDERS[-1]):
+        if groups.k == 0:  # the single group, timed with the step to k = 1
+            continue
         t1 = time.perf_counter()
         s_idx = dude.select_denoisers(groups, tables)
         t2 = time.perf_counter()
@@ -119,6 +120,7 @@ def sweep_once(z, clean, tables) -> dict[str, list[float]]:
         for key, dt in zip(out, (t1 - t0, t2 - t1, t3 - t2)):
             out[key].append(dt)
         del groups, s_idx
+        t0 = time.perf_counter()
     return out
 
 
@@ -145,7 +147,7 @@ def traced_peak(fn) -> float:
 def walk(z) -> None:
     from dudekit import core
 
-    for groups in core.context_groups(z, ORDERS):
+    for groups in core.context_groups(z, ORDERS[-1]):
         del groups
 
 
@@ -195,8 +197,9 @@ def main() -> int:
         for key in runs[0]
     }
     totals = {key: float(np.median([sum(run[key]) for run in runs])) for key in runs[0]}
-    jumps = {f"n1m_k{k}": timed(lambda k=k: core.group_contexts(z, k), args.repeats) for k in JUMPS}
-    jumps["n150k_k16"] = timed(lambda: core.group_contexts(z_small, 16), args.repeats)
+    grouped = {f"n1m_k{k}": timed(lambda k=k: core.group_contexts(z, k), args.repeats)
+               for k in GROUPED}
+    grouped["n150k_k16"] = timed(lambda: core.group_contexts(z_small, 16), args.repeats)
     fb = {"smoothing_posteriors_s": {}, "forward_backward_denoise_s": {}, "posterior_md5": {}}
     for name, (zi, _, spec_i, loss_i) in inputs.items():
         post = baselines.smoothing_posteriors(zi, spec_i)  # also the warm-up
@@ -227,7 +230,7 @@ def main() -> int:
         "orders": list(ORDERS),
         "per_order_s": per_order,
         "total_s": totals,
-        "group_contexts_s": jumps,
+        "group_contexts_s": grouped,
         "fb": fb,
         "select_denoisers": selections(inputs, args.repeats),
         "tracemalloc_peak": peaks,

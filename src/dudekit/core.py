@@ -186,40 +186,38 @@ def _number_keys(key: np.ndarray, span: int, n: int, dtype):
 def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int, settled=None):
     """Split the groups of the partition (inverse, n_groups) by windows[:, columns].
 
-    Returns (inverse, n_groups, settled). A dense step numbers the new groups
-    by (old group, new digits), keeping settled groups' numbers. A sparse one
-    numbers the groups of one position first, in their old order, then the
-    shared ones by (old group, new digits), and settles the first: settled is
-    None or (centres, count, active), each group below count holding one
-    position, whose symbol is centres[g], and active the others, ascending."""
+    Returns (inverse, n_groups, settled). A dense step, taken only while no
+    group has settled, numbers the new groups by (old group, new digits) in a
+    new array. A sparse one relabels inverse in place: the groups of one
+    position first, in their old order, then the shared ones by (old group,
+    new digits), and it settles the first: settled is None or (centres,
+    count, active), each group below count holding one position, whose
+    symbol is centres[g], and active the others, ascending."""
     n, digits, dtype = inverse.size, base ** len(columns), inverse.dtype
-    if n_groups * digits <= n:  # dense keys
+    if settled is None and n_groups * digits <= n:  # dense keys
         key = pack_context_keys(windows, columns, base, inverse)
-        return (*_number_keys(key, n_groups * digits, n, dtype), settled)
-    centres, n_settled, active = settled or (np.empty(n, dtype=np.uint8), 0, slice(None))
-    group = inverse[active]  # a view of inverse in the first sparse step, which writes a copy
-    if settled:
-        group -= n_settled
+        return (*_number_keys(key, n_groups * digits, n, dtype), None)
+    centres, n_settled, active = settled or (np.empty(n, np.uint8), 0, np.arange(n, dtype=dtype))
+    group = inverse[active]
+    group -= n_settled
     alone = np.bincount(group, minlength=n_groups - n_settled) == 1
     n_alone = int(np.count_nonzero(alone))
     if n_alone:  # a position alone in its group stays alone, numbered in its group's order
         lone = alone[group]  # np.compress outruns indexing by this mask
-        at = np.compress(lone, active) if settled else np.flatnonzero(lone)
+        at = np.compress(lone, active)
         ids = (np.cumsum(alone, dtype=dtype) + (n_settled - 1))[np.compress(lone, group)]
+        inverse[at] = ids
         centres[ids] = windows[at, windows.shape[1] // 2]
-        if settled:
-            inverse[at] = ids
-        active = np.compress(~lone, active) if settled else np.flatnonzero(~lone).astype(dtype)
+        active = np.compress(~lone, active)
         group = (np.cumsum(~alone, dtype=dtype) - 1)[np.compress(~lone, group)]  # compactly
         n_settled += n_alone
         del lone, at, ids
     key = pack_context_keys(windows, columns, base, group, active)
     del group
     sub, n_sub = _number_keys(key, (n_groups - n_settled) * digits, n, dtype)
-    out = inverse if settled else (np.cumsum(alone, dtype=dtype) - 1)[inverse]
     sub += n_settled
-    out[active] = sub
-    return out, n_settled + n_sub, (centres, n_settled, active) if n_settled else None
+    inverse[active] = sub
+    return inverse, n_settled + n_sub, (centres, n_settled, active) if n_settled else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +230,7 @@ class ContextGroups:
     with pad-free ones.
     Each group below len(centres) is settled: one position, whose symbol is
     centres[g], alone at every higher order; active holds the others, ascending, or None.
+    It is current until the walk (context_groups) takes its next step.
     """
 
     seq: Sequence
@@ -265,9 +264,8 @@ def context_groups(seq: Sequence, kmax: int):
     """Yield seq's ContextGroups at each order k = 0, 1, ..., kmax, once DUDE's
     rule 2 kmax < n (interior_slice) holds, checked before seq is padded.
     Order k's groups refine order k-1's by its two new digits, so every key
-    stays below n (|Z|+1)**2; all share one window view of reach kmax. Once
-    groups have settled, a sparse step relabels inverse in place, so a
-    ContextGroups is current until the walk takes its next step."""
+    stays below n (|Z|+1)**2; all share one window view of reach kmax. A
+    ContextGroups is current until the walk's next step."""
     if len(seq) == 0:
         raise DataError("cannot group the contexts of an empty sequence")
     if kmax < 0:

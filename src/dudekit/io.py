@@ -105,18 +105,11 @@ def load_pbm(path: str) -> ImageGrid:
     raise DataError(f"{path}: unsupported magic {magic!r}, expected P1 or P4")
 
 
-def save_pbm(grid: ImageGrid, path: str, binary: bool = True) -> None:
-    """Write a bitmap as P4 (packed) or P1 (plain text)."""
-    rows = grid.rows()
+def save_pbm(grid: ImageGrid, path: str) -> None:
+    """Write a bitmap as P4 (packed binary)."""
     with open(path, "wb") as fh:
-        if binary:
-            fh.write(f"P4\n{grid.width} {grid.height}\n".encode("ascii"))
-            fh.write(np.packbits(rows, axis=1).tobytes())
-        else:
-            fh.write(f"P1\n{grid.width} {grid.height}\n".encode("ascii"))
-            for row in rows:
-                fh.write("".join("1" if v else "0" for v in row).encode("ascii"))
-                fh.write(b"\n")
+        fh.write(f"P4\n{grid.width} {grid.height}\n".encode("ascii"))
+        fh.write(np.packbits(grid.rows(), axis=1).tobytes())
 
 
 def read_headed(path: str) -> tuple[dict[str, str], list[str]]:

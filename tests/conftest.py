@@ -27,6 +27,12 @@ def random_loss(rng: np.random.Generator, size: int) -> LossMatrix:
     return LossMatrix(rng.random((size, size)) * 2.0, ALPHABETS[size])
 
 
+def plain_pbm(grid) -> bytes:
+    """The bytes of grid as a plain (P1) bitmap, one text row per pixel row."""
+    rows = ("".join(map(str, row)) for row in grid.rows().tolist())
+    return f"P1\n{grid.width} {grid.height}\n".encode("ascii") + "\n".join(rows).encode() + b"\n"
+
+
 def train_alone(z, k, tables, hidden=DEFAULT_HIDDEN, config=None):
     """Order k's network trained alone: train_groups on group_contexts(z, k),
     which `denoise --method ndude` trains and a sweep's row k matches."""

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 import dudekit
-from conftest import ALPHABETS, random_invertible_channel, random_loss, train_alone
+from conftest import ALPHABETS, plain_pbm, random_invertible_channel, random_loss, train_alone
 from dudekit.baselines import (
     HMMSpec,
     MarkovSource,
@@ -329,7 +329,8 @@ def test_criterion_09_image_denoising(capsys):
             p4 = f"{td}/img.pbm"
             p1 = f"{td}/img_ascii.pbm"
             save_pbm(grid, p4)
-            save_pbm(grid, p1, binary=False)
+            with open(p1, "wb") as fh:
+                fh.write(plain_pbm(grid))
             for path in (p4, p1):
                 back = load_pbm(path)
                 if back.width != grid.width or not np.array_equal(back.pixels, grid.pixels):

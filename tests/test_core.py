@@ -261,18 +261,19 @@ def test_refine_relabel_branches():
     assert np.array_equal(dense, np.unique(keys, return_inverse=True)[1])
     assert n_dense == len(set(_direct_partition(seq, 1)))
     outer = np.array([0, 4])  # order 2's two new digits; span 9 * n_dense > n
-    sparse, n_sparse, _ = _refine(dense, n_dense, windows, outer, 3)
+    sparse, n_sparse, _ = _refine(dense.copy(), n_dense, windows, outer, 3)  # relabels in place
     assert n_sparse == len(set(_direct_partition(seq, 2)))
     assert len(set(zip(_direct_partition(seq, 2), sparse.tolist()))) == n_sparse
     alone = (np.bincount(dense, minlength=n_dense) == 1)[dense]
     assert alone.any() and (np.bincount(sparse)[sparse[alone]] == 1).all()
 
 
-def _refined_by_unique(inverse, n_groups, windows, columns, base):
+def _refined_by_unique(inverse, n_groups, windows, columns, base, sparse=False):
     """_refine's numbering, by np.unique: a dense step in key order; a sparse
-    one with the groups alone first, by rank, then the shared keys ascending."""
+    one (where dense keys would not fit, or if sparse) with the groups alone
+    first, by rank, then the shared keys ascending."""
     key = pack_context_keys(windows, columns, base, inverse)
-    if n_groups * base ** len(columns) <= inverse.size:
+    if not sparse and n_groups * base ** len(columns) <= inverse.size:
         uniq, ref = np.unique(key, return_inverse=True)
         return ref, len(uniq)
     alone = np.bincount(inverse, minlength=n_groups) == 1
@@ -311,7 +312,7 @@ def test_refine_numbering_on_every_branch():
         span, shared_span = n_groups * base ** len(cols), (sizes > 1).sum() * base ** len(cols)
         assert (sizes == 1).sum() == n_alone
         assert branch == ("dense" if span <= n else "counted" if shared_span <= 4 * n else "sorted")
-        got, n_got, _ = _refine(inverse, n_groups, windows, cols, base)
+        got, n_got, _ = _refine(inverse.copy(), n_groups, windows, cols, base)  # sparse: in place
         ref, n_ref = _refined_by_unique(inverse, n_groups, windows, cols, base)
         assert np.array_equal(got, ref) and n_got == n_ref
         assert got.dtype == inverse.dtype
@@ -339,7 +340,7 @@ def _walk_with_reference(monkeypatch, seq, ks):
     steps, taken, refine = [], [], core._refine
 
     def spy(inverse, n_groups, windows, columns, base, settled=None):
-        steps.append((columns, n_groups * base ** len(columns) <= inverse.size, settled))
+        steps.append((columns, settled))
         return refine(inverse, n_groups, windows, columns, base, settled)
 
     monkeypatch.setattr(core, "_refine", spy)
@@ -347,7 +348,7 @@ def _walk_with_reference(monkeypatch, seq, ks):
     windows = context_windows(seq.data, kmax, pad=seq.alphabet.pad_index)
     ref, n_ref = np.zeros(len(seq), dtype=np.int64), 1
     for groups in context_groups(seq, kmax):
-        for cols, _, _ in steps:
+        for cols, _ in steps:
             ref, n_ref = _refined_by_unique(ref, n_ref, windows, cols, seq.alphabet.size + 1)
         taken += steps
         steps.clear()
@@ -370,31 +371,33 @@ def test_settled_walk_numbers_like_the_reference_chain(monkeypatch, size, n, ks)
     for groups, ref, n_ref, steps in _walk_with_reference(monkeypatch, seq, ks):
         assert np.array_equal(groups.inverse, ref) and groups.n_groups == n_ref
         _check_settled(seq, groups)
-        active_steps += sum(settled is not None and not dense for _, dense, settled in steps)
+        active_steps += sum(settled is not None for _, settled in steps)
     assert active_steps or n < 700
 
 
-def test_dense_step_keeps_the_settled_groups():
-    # The walk adds one order a step, so once a step is sparse every later
-    # one is; _refine still keeps settled groups through a dense step. Zeros
-    # with a few ones: orders 1-5 in one sparse step settle nothing, orders
-    # 6-10 in another settle the edges, and so few contexts occur that the
-    # step to order 11 is dense.
+def test_step_after_settling_is_sparse_where_dense_keys_fit():
+    # Once groups have settled, every step is sparse. Zeros with a few ones:
+    # orders 1-5 in one sparse step settle nothing, orders 6-10 in another
+    # settle the groups alone at order 5, and so few contexts occur that
+    # dense keys would fit the step to order 11. That step still settles the
+    # groups alone at order 10 first, relabelling inverse in place.
     data = np.zeros(3000, dtype=np.uint8)
     data[[500, 1200, 2100]] = 1
     seq, reach, base = Sequence(data, BINARY), 11, 3
     windows = context_windows(data, reach, pad=BINARY.pad_index)
     inverse, n_groups, settled = np.zeros(len(data), dtype=np.int32), 1, None
     ref, n_ref = np.zeros(len(data), dtype=np.int64), 1
-    for done, k, dense in ((0, 5, False), (5, 10, False), (10, 11, True)):
+    for done, k, fits in ((0, 5, False), (5, 10, False), (10, 11, True)):
         cols = context_columns(k, reach)
         cols = cols[abs(cols - reach) > done]  # the columns of orders done+1..k
-        assert (n_groups * base ** len(cols) <= len(data)) == dense
+        assert (n_groups * base ** len(cols) <= len(data)) == fits
+        was, n_was = inverse, 0 if settled is None else settled[1]
         inverse, n_groups, settled = _refine(inverse, n_groups, windows, cols, base, settled)
-        ref, n_ref = _refined_by_unique(ref, n_ref, windows, cols, base)
+        ref, n_ref = _refined_by_unique(ref, n_ref, windows, cols, base, sparse=True)
+        assert inverse is was
         assert np.array_equal(inverse, ref) and n_groups == n_ref
     centres, n_settled, active = settled
-    assert n_settled > 0
+    assert n_settled > n_was > 0
     groups = types.SimpleNamespace(
         inverse=inverse, n_groups=n_groups, centres=centres[:n_settled], active=active
     )

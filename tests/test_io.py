@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dudekit
+from conftest import plain_pbm
 from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.errors import DataError
 from dudekit.io import (
@@ -54,7 +55,7 @@ def test_pbm_binary_roundtrip(tmp_path, width, height):
     rng = np.random.default_rng(width * 100 + height)
     grid = random_grid(rng, width, height)
     path = str(tmp_path / "img.pbm")
-    save_pbm(grid, path, binary=True)
+    save_pbm(grid, path)
     back = load_pbm(path)
     assert back.width == width and back.height == height
     assert np.array_equal(back.pixels, grid.pixels)
@@ -63,20 +64,20 @@ def test_pbm_binary_roundtrip(tmp_path, width, height):
 def test_pbm_plain_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     grid = random_grid(rng, 9, 4)
-    path = str(tmp_path / "img.pbm")
-    save_pbm(grid, path, binary=False)
-    back = load_pbm(path)
+    path = tmp_path / "img.pbm"
+    path.write_bytes(plain_pbm(grid))
+    back = load_pbm(str(path))
     assert np.array_equal(back.pixels, grid.pixels)
 
 
 def test_pbm_formats_agree(tmp_path):
     rng = np.random.default_rng(6)
     grid = random_grid(rng, 12, 7)
-    p1 = str(tmp_path / "a.pbm")
+    p1 = tmp_path / "a.pbm"
     p4 = str(tmp_path / "b.pbm")
-    save_pbm(grid, p1, binary=False)
-    save_pbm(grid, p4, binary=True)
-    assert np.array_equal(load_pbm(p1).pixels, load_pbm(p4).pixels)
+    p1.write_bytes(plain_pbm(grid))
+    save_pbm(grid, p4)
+    assert np.array_equal(load_pbm(str(p1)).pixels, load_pbm(p4).pixels)
 
 
 def test_pbm_plain_parsing_flexibility(tmp_path):

@@ -24,7 +24,11 @@ on one thread:
 - the `tracemalloc` peak, above the memory live before it, of walking the
   k = 1..20 chain at n = 1M (no order's groups held past its step), of
   `group_contexts(z, 16)` at n = 150k and of `smoothing_posteriors` at
-  n = 1M. Heap layout does not move them.
+  n = 1M. Heap layout does not move them;
+- the walk k = 1..10 over uniform random DNA at n = 1M, drawn from
+  --seed: its time, its `tracemalloc` peak and an md5 of each order's
+  `inverse` and `centres`. Its step to k = 6 numbers its keys by a sort
+  (`core._number_keys`, span > 4n), which no workload's walk reaches.
 
 It also records an md5 of the posterior array's bytes on each of the three
 inputs, so a diff of two checkouts' JSON shows whether FB stayed bit for bit.
@@ -58,6 +62,7 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDERS = range(1, 21)
 GROUPED = (10, 13, 16, 20)
+UNIFORM_DNA = (1_000_000, 10)  # n, kmax
 SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16))
 FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
@@ -144,11 +149,27 @@ def traced_peak(fn) -> float:
         tracemalloc.stop()
 
 
-def walk(z) -> None:
+def walk(z, kmax: int = ORDERS[-1]) -> None:
     from dudekit import core
 
-    for groups in core.context_groups(z, ORDERS[-1]):
+    for groups in core.context_groups(z, kmax):
         del groups
+
+
+def uniform_dna_walk(seed: int, repeats: int) -> dict:
+    """Time, tracemalloc peak (MiB) and per-order md5s of the UNIFORM_DNA walk."""
+    from dudekit import core
+
+    n, kmax = UNIFORM_DNA
+    z = core.Sequence(np.random.default_rng(seed).integers(0, 4, n, dtype=np.uint8), core.DNA)
+    md5 = {"inverse_md5": [], "centres_md5": []}
+    for groups in core.context_groups(z, kmax):  # also the warm-up
+        if groups.k:
+            md5["inverse_md5"].append(hashlib.md5(groups.inverse.tobytes()).hexdigest())
+            md5["centres_md5"].append(hashlib.md5(groups.centres.tobytes()).hexdigest())
+        del groups
+    return {"n": n, "orders": list(range(1, kmax + 1)), "s": timed(lambda: walk(z, kmax), repeats),
+            "tracemalloc_peak_mib": traced_peak(lambda: walk(z, kmax)), **md5}
 
 
 def selections(inputs, repeats: int) -> dict[str, dict]:
@@ -234,6 +255,7 @@ def main() -> int:
         "fb": fb,
         "select_denoisers": selections(inputs, args.repeats),
         "tracemalloc_peak": peaks,
+        "uniform_dna_walk": uniform_dna_walk(args.seed, args.repeats),
     }
     text = json.dumps(doc, indent=1)
     if args.out:

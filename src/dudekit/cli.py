@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 
 from . import baselines, dude, evaluation, io, neural
-from .channel import build_estimated_loss, hamming_loss, parse_channel_spec
+from .channel import apply_rules, build_estimated_loss, hamming_loss, parse_channel_spec
 from .core import group_contexts, interior_slice
 from .errors import DataError, DenoiserError, NumericalError
 from .evaluation import sweep_k, symbol_error_rate, true_loss
@@ -73,9 +73,10 @@ def _train_config(args) -> TrainConfig:
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--hidden", default="40,40,40", help="hidden layer sizes, comma separated")
+    hidden = ",".join(map(str, neural.DEFAULT_HIDDEN))
+    sub.add_argument("--hidden", default=hidden, help="hidden layer sizes, comma separated")
     sub.add_argument(
-        "--epochs", type=int, default=10,
+        "--epochs", type=int, default=TrainConfig.epochs,
         help=f"most epochs an order trains: past {neural.STEP_BUDGET} steps, as many as fit, "
         f"but at least {neural.MIN_EPOCHS}",
     )
@@ -141,15 +142,16 @@ def _cmd_denoise(args) -> int:
     if args.method == "dude":
         xhat = dude.dude_denoise(z, args.k, tables=tables)
     elif args.method == "ndude":
-        if args.load_model:
-            groups, net = None, neural.load_checkpoint(args.load_model, tables, args.k)
+        if args.load_model:  # read and checked before the walk
+            net = neural.load_checkpoint(args.load_model, tables, args.k)
+            groups = group_contexts(z, args.k)
         else:  # selected on the groups it trained on
             hidden, config = _parse_hidden(args.hidden), _train_config(args)
             groups = group_contexts(z, args.k)
             net = neural.train_groups(groups, tables, hidden, config)
         if args.save_model:
             neural.save_checkpoint(net, args.save_model, tables)
-        xhat = neural.denoise(z, net, tables, groups)
+        xhat = apply_rules(z, neural.select_denoisers(groups, net, tables), tables)
     else:  # fb
         if not args.source:
             raise _UsageError("--source is required for method fb")

@@ -209,7 +209,8 @@ def _refine(inverse: np.ndarray, n_groups: int, windows, columns, base: int, set
         inverse[at] = ids
         centres[ids] = windows[at, windows.shape[1] // 2]
         active = np.compress(~lone, active)
-        group = (np.cumsum(~alone, dtype=dtype) - 1)[np.compress(~lone, group)]  # compactly
+        group = np.compress(~lone, group)  # freed whole before the compact ids are gathered
+        group = (np.cumsum(~alone, dtype=dtype) - 1)[group]
         n_settled += n_alone
         del lone, at, ids
     key = pack_context_keys(windows, columns, base, group, active)
@@ -254,10 +255,16 @@ class ContextGroups:
         return member
 
     def center_counts(self) -> np.ndarray:
-        """counts[g, a]: how often symbol a sits at the center of group g."""
-        size = self.seq.alphabet.size
-        flat = np.multiply(self.inverse, size, dtype=np.intp) + self.seq.data
-        return np.bincount(flat, minlength=self.n_groups * size).reshape(self.n_groups, size)
+        """counts[g - len(centres), a]: how often symbol a sits at the center of
+        group g, for each group g that has not settled, from the active positions
+        alone; a settled group's row would be one-hot at centres[g]. int64."""
+        size, settled = self.seq.alphabet.size, len(self.centres)
+        at = slice(None) if self.active is None else self.active
+        flat = np.multiply(self.inverse[at], size, dtype=np.intp)
+        flat += self.seq.data[at]
+        if settled:  # the active groups are numbered from settled on
+            flat -= settled * size
+        return np.bincount(flat, minlength=(self.n_groups - settled) * size).reshape(-1, size)
 
 
 def context_groups(seq: Sequence, kmax: int):

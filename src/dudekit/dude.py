@@ -1,8 +1,9 @@
 """Two-pass sliding-window denoiser.
 
-Pass one counts, for every double-sided order-k context group (a
-core.ContextGroups, which carries the sequence and k), how often each
-symbol appears at the center, settled groups aside. Pass two maps each
+Pass one takes, for every double-sided order-k context group that has
+not settled, how often each symbol appears at its center: the counts of
+core.ContextGroups.center_counts(), from which N-DUDE builds its targets
+too (a ContextGroups carries the sequence and k). Pass two maps each
 interior position through the single-symbol rule that minimizes the
 count-weighted estimated loss of its context, a settled group's being
 its center symbol's; edge positions pass through unchanged.
@@ -42,23 +43,17 @@ def select_denoisers(groups: ContextGroups, tables: EstimatedLossTables) -> np.n
     edge positions get the identity rule, which reproduces the
     pass-through behavior of the denoiser there. Edge contexts hold the
     pad digit, so counting them changes no interior group's counts.
-    A settled group's count row is one-hot, so it scores exactly
-    estimated_loss[centre]; only the active positions are counted. groups
-    may be numbered in any way (a sweep refines them from the order before).
+    A settled group's count row would be one-hot, so it scores exactly
+    estimated_loss[centre]; ContextGroups.center_counts() counts the others.
+    groups may be numbered in any way (a sweep refines them from the order before).
     """
     if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
     inner = interior_slice(len(groups.seq), groups.k)
-    est, settled, size = tables.estimated_loss, len(groups.centres), groups.seq.alphabet.size
-    at = slice(None) if groups.active is None else groups.active
-    flat = np.multiply(groups.inverse[at], size, dtype=np.intp)
-    flat += groups.seq.data[at]
-    if settled:  # the active groups are numbered from settled on
-        flat -= settled * size
-    counts = np.bincount(flat, minlength=(groups.n_groups - settled) * size).reshape(-1, size)
+    est, settled = tables.estimated_loss, len(groups.centres)
     per_group = np.empty(groups.n_groups, dtype=tables.rule_dtype)
     per_group[:settled] = np.argmin(est, axis=1)[groups.centres]
-    per_group[settled:] = _argmin_chunked(counts, est)
+    per_group[settled:] = _argmin_chunked(groups.center_counts(), est)
     s_idx = per_group[groups.inverse]
     s_idx[: inner.start] = tables.identity
     s_idx[inner.stop :] = tables.identity

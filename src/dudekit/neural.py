@@ -6,8 +6,8 @@ distribution over all single-symbol denoising rules. Training targets
 are the pseudo-label rows of the estimated-loss tables indexed by the
 observed center symbol, under a generalized cross-entropy that accepts
 unnormalized non-negative targets, computed exactly from the log-softmax.
-After training, each position is reconstructed by applying the rule with
-the highest probability for its context to the observed center symbol.
+After training, select_denoisers picks each context's most probable rule,
+and channel.apply_rules applies it to the observed center symbol.
 
 Because the targets depend only on the observed symbol and the context
 is what the network conditions on, context statistics are shared across
@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EstimatedLossTables, apply_rules
-from .core import Sequence, group_contexts
+from .channel import EstimatedLossTables
 from .errors import DataError
 
 # Rows per chunk when encoding training rows and classifying unique contexts.
@@ -361,8 +360,14 @@ def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
     context's count, which gives its mean pseudo-label. For the narrow head
     t is g, formed in float64 and rounded into t_out; for the wide head t
     is the weights c times scale, so g = t @ L, and no row of g is formed.
-    It keeps the center counts per context alone: no (G, rules) table is built."""
-    counts, size, labels = groups.center_counts(), groups.seq.alphabet.size, tables.pseudo_labels
+    It keeps the center counts per context alone, in inverse's dtype: a one-hot
+    row per settled group, then ContextGroups.center_counts()'s. No (G, rules) table is built."""
+    size, labels, settled = groups.seq.alphabet.size, tables.pseudo_labels, len(groups.centres)
+    # cast first, so the int64 counts are freed before the table is allocated
+    shared = groups.center_counts().astype(groups.inverse.dtype)
+    counts = np.empty((groups.n_groups, size), dtype=shared.dtype)
+    counts[settled:] = shared
+    np.equal.outer(groups.centres, np.arange(size, dtype=np.uint8), out=counts[:settled])
     totals = labels.sum(axis=1)
 
     def feed(pos, x_out, t_out, scale=None):
@@ -477,17 +482,6 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
         # A pass per chunk: its layer buffers are gone while the next chunk encodes.
         per_group[start : start + len(rows)] = np.argmax(net.forward(x), axis=1)
     return per_group[groups.inverse]
-
-
-def denoise(z: Sequence, net: MLPDenoiser, tables: EstimatedLossTables, groups=None) -> Sequence:
-    """Apply the trained network to every position of z. groups, if given,
-    are z's context groups at the network's order, in any numbering (those
-    train_groups took, say), else z is grouped here; groups of another sequence raise DataError."""
-    if groups is None:
-        groups = group_contexts(z, net.k)
-    elif groups.seq != z:
-        raise DataError("context groups are of another sequence than the one to denoise")
-    return apply_rules(z, select_denoisers(groups, net, tables), tables)
 
 
 CHECKPOINT_MAGIC = "mlp-denoiser-v1"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dudekit.channel import ChannelMatrix, LossMatrix, hamming_loss
+from dudekit import neural
+from dudekit.channel import ChannelMatrix, LossMatrix, apply_rules, hamming_loss
 from dudekit.core import Alphabet, group_contexts
 from dudekit.neural import DEFAULT_HIDDEN, train_groups
 
@@ -37,6 +38,12 @@ def train_alone(z, k, tables, hidden=DEFAULT_HIDDEN, config=None):
     """Order k's network trained alone: train_groups on group_contexts(z, k),
     which `denoise --method ndude` trains and a sweep's row k matches."""
     return train_groups(group_contexts(z, k), tables, hidden, config)
+
+
+def ndude_apply(z, net, tables):
+    """z reconstructed by net's rule for each of its contexts, selected on
+    group_contexts(z, net.k) and applied, as `denoise --method ndude` does."""
+    return apply_rules(z, neural.select_denoisers(group_contexts(z, net.k), net, tables), tables)
 
 
 @pytest.fixture

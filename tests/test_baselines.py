@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ALPHABETS, train_alone
+from conftest import ALPHABETS, ndude_apply, train_alone
 from dudekit.baselines import (
     HMMSpec,
     MarkovSource,
@@ -21,7 +21,7 @@ from dudekit.channel import LossMatrix, bsc, build_estimated_loss, hamming_loss,
 from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.dude import dude_denoise
 from dudekit.errors import DataError
-from dudekit.neural import TrainConfig, denoise as ndude_denoise
+from dudekit.neural import TrainConfig
 
 
 def test_source_validation():
@@ -374,7 +374,7 @@ def test_fb_dominates_universal_denoisers():
     ber_fb = float(np.mean(fb.data != x.data))
     ber_dude = float(np.mean(dude_denoise(z, 4, tables=tables).data != x.data))
     net = train_alone(z, 4, tables, hidden=(40, 40, 40), config=TrainConfig(rng_seed=5))
-    ber_nn = float(np.mean(ndude_denoise(z, net, tables).data != x.data))
+    ber_nn = float(np.mean(ndude_apply(z, net, tables).data != x.data))
     assert ber_fb <= ber_dude + 0.002
     assert ber_fb <= ber_nn + 0.002
 

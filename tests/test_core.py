@@ -5,7 +5,8 @@ import types
 import numpy as np
 import pytest
 
-from dudekit import core, neural
+from conftest import ndude_apply
+from dudekit import core
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
 from dudekit.core import (
     BINARY,
@@ -439,6 +440,21 @@ def test_walk_groups_each_order_as_group_contexts_does():
         assert len(want.centres) > 0  # settled groups at k = 9
 
 
+@pytest.mark.parametrize("alphabet, n, top", [(BINARY, 600, 12), (DNA, 400, 7)])
+def test_center_counts_are_the_shared_groups_rows_of_a_full_count(alphabet, n, top):
+    # Orders past the one where every position has settled: center_counts()
+    # counts the active positions alone, and its rows are those of a count
+    # over all n positions from row len(centres) on.
+    z = Sequence(np.random.default_rng(15).integers(0, alphabet.size, n).astype(np.uint8), alphabet)
+    for groups in context_groups(z, top):
+        flat = groups.inverse.astype(np.int64) * alphabet.size + z.data
+        full = np.bincount(flat, minlength=groups.n_groups * alphabet.size)
+        counts = groups.center_counts()
+        assert counts.shape == (groups.n_groups - len(groups.centres), alphabet.size)
+        assert np.array_equal(counts, full.reshape(-1, alphabet.size)[len(groups.centres) :])
+    assert len(groups.centres) == n and counts.shape == (0, alphabet.size)
+
+
 def test_order_far_past_the_length_fails_before_any_window(monkeypatch):
     # The walk applies 2k < n before it pads the sequence by k on each side.
     z = Sequence(np.random.default_rng(14).integers(0, 2, 50).astype(np.uint8), BINARY)
@@ -454,7 +470,7 @@ def test_order_far_past_the_length_fails_before_any_window(monkeypatch):
     with pytest.raises(DataError, match=f"need length > 2k = {2 * far}, got 50"):
         dude_denoise(z, far, tables)
     with pytest.raises(DataError, match=f"need length > 2k = {2 * far}, got 50"):
-        neural.denoise(z, types.SimpleNamespace(k=far), tables)
+        ndude_apply(z, types.SimpleNamespace(k=far), tables)
 
 
 def test_interior_slice():

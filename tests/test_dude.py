@@ -195,7 +195,9 @@ def test_walked_selection_matches_full_counts_and_original_form(alphabet, chan, 
         k = groups.k
         s_idx = select_denoisers(groups, t)
         assert s_idx.dtype == np.uint8
-        full = _argmin_chunked(groups.center_counts(), t.estimated_loss)[groups.inverse]
+        flat = groups.inverse.astype(np.int64) * alphabet.size + z.data  # every position
+        counts = np.bincount(flat, minlength=groups.n_groups * alphabet.size)
+        full = _argmin_chunked(counts.reshape(-1, alphabet.size), t.estimated_loss)[groups.inverse]
         full[:k] = t.identity
         full[n - k :] = t.identity
         assert np.array_equal(s_idx, full)

@@ -9,8 +9,14 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import ALPHABETS, random_invertible_channel, train_alone
-from dudekit.channel import bsc, build_estimated_loss, hamming_loss
+from conftest import ALPHABETS, ndude_apply, random_invertible_channel, train_alone
+from dudekit.channel import (
+    apply_rules,
+    bsc,
+    build_estimated_loss,
+    hamming_loss,
+    symmetric_channel,
+)
 from dudekit import evaluation, neural
 from dudekit.core import BINARY, DNA, Sequence, group_contexts
 from dudekit.errors import DataError
@@ -24,7 +30,6 @@ from dudekit.neural import (
     STEP_BUDGET,
     MLPDenoiser,
     TrainConfig,
-    denoise,
     load_checkpoint,
     save_checkpoint,
     select_denoisers,
@@ -221,7 +226,7 @@ def test_train_k0_runs():
     t = bsc01_tables()
     net = train_alone(z, 0, t, hidden=(8,), config=TrainConfig(epochs=1, rng_seed=0))
     assert net.input_dim == 0
-    out = denoise(z, net, t)
+    out = ndude_apply(z, net, t)
     assert len(out) == len(z)
 
 
@@ -660,7 +665,7 @@ def test_select_denoisers_matches_per_position_forward():
         c = extract_context(z, i, net.k)
         p = context_probabilities(net, [c], BINARY)[0]
         assert s_idx[i] == int(np.argmax(p))
-    out = denoise(z, net, t)
+    out = apply_rules(z, s_idx, t)
     assert np.array_equal(out.data, t.map_table[s_idx, z.data.astype(np.int64)])
 
 
@@ -726,17 +731,49 @@ def test_select_denoisers_memory_is_a_few_bytes_per_group_plus_one_chunk():
     assert s_idx.dtype == t.rule_dtype and s_idx.shape == (n,)
 
 
-def test_denoise_refuses_groups_of_another_sequence():
-    # Selection reads groups.seq's contexts and the rules apply to z's
-    # symbols, so groups of another sequence of z's length are refused.
-    _, z = _toy_instance(n=600, seed=7)
-    t = bsc01_tables()
-    net = MLPDenoiser((6, t.n_denoisers), k=2, size=2, rng=np.random.default_rng(0))
-    other = Sequence(z.data[::-1], BINARY)
-    with pytest.raises(DataError, match="another sequence"):
-        denoise(z, net, t, group_contexts(other, 2))
-    same = group_contexts(Sequence(z.data.copy(), BINARY), 2)  # equal symbols, another object
-    assert denoise(z, net, t, same) == denoise(z, net, t)
+@pytest.mark.parametrize("alphabet, n, k", [(BINARY, 200_000, 16), (DNA, 100_000, 5),
+                                           (BINARY, 200_000, 8)])
+def test_context_feed_memory_is_its_count_table_plus_the_active_positions(alphabet, n, k):
+    # The feed holds one (G, |Z|) count table in inverse's dtype, int32 here:
+    # the shared groups' rows from ContextGroups.center_counts(), counted over
+    # the active positions alone, and a one-hot row per settled group. At
+    # k = 16 all but 42 of 200,000 binary positions have settled; DNA at
+    # k = 5 keeps 78,368 active; at binary k = 8 none has settled. An int64
+    # table, or a count over all n positions, breaks the bound.
+    data = np.random.default_rng(5).integers(0, alphabet.size, n).astype(np.uint8)
+    z = Sequence(data, alphabet)
+    t = build_estimated_loss(symmetric_channel(0.1, alphabet), hamming_loss(alphabet))
+    groups = group_contexts(z, k)
+    active = n if groups.active is None else len(groups.active)
+    assert groups.inverse.dtype == np.int32
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _context_feed(groups, t, wide=alphabet.size == 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * alphabet.size * groups.n_groups + 24 * active + (256 << 10)
+
+
+@pytest.mark.parametrize("size, k", [(2, 4), (4, 3)])
+def test_context_feed_targets_count_every_position_settled_groups_included(size, k):
+    # Each position's target is its context's mean pseudo-label over all n
+    # positions: a settled group's, from its one-hot row, is its centre
+    # symbol's pseudo-label row. Binary feeds the narrow head; 4 symbols the wide.
+    rng = np.random.default_rng(16)
+    alphabet, n, wide = ALPHABETS[size], 600, size == 4
+    t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
+    z = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
+    groups = group_contexts(z, k)
+    assert 0 < len(groups.centres) < groups.n_groups
+    flat = groups.inverse.astype(np.int64) * size + z.data
+    counts = np.bincount(flat, minlength=groups.n_groups * size).reshape(-1, size)[groups.inverse]
+    want = counts @ t.pseudo_labels / counts.sum(axis=1, keepdims=True)
+    width = size if wide else t.n_denoisers
+    _, targets, _ = _context_feed(groups, t, wide)(
+        np.arange(n), np.empty((n, 2 * k * size)), np.empty((n, width)))
+    np.testing.assert_allclose(targets @ t.pseudo_labels if wide else targets, want, rtol=1e-12)
 
 
 def test_select_denoisers_dim_checks():
@@ -777,7 +814,7 @@ def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
         evaluation.sweep_k(z, t, [9, 2, 6, 5], method="ndude", hidden=(6,))
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-        denoise(z, net, t)
+        ndude_apply(z, net, t)
     monkeypatch.undo()
     assert train_alone(z, 4, t, hidden=(6,), config=TrainConfig(epochs=1)).k == 4
 

@@ -21,6 +21,9 @@ on one thread:
   (selection's memory and time do not depend on the weights), on the
   groups of `core.group_contexts`: its time, its `tracemalloc` peak and
   an md5 of the rule indices it returns;
+- `neural.train_groups` for one epoch of the default network and
+  minibatch on the same groups: its `tracemalloc` peak and an md5 of the
+  parameters it returns;
 - the `tracemalloc` peak, above the memory live before it, of walking the
   k = 1..20 chain at n = 1M (no order's groups held past its step), of
   `group_contexts(z, 16)` at n = 150k and of `smoothing_posteriors` at
@@ -192,6 +195,21 @@ def selections(inputs, repeats: int) -> dict[str, dict]:
     return out
 
 
+def trainings(inputs) -> dict[str, dict]:
+    """tracemalloc peak (MiB) and parameter md5 of one train_groups epoch per SELECTIONS entry."""
+    from dudekit import channel, core, neural
+
+    out = {"epochs": 1, "tracemalloc_peak_mib": {}, "params_md5": {}}
+    for label, name, k in SELECTIONS:
+        z, _, spec, loss = inputs[name]
+        tables = channel.build_estimated_loss(spec.channel, loss)
+        groups, nets = core.group_contexts(z, k), []
+        out["tracemalloc_peak_mib"][label] = traced_peak(lambda: nets.append(
+            neural.train_groups(groups, tables, config=neural.TrainConfig(epochs=1))))
+        out["params_md5"][label] = hashlib.md5(nets[0].params.tobytes()).hexdigest()
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True)
@@ -237,8 +255,8 @@ def main() -> int:
         "smoothing_posteriors_n1m_mib": traced_peak(lambda: baselines.smoothing_posteriors(z, spec)),
     }
     doc = {
-        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, N-DUDE selection, and FB, "
-                "BLAS on one thread",
+        "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, N-DUDE selection and "
+                "training, and FB, BLAS on one thread",
         "checkout_sha": git_sha(root),
         "seed": args.seed,
         "repeats": args.repeats,
@@ -254,6 +272,7 @@ def main() -> int:
         "group_contexts_s": grouped,
         "fb": fb,
         "select_denoisers": selections(inputs, args.repeats),
+        "train_groups": trainings(inputs),
         "tracemalloc_peak": peaks,
         "uniform_dna_walk": uniform_dna_walk(args.seed, args.repeats),
     }

@@ -116,6 +116,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_denoise(args) -> int:
     if args.method != "ndude" and (args.save_model or args.load_model):
         raise _UsageError(f"--save-model and --load-model need method ndude, not {args.method}")
+    if args.method != "fb" and args.source:
+        raise _UsageError(f"--source needs method fb, not {args.method}")
     chan, loss = parse_channel_spec(args.channel)
     z, _ = io.load_sequence(args.input, chan.alphabet)
     channel_id = _spec_id(args.channel)

@@ -342,6 +342,28 @@ def test_fb_refuses_a_loss_over_another_alphabet():
             forward_backward_denoise(z, spec, loss)
 
 
+@pytest.mark.parametrize("size", [3, 4])
+def test_fb_decisions_minimize_the_sequential_risk(size):
+    # a random loss that is not Hamming, on lengths about a block boundary
+    # (see test_posteriors_match_sequential) and one of many blocks; a
+    # position whose two least risks lie within 1e-9 may go either way
+    spec = _asymmetric_spec(size)
+    rng = np.random.default_rng(40 + size)
+    entries = rng.uniform(0.5, 1.5, (size, size))
+    np.fill_diagonal(entries, 0.0)
+    loss = LossMatrix(entries, ALPHABETS[size])
+    for n in (2499, 2500, 2501, 2502, 20_000):
+        x = generate_source(MarkovSource(spec.source.transition, ALPHABETS[size], rng_seed=n), n)
+        z = corrupt(x, spec.channel, rng_seed=int(rng.integers(1 << 30)))
+        risks = _sequential_posteriors(z, spec) @ loss.entries
+        least = np.sort(risks, axis=1)
+        clear = least[:, 1] - least[:, 0] > 1e-9
+        best = np.argmin(risks, axis=1)
+        assert clear.mean() > 0.99 and len(np.unique(best)) == size, n
+        xhat = forward_backward_denoise(z, spec, loss)
+        assert np.array_equal(xhat.data[clear], best[clear]), n
+
+
 def test_fb_memoryless_source_returns_observation():
     # with an independent source, the posterior only sees the current symbol,
     # and at crossover below one half the observed symbol stays the best guess

@@ -420,6 +420,8 @@ def test_file_flags_their_mode_ignores_are_usage_errors(sim_files, tmp_path):
         ("--load-model", ("denoise", "--input", noisy, "--method", "fb", "--source", "bsmc:0.1",
                           "--output", str(out / "o.txt"),
                           "--load-model", str(tmp_path / "missing.npz"))),
+        ("--source", ("denoise", "--input", noisy, "--method", "dude", "--k", "1",
+                      "--output", str(out / "o.txt"), "--source", str(tmp_path / "missing.json"))),
     )
     for flag, args in cases:
         res = run_cli(*args, "--channel", "bsc:0.1")

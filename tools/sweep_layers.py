@@ -33,8 +33,11 @@ on one thread:
   `inverse` and `centres`. Its step to k = 6 numbers its keys by a sort
   (`core._number_keys`, span > 4n), which no workload's walk reaches.
 
-It also records an md5 of the posterior array's bytes on each of the three
-inputs, so a diff of two checkouts' JSON shows whether FB stayed bit for bit.
+It also records, on each of the three inputs, an md5 of the posterior
+array's bytes and one of `forward_backward_denoise`'s output, so a diff of
+two checkouts' JSON shows whether FB stayed bit for bit. When the scan's
+sums became numpy's, the posterior md5s of the |X| > 2 input moved once
+and the output md5s did not.
 Every timing is the median over --repeats runs. `dudekit` and the workloads
 are imported from --checkout, by default the checkout holding this script.
 Writes JSON (to stdout, or --out) with the checkout's git SHA, the OpenBLAS
@@ -67,7 +70,7 @@ ORDERS = range(1, 21)
 GROUPED = (10, 13, 16, 20)
 UNIFORM_DNA = (1_000_000, 10)  # n, kmax
 SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16))
-FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior md5s
+FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior and output md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
 
 
@@ -239,11 +242,14 @@ def main() -> int:
     grouped = {f"n1m_k{k}": timed(lambda k=k: core.group_contexts(z, k), args.repeats)
                for k in GROUPED}
     grouped["n150k_k16"] = timed(lambda: core.group_contexts(z_small, 16), args.repeats)
-    fb = {"smoothing_posteriors_s": {}, "forward_backward_denoise_s": {}, "posterior_md5": {}}
+    fb = {"smoothing_posteriors_s": {}, "forward_backward_denoise_s": {}, "posterior_md5": {},
+          "output_md5": {}}
     for name, (zi, _, spec_i, loss_i) in inputs.items():
         post = baselines.smoothing_posteriors(zi, spec_i)  # also the warm-up
         fb["posterior_md5"][name] = hashlib.md5(np.ascontiguousarray(post).tobytes()).hexdigest()
         del post
+        xhat = baselines.forward_backward_denoise(zi, spec_i, loss_i).data
+        fb["output_md5"][name] = hashlib.md5(xhat.tobytes()).hexdigest()
         if name in FB_TIMED:
             fb["smoothing_posteriors_s"][name] = timed(
                 lambda: baselines.smoothing_posteriors(zi, spec_i), args.repeats)

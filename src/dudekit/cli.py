@@ -11,7 +11,9 @@ not fit). All outputs are deterministic functions of the arguments; the
 only fields that vary between identical runs are wall-time measurements
 inside sweep reports. That holds on one machine with the same numpy and
 OpenBLAS builds: a trained N-DUDE network's bits follow the BLAS kernel
-and numpy's SIMD loops, which depend on the CPU.
+and numpy's SIMD loops, which depend on the CPU. BLAS runs on one thread
+unless the environment sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
+
+# Before numpy loads: a sweep's parts are processes, one per usable CPU, and
+# BLAS threads in each would oversubscribe the CPUs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import baselines, dude, evaluation, io, neural
 from .channel import apply_rules, build_estimated_loss, hamming_loss, parse_channel_spec
@@ -77,8 +85,9 @@ def _add_train_flags(sub):
     sub.add_argument("--hidden", default=hidden, help="hidden layer sizes, comma separated")
     sub.add_argument(
         "--epochs", type=int, default=TrainConfig.epochs,
-        help=f"most epochs an order trains: past {neural.STEP_BUDGET} steps, as many as fit, "
-        f"but at least {neural.MIN_EPOCHS}",
+        help=f"most epochs an order trains, as many as fit {neural.STEP_BUDGET} steps; an order "
+        f"of more than {neural.STEP_BUDGET // neural.MIN_EPOCHS} minibatches of contexts takes "
+        f"{neural.MIN_EPOCHS} epochs of {neural.STEP_BUDGET // neural.MIN_EPOCHS} wider batches",
     )
 
 

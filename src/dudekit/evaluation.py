@@ -133,6 +133,10 @@ def sweep_k(
     core.group_contexts does, and the trained denoiser seeds order k with
     rng_seed + k, so every row is reproducible alone (neural.train_groups on
     group_contexts, or `denoise`) and the same however orders split.
+    The forked parts inherit numpy's BLAS threads: a caller other than the
+    CLI, which pins them, sets OPENBLAS_NUM_THREADS=1 (and OMP_NUM_THREADS,
+    MKL_NUM_THREADS) before numpy loads, or each part's BLAS oversubscribes
+    the CPUs the parts share.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -27,15 +27,16 @@ order of at most one minibatch of contexts takes them all at every step.
 Its groups come from core's one walk, which refines them from k = 0, one
 order per step: group_contexts's, or a sweep part's, which trains, selects
 and scores each order as it reaches it (evaluation._sweep_part), so an
-order trained alone is a sweep's row bit for bit. The epochs asked
-are an upper bound: an order trains them all while they take at most
-STEP_BUDGET steps, and past it as many as fit, but at least MIN_EPOCHS.
-An order's network is seeded rng_seed + k, whether it trains alone or in
-a sweep, and the network returned is the mean of the last epoch's
-iterates. Adam runs with Kingma & Ba's constants, the learning rate among
-them. Training runs in the calling process. Training and inference run
-one forward pass, _Pass's, over views into the network's flat parameters;
-training takes one of its two heads, chosen from the sizes (train_groups).
+order trained alone is a sweep's row bit for bit. No order takes more
+than STEP_BUDGET steps: the epochs asked are an upper bound, and an
+order of many contexts widens its batch, and Adam's learning rate with
+it, rather than take more steps (train_groups). An order's network is
+seeded rng_seed + k, whether it trains alone or in a sweep, and the
+network returned is the mean of the last epoch's iterates. Adam runs
+with Kingma & Ba's constants. Training runs in the calling process.
+Training and inference run one forward pass, _Pass's, over views into
+the network's flat parameters; training takes one of its two heads,
+chosen from the sizes (train_groups).
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ _TARGET_ENTRIES = 1 << 17
 
 DEFAULT_HIDDEN = (40, 40, 40)
 
-# Adam's step size, moment decays and denominator floor, the values of Kingma & Ba.
+# Adam's step size, moment decays and denominator floor, the values of Kingma & Ba;
+# a widened batch scales the step size (see train_groups).
 LEARNING_RATE = 0.001
 BETA1 = 0.9
 BETA2 = 0.999
@@ -65,9 +67,10 @@ EPSILON = 1e-8
 
 # The steps an epoch takes at least, where n / minibatch_size allows (see train_groups).
 TABLE_STEPS_PER_EPOCH = 100
-# Past STEP_BUDGET steps an order trains fewer epochs than asked, but at least
-# MIN_EPOCHS (see train_groups): an order of many contexts, whose epochs are long,
-# ends about as close to FB after 6 passes as after 10, and overfits its pseudo-labels less.
+# No order takes more than STEP_BUDGET steps: past it an order trains fewer epochs
+# than asked, and an epoch takes at most STEP_BUDGET // MIN_EPOCHS steps, its batch
+# widened (see train_groups): an order of many contexts ends about as close to FB
+# after 6 passes as after 10, and overfits its pseudo-labels less.
 STEP_BUDGET = 2000
 MIN_EPOCHS = 6
 
@@ -75,8 +78,10 @@ MIN_EPOCHS = 6
 @dataclass(frozen=True)
 class TrainConfig:
     """Schedule and seed of pseudo-label training; order k's network is
-    seeded rng_seed + k. epochs is the most an order trains: past STEP_BUDGET
-    steps it trains fewer, but at least MIN_EPOCHS (see train_groups)."""
+    seeded rng_seed + k. epochs is the most an order trains: no order takes
+    more than STEP_BUDGET steps, and minibatch_size the least batch of an
+    order of more contexts, which widens past STEP_BUDGET // MIN_EPOCHS
+    steps an epoch (see train_groups)."""
 
     epochs: int = 10
     minibatch_size: int = 100
@@ -291,9 +296,11 @@ class _Pass:
 
 
 class _Adam:
-    """Adam over one flat parameter vector, stock bias correction, in place."""
+    """Adam over one flat parameter vector, stock bias correction, in place,
+    with step size lr: LEARNING_RATE, or more for a widened batch (train_groups)."""
 
-    def __init__(self, n: int, dtype):
+    def __init__(self, n: int, dtype, lr: float):
+        self.lr = lr
         self.m = np.zeros(n, dtype=dtype)
         self.v = np.zeros(n, dtype=dtype)
         self._step = np.empty(n, dtype=dtype)
@@ -318,7 +325,7 @@ class _Adam:
             m_hat = _rounded(np.divide, self.m, m_fix, step, self._wide)
         if v_fix != 1:
             v_hat = np.divide(self.v, v_fix, out=scale)
-        _rounded(np.multiply, m_hat, cast(LEARNING_RATE), step, self._wide)
+        _rounded(np.multiply, m_hat, cast(self.lr), step, self._wide)
         np.sqrt(v_hat, out=scale)
         scale += EPSILON
         step /= scale
@@ -342,14 +349,20 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np
 
 def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
     """(batch, steps, rows, epochs) of training over n positions in n_groups
-    contexts, at most epochs epochs. Up to minibatch contexts, every step is
-    the batch of all of them and rows = steps * batch; beyond, rows is the
-    number of positions drawn per epoch."""
+    contexts, at most epochs epochs and STEP_BUDGET steps. Up to minibatch
+    contexts, every step is the batch of all of them and rows = steps * batch;
+    beyond, rows is the number of positions drawn per epoch, and an epoch of
+    more than STEP_BUDGET // MIN_EPOCHS steps takes that many, each batch
+    widened to cover the contexts."""
     steps = max(-(-n_groups // minibatch), min(TABLE_STEPS_PER_EPOCH, -(-n // minibatch)))
-    epochs = min(epochs, max(MIN_EPOCHS, STEP_BUDGET // steps))
+    steps = min(steps, STEP_BUDGET // MIN_EPOCHS)
     if n_groups <= minibatch:
-        return n_groups, steps, steps * n_groups, epochs
-    return minibatch, steps, min(n, steps * minibatch), epochs
+        batch, rows = n_groups, steps * n_groups
+    else:  # a pass over the n positions may take fewer steps of the widened batch
+        batch = max(minibatch, -(-n_groups // steps))
+        rows = min(n, steps * batch)
+        steps = -(-rows // batch)
+    return batch, steps, rows, min(epochs, STEP_BUDGET // steps)
 
 
 def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
@@ -397,16 +410,20 @@ def train_groups(
     Every position contributes a (context, pseudo-label) pair, edge
     positions included. An epoch takes max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH,
     ceil(n/mb))) steps, G the groups and mb = config.minibatch_size, never
-    more than a pass over the n positions. An order trains config.epochs
-    epochs while they take at most STEP_BUDGET steps, else floor(STEP_BUDGET /
-    steps per epoch), clipped to [MIN_EPOCHS, config.epochs]: no order takes
-    more steps than config.epochs asks, and config.epochs <= MIN_EPOCHS
-    changes nothing at any order. Where G > mb, each step takes the contexts
-    of the next mb positions of the epoch's shuffle of the n, so contexts
-    come in proportion to their counts, and each row's target is its
-    context's mean pseudo-label; where G <= mb, every step takes all G
-    contexts in group order, so the bits follow the group numbering, each
-    target being the context's pseudo-labels summed and scaled by G/n.
+    more than a pass over the n positions nor STEP_BUDGET // MIN_EPOCHS (333).
+    Where that cap binds, the batch widens from mb to ceil(G / steps), and
+    Adam's learning rate from LEARNING_RATE to LEARNING_RATE * sqrt(batch /
+    mb), the square-root rule for adaptive methods; other orders keep mb and
+    LEARNING_RATE. An order trains config.epochs epochs while they take at
+    most STEP_BUDGET steps, else floor(STEP_BUDGET / steps per epoch), which
+    the cap keeps at MIN_EPOCHS or more: no order takes more than
+    STEP_BUDGET steps or more epochs than config.epochs asks. Where G > mb,
+    each step takes the contexts of the next batch of positions of the
+    epoch's shuffle of the n, so contexts come in proportion to their
+    counts, and each row's target is its context's mean pseudo-label; where
+    G <= mb, every step takes all G contexts in group order, so the bits
+    follow the group numbering, each target being the context's
+    pseudo-labels summed and scaled by G/n.
     Either way the mean cost estimates, or is, the mean over all n
     positions. Where the rules outnumber the last hidden layer's units
     (DNA's 256 against the default 40), the step takes _Pass's wide head,
@@ -436,7 +453,10 @@ def train_groups(
     x_buf = np.empty((chunk, net.input_dim), dtype=net.dtype)
     t_buf = np.empty((chunk, t_width), dtype=net.dtype)
     passes = _Pass(net, tables.pseudo_labels if wide else None)
-    adam = _Adam(net.n_params, net.dtype)
+    lr = LEARNING_RATE
+    if batch > cfg.minibatch_size:  # Adam's square-root rule for a widened batch
+        lr *= math.sqrt(batch / cfg.minibatch_size)
+    adam = _Adam(net.n_params, net.dtype, lr)
     mean = np.zeros(net.n_params)  # the float64 sum of the last epoch's iterates
     for epoch in range(epochs):
         if not full:  # the first rows of a shuffle: contexts in proportion to their counts

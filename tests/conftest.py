@@ -1,5 +1,11 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+
+# Before numpy loads, BLAS on one thread, as the CLI, perfbench and tools/ run it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

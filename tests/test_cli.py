@@ -662,6 +662,27 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, want", [({}, ("1", "1", "1")),
+                                         ({"OPENBLAS_NUM_THREADS": "3"}, ("3", "1", "1"))])
+def test_cli_import_pins_blas_unless_the_environment_sets_it(given, want):
+    # A sweep's forked parts would each run BLAS on every CPU; the CLI pins it
+    # to one thread before numpy loads, and leaves a value the caller set.
+    probe = ("import os, sys, dudekit.cli; assert 'numpy' in sys.modules; "
+             f"print(','.join(os.environ[v] for v in {_BLAS_VARS!r}))")
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_VARS}
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**env, **given, "PYTHONPATH": SRC},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ",".join(want)
+
+
 def test_help_exits_zero():
     res = run_cli("--help")
     assert res.returncode == 0

@@ -2,12 +2,15 @@
 
 import dataclasses
 import gc
+import math
 import pickle
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALPHABETS, ndude_apply, random_invertible_channel, train_alone
 from dudekit.channel import (
@@ -230,7 +233,7 @@ def test_train_k0_runs():
     assert len(out) == len(z)
 
 
-def _stock_adam(params, m, v, grad, t):
+def _stock_adam(params, m, v, grad, t, lr=LEARNING_RATE):
     """Adam as written in Kingma & Ba, one float32 array operation at a time."""
     m *= BETA1
     m += (1.0 - BETA1) * grad
@@ -238,7 +241,7 @@ def _stock_adam(params, m, v, grad, t):
     v += (1.0 - BETA2) * np.square(grad)
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
-    params -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPSILON)
+    params -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def test_adam_step_matches_stock_update_through_subnormals():
@@ -251,7 +254,7 @@ def test_adam_step_matches_stock_update_through_subnormals():
         v = (rng.random(n) * 10.0 ** rng.uniform(-12, -4, n)).astype(np.float32)
         params = (rng.standard_normal(n) * 10.0 ** rng.uniform(-40, 0, n)).astype(np.float32)
         assert np.any((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny))
-        adam = _Adam(n, np.float32)
+        adam = _Adam(n, np.float32, LEARNING_RATE)
         adam.m[:], adam.v[:], adam.t = m, v, first - 1
         got = params.copy()
         for t in range(first, first + 11):
@@ -458,34 +461,82 @@ def test_head_follows_rule_count_against_last_hidden_width(monkeypatch):
         (10**6, 20000, 100, (100, 200, 20000, 10)),
         (10**6, 20001, 100, (100, 201, 20100, 9)),
         (10**6, 30000, 100, (100, 300, 30000, 6)),
-        (10**6, 60000, 100, (100, 600, 60000, 6)),  # 3 fit, but never fewer than 6
-        (10**6, 856000, 100, (100, 8560, 856000, 6)),  # criterion 01's k = 16
-        (10**6, 5000, 7, (7, 715, 5005, 6)),
+        # past 333 steps, 333 of a batch widened to ceil(G / 333), 6 epochs
+        (10**6, 60000, 100, (181, 333, 60273, 6)),
+        (10**6, 856000, 100, (2571, 333, 856143, 6)),  # criterion 01's k = 16
+        (10**6, 5000, 7, (16, 333, 5328, 6)),
+        (10**6, 33300, 100, (100, 333, 33300, 6)),  # the most steps an epoch takes
+        (10**6, 33301, 100, (101, 333, 33633, 6)),
+        (150000, 141436, 100, (425, 333, 141525, 6)),  # bsmc-150k-ndude's k = 16
+        (1000, 1000, 1, (4, 250, 1000, 8)),  # a pass over the n takes fewer steps
     ],
 )
 def test_epoch_steps_rule(n, n_groups, minibatch, want):
     # max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH, ceil(n/mb))) steps, no more
-    # than a shuffle of the n positions would take (want: at 10 epochs asked).
-    # Of E epochs asked, E while they take at most STEP_BUDGET steps or
-    # E <= MIN_EPOCHS, else floor(STEP_BUDGET / steps) clipped to [MIN_EPOCHS, E].
+    # than a shuffle of the n positions would take nor STEP_BUDGET // MIN_EPOCHS,
+    # the batch widened to ceil(G / steps) where that cap binds (want: at 10
+    # epochs asked). Of E epochs asked, E while they take at most STEP_BUDGET
+    # steps, else floor(STEP_BUDGET / steps), never below MIN_EPOCHS.
     assert _epoch_layout(n, n_groups, minibatch, 10) == want
-    batch, steps, rows, _ = want
-    assert steps <= -(-n // minibatch)
-    assert rows <= n or batch == n_groups
+    _, steps, rows, _ = want
+    _assert_layout_invariants(n, n_groups, minibatch, want)
+    assert rows <= n
     for asked in (1, 3, 4, 5, 9, 10, 11, 40):
         took = _epoch_layout(n, n_groups, minibatch, asked)
         assert took[:3] == want[:3]
-        if asked * steps <= STEP_BUDGET or asked <= MIN_EPOCHS:
+        if asked * steps <= STEP_BUDGET:
             assert took[3] == asked
         else:
-            assert took[3] == min(asked, max(MIN_EPOCHS, STEP_BUDGET // steps)) < asked
+            assert MIN_EPOCHS <= took[3] == STEP_BUDGET // steps < asked
+
+
+def _assert_layout_invariants(n, n_groups, minibatch, layout):
+    """What every (batch, steps, rows, epochs) of _epoch_layout keeps: at most
+    STEP_BUDGET steps, no epoch longer than STEP_BUDGET // MIN_EPOCHS steps
+    or a shuffle of the n positions at minibatch size, every context within
+    reach of an epoch's batches, and, past one
+    minibatch of contexts, no more rows than positions, in exactly steps
+    batches, the least of them minibatch."""
+    batch, steps, rows, epochs = layout
+    assert epochs * steps <= STEP_BUDGET
+    assert 1 <= steps <= min(STEP_BUDGET // MIN_EPOCHS, -(-n // minibatch))
+    assert steps * batch >= n_groups
+    if n_groups > minibatch:
+        assert rows <= n and batch >= minibatch and -(-rows // batch) == steps
+    else:
+        assert (batch, rows) == (n_groups, steps * n_groups)
+
+
+def _parent_layout(n, n_groups, minibatch, epochs):
+    """_epoch_layout before epochs were capped at STEP_BUDGET // MIN_EPOCHS steps."""
+    steps = max(-(-n_groups // minibatch), min(100, -(-n // minibatch)))
+    epochs = min(epochs, max(MIN_EPOCHS, STEP_BUDGET // steps))
+    if n_groups <= minibatch:
+        return n_groups, steps, steps * n_groups, epochs
+    return minibatch, steps, min(n, steps * minibatch), epochs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_epoch_layout_keeps_the_step_budget(data):
+    # Any n, G <= n, minibatch and epochs asked keep the invariants; an order of
+    # at most 333 minibatches of contexts keeps the layout it had before the cap.
+    n = data.draw(st.integers(1, 2 * 10**6), label="n")
+    n_groups = data.draw(st.integers(1, n), label="n_groups")
+    minibatch = data.draw(st.integers(1, 5000), label="minibatch")
+    epochs = data.draw(st.integers(1, 50), label="epochs")
+    layout = _epoch_layout(n, n_groups, minibatch, epochs)
+    _assert_layout_invariants(n, n_groups, minibatch, layout)
+    assert layout[3] <= epochs
+    if -(-n_groups // minibatch) <= STEP_BUDGET // MIN_EPOCHS:
+        assert layout == _parent_layout(n, n_groups, minibatch, epochs)
 
 
 def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
     # Binary n = 12000 at orders 0, 2, 5 and a tiny n = 7 at order 1, two
     # epochs each; then orders 5 and 6 at minibatch 3 and the default 10
     # epochs: order 5 (G = 755, 252 steps an epoch) takes the 7 that fit the
-    # step budget, order 6 (G = 1587, 529 steps) the 6 it takes at least.
+    # step budget, order 6 (G = 1587) 6 epochs of 333 steps of 5 contexts.
     # Every step's batch size, the number of steps and of epochs follow _epoch_layout.
     _, z = _toy_instance(n=12000, seed=7)
     tiny = Sequence(z.data[:7], BINARY)
@@ -505,10 +556,38 @@ def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
             )
             assert len(batches) == epochs * steps and len(net.epoch_losses) == epochs
             assert sum(batches) == epochs * rows and max(batches) == batch
-            took[len(seq), k, cfg.minibatch_size] = epochs
+            took[len(seq), k, cfg.minibatch_size] = batch, steps, epochs
     assert _epoch_layout(7, group_contexts(tiny, 1).n_groups, 100, 2)[1] == 1
-    assert took == {(12000, 0, 100): 2, (12000, 2, 100): 2, (12000, 5, 100): 2, (7, 1, 100): 2,
-                    (12000, 5, 3): 7, (12000, 6, 3): 6}
+    assert took == {(12000, 0, 100): (1, 100, 2), (12000, 2, 100): (20, 100, 2),
+                    (12000, 5, 100): (100, 100, 2), (7, 1, 100): (5, 1, 2),
+                    (12000, 5, 3): (3, 252, 7), (12000, 6, 3): (5, 333, 6)}
+
+
+def test_adam_learning_rate_grows_with_the_square_root_of_a_widened_batch(monkeypatch):
+    # Binary n = 12000: order 0 (one context, a full batch) and order 5 at
+    # minibatch 3 (252 steps of 3) keep LEARNING_RATE; order 6 at minibatch 3
+    # takes 333 steps of 5, and LEARNING_RATE * sqrt(5 / 3).
+    _, z = _toy_instance(n=12000, seed=7)
+    rates, real = [], _Adam.__init__
+    monkeypatch.setattr(
+        _Adam, "__init__", lambda self, *args: (rates.append(args[2]), real(self, *args))[1]
+    )
+    for k, minibatch, want in ((0, 100, LEARNING_RATE), (5, 3, LEARNING_RATE),
+                               (6, 3, LEARNING_RATE * math.sqrt(5 / 3))):
+        rates.clear()
+        train_alone(z, k, bsc01_tables(), hidden=(8,),
+                    config=TrainConfig(epochs=1, minibatch_size=minibatch))
+        assert rates == [want]
+    # and the step it takes is the stock one at that rate
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal(500).astype(np.float32)
+    m, v, got = np.zeros_like(params), np.zeros_like(params), params.copy()
+    adam = _Adam(params.size, np.float32, want)
+    for t in (1, 2, 3):
+        grad = rng.standard_normal(params.size).astype(np.float32)
+        adam.step(got, grad)
+        _stock_adam(params, m, v, grad, t, lr=want)
+        assert got.tobytes() == params.tobytes()
 
 
 def test_train_returns_mean_of_last_epoch_iterates(monkeypatch):
@@ -641,7 +720,7 @@ def test_mlp_pickle_keeps_layer_views_tied():
     before = copy.params.copy()
     grad = np.random.default_rng(4).standard_normal(net.n_params).astype(net.dtype)
     for stepped in (net, copy):  # one Adam step changes the flat vector in place
-        _Adam(stepped.n_params, stepped.dtype).step(stepped.params, grad)
+        _Adam(stepped.n_params, stepped.dtype, LEARNING_RATE).step(stepped.params, grad)
     assert not np.array_equal(copy.params, before)
     assert copy.params.tobytes() == net.params.tobytes()
     assert copy.forward(x).tobytes() == net.forward(x).tobytes()

@@ -27,7 +27,8 @@ prints, in units of the channel's δ (its flip probability):
 - `excess`: true error rate minus the forward-backward smoother's;
 - `est_gap`: estimated loss minus true loss;
 
-and the epochs the order trained, then k*, the order of least estimated
+and the epochs the order trained, with its batch and steps per epoch
+(`neural._epoch_layout`'s), then k*, the order of least estimated
 loss, its `kstar_excess` over the best order's true error, and an md5 of
 every reconstruction. A summary line per instance family gives the median
 and worst of `excess` over every (seed, k), the worst |est_gap| and the
@@ -42,9 +43,11 @@ of orders, needs its own copy of the script.
 It takes 5-15 minutes and is not part of the Tier-1 tests.
 
 --compare prints, for each instance, k* and `kstar_excess` before and
-after, the summary deltas, and the excess and est_gap deltas of every
-order whose md5 differs, then the median excess and median |est_gap| over
-those changed orders. It gates nothing.
+after, the summary deltas, and the schedule, excess and est_gap deltas of
+every order whose md5 differs, then, over those changed orders, the pooled
+median excess and median |est_gap| before and after, and the paired
+median, the median over orders of each order's own change. It gates
+nothing.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ def instance(inputs, delta: float, seed: int, orders, times: dict) -> dict:
     for groups in context_groups(z, max(orders)):
         if groups.k not in orders:
             continue
+        batch, steps, _, _ = neural._epoch_layout(len(z), groups.n_groups, cfg.minibatch_size,
+                                                  cfg.epochs)
         t = time.perf_counter()
         net = neural.train_groups(groups, tables, config=cfg)
         trained[net.k] = time.perf_counter() - t
@@ -103,6 +108,8 @@ def instance(inputs, delta: float, seed: int, orders, times: dict) -> dict:
         rows.append({
             "k": net.k,
             "epochs": len(net.epoch_losses),
+            "batch": batch,
+            "steps": steps,
             "excess": (true - fb) / delta,
             "est_gap": (est - true) / delta,
             "estimated_loss": est,
@@ -161,6 +168,7 @@ def family(name: str, build, delta: float, seeds, orders, times: dict) -> dict:
         runs.append(run)
         for r in run["orders"]:
             print(f"{name} seed={seed} k={r['k']:2d} epochs={r['epochs']:2d} "
+                  f"batch={r['batch']} steps={r['steps']} "
                   f"excess={r['excess']:+.4f} est_gap={r['est_gap']:+.4f} md5={r['md5']}",
                   file=sys.stderr)
         print(f"{name} seed={seed} k*={run['k_star']} kstar_excess={run['kstar_excess']:.4f}",
@@ -206,6 +214,8 @@ def compare(old_path: str, new_path: str) -> None:
                     continue
                 changed.append((p, r))
                 print(f"  k={r['k']:2d} epochs {p.get('epochs', '?')} -> {r['epochs']} "
+                      f"batch {p.get('batch', '?')} -> {r['batch']} "
+                      f"steps {p.get('steps', '?')} -> {r['steps']} "
                       f"excess {p['excess']:+.4f} -> {r['excess']:+.4f} "
                       f"({r['excess'] - p['excess']:+.4f}) est_gap {p['est_gap']:+.4f} -> "
                       f"{r['est_gap']:+.4f} ({r['est_gap'] - p['est_gap']:+.4f})")
@@ -216,8 +226,9 @@ def compare(old_path: str, new_path: str) -> None:
         field = key.strip("|")
         was = statistics.median(f(p[field]) for p, _ in changed)
         now = statistics.median(f(r[field]) for _, r in changed)
+        paired = statistics.median(f(r[field]) - f(p[field]) for p, r in changed)
         print(f"{len(changed)} changed orders: median {key} {was:.4f} -> {now:.4f} "
-              f"({now - was:+.4f})")
+              f"({now - was:+.4f}), paired median change {paired:+.5f}")
 
 
 def main() -> int:

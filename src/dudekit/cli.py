@@ -67,8 +67,9 @@ def _spec_id(spec: str) -> str:
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
+    """Hidden widths from a comma list, an empty list meaning none; an empty item is an error."""
     try:
-        dims = tuple(int(tok) for tok in text.split(",") if tok != "")
+        dims = tuple(int(tok) for tok in text.split(",")) if text else ()
     except ValueError as exc:
         raise DataError(f"bad hidden layer spec {text!r}") from exc
     if any(d < 1 for d in dims):

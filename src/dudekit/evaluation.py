@@ -170,10 +170,9 @@ def sweep_k(
 def _sweep_part(z, tables, part, method, clean, hidden, cfg):
     """Rows of the ascending orders in part, and the reconstruction at the
     order select_k picks among them. One walk refines the context groups
-    from k = 0, one order per step, so a full-batch network's rows follow
-    the group numbering of core.group_contexts. Each order of part is
-    trained (N-DUDE), selected and scored while its groups are in hand, and
-    they are dropped before the walk moves on. A row's wall_time_s runs from
+    from k = 0, one order per step. Each order of part is trained (N-DUDE),
+    selected and scored while its groups are in hand, and they are dropped
+    before the walk moves on. A row's wall_time_s runs from
     the end of the row before, so it holds the walk's steps up to its order."""
     records, t0 = [], time.perf_counter()
     for groups in context_groups(z, part[-1]):

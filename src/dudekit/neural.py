@@ -22,8 +22,7 @@ weighted by its count, and each position's pseudo-label may be replaced
 by the mean of its context's: a minibatch of contexts drawn in
 proportion to their counts, each with its mean pseudo-label as target,
 is unbiased for it. train_groups trains one order on such minibatches,
-from the groups' window view and center counts per context alone; an
-order of at most one minibatch of contexts takes them all at every step.
+from the groups' window view and center counts per context alone.
 Its groups come from core's one walk, which refines them from k = 0, one
 order per step: group_contexts's, or a sweep part's, which trains, selects
 and scores each order as it reaches it (evaluation._sweep_part), so an
@@ -79,9 +78,8 @@ MIN_EPOCHS = 6
 class TrainConfig:
     """Schedule and seed of pseudo-label training; order k's network is
     seeded rng_seed + k. epochs is the most an order trains: no order takes
-    more than STEP_BUDGET steps, and minibatch_size the least batch of an
-    order of more contexts, which widens past STEP_BUDGET // MIN_EPOCHS
-    steps an epoch (see train_groups)."""
+    more than STEP_BUDGET steps, and minibatch_size the least batch, which
+    widens past STEP_BUDGET // MIN_EPOCHS steps an epoch (see train_groups)."""
 
     epochs: int = 10
     minibatch_size: int = 100
@@ -317,16 +315,15 @@ class _Adam:
         self.v *= BETA2
         self.v += np.multiply(np.square(grad, out=step), 1.0 - BETA2, out=step)
         # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same operation order.
-        # A bias correction that rounds to 1 (from t = 165 for m, t = 17,321
-        # for v) is skipped: dividing by 1 changes no bit, subnormals included.
-        m_fix, v_fix = cast(1.0 - BETA1**self.t), cast(1.0 - BETA2**self.t)
-        m_hat, v_hat = self.m, self.v
+        # m's bias correction rounds to 1 from t = 165 and is then skipped, which
+        # saves a _rounded divide: dividing by 1 changes no bit, subnormals
+        # included. v's rounds to 1 only from t = 17,321, past STEP_BUDGET.
+        m_fix, m_hat = cast(1.0 - BETA1**self.t), self.m
         if m_fix != 1:
             m_hat = _rounded(np.divide, self.m, m_fix, step, self._wide)
-        if v_fix != 1:
-            v_hat = np.divide(self.v, v_fix, out=scale)
         _rounded(np.multiply, m_hat, cast(self.lr), step, self._wide)
-        np.sqrt(v_hat, out=scale)
+        np.divide(self.v, cast(1.0 - BETA2**self.t), out=scale)
+        np.sqrt(scale, out=scale)
         scale += EPSILON
         step /= scale
         params -= step
@@ -349,30 +346,25 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np
 
 def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
     """(batch, steps, rows, epochs) of training over n positions in n_groups
-    contexts, at most epochs epochs and STEP_BUDGET steps. Up to minibatch
-    contexts, every step is the batch of all of them and rows = steps * batch;
-    beyond, rows is the number of positions drawn per epoch, and an epoch of
-    more than STEP_BUDGET // MIN_EPOCHS steps takes that many, each batch
-    widened to cover the contexts."""
+    contexts, at most epochs epochs and STEP_BUDGET steps. rows is the number
+    of positions drawn per epoch, and an epoch of more than
+    STEP_BUDGET // MIN_EPOCHS steps takes that many, each batch widened to
+    cover the contexts."""
     steps = max(-(-n_groups // minibatch), min(TABLE_STEPS_PER_EPOCH, -(-n // minibatch)))
     steps = min(steps, STEP_BUDGET // MIN_EPOCHS)
-    if n_groups <= minibatch:
-        batch, rows = n_groups, steps * n_groups
-    else:  # a pass over the n positions may take fewer steps of the widened batch
-        batch = max(minibatch, -(-n_groups // steps))
-        rows = min(n, steps * batch)
-        steps = -(-rows // batch)
+    batch = max(minibatch, -(-n_groups // steps))
+    rows = min(n, steps * batch)
+    steps = -(-rows // batch)  # a pass over the n positions may take fewer steps
     return batch, steps, rows, min(epochs, STEP_BUDGET // steps)
 
 
 def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
-    """feed(pos, x_out, t_out, scale=None) -> (x, t, norms): the encoded
-    contexts of positions pos, their targets and the targets' row sums.
-    A context's target g is its pseudo-labels summed, its center counts c
-    times the pseudo-label table L, times scale, by default one over the
-    context's count, which gives its mean pseudo-label. For the narrow head
-    t is g, formed in float64 and rounded into t_out; for the wide head t
-    is the weights c times scale, so g = t @ L, and no row of g is formed.
+    """feed(pos, x_out, t_out) -> (x, t, norms): the encoded contexts of
+    positions pos, their targets and the targets' row sums. A context's
+    target g is its mean pseudo-label, its center counts c times the
+    pseudo-label table L over the context's count. For the narrow head t is
+    g, formed in float64 and rounded into t_out; for the wide head t is the
+    weights c over the count, so g = t @ L, and no row of g is formed.
     It keeps the center counts per context alone, in inverse's dtype: a one-hot
     row per settled group, then ContextGroups.center_counts()'s. No (G, rules) table is built."""
     size, labels, settled = groups.seq.alphabet.size, tables.pseudo_labels, len(groups.centres)
@@ -383,14 +375,11 @@ def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
     np.equal.outer(groups.centres, np.arange(size, dtype=np.uint8), out=counts[:settled])
     totals = labels.sum(axis=1)
 
-    def feed(pos, x_out, t_out, scale=None):
+    def feed(pos, x_out, t_out):
         x = _encode_rows(groups.windows[pos].take(groups.columns, axis=1), size, x_out)
         c = counts.take(groups.inverse[pos], axis=0)
         t = c.astype(np.float64) if wide else c @ labels
-        if scale is None:
-            t /= c.sum(axis=1, keepdims=True)
-        else:
-            t *= scale
+        t /= c.sum(axis=1, keepdims=True)
         np.copyto(t_out, t)
         norms = (t @ totals).astype(t_out.dtype) if wide else t_out.sum(axis=1)  # row by row
         return x, t_out, norms
@@ -417,18 +406,15 @@ def train_groups(
     LEARNING_RATE. An order trains config.epochs epochs while they take at
     most STEP_BUDGET steps, else floor(STEP_BUDGET / steps per epoch), which
     the cap keeps at MIN_EPOCHS or more: no order takes more than
-    STEP_BUDGET steps or more epochs than config.epochs asks. Where G > mb,
-    each step takes the contexts of the next batch of positions of the
-    epoch's shuffle of the n, so contexts come in proportion to their
-    counts, and each row's target is its context's mean pseudo-label; where
-    G <= mb, every step takes all G contexts in group order, so the bits
-    follow the group numbering, each target being the context's
-    pseudo-labels summed and scaled by G/n.
-    Either way the mean cost estimates, or is, the mean over all n
-    positions. Where the rules outnumber the last hidden layer's units
-    (DNA's 256 against the default 40), the step takes _Pass's wide head,
-    fed the |Z| weights of each target's mix of pseudo-label rows; else the
-    narrow head, fed the target rows. Adam runs on chunks of whole
+    STEP_BUDGET steps or more epochs than config.epochs asks. Each step
+    takes the contexts of the next batch of positions of the epoch's
+    shuffle of the n, so contexts come in proportion to their counts, and
+    each row's target is its context's mean pseudo-label: the mean cost
+    estimates the mean over all n positions, and no bit depends on how the
+    groups are numbered. Where the rules outnumber the last hidden layer's
+    units (DNA's 256 against the default 40), the step takes _Pass's wide
+    head, fed the |Z| weights of each target's mix of pseudo-label rows;
+    else the narrow head, fed the target rows. Adam runs on chunks of whole
     minibatches fed at a time. The network returned holds the float64 mean
     of the last epoch's iterates, rounded once to its dtype; its epoch
     losses are the mean cost over each epoch's rows. Everything runs in
@@ -441,12 +427,10 @@ def train_groups(
     size = groups.seq.alphabet.size
     net = MLPDenoiser((*hidden, tables.n_denoisers), k=groups.k, size=size, rng=rng)
     wide = tables.n_denoisers > net.layer_dims[-2]
-    n, n_groups = len(groups.seq), groups.n_groups
-    batch, steps, rows, epochs = _epoch_layout(n, n_groups, cfg.minibatch_size, cfg.epochs)
-    feed, full = _context_feed(groups, tables, wide), n_groups <= batch
-    # full: one member per context, its summed pseudo-labels scaled by G/n; else
-    # the positions, reshuffled in place every epoch
-    order = np.tile(groups.members(), steps) if full else np.arange(n, dtype=groups.inverse.dtype)
+    n = len(groups.seq)
+    batch, steps, rows, epochs = _epoch_layout(n, groups.n_groups, cfg.minibatch_size, cfg.epochs)
+    feed = _context_feed(groups, tables, wide)
+    order = np.arange(n, dtype=groups.inverse.dtype)  # the positions, reshuffled in place
     drawn = order[:rows]  # a view: each epoch's rows
     t_width = size if wide else tables.n_denoisers
     chunk = min(rows, batch * max(1, min(_FORWARD_CHUNK, _TARGET_ENTRIES // t_width) // batch))
@@ -459,13 +443,11 @@ def train_groups(
     adam = _Adam(net.n_params, net.dtype, lr)
     mean = np.zeros(net.n_params)  # the float64 sum of the last epoch's iterates
     for epoch in range(epochs):
-        if not full:  # the first rows of a shuffle: contexts in proportion to their counts
-            rng.shuffle(order)
+        rng.shuffle(order)  # the first rows of a shuffle: contexts in proportion to their counts
         total = 0.0
         for c0 in range(0, rows, chunk):
             pos = drawn[c0 : c0 + chunk]
-            scale = n_groups / n if full else None
-            x, t, norms = feed(pos, x_buf[: pos.size], t_buf[: pos.size], scale)
+            x, t, norms = feed(pos, x_buf[: pos.size], t_buf[: pos.size])
             for s in range(0, len(x), batch):
                 step = slice(s, s + batch)
                 loss, grad = passes.loss_grad(x[step], t[step], norms[step])

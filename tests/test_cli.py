@@ -448,6 +448,28 @@ def test_negative_seed_exits_2(sim_files, tmp_path):
         assert "Traceback" not in res.stderr and "non-negative" in res.stderr, res.stderr
 
 
+def test_hidden_rejects_an_empty_item(sim_files, tmp_path):
+    # '--hidden ""' trains no hidden layer; an empty item ('3,,4', '3,')
+    # exits 2 without a traceback or an output, rather than being dropped.
+    _, _, noisy = sim_files
+    out, model = tmp_path / "o.txt", tmp_path / "m.npz"
+    denoise = ("denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", "ndude",
+               "--k", "1", "--epochs", "1", "--output", str(out))
+    res = run_cli(*denoise, "--hidden", "", "--save-model", str(model))
+    assert res.returncode == 0, res.stderr
+    tables = build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
+    assert load_checkpoint(str(model), tables, 1).layer_dims == (4, 4)
+    out.unlink()
+    for spec in ("3,,4", "3,"):
+        for args in (denoise, ("sweep", "--input", noisy, "--channel", "bsc:0.1",
+                               "--method", "ndude", "--kmax", "1", "--epochs", "1",
+                               "--report", str(out))):
+            res = run_cli(*args, "--hidden", spec)
+            assert res.returncode == 2, res.stderr
+            assert "Traceback" not in res.stderr and repr(spec) in res.stderr, res.stderr
+            assert not out.exists()
+
+
 def test_negative_k_is_a_usage_error(sim_files, tmp_path):
     _, _, noisy = sim_files
     out = tmp_path / "o.txt"

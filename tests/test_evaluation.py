@@ -290,8 +290,8 @@ def _masked(report):
 @pytest.mark.parametrize("method, ks", [("dude", [0, 1, 3, 4, 8]), ("ndude", [0, 1, 4, 5, 9])])
 def test_split_sweep_matches_one_process(monkeypatch, method, ks):
     # k* is the last order: on 2 CPUs this process runs it, on 3 a child.
-    # N-DUDE's orders 0 and 1 take full batches of their G contexts, 4..9
-    # minibatches drawn from shuffles of the positions.
+    # N-DUDE's orders 0 and 1 fit one minibatch of contexts, 4..9 do not;
+    # each takes minibatches drawn from shuffles of the positions.
     x, z = _instance(12000)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=2, rng_seed=4)

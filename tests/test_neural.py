@@ -21,7 +21,7 @@ from dudekit.channel import (
     symmetric_channel,
 )
 from dudekit import evaluation, neural
-from dudekit.core import BINARY, DNA, Sequence, group_contexts
+from dudekit.core import BINARY, DNA, Sequence, context_groups, group_contexts
 from dudekit.errors import DataError
 from dudekit.neural import (
     BETA1,
@@ -246,7 +246,7 @@ def _stock_adam(params, m, v, grad, t, lr=LEARNING_RATE):
 
 def test_adam_step_matches_stock_update_through_subnormals():
     # Steps 6-16, and steps across t = 165 and t = 17,321, where the float32
-    # bias corrections of m and then of v round to 1 and are skipped.
+    # bias corrections of m and then of v round to 1; m's is then skipped.
     rng = np.random.default_rng(4)
     n = 4000
     for first in (6, 160, 17315):
@@ -277,14 +277,12 @@ def test_train_matches_per_step_reference():
 
 def _check_per_step_reference(n, k, minibatch, epochs, hidden=(16,)):
     # The plain loop, over min(epochs, max(6, 2000 // steps)) epochs; returns
-    # that number. Where G > minibatch, each epoch takes the first
-    # steps * minibatch positions of a shuffle of the n, in place, with seed
-    # rng_seed + k (all n at n = 700, k = 3), encodes each one's context from
-    # the oracle and takes its context's mean pseudo-label as target; where
-    # G <= minibatch (k = 1), every step takes one member of each of the
-    # walk's G groups in group order, its target the group's pseudo-labels
-    # summed times G/n. Stock Adam; the float64 mean of the last epoch's
-    # iterates, rounded once. train_alone() must give the same bits.
+    # that number. Each epoch takes the first steps * minibatch positions of
+    # a shuffle of the n, in place, with seed rng_seed + k (all n at n = 700,
+    # k = 1 and 3), encodes each one's context from the oracle and takes its
+    # context's mean pseudo-label as target, whether or not the G contexts
+    # fit one minibatch (k = 1). Stock Adam; the float64 mean of the last
+    # epoch's iterates, rounded once. train_alone() must give the same bits.
     _, z = _toy_instance(n=n, seed=5)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=epochs, minibatch_size=minibatch, rng_seed=3)
@@ -298,28 +296,20 @@ def _check_per_step_reference(n, k, minibatch, epochs, hidden=(16,)):
     ctx = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
     steps = max(-(-n_groups // minibatch), min(100, -(-n // minibatch)))
     epochs = min(epochs, max(6, 2000 // steps))
-    full = n_groups <= minibatch
-    assert full == (k == 1)
-    rows = steps * n_groups if full else min(n, steps * minibatch)
-    batch = n_groups if full else minibatch
+    assert (n_groups <= minibatch) == (k == 1)
+    rows = min(n, steps * minibatch)
     m, v = np.zeros_like(ref.params), np.zeros_like(ref.params)
     t_adam, losses, shuffled = 0, [], np.arange(n)
     for epoch in range(epochs):
-        if full:
-            order = np.tile(np.unique(inverse, return_index=True)[1], steps)
-        else:
-            rng.shuffle(shuffled)
-            order = shuffled[:rows]
+        rng.shuffle(shuffled)
+        order = shuffled[:rows]
         total, mean = 0.0, np.zeros(ref.n_params)
-        for start in range(0, rows, batch):
-            pos = order[start : start + batch]
+        for start in range(0, rows, minibatch):
+            pos = order[start : start + minibatch]
             group = inverse[pos]
             x = _encode_rows(ctx[pos], size, np.zeros((pos.size, ref.input_dim), np.float32))
             g = counts[group] @ t.pseudo_labels
-            if full:
-                g *= n_groups / n
-            else:
-                g /= counts[group].sum(axis=1)[:, None]
+            g /= counts[group].sum(axis=1)[:, None]
             loss, grad = ref.loss_and_gradient(x, g.astype(np.float32))
             t_adam += 1
             _stock_adam(ref.params, m, v, grad, t_adam)
@@ -335,13 +325,11 @@ def _check_per_step_reference(n, k, minibatch, epochs, hidden=(16,)):
 
 @pytest.mark.parametrize("size, n, k", [(2, 3000, 3), (4, 2000, 2)])
 def test_context_table_objective_matches_every_position(size, n, k):
-    # The mean cost over the G contexts, each target its context's summed
-    # pseudo-labels scaled by G/n, is the mean over all n positions, edges
-    # included, and so is its gradient. So is the mean, weighted by batch
-    # size, over minibatches of the positions of a shuffle, each target the
-    # mean pseudo-label of the position's context. Binary feeds the narrow
-    # head its target rows; 4 symbols, 256 rules against 12 units, feed the
-    # wide head its weights.
+    # The mean, weighted by batch size, over minibatches of the positions of
+    # a shuffle, each target the mean pseudo-label of the position's context,
+    # is the mean cost over all n positions, edges included, and so is its
+    # gradient. Binary feeds the narrow head its target rows; 4 symbols, 256
+    # rules against 12 units, feed the wide head its weights.
     rng = np.random.default_rng(size)
     alphabet = ALPHABETS[size]
     t = build_estimated_loss(random_invertible_channel(rng, size), hamming_loss(alphabet))
@@ -360,11 +348,6 @@ def test_context_table_objective_matches_every_position(size, n, k):
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
 
-    member = np.unique(groups.inverse, return_index=True)[1]
-    g_rows = groups.n_groups
-    x, targets, norms = feed(member, np.empty((g_rows, net.input_dim)), np.empty((g_rows, width)),
-                             groups.n_groups / n)
-    close(*step.loss_grad(x, targets, norms))
     order = rng.permutation(n)
     loss, grad = 0.0, np.zeros(net.n_params)
     for start in range(0, n, 13 * 17):  # the last minibatch ragged
@@ -448,14 +431,14 @@ def test_head_follows_rule_count_against_last_hidden_width(monkeypatch):
 @pytest.mark.parametrize(
     "n, n_groups, minibatch, want",
     [
-        (12000, 1, 100, (1, 100, 100, 10)),  # k = 0: one context, a full batch, 100 steps
-        (12000, 20, 100, (20, 100, 2000, 10)),  # G <= minibatch: full batches
+        (12000, 1, 100, (100, 100, 10000, 10)),  # k = 0: one context, 100 steps
+        (12000, 20, 100, (100, 100, 10000, 10)),  # G <= minibatch: the same layout
         (12000, 250, 100, (100, 100, 10000, 10)),  # at least 100 steps
         (12000, 9950, 100, (100, 100, 10000, 10)),
         (12000, 11000, 100, (100, 110, 11000, 10)),  # one step per 100 contexts
         (12000, 11950, 100, (100, 120, 12000, 10)),  # every position, never more
-        (7, 5, 100, (5, 1, 5, 10)),  # tiny n: one full batch, no more steps than n allows
-        (250, 3, 100, (3, 3, 9, 10)),
+        (7, 5, 100, (100, 1, 7, 10)),  # tiny n: one step of every position
+        (250, 3, 100, (100, 3, 250, 10)),  # the last batch of 50
         (250, 180, 100, (100, 3, 250, 10)),  # the last batch of 50
         # the step budget: 10 epochs of 200 steps fit it, 201 steps take 9
         (10**6, 20000, 100, (100, 200, 20000, 10)),
@@ -494,25 +477,20 @@ def _assert_layout_invariants(n, n_groups, minibatch, layout):
     """What every (batch, steps, rows, epochs) of _epoch_layout keeps: at most
     STEP_BUDGET steps, no epoch longer than STEP_BUDGET // MIN_EPOCHS steps
     or a shuffle of the n positions at minibatch size, every context within
-    reach of an epoch's batches, and, past one
-    minibatch of contexts, no more rows than positions, in exactly steps
-    batches, the least of them minibatch."""
+    reach of an epoch's batches, and no more rows than positions, in exactly
+    steps batches, the least of them minibatch."""
     batch, steps, rows, epochs = layout
     assert epochs * steps <= STEP_BUDGET
     assert 1 <= steps <= min(STEP_BUDGET // MIN_EPOCHS, -(-n // minibatch))
     assert steps * batch >= n_groups
-    if n_groups > minibatch:
-        assert rows <= n and batch >= minibatch and -(-rows // batch) == steps
-    else:
-        assert (batch, rows) == (n_groups, steps * n_groups)
+    assert rows <= n and batch >= minibatch and -(-rows // batch) == steps
 
 
 def _parent_layout(n, n_groups, minibatch, epochs):
-    """_epoch_layout before epochs were capped at STEP_BUDGET // MIN_EPOCHS steps."""
+    """_epoch_layout's sampled layout before epochs were capped at
+    STEP_BUDGET // MIN_EPOCHS steps."""
     steps = max(-(-n_groups // minibatch), min(100, -(-n // minibatch)))
     epochs = min(epochs, max(MIN_EPOCHS, STEP_BUDGET // steps))
-    if n_groups <= minibatch:
-        return n_groups, steps, steps * n_groups, epochs
     return minibatch, steps, min(n, steps * minibatch), epochs
 
 
@@ -537,7 +515,8 @@ def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
     # epochs each; then orders 5 and 6 at minibatch 3 and the default 10
     # epochs: order 5 (G = 755, 252 steps an epoch) takes the 7 that fit the
     # step budget, order 6 (G = 1587) 6 epochs of 333 steps of 5 contexts.
-    # Every step's batch size, the number of steps and of epochs follow _epoch_layout.
+    # Every step's batch size, the number of steps and of epochs follow
+    # _epoch_layout; at n = 7 the one step takes all 7 positions.
     _, z = _toy_instance(n=12000, seed=7)
     tiny = Sequence(z.data[:7], BINARY)
     real = _Pass.loss_grad
@@ -555,16 +534,43 @@ def test_train_takes_the_epoch_layout_of_each_order(monkeypatch):
                 len(seq), group_contexts(seq, k).n_groups, cfg.minibatch_size, cfg.epochs
             )
             assert len(batches) == epochs * steps and len(net.epoch_losses) == epochs
-            assert sum(batches) == epochs * rows and max(batches) == batch
-            took[len(seq), k, cfg.minibatch_size] = batch, steps, epochs
-    assert _epoch_layout(7, group_contexts(tiny, 1).n_groups, 100, 2)[1] == 1
-    assert took == {(12000, 0, 100): (1, 100, 2), (12000, 2, 100): (20, 100, 2),
-                    (12000, 5, 100): (100, 100, 2), (7, 1, 100): (5, 1, 2),
+            assert sum(batches) == epochs * rows and max(batches) == min(batch, rows)
+            took[len(seq), k, cfg.minibatch_size] = max(batches), steps, epochs
+    assert _epoch_layout(7, group_contexts(tiny, 1).n_groups, 100, 2)[:3] == (100, 1, 7)
+    assert took == {(12000, 0, 100): (100, 100, 2), (12000, 2, 100): (100, 100, 2),
+                    (12000, 5, 100): (100, 100, 2), (7, 1, 100): (7, 1, 2),
                     (12000, 5, 3): (3, 252, 7), (12000, 6, 3): (5, 333, 6)}
 
 
+def test_train_ignores_how_the_groups_are_numbered():
+    # Binary n = 200: order 5 (94 contexts, 27 settled) fits one minibatch,
+    # order 7 (150, 78 settled) does not. Renumbering the settled groups
+    # among themselves, their centres with them, and the shared groups among
+    # themselves leaves the trained bits and epoch losses unchanged.
+    _, z = _toy_instance(n=200, seed=7)
+    t, cfg = bsc01_tables(), TrainConfig(epochs=3, rng_seed=2)
+    rng = np.random.default_rng(8)
+    for groups in context_groups(z, 7):
+        if groups.k not in (5, 7):
+            continue
+        settled, n_groups = len(groups.centres), groups.n_groups
+        assert 0 < settled < n_groups and (n_groups <= cfg.minibatch_size) == (groups.k == 5)
+        new_id = np.concatenate([rng.permutation(settled),
+                                 settled + rng.permutation(n_groups - settled)])
+        centres = np.empty_like(groups.centres)
+        centres[new_id[:settled]] = groups.centres
+        renumbered = dataclasses.replace(
+            groups, inverse=new_id[groups.inverse].astype(groups.inverse.dtype), centres=centres
+        )
+        assert not np.array_equal(renumbered.members(), groups.members())
+        want = neural.train_groups(groups, t, (8,), cfg)
+        got = neural.train_groups(renumbered, t, (8,), cfg)
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got.epoch_losses == want.epoch_losses
+
+
 def test_adam_learning_rate_grows_with_the_square_root_of_a_widened_batch(monkeypatch):
-    # Binary n = 12000: order 0 (one context, a full batch) and order 5 at
+    # Binary n = 12000: order 0 (one context, batches of 100) and order 5 at
     # minibatch 3 (252 steps of 3) keep LEARNING_RATE; order 6 at minibatch 3
     # takes 333 steps of 5, and LEARNING_RATE * sqrt(5 / 3).
     _, z = _toy_instance(n=12000, seed=7)
@@ -632,9 +638,10 @@ def _swept(monkeypatch, z, ks, tables, cfg, cpus):
 
 
 def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
-    # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) take full batches,
-    # order 5 minibatches drawn from shuffles of the positions. A sweep on one
-    # CPU trains each network as train_alone does, with seed rng_seed + k.
+    # Binary n = 12000: orders 0, 1 and 2 (G = 1, 6 and 20) fit one minibatch
+    # of contexts and order 5 does not; each takes minibatches drawn from
+    # shuffles of the positions. A sweep on one CPU trains each network as
+    # train_alone does, with seed rng_seed + k.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
     cfg = TrainConfig(epochs=3, rng_seed=4)

@@ -22,8 +22,9 @@ on one thread:
   groups of `core.group_contexts`: its time, its `tracemalloc` peak and
   an md5 of the rule indices it returns;
 - `neural.train_groups` for one epoch of the default network and
-  minibatch on the same groups: its `tracemalloc` peak and an md5 of the
-  parameters it returns;
+  minibatch on the same groups, and at k = 3 (70 contexts, within one
+  minibatch) on the n = 1M input: its `tracemalloc` peak, an md5 of the
+  parameters it returns and its time;
 - the `tracemalloc` peak, above the memory live before it, of walking the
   k = 1..20 chain at n = 1M (no order's groups held past its step), of
   `group_contexts(z, 16)` at n = 150k and of `smoothing_posteriors` at
@@ -70,6 +71,7 @@ ORDERS = range(1, 21)
 GROUPED = (10, 13, 16, 20)
 UNIFORM_DNA = (1_000_000, 10)  # n, kmax
 SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16))
+TRAININGS = (*SELECTIONS, ("n1m_k3", "bsmc-1m-dude", 3))  # k = 3: a shuffle of all n, 100 steps
 FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior and output md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
 
@@ -198,18 +200,20 @@ def selections(inputs, repeats: int) -> dict[str, dict]:
     return out
 
 
-def trainings(inputs) -> dict[str, dict]:
-    """tracemalloc peak (MiB) and parameter md5 of one train_groups epoch per SELECTIONS entry."""
+def trainings(inputs, repeats: int) -> dict[str, dict]:
+    """Time, tracemalloc peak (MiB) and parameter md5 of one train_groups epoch per TRAININGS entry."""
     from dudekit import channel, core, neural
 
-    out = {"epochs": 1, "tracemalloc_peak_mib": {}, "params_md5": {}}
-    for label, name, k in SELECTIONS:
+    out = {"epochs": 1, "s": {}, "tracemalloc_peak_mib": {}, "params_md5": {}}
+    one = neural.TrainConfig(epochs=1)
+    for label, name, k in TRAININGS:
         z, _, spec, loss = inputs[name]
         tables = channel.build_estimated_loss(spec.channel, loss)
         groups, nets = core.group_contexts(z, k), []
-        out["tracemalloc_peak_mib"][label] = traced_peak(lambda: nets.append(
-            neural.train_groups(groups, tables, config=neural.TrainConfig(epochs=1))))
+        out["tracemalloc_peak_mib"][label] = traced_peak(  # also the warm-up
+            lambda: nets.append(neural.train_groups(groups, tables, config=one)))
         out["params_md5"][label] = hashlib.md5(nets[0].params.tobytes()).hexdigest()
+        out["s"][label] = timed(lambda: neural.train_groups(groups, tables, config=one), repeats)
     return out
 
 
@@ -278,7 +282,7 @@ def main() -> int:
         "group_contexts_s": grouped,
         "fb": fb,
         "select_denoisers": selections(inputs, args.repeats),
-        "train_groups": trainings(inputs),
+        "train_groups": trainings(inputs, args.repeats),
         "tracemalloc_peak": peaks,
         "uniform_dna_walk": uniform_dna_walk(args.seed, args.repeats),
     }

@@ -54,6 +54,8 @@ def estimated_loss(z: Sequence, rule_indices: np.ndarray, tables: EstimatedLossT
     Unbiased for the true loss position-wise, so concentration makes it
     a usable stand-in for the unobservable truth at large n.
     """
+    if len(z) == 0:
+        raise DataError("cannot score empty sequences")
     flat = np.multiply(z.data, tables.n_denoisers, dtype=np.intp)
     flat += one_rule_each(z, rule_indices, tables)  # estimated_loss[z, r], raveled
     return float(tables.estimated_loss.ravel()[flat].mean())
@@ -79,13 +81,16 @@ class KRecord:
     def parse(cls, row) -> "KRecord":
         """Record from a mapping of field name to number or text; '' or None is no true_ber."""
         ber = row["true_ber"]
-        return cls(
+        record = cls(
             k=int(row["k"]),
             estimated_loss=float(row["estimated_loss"]),
             true_ber=None if ber in ("", None) else float(ber),
             n_contexts=int(row["n_contexts"]),
             wall_time_s=float(row["wall_time_s"]),
         )
+        if not np.isfinite([v for v in astuple(record) if v is not None]).all():
+            raise DataError(f"the record of k={record.k} holds a number that is not finite")
+        return record
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,8 @@ class ExperimentReport:
     def __post_init__(self):
         # Canonical meta order makes the serialization roundtrips exact.
         object.__setattr__(self, "meta", tuple(sorted(self.meta)))
+        if self.k_star not in {r.k for r in self.records}:
+            raise DataError(f"k_star={self.k_star} is not the order of any record")
 
 
 def select_k(records) -> int:
@@ -276,7 +283,7 @@ def _report(path: str, doc) -> ExperimentReport:
             records=tuple(KRecord.parse(row) for row in doc["records"]),
             meta=tuple((str(key), str(value)) for key, value in dict(doc["meta"]).items()),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad report {path}: {exc!r}") from exc
 
 

@@ -6,8 +6,8 @@ distribution over all single-symbol denoising rules. Training targets
 are the pseudo-label rows of the estimated-loss tables indexed by the
 observed center symbol, under a generalized cross-entropy that accepts
 unnormalized non-negative targets, computed exactly from the log-softmax.
-After training, select_denoisers picks each context's most probable rule,
-and channel.apply_rules applies it to the observed center symbol.
+After training, select_denoisers picks the rule of each context's highest
+logit, and channel.apply_rules applies it to the observed center symbol.
 
 Because the targets depend only on the observed symbol and the context
 is what the network conditions on, context statistics are shared across
@@ -33,7 +33,7 @@ it, rather than take more steps (train_groups). An order's network is
 seeded rng_seed + k, whether it trains alone or in a sweep, and the
 network returned is the mean of the last epoch's iterates. Adam runs
 with Kingma & Ba's constants. Training runs in the calling process.
-Training and inference run one forward pass, _Pass's, over views into
+Training and selection run one forward pass, _Pass's, over views into
 the network's flat parameters; training takes one of its two heads,
 chosen from the sizes (train_groups).
 """
@@ -97,16 +97,16 @@ def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
 
     Digit d sets column d of its block of size columns; the pad digit, size,
     sets none. Digits come from a context window view, so they lie in
-    [0, size]. Each column is compared in the digits' own dtype into a bool
-    array, then copied into out as bytes: a gather would first copy the
-    digits to intp, 8 bytes each, and comparing all size values at once runs
-    numpy's loop over size elements at a time, several times slower.
+    [0, size]. Each digit value is compared in the digits' own dtype into one
+    (B, 2k) bool array, then copied as bytes into its strided columns of out,
+    faster than comparing into a strided (B, 2k, size) one: a gather would
+    first copy the digits to intp, 8 bytes each, and comparing all size values
+    at once runs numpy's loop over size elements at a time, several times slower.
     """
     b, width = rows.shape
-    hot = np.empty((b, width, size), dtype=bool)
+    hot, blocks = np.empty((b, width), dtype=bool), out.reshape(b, width, size)
     for d in range(size):
-        np.equal(rows, d, out=hot[..., d])
-    np.copyto(out.reshape(b, width, size), hot.view(np.uint8))
+        np.copyto(blocks[..., d], np.equal(rows, d, out=hot).view(np.uint8))
     return out
 
 
@@ -164,13 +164,6 @@ class MLPDenoiser:
         dims = self.layer_dims
         return _views(self.params, [s for a, b in zip(dims, dims[1:]) for s in ((a, b), (b,))])
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities for a batch of encoded contexts."""
-        a = np.asarray(x, dtype=self.dtype)
-        if a.ndim != 2 or a.shape[1] != self.input_dim:
-            raise DataError(f"expected (batch, {self.input_dim}) inputs, got {a.shape}")
-        return _Pass(self).forward(a)
-
     def loss_and_gradient(self, x: np.ndarray, g: np.ndarray):
         """Mean generalized cross-entropy -sum(g * log p) over the batch and
         its gradient in flat-parameter form, computed by the narrow head of
@@ -178,7 +171,7 @@ class MLPDenoiser:
         x, g = np.asarray(x, dtype=self.dtype), np.asarray(g, dtype=self.dtype)
         if g.shape != (x.shape[0], self.output_dim):
             raise DataError(f"targets must be (batch, {self.output_dim}), got {g.shape}")
-        return _Pass(self).loss_grad(x, g, g.sum(axis=1))
+        return _Pass(self, len(x)).loss_grad(x, g, g.sum(axis=1))
 
 
 def _n_params(dims) -> int:
@@ -193,10 +186,11 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 class _Pass:
-    """One network's forward and backward passes, which inference and
+    """One network's forward and backward passes, which selection and
     training steps both run. Weights and biases are views into the
-    network's parameters; layer outputs, deltas and the flat gradient live
-    in buffers kept per batch size, which every step of that size reuses.
+    network's parameters. Layer outputs, and from the first loss_grad on its
+    deltas and ReLU masks, live in one buffer each of rows rows, the most a
+    call takes; a shorter batch runs in their first rows.
 
     Training runs the trunk, the layers up to the logits and the hidden
     layers' backward loop, under one of two heads. Both take the exact
@@ -211,50 +205,38 @@ class _Pass:
     r * (e @ W.T) - (w/batch) @ (labels @ W.T).
     """
 
-    def __init__(self, net: MLPDenoiser, labels: np.ndarray | None = None):
+    def __init__(self, net: MLPDenoiser, rows: int, labels: np.ndarray | None = None):
         layers, self.dtype = net.layers(), net.dtype
         self.weights, self.biases = layers[0::2], layers[1::2]
         self.labels = None if labels is None else np.asarray(labels, dtype=self.dtype)
         self.grad = np.empty_like(net.params)
         grads = _views(self.grad, [a.shape for a in layers])
         self.g_weights, self.g_biases = grads[0::2], grads[1::2]
-        self._outs, self._back = {}, {}
+        self._outs = [np.empty((rows, b.size), self.dtype) for b in self.biases]
+        self._back = None
 
-    def _logits(self, x: np.ndarray) -> np.ndarray:
-        """(batch, out) logits of the encoded rows x, the last of the layer
-        outputs kept in self._outs[batch]; the others are post-ReLU."""
-        batch = len(x)
-        if batch not in self._outs:
-            self._outs[batch] = [np.empty((batch, b.size), self.dtype) for b in self.biases]
-        outs = self._outs[batch]
+    def outputs(self, x: np.ndarray) -> list[np.ndarray]:
+        """The layer outputs of the encoded rows x, in the buffers' first
+        len(x) rows: the post-ReLU hidden layers, then the (batch, out) logits."""
+        outs = _first_rows(self._outs, len(x))
         np.matmul(x, self.weights[0], out=outs[0])
         for a, b, w, out in zip(outs, self.biases, self.weights[1:], outs[1:]):
             a += b
             np.maximum(a, 0.0, out=a)
             np.matmul(a, w, out=out)
-        logits = outs[-1]
-        logits += self.biases[-1]
-        return logits
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(batch, out) probabilities of the encoded rows x, the softmax
-        taken in place of the logits."""
-        probs = self._logits(x)
-        probs -= probs.max(axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs
+        outs[-1] += self.biases[-1]
+        return outs
 
     def loss_grad(self, x: np.ndarray, t: np.ndarray, norms: np.ndarray):
         """The mean cost of the encoded rows x against targets t, the rows g
         or, on the wide head, the weights w, where norms are g's row sums,
         and its gradient (self.grad, overwritten by the next call)."""
-        shifted, batch = self._logits(x), len(x)
-        outs = self._outs[batch]
-        if batch not in self._back:  # deltas (the last holds exp(shifted)) and ReLU masks
-            deltas = [np.empty_like(o) for o in outs]
-            self._back[batch] = deltas, [np.empty(o.shape, dtype=bool) for o in outs[:-1]]
-        deltas, masks = self._back[batch]
+        outs, batch = self.outputs(x), len(x)
+        if self._back is None:  # deltas (the last holds exp(shifted)) and ReLU masks
+            self._back = ([np.empty_like(o) for o in self._outs],
+                          [np.empty(o.shape, dtype=bool) for o in self._outs[:-1]])
+        deltas, masks = (_first_rows(bufs, batch) for bufs in self._back)
+        shifted = outs[-1]
         shifted -= shifted.max(axis=1, keepdims=True)
         e = np.exp(shifted, out=deltas[-1])
         sums = e.sum(axis=1, keepdims=True)
@@ -291,6 +273,12 @@ class _Pass:
         np.matmul(x.T, delta, out=self.g_weights[0])
         np.add.reduce(delta, axis=0, out=self.g_biases[0])
         return loss / batch, self.grad
+
+
+def _first_rows(bufs: list[np.ndarray], rows: int) -> list[np.ndarray]:
+    """The first rows rows of each buffer; the buffers themselves where they
+    hold that many, which saves a step of a full batch its slicing."""
+    return bufs if not bufs or len(bufs[0]) == rows else [b[:rows] for b in bufs]
 
 
 class _Adam:
@@ -436,7 +424,7 @@ def train_groups(
     chunk = min(rows, batch * max(1, min(_FORWARD_CHUNK, _TARGET_ENTRIES // t_width) // batch))
     x_buf = np.empty((chunk, net.input_dim), dtype=net.dtype)
     t_buf = np.empty((chunk, t_width), dtype=net.dtype)
-    passes = _Pass(net, tables.pseudo_labels if wide else None)
+    passes = _Pass(net, min(batch, rows), tables.pseudo_labels if wide else None)
     lr = LEARNING_RATE
     if batch > cfg.minibatch_size:  # Adam's square-root rule for a widened batch
         lr *= math.sqrt(batch / cfg.minibatch_size)
@@ -462,12 +450,13 @@ def train_groups(
 
 
 def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> np.ndarray:
-    """Per-position rule indices for the whole of groups.seq: the network's
-    argmax for each context. groups are core.ContextGroups of the network's
-    order, numbered in any way (a sweep refines them from the order before).
-    The network's input width, 2k|Z|, follows from its order and its
-    output width, |Z|^|Z| rules. It classifies _FORWARD_CHUNK groups at a time,
-    their rows gathered from ContextGroups.members(): no (G, 2k) table is formed."""
+    """Per-position rule indices for the whole of groups.seq: the rule of
+    each context's highest logit. groups are core.ContextGroups of the
+    network's order, numbered in any way (a sweep refines them from the order
+    before). The network's input width, 2k|Z|, follows from its order and its
+    output width, |Z|^|Z| rules. One _Pass classifies _FORWARD_CHUNK groups at
+    a time, their rows gathered from ContextGroups.members(): no (G, 2k) table
+    is formed."""
     if net.output_dim != tables.n_denoisers:
         raise DataError(f"network output width {net.output_dim} does not match "
                         f"{tables.n_denoisers} denoisers")
@@ -475,15 +464,16 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
         raise DataError("tables were built for a different alphabet")
     if groups.k != net.k:
         raise DataError(f"context groups of order {groups.k} for a network of order {net.k}")
-    member = groups.members()
-    per_group = np.empty(groups.n_groups, dtype=tables.rule_dtype)
-    buf = np.empty((min(_FORWARD_CHUNK, groups.n_groups), net.input_dim), dtype=net.dtype)
-    for start in range(0, groups.n_groups, _FORWARD_CHUNK):
-        rows = groups.windows[member[start : start + _FORWARD_CHUNK]].take(groups.columns, axis=1)
-        x = _encode_rows(rows, groups.seq.alphabet.size, buf[: len(rows)])
-        # A pass per chunk: its layer buffers are gone while the next chunk encodes.
-        per_group[start : start + len(rows)] = np.argmax(net.forward(x), axis=1)
-    return per_group[groups.inverse]
+    rules = groups.members()  # a chunk's member positions, then its groups' rules
+    chunk = min(_FORWARD_CHUNK, groups.n_groups)
+    buf, step = np.empty((chunk, net.input_dim), dtype=net.dtype), _Pass(net, chunk)
+    for start in range(0, groups.n_groups, chunk):
+        part = rules[start : start + chunk]
+        x = _encode_rows(groups.windows[part].take(groups.columns, axis=1),
+                         groups.seq.alphabet.size, buf[: len(part)])
+        part[:] = np.argmax(step.outputs(x)[-1], axis=1)
+    del x, buf, step  # the chunk buffers go before the per-position gather
+    return rules.astype(tables.rule_dtype)[groups.inverse]
 
 
 CHECKPOINT_MAGIC = "mlp-denoiser-v1"

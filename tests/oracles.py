@@ -4,10 +4,10 @@ Each works one context at a time: a context is a Context tuple pair,
 keyed by context_key, counted position by position (collect_counts),
 turned into a reconstruction by the original inverse-channel rule form
 (dude_rule_original), one-hot encoded digit by digit (encode_context)
-and classified by a per-layer loop over a network's weights
-(context_probabilities). None of them reads a window view, a context
-group or a stacked forward pass, so they stay independent of the code
-they check.
+and scored by a per-layer loop over a network's weights (context_logits,
+and context_probabilities, their softmax). None of them reads a window
+view, a context group or a stacked forward pass, so they stay independent
+of the code they check.
 """
 
 from __future__ import annotations
@@ -150,16 +150,20 @@ def encode_context(c: Context, alphabet: Alphabet) -> np.ndarray:
     return out
 
 
-def context_probabilities(
-    net: MLPDenoiser, contexts: list[Context], alphabet: Alphabet
-) -> np.ndarray:
-    """Rule probabilities for explicit Context objects, one row each, by a
-    plain loop over the network's layers: ReLU on each hidden layer, then
-    a softmax."""
+def context_logits(net: MLPDenoiser, contexts: list[Context], alphabet: Alphabet) -> np.ndarray:
+    """Rule logits for explicit Context objects, one row each, by a plain
+    loop over the network's layers, ReLU on each hidden layer."""
     a = np.stack([encode_context(c, alphabet) for c in contexts]).astype(net.dtype)
     layers = net.layers()
     for w, b in zip(layers[0:-2:2], layers[1:-2:2]):
         a = np.maximum(a @ w + b, 0.0)
-    logits = a @ layers[-2] + layers[-1]
+    return a @ layers[-2] + layers[-1]
+
+
+def context_probabilities(
+    net: MLPDenoiser, contexts: list[Context], alphabet: Alphabet
+) -> np.ndarray:
+    """Rule probabilities for explicit Context objects: the softmax of context_logits."""
+    logits = context_logits(net, contexts, alphabet)
     logits = np.exp(logits - logits.max(axis=1, keepdims=True))
     return logits / logits.sum(axis=1, keepdims=True)

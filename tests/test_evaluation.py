@@ -1,6 +1,8 @@
 """Loss accounting, sweeps, order selection, and report serialization."""
 
 import dataclasses
+import json
+import math
 import multiprocessing
 import os
 import signal
@@ -71,6 +73,13 @@ def test_estimated_loss_constant_rule_frozen_value():
     assert estimated_loss(z, s_idx, t) == pytest.approx(-0.125, abs=1e-12)
     with pytest.raises(DataError, match="need one rule index per position"):
         estimated_loss(z, s_idx[:50], t)
+
+
+def test_estimated_loss_refuses_an_empty_sequence():
+    # as symbol_error_rate and true_loss do, rather than a NaN mean
+    t = bsc01_tables()
+    with pytest.raises(DataError, match="cannot score empty sequences"):
+        estimated_loss(Sequence(np.zeros(0, dtype=np.uint8), BINARY), np.zeros(0, np.int64), t)
 
 
 def test_estimated_loss_unbiased_over_channel_draws():
@@ -459,6 +468,46 @@ def test_report_csv_malformed(tmp_path):
         report_from_csv(str(path))
     with pytest.raises(DataError):
         report_from_csv(str(tmp_path / "missing.csv"))
+
+
+def _report_json(k_star, record):
+    row = {"k": 1, "estimated_loss": 0.1, "true_ber": None, "n_contexts": 4, "wall_time_s": 0.2}
+    return json.dumps({"method": "dude", "n": 10, "alphabet": ["0", "1"], "k_star": k_star,
+                       "meta": {}, "records": [{**row, **record}]})
+
+
+@pytest.mark.parametrize("field", ["estimated_loss", "true_ber", "wall_time_s"])
+@pytest.mark.parametrize("number", ["0.3", "nan", "inf", "-inf", "1e999"])
+def test_report_refuses_a_number_that_is_not_finite(tmp_path, field, number):
+    # Both readers refuse NaN and infinities, 1e999 included, in every float
+    # field; the same file with a finite number (0.3) reads back.
+    row = {"estimated_loss": "0.1", "true_ber": "0.05", "wall_time_s": "0.2", field: number}
+    csv_path, json_path = tmp_path / "bad.csv", tmp_path / "bad.json"
+    csv_path.write_text("# method=dude\n# n=10\n# alphabet=01\n# k_star=1\n"
+                        "k,estimated_loss,true_ber,n_contexts,wall_time_s\n"
+                        f"1,{row['estimated_loss']},{row['true_ber']},4,{row['wall_time_s']}\n")
+    json_path.write_text(_report_json(1, {field: float(number)}))
+    for read, path in ((report_from_csv, csv_path), (report_from_json, json_path)):
+        if number == "0.3":
+            assert getattr(read(str(path)).records[0], field) == 0.3
+        else:
+            with pytest.raises(DataError, match="bad report.*not finite"):
+                read(str(path))
+
+
+def test_report_refuses_a_k_star_no_record_has(tmp_path):
+    head = "# method=dude\n# n=10\n# alphabet=01\n# k_star={}\n"
+    cols = "k,estimated_loss,true_ber,n_contexts,wall_time_s\n1,0.1,,4,0.2\n2,0.2,,8,0.2\n"
+    csv_path, json_path = tmp_path / "bad.csv", tmp_path / "bad.json"
+    for k_star in (2, 3, 0):
+        csv_path.write_text(head.format(k_star) + cols)
+        json_path.write_text(_report_json(k_star, {"k": 2}))
+        for read, path in ((report_from_csv, csv_path), (report_from_json, json_path)):
+            if k_star == 2:
+                assert read(str(path)).k_star == 2
+            else:
+                with pytest.raises(DataError, match=f"bad report.*k_star={k_star} is not"):
+                    read(str(path))
 
 
 def test_report_meta_is_sorted():

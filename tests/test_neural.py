@@ -42,7 +42,7 @@ from dudekit.neural import (
     _encode_rows,
     _epoch_layout,
 )
-from oracles import Context, context_probabilities, encode_context, extract_context
+from oracles import Context, context_logits, context_probabilities, encode_context, extract_context
 
 
 def bsc01_tables():
@@ -134,16 +134,10 @@ def test_negative_order_is_named_before_the_layer_widths():
         train_alone(z, -1, bsc01_tables(), hidden=(4,), config=TrainConfig(epochs=1))
 
 
-def test_forward_rows_are_distributions():
+def test_loss_and_gradient_checks_the_target_shape():
     rng = np.random.default_rng(8)
     net = MLPDenoiser((10, 4), k=1, size=3, rng=rng, dtype=np.float64)
     x = rng.random((7, 6))
-    p = net.forward(x)
-    assert p.shape == (7, 4)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(p >= 0)
-    with pytest.raises(DataError, match=r"expected \(batch, 6\) inputs, got \(3, 5\)"):
-        net.forward(np.zeros((3, 5)))
     with pytest.raises(DataError, match=r"targets must be \(batch, 4\), got \(7, 3\)"):
         net.loss_and_gradient(x, np.zeros((7, 3)))
 
@@ -339,7 +333,7 @@ def test_context_table_objective_matches_every_position(size, n, k):
     assert groups.n_groups < n / 5
     wide = size == 4
     feed, width = _context_feed(groups, t, wide), size if wide else t.n_denoisers
-    step = _Pass(net, t.pseudo_labels if wide else None)
+    step = _Pass(net, 13 * 17, t.pseudo_labels if wide else None)
     rows = np.array([extract_context(z, i, k).digits() for i in range(n)], dtype=np.uint8)
     x_all = _encode_rows(rows, size, np.empty((n, net.input_dim)))
     want_loss, want_grad = net.loss_and_gradient(x_all, t.pseudo_labels[z.data])
@@ -379,9 +373,9 @@ def test_wide_head_matches_materialised_targets(dtype, tol, hidden):
     rng = np.random.default_rng(29)
     net, x, labels, w = _wide_instance(rng, hidden, dtype)
     g = (w @ labels).astype(dtype)
-    want_loss, want_grad = _Pass(net).loss_grad(x, g, g.sum(axis=1))
+    want_loss, want_grad = _Pass(net, len(x)).loss_grad(x, g, g.sum(axis=1))
     w = w.astype(dtype)
-    loss, grad = _Pass(net, labels).loss_grad(x, w, (w @ labels.sum(axis=1)).astype(dtype))
+    loss, grad = _Pass(net, len(x), labels).loss_grad(x, w, (w @ labels.sum(axis=1)).astype(dtype))
     assert loss == pytest.approx(want_loss, rel=tol, abs=0)
     assert np.max(np.abs(grad - want_grad)) <= tol * np.max(np.abs(want_grad))
 
@@ -389,7 +383,7 @@ def test_wide_head_matches_materialised_targets(dtype, tol, hidden):
 def test_wide_head_gradient_finite_difference():
     rng = np.random.default_rng(30)
     net, x, labels, w = _wide_instance(rng, (6,), np.float64, k=1, batch=9)
-    step = _Pass(net, labels)
+    step = _Pass(net, len(x), labels)
     norms = w @ labels.sum(axis=1)
     grad = step.loss_grad(x, w, norms)[1].copy()
     eps = 1e-6
@@ -406,15 +400,36 @@ def test_wide_head_gradient_finite_difference():
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+def test_pass_reuses_its_buffers_for_a_short_batch(wide):
+    # One pass fed a full batch, then the last 23 rows alone, then the full
+    # batch again returns, on either head, the loss and gradient bytes of a
+    # fresh pass sized to each batch.
+    rng = np.random.default_rng(32)
+    net, x, labels, w = _wide_instance(rng, (40, 40), np.float32)
+    head = labels if wide else None
+    if wide:
+        t, norms = w.astype(np.float32), (w @ labels.sum(axis=1)).astype(np.float32)
+    else:
+        t = (w @ labels).astype(np.float32)
+        norms = t.sum(axis=1)
+    step = _Pass(net, len(x), head)
+    for rows in (slice(None), slice(len(x) - 23, None), slice(None)):
+        batch = (x[rows], t[rows], norms[rows])
+        loss, grad = step.loss_grad(*batch)
+        want_loss, want_grad = _Pass(net, len(batch[0]), head).loss_grad(*batch)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
 def test_head_follows_rule_count_against_last_hidden_width(monkeypatch):
     # Training takes the wide head where the rules outnumber the last hidden
     # layer's units: DNA's 256 against the default 40, or 27 ternary rules
     # against 8; binary's 4 and ternary's 27 at the default width take the narrow.
     heads, real = [], _Pass.__init__
 
-    def recorded(self, net, labels=None):
+    def recorded(self, net, rows, labels=None):
         heads.append(labels is not None)
-        real(self, net, labels)
+        real(self, net, rows, labels)
 
     monkeypatch.setattr(_Pass, "__init__", recorded)
     rng = np.random.default_rng(31)
@@ -723,16 +738,20 @@ def test_mlp_pickle_keeps_layer_views_tied():
     copy = pickle.loads(pickle.dumps(net))
     assert copy.params.tobytes() == net.params.tobytes()
     x = np.random.default_rng(3).random((5, 4)).astype(np.float32)
-    assert copy.forward(x).tobytes() == net.forward(x).tobytes()
+
+    def logits(m):
+        return _Pass(m, len(x)).outputs(x)[-1]
+
+    assert logits(copy).tobytes() == logits(net).tobytes()
     before = copy.params.copy()
     grad = np.random.default_rng(4).standard_normal(net.n_params).astype(net.dtype)
     for stepped in (net, copy):  # one Adam step changes the flat vector in place
         _Adam(stepped.n_params, stepped.dtype, LEARNING_RATE).step(stepped.params, grad)
     assert not np.array_equal(copy.params, before)
     assert copy.params.tobytes() == net.params.tobytes()
-    assert copy.forward(x).tobytes() == net.forward(x).tobytes()
-    copy.params[:] = 0.0
-    assert np.allclose(copy.forward(x), 1.0 / t.n_denoisers)
+    assert logits(copy).tobytes() == logits(net).tobytes()
+    copy.params[:] = 0.0  # the layers see it: every logit of every row is equal
+    assert logits(copy).shape == (5, t.n_denoisers) and np.all(logits(copy) == logits(copy)[0, 0])
 
 
 def test_train_alphabet_mismatch():
@@ -749,8 +768,7 @@ def test_select_denoisers_matches_per_position_forward():
     s_idx = select_denoisers(group_contexts(z, net.k), net, t)
     for i in list(range(5)) + [300, 597, 598, 599]:
         c = extract_context(z, i, net.k)
-        p = context_probabilities(net, [c], BINARY)[0]
-        assert s_idx[i] == int(np.argmax(p))
+        assert s_idx[i] == int(np.argmax(context_logits(net, [c], BINARY)[0]))
     out = apply_rules(z, s_idx, t)
     assert np.array_equal(out.data, t.map_table[s_idx, z.data.astype(np.int64)])
 
@@ -767,8 +785,8 @@ def test_select_denoisers_ragged_chunks_match_layer_loop():
     x = np.stack([encode_context(c, BINARY) for c in contexts])
     for dtype in (np.float32, np.float64):
         net = MLPDenoiser((40, 40, t.n_denoisers), k=k, size=2, rng=rng, dtype=dtype)
-        want = context_probabilities(net, contexts, BINARY)
-        assert net.forward(x).tobytes() == want.tobytes()
+        want = context_logits(net, contexts, BINARY)
+        assert _Pass(net, len(x)).outputs(x.astype(dtype))[-1].tobytes() == want.tobytes()
         assert np.array_equal(select_denoisers(group_contexts(z, k), net, t), np.argmax(want, axis=1))
 
 
@@ -784,17 +802,31 @@ def test_select_denoisers_whole_chunks_and_k0_match_layer_loop():
         contexts = [extract_context(z, i, k) for i in range(len(z))]
         for dtype in (np.float32, np.float64):
             net = MLPDenoiser((40, 40, t.n_denoisers), k=k, size=2, rng=rng, dtype=dtype)
-            want = np.argmax(context_probabilities(net, contexts, BINARY), axis=1)
+            want = np.argmax(context_logits(net, contexts, BINARY), axis=1)
             got = select_denoisers(groups, net, t)
             assert got.tobytes() == want.astype(t.rule_dtype).tobytes()
 
 
+def test_select_denoisers_takes_the_highest_logit_where_probabilities_tie():
+    # k = 0, no hidden layer, output biases (0, 1e-8, -1, -1): the float32
+    # softmax rounds the first two probabilities to one value, whose argmax
+    # is rule 0, but rule 1 scores higher, and every position selects it.
+    t = bsc01_tables()
+    z = Sequence(np.random.default_rng(33).integers(0, 2, 50).astype(np.uint8), BINARY)
+    net = MLPDenoiser((t.n_denoisers,), k=0, size=2)
+    net.layers()[1][:] = [0.0, 1e-8, -1.0, -1.0]
+    p = context_probabilities(net, [Context((), ())], BINARY)[0]
+    assert p.dtype == np.float32 and p[0] == p[1]
+    assert np.all(select_denoisers(group_contexts(z, 0), net, t) == 1)
+
+
 def test_select_denoisers_memory_is_a_few_bytes_per_group_plus_one_chunk():
     # Nearly every order-16 context of a random binary sequence is distinct,
-    # so G is close to n and spans many chunks. Selection holds a member and
-    # a rule per group, a rule per position, and one chunk's buffers: its
-    # encoded rows and their one-hot bools, and the layer outputs with their
-    # temporaries. A (G, 2k) digit table, 32 bytes a group, breaks the bound.
+    # so G is close to n and spans many chunks. Selection holds a member per
+    # group, which its rule overwrites, and one pass's buffers: a chunk's
+    # encoded rows and their one-hot bools, and its layer outputs; then a
+    # rule per group and per position. A (G, 2k) digit table, 32 bytes a
+    # group, breaks the bound.
     rng = np.random.default_rng(5)
     n, k = 100_000, 16
     z = Sequence((rng.random(n) < 0.5).astype(np.uint8), BINARY)

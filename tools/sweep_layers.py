@@ -16,15 +16,15 @@ on one thread:
   and 20 on the n = 1M input, and at k = 16 on the n = 150k input;
 - `baselines.smoothing_posteriors` and `baselines.forward_backward_denoise`
   under the true model, on the n = 1M and the DNA inputs;
-- `neural.select_denoisers` at k = 20 on the n = 1M input and at k = 16 on
-  the n = 150k input, with an untrained network of the default width
-  (selection's memory and time do not depend on the weights), on the
-  groups of `core.group_contexts`: its time, its `tracemalloc` peak and
-  an md5 of the rule indices it returns;
+- `neural.select_denoisers` at k = 20 on the n = 1M input, at k = 16 on
+  the n = 150k input and at k = 5 on the DNA input (256 rules), with an
+  untrained network of the default width (selection's memory and time do
+  not depend on the weights), on the groups of `core.group_contexts`: its
+  time, its `tracemalloc` peak and an md5 of the rule indices it returns;
 - `neural.train_groups` for one epoch of the default network and
-  minibatch on the same groups, and at k = 3 (70 contexts, within one
-  minibatch) on the n = 1M input: its `tracemalloc` peak, an md5 of the
-  parameters it returns and its time;
+  minibatch on the two binary selection inputs' groups, and at k = 3 (70
+  contexts, within one minibatch) on the n = 1M input: its `tracemalloc`
+  peak, an md5 of the parameters it returns and its time;
 - the `tracemalloc` peak, above the memory live before it, of walking the
   k = 1..20 chain at n = 1M (no order's groups held past its step), of
   `group_contexts(z, 16)` at n = 150k and of `smoothing_posteriors` at
@@ -70,8 +70,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDERS = range(1, 21)
 GROUPED = (10, 13, 16, 20)
 UNIFORM_DNA = (1_000_000, 10)  # n, kmax
-SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16))
-TRAININGS = (*SELECTIONS, ("n1m_k3", "bsmc-1m-dude", 3))  # k = 3: a shuffle of all n, 100 steps
+SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 16),
+              ("dna100k_k5", "dna-100k", 5))  # DNA: 256 rules
+TRAININGS = (*SELECTIONS[:2], ("n1m_k3", "bsmc-1m-dude", 3))  # k = 3: a shuffle of all n, 100 steps
 FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior and output md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
 

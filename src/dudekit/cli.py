@@ -69,16 +69,14 @@ def _spec_id(spec: str) -> str:
 def _parse_hidden(text: str) -> tuple[int, ...]:
     """Hidden widths from a comma list, an empty list meaning none; an empty item is an error."""
     try:
-        dims = tuple(int(tok) for tok in text.split(",")) if text else ()
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
     except ValueError as exc:
         raise DataError(f"bad hidden layer spec {text!r}") from exc
-    if any(d < 1 for d in dims):
-        raise DataError(f"hidden layer sizes must be positive, got {text!r}")
-    return dims
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, rng_seed=args.seed)
+    """The training flags as one TrainConfig, which checks them whatever the method."""
+    return TrainConfig(epochs=args.epochs, rng_seed=args.seed, hidden=_parse_hidden(args.hidden))
 
 
 def _add_train_flags(sub):
@@ -126,8 +124,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_denoise(args) -> int:
     if args.method != "ndude" and (args.save_model or args.load_model):
         raise _UsageError(f"--save-model and --load-model need method ndude, not {args.method}")
-    if args.method != "fb" and args.source:
-        raise _UsageError(f"--source needs method fb, not {args.method}")
+    if args.method == "fb" and not args.source:
+        raise _UsageError("--source is required for method fb")
+    if args.method != "fb":
+        if args.source:
+            raise _UsageError(f"--source needs method fb, not {args.method}")
+        if args.k is None:
+            raise _UsageError(f"--k is required for method {args.method}")
+        if args.k < 0:
+            raise _UsageError(f"context order --k must be non-negative, got {args.k}")
+    config = _train_config(args)
     chan, loss = parse_channel_spec(args.channel)
     z, _ = io.load_sequence(args.input, chan.alphabet)
     channel_id = _spec_id(args.channel)
@@ -145,10 +151,6 @@ def _cmd_denoise(args) -> int:
     )
     meta = {"method": args.method, "channel": channel_id, "fingerprint": fp}
     if args.method in ("dude", "ndude"):
-        if args.k is None:
-            raise _UsageError(f"--k is required for method {args.method}")
-        if args.k < 0:
-            raise _UsageError(f"context order --k must be non-negative, got {args.k}")
         tables = build_estimated_loss(chan, loss)
         meta["k"] = str(args.k)
     if args.method == "dude":
@@ -158,15 +160,12 @@ def _cmd_denoise(args) -> int:
             net = neural.load_checkpoint(args.load_model, tables, args.k)
             groups = group_contexts(z, args.k)
         else:  # selected on the groups it trained on
-            hidden, config = _parse_hidden(args.hidden), _train_config(args)
             groups = group_contexts(z, args.k)
-            net = neural.train_groups(groups, tables, hidden, config)
+            net = neural.train_groups(groups, tables, config)
         if args.save_model:
             neural.save_checkpoint(net, args.save_model, tables)
         xhat = apply_rules(z, neural.select_denoisers(groups, net, tables), tables)
     else:  # fb
-        if not args.source:
-            raise _UsageError("--source is required for method fb")
         spec = baselines.HMMSpec(baselines.parse_source_spec(args.source), chan)
         xhat = baselines.forward_backward_denoise(z, spec, loss)
     io.save_sequence(xhat, args.output, meta)
@@ -185,6 +184,11 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"bad context order range [{args.kmin}, {args.kmax}]")
     if args.out_noisy and not args.image:
         raise _UsageError("--out-noisy needs --image")
+    if args.image and (args.input or args.clean):
+        raise _UsageError("--image replaces --input/--clean")
+    if not args.image and not args.input:
+        raise _UsageError("either --input or --image is required")
+    config = _train_config(args)
     chan, loss = parse_channel_spec(args.channel)
     tables = build_estimated_loss(chan, loss)
     fp = _fingerprint(
@@ -202,16 +206,12 @@ def _cmd_sweep(args) -> int:
     )
     grid = None
     if args.image:
-        if args.input or args.clean:
-            raise _UsageError("--image replaces --input/--clean")
         grid = io.load_pbm(args.image)
         clean = io.rasterize(grid)
         if chan.alphabet != clean.alphabet:
             raise DataError("image sweeps need a binary channel")
         z = baselines.corrupt(clean, chan, rng_seed=args.seed + 1)
     else:
-        if not args.input:
-            raise _UsageError("either --input or --image is required")
         z, _ = io.load_sequence(args.input, chan.alphabet)
         clean = None
         if args.clean:
@@ -226,8 +226,7 @@ def _cmd_sweep(args) -> int:
         range(args.kmin, args.kmax + 1),
         method=args.method,
         clean=clean,
-        hidden=_parse_hidden(args.hidden),
-        config=_train_config(args),
+        config=config,
     )
     report = replace(report, meta=report.meta + (("cli_fingerprint", fp),))
     evaluation.report_to_csv(report, args.report)

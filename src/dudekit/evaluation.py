@@ -124,7 +124,6 @@ def sweep_k(
     k_values,
     method: str = "dude",
     clean: Sequence | None = None,
-    hidden: tuple[int, ...] = neural.DEFAULT_HIDDEN,
     config: TrainConfig | None = None,
 ) -> tuple[ExperimentReport, Sequence]:
     """Run one denoiser across context orders; returns the report and the
@@ -154,14 +153,14 @@ def sweep_k(
         interior_slice(len(z), k)
     cfg = config if config is not None else TrainConfig()
     results = _run_parts(
-        lambda part: _sweep_part(z, tables, part, method, clean, hidden, cfg), _split(k_values)
+        lambda part: _sweep_part(z, tables, part, method, clean, cfg), _split(k_values)
     )
     records = sorted((r for rows, _ in results for r in rows), key=lambda r: r.k)
     k_star = select_k(records)
     kept = next(xhat for rows, xhat in results if select_k(rows) == k_star)
     meta = [("seed", str(cfg.rng_seed)), ("channel_fingerprint", tables.fingerprint())]
     if method == "ndude":
-        meta += [("hidden", ",".join(str(h) for h in hidden)), ("epochs", str(cfg.epochs))]
+        meta += [("hidden", ",".join(str(h) for h in cfg.hidden)), ("epochs", str(cfg.epochs))]
         meta.append(("minibatch", str(cfg.minibatch_size)))
     report = ExperimentReport(
         method=method,
@@ -174,7 +173,7 @@ def sweep_k(
     return report, kept
 
 
-def _sweep_part(z, tables, part, method, clean, hidden, cfg):
+def _sweep_part(z, tables, part, method, clean, cfg):
     """Rows of the ascending orders in part, and the reconstruction at the
     order select_k picks among them. One walk refines the context groups
     from k = 0, one order per step. Each order of part is trained (N-DUDE),
@@ -188,7 +187,7 @@ def _sweep_part(z, tables, part, method, clean, hidden, cfg):
         if method == "dude":
             s_idx = dude.select_denoisers(groups, tables)
         else:
-            net = neural.train_groups(groups, tables, hidden, cfg)
+            net = neural.train_groups(groups, tables, cfg)
             s_idx = neural.select_denoisers(groups, net, tables)
         est = estimated_loss(z, s_idx, tables)
         xhat = apply_rules(z, s_idx, tables)

@@ -26,10 +26,8 @@ from the groups' window view and center counts per context alone.
 Its groups come from core's one walk, which refines them from k = 0, one
 order per step: group_contexts's, or a sweep part's, which trains, selects
 and scores each order as it reaches it (evaluation._sweep_part), so an
-order trained alone is a sweep's row bit for bit. No order takes more
-than STEP_BUDGET steps: the epochs asked are an upper bound, and an
-order of many contexts widens its batch, and Adam's learning rate with
-it, rather than take more steps (train_groups). An order's network is
+order trained alone is a sweep's row bit for bit. An order's step
+schedule, at most STEP_BUDGET steps, is _epoch_layout's. An order's network is
 seeded rng_seed + k, whether it trains alone or in a sweep, and the
 network returned is the mean of the last epoch's iterates. Adam runs
 with Kingma & Ba's constants. Training runs in the calling process.
@@ -51,9 +49,6 @@ from .errors import DataError
 
 # Rows per chunk when encoding training rows and classifying unique contexts.
 _FORWARD_CHUNK = 4096
-# Float64 target entries a chunk of training rows holds at most (1 MiB): the
-# narrow head's chunks of many rules take fewer rows.
-_TARGET_ENTRIES = 1 << 17
 
 DEFAULT_HIDDEN = (40, 40, 40)
 
@@ -64,32 +59,34 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
-# The steps an epoch takes at least, where n / minibatch_size allows (see train_groups).
-TABLE_STEPS_PER_EPOCH = 100
-# No order takes more than STEP_BUDGET steps: past it an order trains fewer epochs
-# than asked, and an epoch takes at most STEP_BUDGET // MIN_EPOCHS steps, its batch
-# widened (see train_groups): an order of many contexts ends about as close to FB
-# after 6 passes as after 10, and overfits its pseudo-labels less.
+# The bounds of the step schedule (see _epoch_layout): an order of many contexts
+# ends about as close to FB after 6 passes as after 10, and overfits its
+# pseudo-labels less.
+MIN_EPOCH_STEPS = 100
 STEP_BUDGET = 2000
 MIN_EPOCHS = 6
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Schedule and seed of pseudo-label training; order k's network is
-    seeded rng_seed + k. epochs is the most an order trains: no order takes
-    more than STEP_BUDGET steps, and minibatch_size the least batch, which
-    widens past STEP_BUDGET // MIN_EPOCHS steps an epoch (see train_groups)."""
+    """Every setting of pseudo-label training: schedule, seed and the
+    network's hidden widths. Order k's network is seeded rng_seed + k.
+    epochs is the most epochs an order trains and minibatch_size the least
+    batch (see _epoch_layout)."""
 
     epochs: int = 10
     minibatch_size: int = 100
     rng_seed: int = 0
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.epochs < 1 or self.minibatch_size < 1:
             raise DataError("epochs and minibatch_size must be positive")
         if self.rng_seed < 0:
             raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        if any(h < 1 for h in self.hidden):
+            raise DataError(f"hidden layer sizes must be positive, got {self.hidden}")
 
 
 def _encode_rows(rows: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
@@ -333,12 +330,19 @@ def _rounded(op, a: np.ndarray, scalar, out: np.ndarray, wide: np.ndarray) -> np
 
 
 def _epoch_layout(n: int, n_groups: int, minibatch: int, epochs: int) -> tuple[int, int, int, int]:
-    """(batch, steps, rows, epochs) of training over n positions in n_groups
-    contexts, at most epochs epochs and STEP_BUDGET steps. rows is the number
-    of positions drawn per epoch, and an epoch of more than
-    STEP_BUDGET // MIN_EPOCHS steps takes that many, each batch widened to
-    cover the contexts."""
-    steps = max(-(-n_groups // minibatch), min(TABLE_STEPS_PER_EPOCH, -(-n // minibatch)))
+    """(batch, steps, rows, epochs) of training over n positions in G =
+    n_groups contexts: the step schedule, with mb = minibatch the least
+    batch and epochs the most epochs.
+
+    An epoch takes max(ceil(G/mb), min(MIN_EPOCH_STEPS, ceil(n/mb))) steps,
+    but no more than STEP_BUDGET // MIN_EPOCHS (333). Where that cap binds,
+    the batch widens from mb to ceil(G / steps). rows, the positions drawn
+    per epoch, are steps * batch, at most n, and a pass over the n positions
+    may take fewer steps. An order trains epochs epochs while they take at
+    most STEP_BUDGET steps, else floor(STEP_BUDGET / steps per epoch), which
+    the cap keeps at MIN_EPOCHS or more: no order takes more than
+    STEP_BUDGET steps."""
+    steps = max(-(-n_groups // minibatch), min(MIN_EPOCH_STEPS, -(-n // minibatch)))
     steps = min(steps, STEP_BUDGET // MIN_EPOCHS)
     batch = max(minibatch, -(-n_groups // steps))
     rows = min(n, steps * batch)
@@ -376,44 +380,35 @@ def _context_feed(groups, tables: EstimatedLossTables, wide: bool):
 
 
 def train_groups(
-    groups,
-    tables: EstimatedLossTables,
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    config: TrainConfig | None = None,
+    groups, tables: EstimatedLossTables, config: TrainConfig | None = None
 ) -> MLPDenoiser:
-    """Train a denoiser of order groups.k on the positions of groups.seq,
-    grouped by their contexts (core.ContextGroups), seeded config.rng_seed + k.
+    """Train a denoiser of order groups.k, hidden widths config.hidden, on
+    the positions of groups.seq, grouped by their contexts
+    (core.ContextGroups), seeded config.rng_seed + k.
 
     Every position contributes a (context, pseudo-label) pair, edge
-    positions included. An epoch takes max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH,
-    ceil(n/mb))) steps, G the groups and mb = config.minibatch_size, never
-    more than a pass over the n positions nor STEP_BUDGET // MIN_EPOCHS (333).
-    Where that cap binds, the batch widens from mb to ceil(G / steps), and
-    Adam's learning rate from LEARNING_RATE to LEARNING_RATE * sqrt(batch /
-    mb), the square-root rule for adaptive methods; other orders keep mb and
-    LEARNING_RATE. An order trains config.epochs epochs while they take at
-    most STEP_BUDGET steps, else floor(STEP_BUDGET / steps per epoch), which
-    the cap keeps at MIN_EPOCHS or more: no order takes more than
-    STEP_BUDGET steps or more epochs than config.epochs asks. Each step
-    takes the contexts of the next batch of positions of the epoch's
-    shuffle of the n, so contexts come in proportion to their counts, and
-    each row's target is its context's mean pseudo-label: the mean cost
-    estimates the mean over all n positions, and no bit depends on how the
-    groups are numbered. Where the rules outnumber the last hidden layer's
-    units (DNA's 256 against the default 40), the step takes _Pass's wide
-    head, fed the |Z| weights of each target's mix of pseudo-label rows;
-    else the narrow head, fed the target rows. Adam runs on chunks of whole
-    minibatches fed at a time. The network returned holds the float64 mean
-    of the last epoch's iterates, rounded once to its dtype; its epoch
-    losses are the mean cost over each epoch's rows. Everything runs in
-    this process.
+    positions included. The steps, batches and epochs are _epoch_layout's.
+    Where the batch widens past mb = config.minibatch_size, Adam's learning
+    rate grows from LEARNING_RATE to LEARNING_RATE * sqrt(batch / mb), the
+    square-root rule for adaptive methods. Each step takes the contexts of
+    the next batch of positions of the epoch's shuffle of the n, so contexts
+    come in proportion to their counts, and each row's target is its
+    context's mean pseudo-label: the mean cost estimates the mean over all n
+    positions, and no bit depends on how the groups are numbered. Where the
+    rules outnumber the last hidden layer's units (DNA's 256 against the
+    default 40), the step takes _Pass's wide head, fed the |Z| weights of
+    each target's mix of pseudo-label rows; else the narrow head, fed the
+    target rows. Rows are fed in chunks of whole batches, up to
+    _FORWARD_CHUNK rows. The network returned holds the float64 mean of the
+    last epoch's iterates, rounded once to its dtype; its epoch losses are
+    the mean cost over each epoch's rows. Everything runs in this process.
     """
     cfg = config if config is not None else TrainConfig()
     if tables.channel.alphabet != groups.seq.alphabet:
         raise DataError("tables were built for a different alphabet")
     rng = np.random.default_rng(cfg.rng_seed + groups.k)
     size = groups.seq.alphabet.size
-    net = MLPDenoiser((*hidden, tables.n_denoisers), k=groups.k, size=size, rng=rng)
+    net = MLPDenoiser((*cfg.hidden, tables.n_denoisers), k=groups.k, size=size, rng=rng)
     wide = tables.n_denoisers > net.layer_dims[-2]
     n = len(groups.seq)
     batch, steps, rows, epochs = _epoch_layout(n, groups.n_groups, cfg.minibatch_size, cfg.epochs)
@@ -421,7 +416,7 @@ def train_groups(
     order = np.arange(n, dtype=groups.inverse.dtype)  # the positions, reshuffled in place
     drawn = order[:rows]  # a view: each epoch's rows
     t_width = size if wide else tables.n_denoisers
-    chunk = min(rows, batch * max(1, min(_FORWARD_CHUNK, _TARGET_ENTRIES // t_width) // batch))
+    chunk = min(rows, batch * max(1, _FORWARD_CHUNK // batch))
     x_buf = np.empty((chunk, net.input_dim), dtype=net.dtype)
     t_buf = np.empty((chunk, t_width), dtype=net.dtype)
     passes = _Pass(net, min(batch, rows), tables.pseudo_labels if wide else None)
@@ -456,7 +451,10 @@ def select_denoisers(groups, net: MLPDenoiser, tables: EstimatedLossTables) -> n
     before). The network's input width, 2k|Z|, follows from its order and its
     output width, |Z|^|Z| rules. One _Pass classifies _FORWARD_CHUNK groups at
     a time, their rows gathered from ContextGroups.members(): no (G, 2k) table
-    is formed."""
+    is formed. A row's logits can differ in their last bits with the rows its
+    matmul holds, so a group whose top two logits lie within rounding can
+    take either rule, depending on its chunk: the chunk size is part of the
+    output."""
     if net.output_dim != tables.n_denoisers:
         raise DataError(f"network output width {net.output_dim} does not match "
                         f"{tables.n_denoisers} denoisers")

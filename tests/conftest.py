@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import os
+from dataclasses import replace
 
 # Before numpy loads, BLAS on one thread, as the CLI, perfbench and tools/ run it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 from dudekit import neural
-from dudekit.channel import ChannelMatrix, LossMatrix, apply_rules, hamming_loss
-from dudekit.core import Alphabet, group_contexts
-from dudekit.neural import DEFAULT_HIDDEN, train_groups
+from dudekit.channel import (
+    ChannelMatrix, LossMatrix, apply_rules, bsc, build_estimated_loss, hamming_loss,
+)
+from dudekit.core import BINARY, Alphabet, group_contexts
+from dudekit.neural import DEFAULT_HIDDEN, TrainConfig, train_groups
 
 ALPHABETS = {
     2: Alphabet(("0", "1")),
@@ -40,10 +43,17 @@ def plain_pbm(grid) -> bytes:
     return f"P1\n{grid.width} {grid.height}\n".encode("ascii") + "\n".join(rows).encode() + b"\n"
 
 
+def bsc01_tables():
+    """Estimated-loss tables of the binary symmetric channel at 0.1, Hamming loss."""
+    return build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
+
+
 def train_alone(z, k, tables, hidden=DEFAULT_HIDDEN, config=None):
-    """Order k's network trained alone: train_groups on group_contexts(z, k),
-    which `denoise --method ndude` trains and a sweep's row k matches."""
-    return train_groups(group_contexts(z, k), tables, hidden, config)
+    """Order k's network trained alone, with hidden widths hidden and the rest
+    of config: train_groups on group_contexts(z, k), which
+    `denoise --method ndude` trains and a sweep's row k matches."""
+    config = replace(config if config is not None else TrainConfig(), hidden=hidden)
+    return train_groups(group_contexts(z, k), tables, config)
 
 
 def ndude_apply(z, net, tables):

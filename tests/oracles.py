@@ -7,11 +7,13 @@ turned into a reconstruction by the original inverse-channel rule form
 and scored by a per-layer loop over a network's weights (context_logits,
 and context_probabilities, their softmax). None of them reads a window
 view, a context group or a stacked forward pass, so they stay independent
-of the code they check.
+of the code they check. brute_posteriors, the smoother's oracle, sums
+over every source path.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,3 +169,21 @@ def context_probabilities(
     logits = context_logits(net, contexts, alphabet)
     logits = np.exp(logits - logits.max(axis=1, keepdims=True))
     return logits / logits.sum(axis=1, keepdims=True)
+
+
+def brute_posteriors(z, spec):
+    """Smoothing posteriors P(x_i | z) of the HMM spec, summed over every
+    source path: |Z|^n paths, for short z only."""
+    size = spec.source.alphabet.size
+    initial = spec.source.initial
+    trans = spec.source.transition
+    emit = spec.channel.entries
+    n = len(z)
+    post = np.zeros((n, size))
+    for xs in itertools.product(range(size), repeat=n):
+        p = initial[xs[0]] * emit[xs[0], z.data[0]]
+        for i in range(1, n):
+            p *= trans[xs[i - 1], xs[i]] * emit[xs[i], z.data[i]]
+        for i, xi in enumerate(xs):
+            post[i, xi] += p
+    return post / post.sum(axis=1, keepdims=True)

@@ -10,7 +10,6 @@ check prints exactly one
 line with capture suspended, so the verdicts stay visible in any pytest run.
 """
 
-import itertools
 import json
 import os
 import subprocess
@@ -38,6 +37,7 @@ from dudekit.io import ImageGrid, derasterize, load_pbm, rasterize, save_pbm
 from dudekit.neural import MLPDenoiser, TrainConfig
 from oracles import (
     Context,
+    brute_posteriors,
     collect_counts,
     context_probabilities,
     dude_rule_original,
@@ -266,22 +266,6 @@ def test_criterion_07_gradient_check(capsys):
     _check(7, "gradient-check", body, capsys)
 
 
-def _brute_posteriors(z, spec):
-    size = spec.source.alphabet.size
-    initial = spec.source.initial
-    trans = spec.source.transition
-    emit = spec.channel.entries
-    n = len(z)
-    post = np.zeros((n, size))
-    for xs in itertools.product(range(size), repeat=n):
-        p = initial[xs[0]] * emit[xs[0], z.data[0]]
-        for i in range(1, n):
-            p *= trans[xs[i - 1], xs[i]] * emit[xs[i], z.data[i]]
-        for i, xi in enumerate(xs):
-            post[i, xi] += p
-    return post / post.sum(axis=1, keepdims=True)
-
-
 def test_criterion_08_posterior_brute_force(capsys):
     # Scaled forward-backward must match exhaustive enumeration.
     def body():
@@ -301,7 +285,7 @@ def test_criterion_08_posterior_brute_force(capsys):
             z = Sequence(rng.integers(0, size, n).astype(np.uint8), alphabet)
             spec = HMMSpec(source, channel)
             got = smoothing_posteriors(z, spec)
-            want = _brute_posteriors(z, spec)
+            want = brute_posteriors(z, spec)
             worst = max(worst, float(np.abs(got - want).max()))
         return worst < 1e-9, f"worst_abs_diff={worst:.2e} over {len(cases)} cases"
 

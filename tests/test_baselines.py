@@ -1,6 +1,5 @@
 """Source simulation, corruption, and the informed smoothing baseline."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,6 +21,7 @@ from dudekit.core import BINARY, DNA, Alphabet, Sequence
 from dudekit.dude import dude_denoise
 from dudekit.errors import DataError
 from dudekit.neural import TrainConfig
+from oracles import brute_posteriors
 
 
 def test_source_validation():
@@ -191,27 +191,13 @@ def test_hmm_spec_validation():
         HMMSpec(bsmc(0.1), symmetric_channel(0.1, ALPHABETS[4]))
 
 
-def _brute_posteriors(z, spec):
-    n = len(z)
-    size = spec.source.alphabet.size
-    joint = np.zeros((n, size))
-    for xs in itertools.product(range(size), repeat=n):
-        p = spec.source.initial[xs[0]] * spec.channel.entries[xs[0], z.data[0]]
-        for i in range(1, n):
-            p *= spec.source.transition[xs[i - 1], xs[i]]
-            p *= spec.channel.entries[xs[i], z.data[i]]
-        for i in range(n):
-            joint[i, xs[i]] += p
-    return joint / joint.sum(axis=1, keepdims=True)
-
-
 def test_posteriors_match_bruteforce_binary():
     rng = np.random.default_rng(21)
     spec = HMMSpec(bsmc(0.2), bsc(0.1))
     for n in (1, 2, 5, 10, 12):
         z = Sequence(rng.integers(0, 2, n).astype(np.uint8), BINARY)
         post = smoothing_posteriors(z, spec)
-        assert np.max(np.abs(post - _brute_posteriors(z, spec))) < 1e-9
+        assert np.max(np.abs(post - brute_posteriors(z, spec))) < 1e-9
 
 
 def test_posteriors_match_bruteforce_ternary():
@@ -222,7 +208,7 @@ def test_posteriors_match_bruteforce_ternary():
     for n in (1, 4, 7):
         z = Sequence(rng.integers(0, 3, n).astype(np.uint8), ALPHABETS[3])
         post = smoothing_posteriors(z, spec)
-        assert np.max(np.abs(post - _brute_posteriors(z, spec))) < 1e-9
+        assert np.max(np.abs(post - brute_posteriors(z, spec))) < 1e-9
 
 
 def _sequential_posteriors(z, spec):

@@ -470,6 +470,32 @@ def test_hidden_rejects_an_empty_item(sim_files, tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag", [("--seed", "-1"), ("--epochs", "0"), ("--hidden", "0"), ("--hidden", "x")],
+    ids=["seed", "epochs", "hidden-zero", "hidden-text"],
+)
+def test_every_method_checks_the_training_flags(sim_files, tmp_path, flag):
+    # denoise checks --seed, --epochs and --hidden whatever the method, though
+    # only ndude trains, and exits 2 before it reads or writes a file.
+    _, _, noisy = sim_files
+    out = tmp_path / "o.txt"
+    for method in (("dude", "--k", "2"), ("fb", "--source", "bsmc:0.1")):
+        argv = ["denoise", "--input", noisy, "--channel", "bsc:0.1", "--method", *method,
+                "--output", str(out), *flag]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
+def test_sweep_checks_the_training_flags_before_writing_the_noisy_image(tmp_path):
+    img, noisy = tmp_path / "img.pbm", tmp_path / "noisy.pbm"
+    save_pbm(ImageGrid(8, 8, np.zeros(64, dtype=np.uint8)), str(img))
+    argv = ["sweep", "--image", str(img), "--out-noisy", str(noisy), "--channel", "bsc:0.1",
+            "--method", "dude", "--kmax", "1", "--hidden", "0",
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.pbm"]
+
+
 def test_negative_k_is_a_usage_error(sim_files, tmp_path):
     _, _, noisy = sim_files
     out = tmp_path / "o.txt"

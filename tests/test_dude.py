@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import ALPHABETS, random_invertible_channel
+from conftest import ALPHABETS, bsc01_tables, random_invertible_channel
 from dudekit.channel import apply_rules, bsc, build_estimated_loss, hamming_loss, symmetric_channel
 from dudekit.core import BINARY, DNA, Alphabet, Sequence, context_groups, group_contexts
 from dudekit.dude import _argmin_chunked, dude_denoise, select_denoisers
 from dudekit.errors import DataError
 from dudekit.evaluation import estimated_loss
 from oracles import Context, collect_counts, dude_rule_original, extract_context
-
-
-def bsc01_tables():
-    return build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
 
 
 def rule_estimated(m, t):

@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import ALPHABETS, random_invertible_channel, train_alone
+from conftest import ALPHABETS, bsc01_tables, random_invertible_channel, train_alone
 from dudekit import evaluation, neural
 from dudekit.baselines import bsmc, corrupt, generate_source
 from dudekit.channel import bsc, build_estimated_loss, hamming_loss
@@ -34,10 +34,6 @@ from dudekit.evaluation import (
     true_loss,
 )
 from dudekit.neural import TrainConfig
-
-
-def bsc01_tables():
-    return build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
 
 
 def test_true_loss_and_ber():
@@ -204,9 +200,9 @@ def test_sweep_validation():
 def test_sweep_ndude_deterministic():
     _, z = _instance(3000)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=2, rng_seed=11)
-    rep1, rec1 = sweep_k(z, t, [1, 2], method="ndude", hidden=(10,), config=cfg)
-    rep2, rec2 = sweep_k(z, t, [1, 2], method="ndude", hidden=(10,), config=cfg)
+    cfg = TrainConfig(epochs=2, rng_seed=11, hidden=(10,))
+    rep1, rec1 = sweep_k(z, t, [1, 2], method="ndude", config=cfg)
+    rep2, rec2 = sweep_k(z, t, [1, 2], method="ndude", config=cfg)
     assert rec1 == rec2
     stripped1 = [dataclasses.replace(r, wall_time_s=0.0) for r in rep1.records]
     stripped2 = [dataclasses.replace(r, wall_time_s=0.0) for r in rep2.records]
@@ -218,13 +214,14 @@ def test_ndude_report_names_every_training_setting():
     # Each TrainConfig field has a meta entry; a new field fails the lookup
     # until reports record it.
     _, z = _instance(500)
-    cfg = TrainConfig(epochs=1, minibatch_size=30, rng_seed=5)
-    report, _ = sweep_k(z, bsc01_tables(), [1], method="ndude", hidden=(4, 3), config=cfg)
-    key = {"epochs": "epochs", "minibatch_size": "minibatch", "rng_seed": "seed"}
+    cfg = TrainConfig(epochs=1, minibatch_size=30, rng_seed=5, hidden=(4, 3))
+    report, _ = sweep_k(z, bsc01_tables(), [1], method="ndude", config=cfg)
+    key = {"epochs": "epochs", "minibatch_size": "minibatch", "rng_seed": "seed",
+           "hidden": "hidden"}
     want = {key[f.name]: str(getattr(cfg, f.name)) for f in dataclasses.fields(TrainConfig)}
+    want["hidden"] = "4,3"  # the widths, comma separated
     meta = dict(report.meta)
     assert {name: meta[name] for name in want} == want
-    assert meta["hidden"] == "4,3"
 
 
 @pytest.mark.parametrize(
@@ -240,10 +237,10 @@ def test_sweep_ndude_stack_matches_training_each_k_alone(size, n, minibatch):
     t = build_estimated_loss(chan, hamming_loss(ALPHABETS[size]))
     x = Sequence(rng.integers(0, size, n).astype(np.uint8), ALPHABETS[size])
     z = corrupt(x, chan, rng_seed=2)
-    cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=9)
+    cfg = TrainConfig(epochs=2, minibatch_size=minibatch, rng_seed=9, hidden=(8, 6))
     ks = [0, 2, 5]
     alone = {k: train_alone(z, k, t, (8, 6), cfg) for k in ks}
-    report, recon = sweep_k(z, t, ks, method="ndude", clean=x, hidden=(8, 6), config=cfg)
+    report, recon = sweep_k(z, t, ks, method="ndude", clean=x, config=cfg)
     recons = {}
     for rec in report.records:
         s_idx = neural.select_denoisers(group_contexts(z, rec.k), alone[rec.k], t)
@@ -274,8 +271,8 @@ def test_wall_time_is_each_orders_own(monkeypatch):
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(evaluation, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(neural, "train_groups", timed)
-    cfg = TrainConfig(epochs=1)
-    report, _ = sweep_k(z, bsc01_tables(), [1, 3, 4], "ndude", hidden=(8,), config=cfg)
+    cfg = TrainConfig(epochs=1, hidden=(8,))
+    report, _ = sweep_k(z, bsc01_tables(), [1, 3, 4], "ndude", config=cfg)
     assert [(r.k, r.wall_time_s) for r in report.records] == [(1, 10.0), (3, 30.0), (4, 40.0)]
 
 
@@ -303,13 +300,13 @@ def test_split_sweep_matches_one_process(monkeypatch, method, ks):
     # each takes minibatches drawn from shuffles of the positions.
     x, z = _instance(12000)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=2, rng_seed=4)
+    cfg = TrainConfig(epochs=2, rng_seed=4, hidden=(8,))
     assert group_contexts(z, 1).n_groups <= cfg.minibatch_size < group_contexts(z, 4).n_groups
     runs = []
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
             forked = _count_forks(patch, cpus)
-            report, recon = sweep_k(z, t, ks, method, clean=x, hidden=(8,), config=cfg)
+            report, recon = sweep_k(z, t, ks, method, clean=x, config=cfg)
         assert forked == [ks[j::cpus] for j in range(1, cpus)]
         assert multiprocessing.active_children() == []
         assert not recon.data.flags.writeable  # also when a child sent it
@@ -327,7 +324,7 @@ def test_dude_sweep_names_smallest_order_too_long_before_forking(monkeypatch, cp
     _, z = _instance(10)
     forked = _count_forks(monkeypatch, cpus)
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-        sweep_k(z, bsc01_tables(), [9, 1, 6, 5], method=method, hidden=(8,))
+        sweep_k(z, bsc01_tables(), [9, 1, 6, 5], method=method, config=TrainConfig(hidden=(8,)))
     assert forked == []
 
 
@@ -348,13 +345,13 @@ def test_split_counts_usable_cpus(monkeypatch):
 def test_single_order_and_one_cpu_fork_nothing(monkeypatch):
     _, z = _instance(3000)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=1)
+    cfg = TrainConfig(epochs=1, hidden=(8,))
     forked = _count_forks(monkeypatch, 2)
     for method in METHODS:
-        sweep_k(z, t, [5], method, hidden=(8,), config=cfg)
+        sweep_k(z, t, [5], method, config=cfg)
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
     for method in METHODS:
-        sweep_k(z, t, [4, 5], method, hidden=(8,), config=cfg)
+        sweep_k(z, t, [4, 5], method, config=cfg)
     assert forked == []
 
 
@@ -390,7 +387,7 @@ def test_child_failure_reaches_parent(monkeypatch, fail, error, match):
     t = bsc01_tables()
     _failing_training(monkeypatch, 4, fail)
     with pytest.raises(error, match=match):
-        sweep_k(z, t, [3, 4], "ndude", hidden=(8,), config=TrainConfig(epochs=1))
+        sweep_k(z, t, [3, 4], "ndude", config=TrainConfig(epochs=1, hidden=(8,)))
     assert multiprocessing.active_children() == []
 
 
@@ -399,7 +396,7 @@ def test_parent_failure_stops_children(monkeypatch):
     t = bsc01_tables()
     _failing_training(monkeypatch, 3, lambda: _raise(DataError("order 3 failed")))
     with pytest.raises(DataError, match="order 3 failed"):
-        sweep_k(z, t, [3, 4], "ndude", hidden=(8,), config=TrainConfig(epochs=50))
+        sweep_k(z, t, [3, 4], "ndude", config=TrainConfig(epochs=50, hidden=(8,)))
     assert multiprocessing.active_children() == []
 
 

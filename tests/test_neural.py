@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALPHABETS, ndude_apply, random_invertible_channel, train_alone
+from conftest import (
+    ALPHABETS, bsc01_tables, ndude_apply, random_invertible_channel, train_alone,
+)
 from dudekit.channel import (
     apply_rules,
     bsc,
@@ -45,10 +47,6 @@ from dudekit.neural import (
 from oracles import Context, context_logits, context_probabilities, encode_context, extract_context
 
 
-def bsc01_tables():
-    return build_estimated_loss(bsc(0.1), hamming_loss(BINARY))
-
-
 def test_train_config_defaults():
     cfg = TrainConfig()
     assert cfg.epochs == 10
@@ -64,6 +62,15 @@ def test_train_config_validation():
         TrainConfig(minibatch_size=0)
     with pytest.raises(DataError):
         TrainConfig(rng_seed=-1)
+
+
+def test_train_config_holds_the_hidden_widths():
+    # The widths are a tuple, whatever sequence gave them, and each at least 1.
+    assert TrainConfig().hidden == DEFAULT_HIDDEN
+    assert TrainConfig(hidden=[8, 8]).hidden == (8, 8)
+    assert TrainConfig(hidden=()).hidden == ()
+    with pytest.raises(DataError, match="hidden layer sizes must be positive"):
+        TrainConfig(hidden=(4, 0))
 
 
 def test_encode_context_layout():
@@ -470,7 +477,7 @@ def test_head_follows_rule_count_against_last_hidden_width(monkeypatch):
     ],
 )
 def test_epoch_steps_rule(n, n_groups, minibatch, want):
-    # max(ceil(G/mb), min(TABLE_STEPS_PER_EPOCH, ceil(n/mb))) steps, no more
+    # max(ceil(G/mb), min(MIN_EPOCH_STEPS, ceil(n/mb))) steps, no more
     # than a shuffle of the n positions would take nor STEP_BUDGET // MIN_EPOCHS,
     # the batch widened to ceil(G / steps) where that cap binds (want: at 10
     # epochs asked). Of E epochs asked, E while they take at most STEP_BUDGET
@@ -563,7 +570,7 @@ def test_train_ignores_how_the_groups_are_numbered():
     # among themselves, their centres with them, and the shared groups among
     # themselves leaves the trained bits and epoch losses unchanged.
     _, z = _toy_instance(n=200, seed=7)
-    t, cfg = bsc01_tables(), TrainConfig(epochs=3, rng_seed=2)
+    t, cfg = bsc01_tables(), TrainConfig(epochs=3, rng_seed=2, hidden=(8,))
     rng = np.random.default_rng(8)
     for groups in context_groups(z, 7):
         if groups.k not in (5, 7):
@@ -578,8 +585,8 @@ def test_train_ignores_how_the_groups_are_numbered():
             groups, inverse=new_id[groups.inverse].astype(groups.inverse.dtype), centres=centres
         )
         assert not np.array_equal(renumbered.members(), groups.members())
-        want = neural.train_groups(groups, t, (8,), cfg)
-        got = neural.train_groups(renumbered, t, (8,), cfg)
+        want = neural.train_groups(groups, t, cfg)
+        got = neural.train_groups(renumbered, t, cfg)
         assert got.params.tobytes() == want.params.tobytes()
         assert got.epoch_losses == want.epoch_losses
 
@@ -647,7 +654,7 @@ def _swept(monkeypatch, z, ks, tables, cfg, cpus):
     with monkeypatch.context() as patch:
         patch.setattr(evaluation, "_usable_cpus", lambda: cpus)
         patch.setattr(neural, "train_groups", kept)
-        report, recon = evaluation.sweep_k(z, tables, ks, "ndude", hidden=(8,), config=cfg)
+        report, recon = evaluation.sweep_k(z, tables, ks, "ndude", config=cfg)
     records = tuple(dataclasses.replace(r, wall_time_s=0.0) for r in report.records)
     return nets, dataclasses.replace(report, records=records), recon
 
@@ -659,7 +666,7 @@ def test_train_mixed_sweep_matches_each_order_alone(monkeypatch):
     # train_alone does, with seed rng_seed + k.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=3, rng_seed=4)
+    cfg = TrainConfig(epochs=3, rng_seed=4, hidden=(8,))
     ks = [0, 1, 2, 5]
     assert [group_contexts(z, k).n_groups for k in ks[:3]] == [1, 6, 20]
     assert group_contexts(z, 5).n_groups > cfg.minibatch_size
@@ -681,7 +688,7 @@ def test_train_split_over_processes_matches_one_call(monkeypatch):
     # and each network that of training its order alone.
     _, z = _toy_instance(n=12000, seed=7)
     t = bsc01_tables()
-    cfg = TrainConfig(epochs=2, rng_seed=4)
+    cfg = TrainConfig(epochs=2, rng_seed=4, hidden=(8,))
     ks = [0, 1, 2, 3, 4, 5, 6]
     assert group_contexts(z, 2).n_groups <= cfg.minibatch_size < group_contexts(z, 4).n_groups
     one, report, recon = _swept(monkeypatch, z, ks, t, cfg, cpus=1)
@@ -722,11 +729,11 @@ def test_each_order_trains_holding_only_its_own_groups(monkeypatch):
               (evaluation.dude, "select_denoisers"))
     for module, name in stages:
         monkeypatch.setattr(module, name, checked(getattr(module, name)))
-    cfg = TrainConfig(epochs=1)
+    cfg = TrainConfig(epochs=1, hidden=(8,))
     for method, run in (("ndude", stages[:2]), ("dude", stages[2:])):
         refs.clear()
         used.clear()
-        rows, _ = evaluation._sweep_part(z, bsc01_tables(), [1, 5], method, None, (8,), cfg)
+        rows, _ = evaluation._sweep_part(z, bsc01_tables(), [1, 5], method, None, cfg)
         want = [(module.__name__, name, k) for k in (1, 5) for module, name in run]
         assert used == want and len(refs) == 6
         assert [r.k for r in rows] == [1, 5]
@@ -930,7 +937,7 @@ def test_orders_too_long_fail_before_any_network_is_built(monkeypatch):
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
         train_alone(z, 5, t, hidden=(6,))
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
-        evaluation.sweep_k(z, t, [9, 2, 6, 5], method="ndude", hidden=(6,))
+        evaluation.sweep_k(z, t, [9, 2, 6, 5], method="ndude", config=TrainConfig(hidden=(6,)))
     with pytest.raises(DataError, match=r"need length > 2k = 10, got 10$"):
         ndude_apply(z, net, t)
     monkeypatch.undo()

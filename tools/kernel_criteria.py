@@ -8,7 +8,7 @@ pytest settings, in a fresh process per kernel: the one OpenBLAS picks
 for this CPU, then OPENBLAS_CORETYPE=Haswell (AVX2) and Prescott (SSE3).
 The variable acts only on the process it is set for, so each run starts
 its own interpreter. For each kernel it prints the kernel's name, read by
-`sweep_layers.blas_core()` in that kernel's environment, every
+`checkout.blas_core()` in that kernel's environment, every
 `[criterion NN]` line and pytest's summary line. -k passes a selection to
 pytest (for example `-k criterion_08`); the whole file takes a few minutes
 per kernel. Exits 1 if any run fails. It is not part of the Tier-1 tests.
@@ -36,8 +36,8 @@ def environment(kernel: str | None) -> dict[str, str]:
 
 
 def kernel_name(env: dict[str, str]) -> str:
-    code = (f"import sys; sys.path.insert(0, {TOOLS!r}); import sweep_layers; "
-            "print(sweep_layers.blas_core())")
+    code = (f"import sys; sys.path.insert(0, {TOOLS!r}); import checkout; "
+            "print(checkout.blas_core())")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     return done.stdout.strip() or "unknown"
 

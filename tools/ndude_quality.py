@@ -55,6 +55,8 @@ the spread across kernels. It gates nothing.
 
 from __future__ import annotations
 
+import checkout  # first: BLAS on one thread before numpy loads
+
 import argparse
 import hashlib
 import json
@@ -64,15 +66,9 @@ import subprocess
 import sys
 import time
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"  # before numpy loads
+import kernel_criteria
+import sweep_layers
 
-TOOLS = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, TOOLS)
-import kernel_criteria  # noqa: E402
-import sweep_layers  # noqa: E402
-
-ROOT = os.path.dirname(TOOLS)
 BSMC_SEEDS, BSMC_ORDERS = range(11, 16), range(1, 17)
 HASWELL, HASWELL_SEEDS = "bsmc-200k-haswell", range(11, 14)
 DNA_SEEDS, DNA_ORDERS = range(1, 4), range(1, 6)
@@ -241,7 +237,8 @@ def compare(old_path: str, new_path: str) -> None:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", default=ROOT, help="repository root to import dudekit from")
+    ap.add_argument("--checkout", default=checkout.ROOT,
+                    help="repository root to import dudekit from")
     ap.add_argument("--out", help="quality JSON file to write (default: stdout)")
     ap.add_argument("--times", help="JSON file for every run's wall times (default: stderr)")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="diff two quality files")
@@ -250,8 +247,7 @@ def main() -> int:
     if args.compare:
         compare(*args.compare)
         return 0
-    root = os.path.abspath(args.checkout)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    root = checkout.use(args.checkout)
     from workloads import WORKLOADS, Workload
 
     bsmc = Workload("bsmc-200k", "01", stay=0.9, delta=DELTA, n=200_000, steps=(), round_s=1.0)
@@ -260,12 +256,12 @@ def main() -> int:
     if args.haswell_child:
         doc = family(HASWELL, lambda s: sweep_layers.simulated(bsmc, s), DELTA,
                      HASWELL_SEEDS, BSMC_ORDERS, times)
-        print(json.dumps({"blas_core": sweep_layers.blas_core(), **doc}))
+        print(json.dumps({"blas_core": checkout.blas_core(), **doc}))
         return 0
     doc = {
         "what": "N-DUDE true error and estimated-loss gap per order against FB, in units of delta",
-        "checkout_sha": sweep_layers.git_sha(root),
-        "blas_core": sweep_layers.blas_core(),
+        "checkout_sha": checkout.git_sha(root),
+        "blas_core": checkout.blas_core(),
         "workloads": {
             "bsmc-200k": family("bsmc-200k", lambda s: sweep_layers.simulated(bsmc, s), DELTA,
                                 BSMC_SEEDS, BSMC_ORDERS, times),

@@ -18,6 +18,8 @@ time it was written. Two checkouts wrote byte-identical outputs when
 
 from __future__ import annotations
 
+import checkout  # first: BLAS on one thread before numpy loads
+
 import argparse
 import contextlib
 import hashlib
@@ -28,10 +30,6 @@ import tempfile
 
 import numpy as np
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"  # before numpy loads
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DUDE_ORDERS = (5, 16)
 NDUDE_ORDER = 4
 
@@ -79,10 +77,10 @@ def denoise_argvs(w, d: str, seed: int) -> list[list[str]]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--checkout", default=ROOT, help="repository root to import dudekit from")
+    ap.add_argument("--checkout", default=checkout.ROOT,
+                    help="repository root to import dudekit from")
     args = ap.parse_args()
-    root = os.path.abspath(args.checkout)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    checkout.use(args.checkout)
     from dudekit import cli
     from workloads import WORKLOADS
 

@@ -47,26 +47,21 @@ core name, and numpy and Python versions.
 
 from __future__ import annotations
 
+import checkout  # first: BLAS on one thread before numpy loads
+
 import argparse
 import contextlib
-import ctypes
-import glob
 import hashlib
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"  # before numpy loads
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORDERS = range(1, 21)
 GROUPED = (10, 13, 16, 20)
 UNIFORM_DNA = (1_000_000, 10)  # n, kmax
@@ -75,29 +70,6 @@ SELECTIONS = (("n1m_k20", "bsmc-1m-dude", 20), ("n150k_k16", "bsmc-150k-ndude", 
 TRAININGS = (*SELECTIONS[:2], ("n1m_k3", "bsmc-1m-dude", 3))  # k = 3: a shuffle of all n, 100 steps
 FB_INPUTS = ("bsmc-1m-dude", "bsmc-150k-ndude", "dna-100k")  # posterior and output md5s
 FB_TIMED = ("bsmc-1m-dude", "dna-100k")
-
-
-def blas_core() -> str:
-    """The running OpenBLAS kernel, read from numpy's bundled library, or "unknown"."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_char_p
-            return fn().decode()
-    return "unknown"
-
-
-def git_sha(root: str) -> str:
-    """HEAD of the checkout at root, marked -dirty when its tracked files differ."""
-    try:
-        sha = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True,
-                             text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "-C", root, "status", "--porcelain", "-uno"],
-                               capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return sha + ("-dirty" if dirty else "")
 
 
 def simulated(workload, seed: int):
@@ -221,14 +193,14 @@ def trainings(inputs, repeats: int) -> dict[str, dict]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--checkout", default=ROOT, help="repository root to import dudekit from")
+    ap.add_argument("--checkout", default=checkout.ROOT,
+                    help="repository root to import dudekit from")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", help="JSON file to write (default: stdout)")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    root = os.path.abspath(args.checkout)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    root = checkout.use(args.checkout)
     from dudekit import baselines, channel, core
     from workloads import WORKLOADS
 
@@ -268,12 +240,12 @@ def main() -> int:
     doc = {
         "what": "in-process DUDE sweep layers, k = 1..20 at n = 1M, N-DUDE selection and "
                 "training, and FB, BLAS on one thread",
-        "checkout_sha": git_sha(root),
+        "checkout_sha": checkout.git_sha(root),
         "seed": args.seed,
         "repeats": args.repeats,
         "machine": {
             "cpus": os.cpu_count(),
-            "blas_core": blas_core(),
+            "blas_core": checkout.blas_core(),
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
